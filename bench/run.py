@@ -5,8 +5,14 @@ Usage (from the repository root):
     python3 bench/run.py --workload survey|hecke|scan --seed N --seconds S --trace 0|1
 
 --trace 0 runs as many cold passes, each in a fresh interpreter, as fit in
-S seconds (at least three), and reports the end-to-end metrics over them.  --trace 1 runs one untraced pass and two traced passes of the
-same configuration (scan: one shard, in process, so the Bernoulli spans
+S seconds (at least three), and reports the median over them of each
+end-to-end metric: setup_s, norm_wall_s, norm_cpu_s and peak_rss_mb.  The
+norm_ metrics are the pass's wall and CPU time scaled to a fixed host speed,
+measured while the pass runs, in each of scan's shards; setup_s is scaled
+alike (speed.py).  The raw times are in the summary line.
+
+--trace 1 runs one untraced pass and two traced passes of the same
+configuration (scan: one shard, in process, so the Bernoulli spans
 are visible; plus one untraced two-shard pass for the shard metrics), and
 reports the per-layer metrics of the first traced pass.  The work counts
 of the two traced passes must agree exactly.
@@ -102,10 +108,10 @@ def untraced_metrics(runner: Runner, seconds: float) -> dict:
     shards = SCAN_SHARDS if runner.workload == "scan" else 1
     while len(runner.passes) < MIN_PASSES or runner.elapsed() * (1 + 1 / len(runner.passes)) <= seconds:
         runner.run("pass", shards, trace=False)
-    ok = [p for p in runner.passes if p.get("wall_s") is not None]
+    ok = [p for p in runner.passes if p.get("norm_wall_s") is not None]
     if not ok:
         return {}
-    return {m: statistics.median(p[m] for p in ok) for m in ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")}
+    return {m: statistics.median(p[m] for p in ok) for m in ("setup_s", "norm_wall_s", "norm_cpu_s", "peak_rss_mb")}
 
 
 def traced_metrics(runner: Runner, names: list[str]) -> tuple[dict, list[str]]:
@@ -141,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=36)
+    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -174,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "inputs": runner.passes[0].get("items"),
-        "passes": [{k: p.get(k) for k in ("label", "shards", "setup_s", "wall_s", "cpu_s", "peak_rss_mb", "attempted", "failed", "op_s")} for p in runner.passes],
+        "passes": [{k: p.get(k) for k in ("label", "shards", "raw_setup_s", "setup_s", "wall_s", "cpu_s", "speed", "norm_wall_s", "norm_cpu_s", "peak_rss_mb", "attempted", "failed", "op_s")} for p in runner.passes],
         "predictions": predictions,
     }
     print(json.dumps(summary))

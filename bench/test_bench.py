@@ -1,11 +1,13 @@
-"""Tests of the benchmark's own code: span arithmetic, golden checks, seeds.
+"""Tests of the benchmark's own code: span and speed arithmetic, golden checks, seeds.
 
 Run with: PYTHONPATH=src python -m pytest bench/test_bench.py
 """
 
 import inspect
 import os
+import signal
 import sys
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import spans  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -36,6 +39,52 @@ def test_tracer_records_nested_spans_and_counts():
     assert list(tracer.parent) == [-1, 0, 0]
     total = tracer.end[0] - tracer.start[0]
     assert stats["outer.self_s"] + stats["inner.self_s"] == pytest.approx(total)
+
+
+def test_speed_scale_uses_the_kernel_runs_inside_the_pass():
+    start = [0.5, 1.5, 2.5, 3.5]
+    wall = [0.002, 0.005, 0.003, 0.1]
+    cpu = [0.001, 0.002, 0.002, 0.05]
+    handler_wall, handler_cpu, factor = speed.scale(start, wall, cpu, 1.0, 3.0)
+    assert handler_wall == pytest.approx(0.008) and handler_cpu == pytest.approx(0.004)
+    assert factor == pytest.approx(speed.REF_KERNEL_S / 0.002)
+    # a pass with no run inside it takes the factor of all runs and leaves its times whole
+    assert speed.scale(start, wall, cpu, 10.0, 11.0) == (0, 0, pytest.approx(speed.REF_KERNEL_S / 0.01375))
+    with pytest.raises(ValueError):
+        speed.scale([], [], [], 0.0, 1.0)
+
+
+def test_sampler_runs_the_kernel_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    sampler = speed.Sampler()
+    sampler.start()
+    try:
+        t_end = time.perf_counter() + 0.3
+        while time.perf_counter() < t_end:
+            pass
+    finally:
+        sampler.stop()
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert len(sampler.start_s) == len(sampler.wall_s) == len(sampler.cpu_s) >= 2
+    assert all(0 < c <= w for c, w in zip(sampler.cpu_s, sampler.wall_s))
+
+
+def test_shards_sample_their_own_speed(tmp_path):
+    from eiscomp import bernoulli, scan
+
+    orig = bernoulli.pair_scan
+    undo = speed.sample_pair_scans(str(tmp_path))
+    try:
+        records = scan.scan_range(5, 100, shards=2)
+    finally:
+        undo()
+    assert bernoulli.pair_scan is orig and scan.pair_scan is orig
+    assert records == scan.scan_range(5, 100)
+    files = sorted(tmp_path.glob("speed-*.tsv"))
+    assert files and f"speed-{os.getpid()}.tsv" not in {f.name for f in files}
+    sampler = speed.Sampler()
+    sampler.read_runs(str(tmp_path / "speed-*.tsv"))
+    assert len(sampler.start_s) == len(sampler.cpu_s) >= len(files)
 
 
 @pytest.fixture(scope="module")

@@ -199,8 +199,9 @@ def cpu_times() -> tuple[float, float]:
 def run_pass(workload: str, inputs: dict, *, shards: int, workdir: str, tracer=None) -> dict:
     """Run one pass over the inputs; time it; return outputs for checking.
 
-    The returned dict holds `wall_s`, `cpu_s` (this process and the shard
-    processes), `child_cpu_s` (the shards alone), `outputs` (one (key, text, ok) per
+    The returned dict holds `wall_s`, `span` (its perf_counter start and
+    end), `cpu_s` (this process and the shard processes), `child_cpu_s`
+    (the shards alone), `outputs` (one (key, text, ok) per
     operation; text None when the operation raised), `op_s` (seconds per
     operation, survey and hecke) and, for scan,
     `records`, `resumed_equal`, `resume_s` and `checkpoint_bytes`.
@@ -223,7 +224,7 @@ def run_pass(workload: str, inputs: dict, *, shards: int, workdir: str, tracer=N
                 result.setdefault("errors", []).append(f"{p},{k}: {type(exc).__name__}: {exc}")
             op_s.append(time.perf_counter() - t_op)
             outputs.append((key((p, k)), text, ok))
-        result["wall_s"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
         cpu1, child1 = cpu_times()
     else:
         (lo, hi), = inputs["items"]
@@ -231,7 +232,7 @@ def run_pass(workload: str, inputs: dict, *, shards: int, workdir: str, tracer=N
         if tracer is not None:
             tracer.current_op = 0
         records = scan_outputs(lo, hi, shards, checkpoint)
-        result["wall_s"] = time.perf_counter() - t0
+        t1 = time.perf_counter()
         cpu1, child1 = cpu_times()
         if tracer is not None:
             tracer.current_op = 1
@@ -243,6 +244,8 @@ def run_pass(workload: str, inputs: dict, *, shards: int, workdir: str, tracer=N
             outputs.append((key((rec.p,)), record_csv(rec), not rec.pair_hits))
         result["records"] = [rec.p for rec in records]
         result["resumed_equal"] = resumed == records
+    result["wall_s"] = t1 - t0
+    result["span"] = (t0, t1)
     result["cpu_s"] = cpu1 - cpu0 + child1 - child0
     result["child_cpu_s"] = child1 - child0
     result["outputs"] = outputs
