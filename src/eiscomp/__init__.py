@@ -20,14 +20,12 @@ from .companions import (
     filtration,
     has_companion,
     mirror_check,
-    theta,
     theta_series,
 )
 from .hecke import (
     EisLocalPiece,
     EisensteinSystem,
     HeckeAlgebra,
-    HeckeOp,
     duality_pairing_matrix,
     eisenstein_localize,
     full_hecke_algebra,

@@ -23,27 +23,8 @@ import numpy as np
 from .padic import FpElem, require_admissible_prime
 
 
-def _pure_table(p: int) -> list[int]:
-    """Reference implementation of the recurrence, plain integers."""
-    size = p - 2  # indices 0..p-3
-    b = [0] * size
-    b[0] = 1
-    if size > 1:
-        b[1] = (p - pow(2, -1, p)) % p  # B_1 = -1/2
-    row = [1, 2, 1]  # binomials C(2, .)
-    for m in range(2, size):
-        row = [1] + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)] + [1]
-        if m % 2 == 1:
-            continue  # odd B_m vanish
-        s = 1 + row[1] * b[1]  # j = 0 and j = 1 terms
-        for j in range(2, m, 2):
-            s += row[j] * b[j]
-        b[m] = (-s * pow(m + 1, -1, p)) % p
-    return b
-
-
 def _numpy_table(p: int) -> list[int]:
-    """Same recurrence with the inner loops on int64 vectors."""
+    """The recurrence with its inner loops on int64 vectors."""
     size = p - 2
     b = np.zeros(size, dtype=np.int64)
     b[0] = 1

@@ -2,8 +2,8 @@
 
 Machine-readable JSON (or CSV) goes to stdout or --out; a short human
 summary goes to stderr.  Exit codes: 0 all good, 1 a mathematically
-asserted statement failed (never expected) or a scan found a mirror pair,
-2 usage or scope error.
+asserted statement or an internal invariant failed (never expected) or a
+scan found a mirror pair, 2 usage or scope error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from .bernoulli import irregular_indices
 from .companions import companion_report
-from .errors import NonInvertibleError, PrecisionError
+from .errors import NonInvertibleError, NotLocalError, PrecisionError
 from .hecke import hecke_report
 from .lambda_eis import build_lambda_eisenstein, specialize_and_compare
 from .localstruct import CSV_HEADER, structure_report
@@ -241,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         _note(f"error: {e}")
         return USAGE_ERROR
+    except (NotLocalError, AssertionError) as e:
+        _note(f"error: {e}")
+        return ASSERTION_ERROR
     except (PrecisionError, NonInvertibleError, ValueError) as e:
         _note(f"error: {e}")
         return USAGE_ERROR

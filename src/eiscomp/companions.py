@@ -26,27 +26,13 @@ from .qexp import (
 )
 
 
-@dataclass(frozen=True)
-class ThetaImage:
-    """theta^j of a form, with the graded weight bookkeeping."""
-
-    source_weight: int
-    iterates: int
-    series: QSeries
-
-
-def theta(f: QSeries, iterates: int = 1) -> ThetaImage:
+def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
     """Apply theta^j: a(n) -> n^j a(n), weight tag + j(p+1)."""
     if iterates < 0:
         raise ValueError("negative theta iterate")
     m = f.modulus
     out = [pow(n, iterates, m) * c % m if n else (c if iterates == 0 else 0) for n, c in enumerate(f.coeffs)]
-    series = QSeries(f.p, out, f.weight + iterates * (f.p + 1), f.digits)
-    return ThetaImage(source_weight=f.weight, iterates=iterates, series=series)
-
-
-def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
-    return theta(f, iterates).series
+    return QSeries(f.p, out, f.weight + iterates * (f.p + 1), f.digits)
 
 
 def filtration(f: QSeries, k: int | None = None) -> int:
@@ -112,7 +98,8 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
     if coords is None:
         return False, None
     g = target.coords_to_series(coords)
-    assert theta_series(f, kp).coeffs[:bound] == theta_series(g).coeffs[:bound]
+    if theta_series(f, kp).coeffs[:bound] != theta_series(g).coeffs[:bound]:
+        raise AssertionError("solved companion fails theta^(k') f = theta g")
     return True, coords
 
 

@@ -70,17 +70,7 @@ def hecke_action(f: QSeries, n: int) -> QSeries:
     return QSeries(f.p, out, k, f.digits)
 
 
-@dataclass(frozen=True)
-class HeckeOp:
-    """T(n) as a matrix in a FormSpace's echelon basis."""
-
-    n: int
-    k: int
-    p: int
-    mat: MatFp
-
-
-def hecke_matrix(space: FormSpace, n: int) -> HeckeOp:
+def hecke_matrix(space: FormSpace, n: int) -> MatFp:
     """Matrix of T(n): column j holds the coordinates of T(n) row_j.
 
     Requires space.prec >= n * sturm(k) so the images keep enough
@@ -104,8 +94,7 @@ def hecke_matrix(space: FormSpace, n: int) -> HeckeOp:
                 f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
             )
         cols.append(coords)
-    mat = MatFp(space.p, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)], space.dim)
-    return HeckeOp(n=n, k=space.k, p=space.p, mat=mat)
+    return MatFp(space.p, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)], space.dim)
 
 
 @dataclass
@@ -114,29 +103,10 @@ class HeckeAlgebra:
 
     space: FormSpace
     basis: list[MatFp]
-    generator_indices: list[int]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def structure_constants(self) -> list[list[list[int]]]:
-        """c[i][j] = coordinates of basis[i] * basis[j] in the basis."""
-        stacked = MatFp(
-            self.space.p,
-            [[b.flat()[r] for b in self.basis] for r in range(len(self.basis[0].flat()))],
-            len(self.basis),
-        )
-        table = []
-        for bi in self.basis:
-            row = []
-            for bj in self.basis:
-                coords = solve(stacked, (bi * bj).flat())
-                if coords is None:
-                    raise AssertionError("algebra closure is not closed")
-                row.append(coords)
-            table.append(row)
-        return table
 
 
 def full_hecke_algebra(space: FormSpace) -> HeckeAlgebra:
@@ -146,9 +116,9 @@ def full_hecke_algebra(space: FormSpace) -> HeckeAlgebra:
     which pin forms down, so this generating set spans the algebra's dual.
     """
     bound = sturm(space.k)
-    gens = [hecke_matrix(space, n).mat for n in range(2, bound + 1)]
+    gens = [hecke_matrix(space, n) for n in range(2, bound + 1)]
     basis = algebra_closure(gens, p=space.p, dim=space.dim)
-    return HeckeAlgebra(space=space, basis=basis, generator_indices=list(range(2, bound + 1)))
+    return HeckeAlgebra(space=space, basis=basis)
 
 
 def duality_pairing_matrix(space: FormSpace, algebra: HeckeAlgebra) -> tuple[MatFp, int]:
@@ -173,7 +143,7 @@ def duality_pairing_matrix(space: FormSpace, algebra: HeckeAlgebra) -> tuple[Mat
 
 def ordinary_projector(space: FormSpace) -> MatFp:
     """The idempotent attached to T(p): projector onto its invertible part."""
-    return stable_idempotent(hecke_matrix(space, space.p).mat)
+    return stable_idempotent(hecke_matrix(space, space.p))
 
 
 def ordinary_dim(p: int, k: int) -> int:
@@ -280,7 +250,7 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     p, k = space.p, space.k
     bound = sturm(k)
     system = EisensteinSystem(p, k)
-    ops = {n: hecke_matrix(space, n).mat for n in range(1, bound + 1)}
+    ops = {n: hecke_matrix(space, n) for n in range(1, bound + 1)}
     etas = [
         ops[n] - MatFp.identity(p, space.dim).scaled(system.eigenvalue(n))
         for n in range(2, bound + 1)
@@ -322,11 +292,11 @@ def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
         return TpRedundancy(checked=True, redundant=True, reason="zero space")
     bound = sturm(k)
     prime_to_p = [
-        hecke_matrix(space, n).mat for n in range(2, bound + 1) if n % p != 0
+        hecke_matrix(space, n) for n in range(2, bound + 1) if n % p != 0
     ]
     without = algebra_closure(prime_to_p, p=p, dim=space.dim)
     with_tp = algebra_closure(
-        prime_to_p + [hecke_matrix(space, p).mat], p=p, dim=space.dim
+        prime_to_p + [hecke_matrix(space, p)], p=p, dim=space.dim
     )
     return TpRedundancy(
         checked=True,

@@ -203,7 +203,8 @@ def kernel(a: MatFp) -> MatFp:
             v[c] = (-red.rows[i][f]) % p
         basis.append(v)
     out = MatFp(p, basis, a.ncols)
-    assert all(all(x == 0 for x in a.apply(v)) for v in out.rows)
+    if any(any(a.apply(v)) for v in out.rows):
+        raise AssertionError("kernel vector not annihilated")
     return out
 
 
@@ -219,7 +220,8 @@ def solve(a: MatFp, b: Sequence[int]) -> list[int] | None:
     x = [0] * a.ncols
     for i, c in enumerate(pivots):
         x[c] = red.rows[i][a.ncols]
-    assert a.apply(x) == [e % p for e in b]
+    if a.apply(x) != [e % p for e in b]:
+        raise AssertionError("solution does not satisfy the system")
     return x
 
 
@@ -289,7 +291,8 @@ def stable_idempotent(u: MatFp) -> MatFp:
         n,
     )
     e = zeroed * pinv
-    assert e * e == e and e * u == u * e
+    if e * e != e or e * u != u * e:
+        raise AssertionError("stable idempotent is not a commuting projector")
     return e
 
 

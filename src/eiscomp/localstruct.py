@@ -17,93 +17,54 @@ from dataclasses import dataclass, field
 from .companions import companion_dimension, localized_pieces
 from .errors import NotLocalError
 from .hecke import EisLocalPiece
-from .linalg import EchelonSpace, MatFp, algebra_closure, kernel, solve
+from .linalg import EchelonSpace, MatFp, algebra_closure, rank
 from .qexp import PrecisionPlan, plan_companion, sturm
+
+
+def _span(mats: list[MatFp]) -> list[MatFp]:
+    """Echelon basis of the linear span of equally sized square matrices."""
+    if not mats:
+        return []
+    p, n = mats[0].p, mats[0].nrows
+    ech = EchelonSpace(p, n * n)
+    for m in mats:
+        ech.insert(m.flat())
+    return [MatFp.from_flat(p, n, row) for row in ech.rows]
 
 
 @dataclass
 class LocalAlgebra:
-    """A finite-dimensional commutative local F_p-algebra.
+    """A finite-dimensional commutative local F_p-algebra of square matrices.
 
-    Elements are coordinate vectors in a fixed basis; `table[i][j]` holds
-    the coordinates of e_i * e_j.  The maximal ideal is recorded through a
-    generating set of coordinates.
+    `basis` spans the algebra with the identity first, as `algebra_closure`
+    returns it; `maxideal_gens` generate the maximal ideal.  Construction
+    checks locality: every generator is nilpotent and the ideal they
+    generate, `maxideal`, has codimension one.
     """
 
-    p: int
-    dim: int
-    table: list[list[list[int]]]
-    identity: list[int]
-    maxideal_gens: list[list[int]]
+    basis: list[MatFp]
+    maxideal_gens: list[MatFp]
+    maxideal: list[MatFp] = field(init=False)
 
-    def multiply(self, x: list[int], y: list[int]) -> list[int]:
-        p = self.p
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi % p == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj % p == 0:
-                    continue
-                c = xi * yj
-                for r, t in enumerate(self.table[i][j]):
-                    out[r] = (out[r] + c * t) % p
-        return out
-
-    def mult_matrix(self, g: list[int]) -> MatFp:
-        """Matrix of x -> g*x in the algebra's basis."""
-        cols = []
-        eye = MatFp.identity(self.p, self.dim)
-        for i in range(self.dim):
-            cols.append(self.multiply(g, eye.row(i)))
-        return MatFp(
-            self.p,
-            [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)],
-            self.dim,
-        )
-
-    def ideal_span(self, gens: list[list[int]]) -> list[list[int]]:
-        """Echelon basis of the ideal generated by the given elements."""
-        ech = EchelonSpace(self.p, self.dim)
-        frontier = []
-        for g in gens:
-            row = ech.insert(g)
-            if row is not None:
-                frontier.append(row)
-        eye = MatFp.identity(self.p, self.dim)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for i in range(self.dim):
-                    prod = self.multiply(x, eye.row(i))
-                    row = ech.insert(prod)
-                    if row is not None:
-                        nxt.append(row)
-            frontier = nxt
-        return [r[:] for r in ech.rows]
-
-    def verify_local(self) -> None:
-        """Confirm the recorded maximal ideal is nilpotent of codimension 1."""
+    def __post_init__(self):
         for g in self.maxideal_gens:
-            m = self.mult_matrix(g)
-            if not (m**self.dim * MatFp(self.p, [g], self.dim).transpose()).is_zero():
+            if not (g**g.nrows).is_zero():
                 raise NotLocalError("a maximal-ideal generator is not nilpotent")
-        ideal = self.ideal_span(self.maxideal_gens)
-        if len(ideal) != self.dim - 1:
+        # each A*g is already an ideal, so the products b*g span the maximal ideal
+        self.maxideal = _span([b * g for b in self.basis for g in self.maxideal_gens])
+        if len(self.maxideal) != self.dim - 1:
             raise NotLocalError(
-                f"ideal of generators has dimension {len(ideal)}, expected {self.dim - 1}"
+                f"ideal of generators has dimension {len(self.maxideal)}, "
+                f"expected {self.dim - 1}"
             )
 
-    def spot_check_associativity(self) -> None:
-        eye = MatFp.identity(self.p, self.dim)
-        gens = self.maxideal_gens[:2] + [self.identity]
-        for a in gens:
-            for b in gens:
-                for c in [eye.row(self.dim - 1), self.identity]:
-                    lhs = self.multiply(self.multiply(a, b), c)
-                    rhs = self.multiply(a, self.multiply(b, c))
-                    if lhs != rhs:
-                        raise AssertionError("structure constants not associative")
+    @property
+    def p(self) -> int:
+        return self.basis[0].p
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def restrict_algebra(piece: EisLocalPiece) -> LocalAlgebra:
@@ -115,52 +76,27 @@ def restrict_algebra(piece: EisLocalPiece) -> LocalAlgebra:
     """
     if piece.dim == 0:
         raise ValueError("zero piece carries the zero ring")
-    p = piece.p
     bound = sturm(piece.k)
     ops = [piece.restricted[n] for n in range(2, bound + 1)]
-    basis_mats = algebra_closure(ops, p=p, dim=piece.dim)
-    # coordinates: stack the flattened basis as columns
-    width = piece.dim * piece.dim
-    stacked = MatFp(
-        p, [[b.flat()[r] for b in basis_mats] for r in range(width)], len(basis_mats)
+    return LocalAlgebra(
+        basis=algebra_closure(ops, p=piece.p, dim=piece.dim),
+        maxideal_gens=[piece.eta_restricted(n) for n in range(2, bound + 1)],
     )
-
-    def coords_of(mat: MatFp) -> list[int]:
-        c = solve(stacked, mat.flat())
-        if c is None:
-            raise AssertionError("operator outside its own closure")
-        return c
-
-    dim = len(basis_mats)
-    table = [
-        [coords_of(basis_mats[i] * basis_mats[j]) for j in range(dim)]
-        for i in range(dim)
-    ]
-    alg = LocalAlgebra(
-        p=p,
-        dim=dim,
-        table=table,
-        identity=coords_of(MatFp.identity(p, piece.dim)),
-        maxideal_gens=[coords_of(piece.eta_restricted(n)) for n in range(2, bound + 1)],
-    )
-    alg.verify_local()
-    alg.spot_check_associativity()
-    return alg
 
 
 def socle_dim(alg: LocalAlgebra) -> int:
     """Dimension of the annihilator of the maximal ideal.
 
     x kills the whole ideal as soon as it kills the generators, so the
-    socle is the common kernel of the multiplication maps by generators.
-    The unit algebra (zero maximal ideal) has socle dimension equal to its
-    own dimension, which is 1 in the local case.
+    socle is the kernel of x -> (x*g) over the generators g.  The unit
+    algebra (zero maximal ideal) has socle dimension equal to its own
+    dimension, which is 1 in the local case.
     """
-    alg.verify_local()
     if not alg.maxideal_gens or alg.dim == 1:
         return alg.dim
-    stacked = MatFp.vstack([alg.mult_matrix(g) for g in alg.maxideal_gens])
-    return kernel(stacked).nrows
+    # row i holds the products basis[i]*g side by side; the socle is its left kernel
+    rows = [[e for g in alg.maxideal_gens for e in (b * g).flat()] for b in alg.basis]
+    return alg.dim - rank(MatFp(alg.p, rows))
 
 
 def gorenstein(alg: LocalAlgebra) -> bool:
@@ -173,23 +109,15 @@ def eis_ideal_min_gens(cusp_alg: LocalAlgebra | None, full_alg: LocalAlgebra) ->
 
     In the mod-p local algebra the image of the Eisenstein ideal is the
     ideal generated by the T(n) - sigma_(k-1)(n), which is the whole
-    maximal ideal; graded Nakayama counts its minimal generators as
-    dim I / (m I).  A zero cuspidal piece short-circuits to 0: the ideal
+    maximal ideal m; graded Nakayama counts its minimal generators as
+    dim m / m^2, where m^2 is spanned by products of a basis of m with the
+    generators.  A zero cuspidal piece short-circuits to 0: the ideal
     image is zero exactly when no congruent cusp form exists.
     """
-    if cusp_alg is None:
+    if cusp_alg is None or not full_alg.maxideal:
         return 0
-    ideal = full_alg.ideal_span(full_alg.maxideal_gens)
-    if not ideal:
-        return 0
-    ech = EchelonSpace(full_alg.p, full_alg.dim)
-    for x in ideal:
-        for g in full_alg.maxideal_gens:
-            ech.insert(full_alg.multiply(x, g))
-    mi_rows = [r[:] for r in ech.rows]
-    # m*I spanned by products of ideal elements with the generators; close as ideal
-    mi = full_alg.ideal_span(mi_rows) if mi_rows else []
-    return len(ideal) - len(mi)
+    m2 = _span([x * g for x in full_alg.maxideal for g in full_alg.maxideal_gens])
+    return len(full_alg.maxideal) - len(m2)
 
 
 def module_cyclic_dim(piece_cusp: EisLocalPiece) -> int:

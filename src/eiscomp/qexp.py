@@ -167,11 +167,6 @@ class QSeries:
             raise ValueError("weight tags are rigid over Z/p^M")
         return QSeries(self.p, self.coeffs, weight, self.digits)
 
-    def reduce_digits(self, digits: int) -> "QSeries":
-        if digits > self.digits:
-            raise PrecisionError("cannot raise digit precision")
-        return QSeries(self.p, self.coeffs, self.weight, digits)
-
     def _compat(self, other: "QSeries") -> None:
         if self.p != other.p or self.digits != other.digits:
             raise ValueError("mixed moduli")
@@ -214,11 +209,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def agrees_with(self, other: "QSeries", upto: int) -> bool:
-        if upto > min(self.prec, other.prec):
-            raise PrecisionError("not enough coefficients to compare")
-        return self.coeffs[:upto] == other.coeffs[:upto]
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -335,9 +325,6 @@ class FormSpace:
     def modulus(self) -> int:
         return self.p**self.digits
 
-    def cuspidal_rows(self) -> list[QSeries]:
-        return self.rows[1:]
-
     def coords_to_series(self, coords: list[int]) -> QSeries:
         if len(coords) != self.dim:
             raise ValueError("coordinate length disagrees with dimension")
@@ -412,7 +399,8 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         if b:
             mono = mono * e6
         mono = mono * dpow
-        assert mono.coeffs[j] % m == 1 and all(mono.coeffs[i] == 0 for i in range(j))
+        if mono.coeffs[j] % m != 1 or any(mono.coeffs[i] for i in range(j)):
+            raise AssertionError(f"basis monomial {j} lacks a unit pivot at q^{j}")
         rows.append(list(mono.coeffs))
         if j + 1 < d:
             dpow = dpow * delta
@@ -487,14 +475,6 @@ class PrecisionPlan:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "weights": list(self.weights), "bound": self.bound}
-
-
-def plan_space(k: int) -> PrecisionPlan:
-    return PrecisionPlan("space", (k,), sturm(k))
-
-
-def plan_hecke(k: int, n: int) -> PrecisionPlan:
-    return PrecisionPlan("hecke", (k,), n * sturm(k))
 
 
 def plan_companion(p: int, k: int) -> PrecisionPlan:

@@ -101,7 +101,8 @@ def scan_range(
             for rec in sorted(fresh, key=lambda r: r.p):
                 fh.write(_checkpoint_line(rec))
 
-    merged = {p: r for p, r in done.items() if p in set(primes)}
+    wanted = set(primes)
+    merged = {p: r for p, r in done.items() if p in wanted}
     merged.update({r.p: r for r in fresh})
     return [merged[p] for p in sorted(merged)]
 

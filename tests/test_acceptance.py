@@ -168,14 +168,14 @@ def test_criterion_9b_hecke_multiplicativity_randomized():
         pairs = [(2, 3), (2, 5), (3, 4), (3, 5)]
         m, n = pairs[rng.randrange(len(pairs))]
         space = miller_basis(p, k, (max(m * n, 9) + 1) * sturm(k))
-        tmn = hecke_matrix(space, m * n).mat
-        tm = hecke_matrix(space, m).mat
-        tn = hecke_matrix(space, n).mat
+        tmn = hecke_matrix(space, m * n)
+        tm = hecke_matrix(space, m)
+        tn = hecke_matrix(space, n)
         assert tmn == tm * tn, (p, k, m, n)
         assert tm * tn == tn * tm
         ell = rng.choice((2, 3))
-        tl = hecke_matrix(space, ell).mat
-        tl2 = hecke_matrix(space, ell * ell).mat
+        tl = hecke_matrix(space, ell)
+        tl2 = hecke_matrix(space, ell * ell)
         eye = MatFp.identity(p, space.dim)
         assert tl2 == tl * tl - eye.scaled(pow(ell, k - 1, p)), (p, k, ell)
     report("9b", "Hecke multiplicativity and prime-power recursion, 12 samples")

@@ -7,7 +7,6 @@ import pytest
 
 from eiscomp.bernoulli import (
     ScanRecord,
-    _pure_table,
     bernoulli_mod,
     bernoulli_table_mod,
     irregular_indices,
@@ -69,9 +68,28 @@ def test_table_matches_exact_oracle_small_primes():
                 assert table[k] == bernoulli_oracle_mod(p, k), (p, k)
 
 
+def pure_table(p: int) -> list[int]:
+    """Reference implementation of the recurrence, plain integers."""
+    size = p - 2  # indices 0..p-3
+    b = [0] * size
+    b[0] = 1
+    if size > 1:
+        b[1] = (p - pow(2, -1, p)) % p  # B_1 = -1/2
+    row = [1, 2, 1]  # binomials C(2, .)
+    for m in range(2, size):
+        row = [1] + [(row[i] + row[i + 1]) % p for i in range(len(row) - 1)] + [1]
+        if m % 2 == 1:
+            continue  # odd B_m vanish
+        s = 1 + row[1] * b[1]  # j = 0 and j = 1 terms
+        for j in range(2, m, 2):
+            s += row[j] * b[j]
+        b[m] = (-s * pow(m + 1, -1, p)) % p
+    return b
+
+
 def test_numpy_and_pure_tables_agree():
     for p in (53, 101, 257):
-        assert list(bernoulli_table_mod(p)) == _pure_table(p)
+        assert list(bernoulli_table_mod(p)) == pure_table(p)
 
 
 def test_recurrence_internal_consistency():
@@ -186,6 +204,13 @@ def test_checkpoint_resume_matches_fresh(tmp_path):
     again = scan_range(5, 200, checkpoint=str(ck))
     assert records_to_csv(again) == records_to_csv(fresh)
     assert records_to_csv(first) == records_to_csv(scan_range(5, 120))
+
+
+def test_resume_from_wider_checkpoint_keeps_only_requested_primes(tmp_path):
+    ck = tmp_path / "scan.ck"
+    scan_range(5, 200, checkpoint=str(ck))
+    resumed = scan_range(5, 60, checkpoint=str(ck))
+    assert records_to_csv(resumed) == records_to_csv(scan_range(5, 60))
 
 
 def test_checkpoint_corruption_detected(tmp_path):

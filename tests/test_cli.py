@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from eiscomp.cli import main
+from eiscomp.errors import NotLocalError
 
 
 def run(capsys, *argv):
@@ -137,6 +140,27 @@ def test_structure_fault_exits_one(capsys, monkeypatch):
     code, _, err = run(capsys, "structure", "--p", "37", "--k", "32")
     assert code == 1
     assert "injected fault" in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NotLocalError("a maximal-ideal generator is not nilpotent"), 1),
+        (AssertionError("basis corrupt"), 1),
+        (ValueError("out of scope"), 2),
+    ],
+)
+def test_structure_internal_errors_exit_codes(capsys, monkeypatch, error, code):
+    import eiscomp.cli as cli
+
+    def failing(p, k):
+        raise error
+
+    monkeypatch.setattr(cli, "structure_report", failing)
+    got, out, err = run(capsys, "structure", "--p", "37", "--k", "32")
+    assert got == code
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_scan_pair_hit_exits_one(capsys, monkeypatch):

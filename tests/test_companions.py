@@ -12,7 +12,6 @@ from eiscomp.companions import (
     has_companion,
     localized_pieces,
     mirror_check,
-    theta,
     theta_series,
     witness_csv,
 )
@@ -39,15 +38,14 @@ def test_theta_kills_constants():
 
 def test_theta_zero_iterates_is_identity():
     f = delta_q(11, 10)
-    out = theta(f, 0)
-    assert out.series.coeffs == f.coeffs and out.series.weight == f.weight
+    out = theta_series(f, 0)
+    assert out.coeffs == f.coeffs and out.weight == f.weight
 
 
 def test_theta_weight_shift():
     f = delta_q(11, 10)
-    out = theta(f, 3)
-    assert out.series.weight == 12 + 3 * 12
-    assert out.iterates == 3 and out.source_weight == 12
+    out = theta_series(f, 3)
+    assert out.weight == 12 + 3 * 12
 
 
 def test_theta_commutation_with_hecke():

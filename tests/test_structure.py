@@ -24,53 +24,44 @@ from eiscomp.qexp import miller_basis, sturm
 IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)]
 
 
-# --- test doubles ------------------------------------------------------------
+# --- test doubles: left-regular representations ----------------------------------
+
+def unit(n, i, j, p=5):
+    """The n x n matrix unit E_ij (1-based), the image of e_j under e_i."""
+    return MatFp(p, [[int((r, c) == (i - 1, j - 1)) for c in range(n)] for r in range(n)])
+
 
 def field_algebra(p=5):
-    return LocalAlgebra(p=p, dim=1, table=[[[1]]], identity=[1], maxideal_gens=[])
+    return LocalAlgebra(basis=[MatFp.identity(p, 1)], maxideal_gens=[])
 
 
 def dual_numbers(p=5):
     # F_p[x]/(x^2), basis {1, x}
-    t = [
-        [[1, 0], [0, 1]],
-        [[0, 1], [0, 0]],
-    ]
-    return LocalAlgebra(p=p, dim=2, table=t, identity=[1, 0], maxideal_gens=[[0, 1]])
+    x = unit(2, 2, 1, p)
+    return LocalAlgebra(basis=[MatFp.identity(p, 2), x], maxideal_gens=[x])
 
 
 def fat_point(p=5):
     # F_p[x, y]/(x, y)^2, basis {1, x, y}: the classical non-Gorenstein cube
-    t = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ]
-    return LocalAlgebra(
-        p=p, dim=3, table=t, identity=[1, 0, 0], maxideal_gens=[[0, 1, 0], [0, 0, 1]]
-    )
+    x, y = unit(3, 2, 1, p), unit(3, 3, 1, p)
+    return LocalAlgebra(basis=[MatFp.identity(p, 3), x, y], maxideal_gens=[x, y])
 
 
 def jet_algebra(p=5):
     # F_p[x]/(x^3), basis {1, x, x^2}: Gorenstein with a non-principal test ideal
-    t = [
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ]
-    return LocalAlgebra(
-        p=p, dim=3, table=t, identity=[1, 0, 0], maxideal_gens=[[0, 1, 0]]
-    )
+    x = unit(3, 2, 1, p) + unit(3, 3, 2, p)
+    return LocalAlgebra(basis=[MatFp.identity(p, 3), x, x * x], maxideal_gens=[x])
 
 
 def socle_brute_force(alg):
     """Count annihilators of the maximal ideal by full enumeration."""
+    n = alg.basis[0].nrows
     count = 0
     for vec in itertools.product(range(alg.p), repeat=alg.dim):
-        v = list(vec)
-        if all(
-            all(c == 0 for c in alg.multiply(v, g)) for g in alg.maxideal_gens
-        ):
+        v = MatFp.zeros(alg.p, n, n)
+        for c, b in zip(vec, alg.basis):
+            v = v + b.scaled(c)
+        if all((v * g).is_zero() for g in alg.maxideal_gens):
             count += 1
     # count = p^socle_dim
     e = 0
@@ -104,14 +95,10 @@ def test_socle_matches_brute_force_enumeration():
 
 
 def test_non_local_rejected():
-    # split algebra F_5 x F_5 presented with a non-nilpotent "generator"
-    t = [
-        [[1, 0], [0, 1]],
-        [[0, 1], [0, 1]],
-    ]
-    alg = LocalAlgebra(p=5, dim=2, table=t, identity=[1, 0], maxideal_gens=[[0, 1]])
+    # split algebra F_5 x F_5 presented with a non-nilpotent "generator" e = e^2
+    e = unit(2, 2, 1) + unit(2, 2, 2)
     with pytest.raises(NotLocalError):
-        socle_dim(alg)
+        LocalAlgebra(basis=[MatFp.identity(5, 2), e], maxideal_gens=[e])
 
 
 # --- ideal generator counts -------------------------------------------------------
@@ -231,11 +218,10 @@ def test_ideal_image_inside_maximal_ideal_and_nonzero_iff_cuspidal():
     # regular: zero ideal image; irregular: nonzero, inside the maximal ideal
     piece_reg, _ = localized_pieces(37, 4)
     alg_reg = restrict_algebra(piece_reg)
-    assert alg_reg.ideal_span(alg_reg.maxideal_gens) == []
+    assert alg_reg.maxideal == []
     piece_irr, _ = localized_pieces(37, 32)
     alg_irr = restrict_algebra(piece_irr)
-    ideal = alg_irr.ideal_span(alg_irr.maxideal_gens)
-    assert ideal, "irregular pair must produce a nonzero ideal image"
+    assert alg_irr.maxideal, "irregular pair must produce a nonzero ideal image"
 
 
 def test_csv_row_shape():
