@@ -5,8 +5,8 @@ sum_j binom(m+1, j) B_j = 0, carried entirely mod p; this is valid for
 0 <= k <= p-3, where every B_j involved is p-integral and every division
 by m+1 <= p-2 is a unit.  The whole table for one prime costs O(p^2)
 field operations; the inner products and Pascal-row updates run on int64
-numpy vectors (entries stay below p, so products stay far below 2^63 for
-every p in range).
+numpy vectors, which is exact up to p = INT64_MAX_PRIME; larger primes are
+rejected.
 
 A prime's scan record collects its irregular indices, any pair (k, k')
 with k + k' = p + 1 and both Bernoulli values divisible by p, and the
@@ -21,6 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import FpElem, require_admissible_prime
+
+# The longest inner product of the recurrence (m = p-3) has (p-5)/2 terms,
+# each a product of two residues at most (p-1)^2.  int64 holds the sum
+# exactly while (p-5)/2 * (p-1)^2 < 2^63; this is the largest such prime.
+INT64_MAX_PRIME = 2642239
 
 
 def _numpy_table(p: int) -> list[int]:
@@ -55,6 +60,10 @@ def _numpy_table(p: int) -> list[int]:
 @lru_cache(maxsize=64)
 def bernoulli_table_mod(p: int) -> tuple[int, ...]:
     """B_k mod p for 0 <= k <= p-3 (odd k > 1 entries are zero)."""
+    if p > INT64_MAX_PRIME:
+        raise ValueError(
+            f"p = {p} exceeds {INT64_MAX_PRIME}, the largest prime the int64 table handles exactly"
+        )
     require_admissible_prime(p)
     return tuple(_numpy_table(p))
 

@@ -3,7 +3,8 @@
 Machine-readable JSON (or CSV) goes to stdout or --out; a short human
 summary goes to stderr.  Exit codes: 0 all good, 1 a mathematically
 asserted statement or an internal invariant failed (never expected) or a
-scan found a mirror pair, 2 usage or scope error.
+scan found a mirror pair, 2 usage or scope error, or a corrupt scan
+checkpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .bernoulli import irregular_indices
 from .companions import companion_report
-from .errors import NonInvertibleError, NotLocalError, PrecisionError
+from .errors import CheckpointError, NonInvertibleError, NotLocalError, PrecisionError
 from .hecke import hecke_report
 from .lambda_eis import build_lambda_eisenstein, specialize_and_compare
 from .localstruct import CSV_HEADER, structure_report
@@ -244,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotLocalError, AssertionError) as e:
         _note(f"error: {e}")
         return ASSERTION_ERROR
-    except (PrecisionError, NonInvertibleError, ValueError) as e:
+    except (PrecisionError, NonInvertibleError, ValueError, CheckpointError) as e:
         _note(f"error: {e}")
         return USAGE_ERROR
 

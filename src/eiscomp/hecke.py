@@ -3,15 +3,22 @@
 Operators act on coefficients through the divisor-sum rule
 a(m; f|T(n)) = sum over d | gcd(m, n) of d^(k-1) a(mn/d^2; f); at level one
 the diamond action is trivial and T(m, m) is the scalar m^(k-2).  Matrices
-are taken in the echelon basis of a FormSpace by membership solving, the
-full Hecke algebra is the linear closure of T(n) for n up to the weight's
-coefficient bound, and the localization at the Eisenstein maximal ideal is
-the common generalized kernel of the operators T(n) - sigma_(k-1)(n).
+are taken in the echelon basis of a FormSpace by membership solving, once
+per space and index.
+
+The Hecke algebra is the linear closure of T(l) for the primes l up to the
+weight's coefficient bound sturm(k).  That suffices: the algebra is spanned
+by T(n) for n <= sturm(k), and each such T(n) is a polynomial in the T(l)
+with l | n, since T(mn) = T(m) T(n) for coprime m, n and
+T(l^(r+1)) = T(l) T(l^r) - l^(k-1) T(l^(r-1)).  For the same reason the
+Eisenstein maximal ideal is generated by the T(l) - sigma_(k-1)(l), and the
+localization at it is their common generalized kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, isqrt
 
 from .errors import PrecisionError
 from .linalg import (
@@ -24,6 +31,14 @@ from .linalg import (
     stable_idempotent,
 )
 from .qexp import FormSpace, QSeries, membership, miller_basis, sturm
+
+
+def generator_primes(k: int) -> list[int]:
+    """The primes l <= sturm(k), whose T(l) generate the weight-k Hecke algebra."""
+    return [
+        n for n in range(2, sturm(k) + 1)
+        if all(n % d for d in range(2, isqrt(n) + 1))
+    ]
 
 
 def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
@@ -55,8 +70,6 @@ def hecke_action(f: QSeries, n: int) -> QSeries:
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    from math import gcd
-
     k, m = f.weight, f.modulus
     out_prec = (f.prec - 1) // n + 1 if f.prec else 0
     out = [0] * out_prec
@@ -76,7 +89,8 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
     Requires space.prec >= n * sturm(k) so the images keep enough
     coefficients for sound membership solving.  Non-membership of an image
     would mean the basis is not Hecke-stable, i.e. an internal bug, and is
-    surfaced loudly.
+    surfaced loudly.  Each matrix is built once per space and shared
+    afterwards, so callers must not modify it in place.
     """
     if space.digits != 1:
         raise ValueError("operator matrices are computed over F_p")
@@ -85,6 +99,9 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
             f"T({n}) at weight {space.k} needs precision {n * sturm(space.k)}, "
             f"space has {space.prec}"
         )
+    cached = space.hecke_matrices.get(n)
+    if cached is not None:
+        return cached
     cols = []
     for row in space.rows:
         image = hecke_action(row, n)
@@ -94,7 +111,9 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
                 f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
             )
         cols.append(coords)
-    return MatFp(space.p, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)], space.dim)
+    mat = MatFp(space.p, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)], space.dim)
+    space.hecke_matrices[n] = mat
+    return mat
 
 
 @dataclass
@@ -110,13 +129,13 @@ class HeckeAlgebra:
 
 
 def full_hecke_algebra(space: FormSpace) -> HeckeAlgebra:
-    """Closure of {T(n) : n <= sturm(k)}.
+    """Closure of {T(l) : l prime, l <= sturm(k)}.
 
-    By duality the functionals f -> a(1; f|t) realize a(n; f) for these n,
-    which pin forms down, so this generating set spans the algebra's dual.
+    The closure contains every T(n) with n <= sturm(k).  By duality the
+    functionals f -> a(1; f|t) realize a(n; f) for these n, which pin forms
+    down, so it spans the algebra's dual.
     """
-    bound = sturm(space.k)
-    gens = [hecke_matrix(space, n) for n in range(2, bound + 1)]
+    gens = [hecke_matrix(space, ell) for ell in generator_primes(space.k)]
     basis = algebra_closure(gens, p=space.p, dim=space.dim)
     return HeckeAlgebra(space=space, basis=basis)
 
@@ -161,8 +180,9 @@ class EisLocalPiece:
     """The generalized eigenspace at the Eisenstein maximal ideal.
 
     `basis` rows are vectors in the ambient FormSpace's coordinates;
-    `restricted` maps n to the matrix of T(n) on the piece.  Every
-    restricted T(n) - sigma_(k-1)(n) is nilpotent here.
+    `restricted` maps each prime l <= sturm(k) to the matrix of T(l) on
+    the piece; these generate the local algebra.  Every restricted
+    T(l) - sigma_(k-1)(l) is nilpotent here.
     """
 
     space: FormSpace
@@ -242,28 +262,22 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     """Localize M_k at the Eisenstein maximal ideal.
 
     The piece is the common generalized kernel of the generators
-    T(n) - sigma_(k-1)(n), n up to the coefficient bound, with the
+    T(l) - sigma_(k-1)(l), l prime up to the coefficient bound, with the
     ambient dimension as the nilpotency exponent.  The Eisenstein series
     itself always lies inside; the piece exceeds its span exactly when a
     congruent cusp form exists.
     """
     p, k = space.p, space.k
-    bound = sturm(k)
+    primes = generator_primes(k)
     system = EisensteinSystem(p, k)
-    ops = {n: hecke_matrix(space, n) for n in range(1, bound + 1)}
-    etas = [
-        ops[n] - MatFp.identity(p, space.dim).scaled(system.eigenvalue(n))
-        for n in range(2, bound + 1)
-    ]
-    basis = (
-        generalized_eigenspace(etas, space.dim)
-        if etas
-        else MatFp.identity(p, space.dim)
-    )
-    restricted = {n: _restrict_operator(ops[n], basis) for n in ops}
+    ops = {ell: hecke_matrix(space, ell) for ell in primes}
+    eye = MatFp.identity(p, space.dim)
+    etas = [ops[ell] - eye.scaled(system.eigenvalue(ell)) for ell in primes]
+    basis = generalized_eigenspace(etas, space.dim, p=p)
+    restricted = {ell: _restrict_operator(ops[ell], basis) for ell in primes}
     piece = EisLocalPiece(space=space, basis=basis, restricted=restricted, system=system)
-    for n in range(2, bound + 1):
-        if not (piece.eta_restricted(n) ** piece.dim).is_zero():
+    for ell in primes:
+        if not (piece.eta_restricted(ell) ** piece.dim).is_zero():
             raise AssertionError("localization generator fails to be nilpotent")
     return piece
 
@@ -280,7 +294,7 @@ class TpRedundancy:
 def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
     """Does dropping T(p) lose anything from the Hecke algebra?
 
-    Compares the closure of {T(n) : n <= bound, p does not divide n} with
+    Compares the closure of {T(l) : l prime, l <= bound, l != p} with
     the closure of the same set plus T(p); the prime-to-p operators are
     expected to generate everything when 2 <= k <= p-2.  Weights outside
     that window are reported as skipped.
@@ -290,10 +304,7 @@ def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
         return TpRedundancy(checked=False, redundant=None, reason=f"weight {k} outside [2, {p - 2}]")
     if space.dim == 0:
         return TpRedundancy(checked=True, redundant=True, reason="zero space")
-    bound = sturm(k)
-    prime_to_p = [
-        hecke_matrix(space, n) for n in range(2, bound + 1) if n % p != 0
-    ]
+    prime_to_p = [hecke_matrix(space, ell) for ell in generator_primes(k) if ell != p]
     without = algebra_closure(prime_to_p, p=p, dim=space.dim)
     with_tp = algebra_closure(
         prime_to_p + [hecke_matrix(space, p)], p=p, dim=space.dim

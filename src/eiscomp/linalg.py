@@ -6,12 +6,17 @@ matrix algebras.  Pivoting is deterministic (first nonzero entry), so all
 outputs are reproducible bit for bit.
 
 Spaces handled here are small (a few hundred dimensions at the very most),
-so everything is plain Python integers in row-major lists.
+so matrices are plain Python integers in row-major lists.  Matrix products
+run on numpy: on int64 arrays while every entry's sum of products fits,
+that is while ncols * (p-1)^2 < 2^63, and on object arrays of Python
+integers, exact at any size, above that bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+import numpy as np
 
 from .padic import require_admissible_prime
 
@@ -120,12 +125,11 @@ class MatFp:
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
         p = self.p
-        bt = other.transpose().rows
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-            for row in self.rows
-        ]
-        return MatFp(p, out, other.ncols)
+        # an entry sums ncols products of residues, each at most (p-1)^2
+        dtype = np.int64 if self.ncols * (p - 1) ** 2 < 2**63 else object
+        a = np.array(self.rows, dtype=dtype).reshape(self.nrows, self.ncols)
+        b = np.array(other.rows, dtype=dtype).reshape(other.nrows, other.ncols)
+        return MatFp(p, (a @ b % p).tolist(), other.ncols)
 
     def __pow__(self, e: int) -> "MatFp":
         if self.nrows != self.ncols:

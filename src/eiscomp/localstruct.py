@@ -1,10 +1,10 @@
 """Structure theory of the Eisenstein-local Hecke algebras.
 
 An Eisenstein-local piece carries a finite commutative F_p-algebra: the
-closure of the restricted T(n).  It is local, with maximal ideal generated
-by the restricted T(n) - sigma_(k-1)(n) (all nilpotent), and the image of
-the Eisenstein ideal in it coincides with that maximal ideal.  This module
-computes socle dimensions (Gorenstein = socle dimension one), minimal
+closure of the restricted T(l), l prime.  It is local, with maximal ideal
+generated by the restricted T(l) - sigma_(k-1)(l) (all nilpotent), and the
+image of the Eisenstein ideal in it coincides with that maximal ideal.  This
+module computes socle dimensions (Gorenstein = socle dimension one), minimal
 generator counts of the ideal image, cyclicity of the cuspidal piece as a
 module, and cross-checks the equivalences these are expected to satisfy
 when the mirror companion dimension is one.
@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .companions import companion_dimension, localized_pieces
 from .errors import NotLocalError
-from .hecke import EisLocalPiece
+from .hecke import EisLocalPiece, generator_primes
 from .linalg import EchelonSpace, MatFp, algebra_closure, rank
-from .qexp import PrecisionPlan, plan_companion, sturm
+from .qexp import PrecisionPlan, plan_companion
 
 
 def _span(mats: list[MatFp]) -> list[MatFp]:
@@ -70,17 +70,17 @@ class LocalAlgebra:
 def restrict_algebra(piece: EisLocalPiece) -> LocalAlgebra:
     """The local Hecke algebra acting on an Eisenstein-local piece.
 
-    Basis from the closure of the restricted T(n); maximal ideal generated
-    by the restricted T(n) - sigma_(k-1)(n).  A non-local outcome (which a
-    semisimple, non-localized input would produce) is rejected.
+    Basis from the closure of the restricted T(l), l prime up to the
+    coefficient bound; maximal ideal generated by the restricted
+    T(l) - sigma_(k-1)(l).  A non-local outcome (which a semisimple,
+    non-localized input would produce) is rejected.
     """
     if piece.dim == 0:
         raise ValueError("zero piece carries the zero ring")
-    bound = sturm(piece.k)
-    ops = [piece.restricted[n] for n in range(2, bound + 1)]
+    primes = generator_primes(piece.k)
     return LocalAlgebra(
-        basis=algebra_closure(ops, p=piece.p, dim=piece.dim),
-        maxideal_gens=[piece.eta_restricted(n) for n in range(2, bound + 1)],
+        basis=algebra_closure([piece.restricted[ell] for ell in primes], p=piece.p, dim=piece.dim),
+        maxideal_gens=[piece.eta_restricted(ell) for ell in primes],
     )
 
 
@@ -129,11 +129,10 @@ def module_cyclic_dim(piece_cusp: EisLocalPiece) -> int:
     if piece_cusp.dim == 0:
         return 0
     p = piece_cusp.p
-    bound = sturm(piece_cusp.k)
     ech = EchelonSpace(p, piece_cusp.dim)
     eye = MatFp.identity(p, piece_cusp.dim)
-    for n in range(2, bound + 1):
-        eta = piece_cusp.eta_restricted(n)
+    for ell in generator_primes(piece_cusp.k):
+        eta = piece_cusp.eta_restricted(ell)
         for i in range(piece_cusp.dim):
             ech.insert(eta.apply(eye.row(i)))
     return piece_cusp.dim - ech.dim

@@ -19,7 +19,7 @@ the high-precision products needed by the companion computations cheap.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -310,7 +310,8 @@ class FormSpace:
 
     Rows are in reduced echelon form with pivots 0..dim-1; the pivot-0 row
     is the only one with a nonzero constant term, so rows[1:] span the
-    cuspidal subspace.
+    cuspidal subspace.  `hecke_matrices` holds the matrix of each T(n)
+    once `hecke.hecke_matrix` has built it.
     """
 
     p: int
@@ -320,6 +321,7 @@ class FormSpace:
     dim: int
     rows: list[QSeries]
     pivots: list[int]
+    hecke_matrices: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def modulus(self) -> int:

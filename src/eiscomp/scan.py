@@ -5,7 +5,9 @@ the sorted prime list is congruent to the shard number.  Results are merged
 by sorting on p, so the merged CSV/JSON output is byte-identical for any
 shard count.  The checkpoint file holds one line per completed prime,
 `<sha256-of-payload> <payload-json>`, and a resumed run recomputes nothing
-that already checkpointed; any hash mismatch aborts loudly.
+that already checkpointed; any hash mismatch aborts loudly.  A final line
+without its newline is what a run killed mid-append leaves behind: it is
+ignored, and cut off before the next append.
 """
 
 from __future__ import annotations
@@ -42,24 +44,30 @@ def _checkpoint_line(record: ScanRecord) -> str:
     return f"{digest} {payload}\n"
 
 
+def _complete_lines(data: bytes) -> bytes:
+    """data up to and including its last newline, dropping a torn final line."""
+    return data[: data.rfind(b"\n") + 1]
+
+
 def load_checkpoint(path: str) -> dict[int, ScanRecord]:
     """Completed records from a checkpoint file, hash-verified per line."""
     done: dict[int, ScanRecord] = {}
     if not os.path.exists(path):
         return done
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                digest, payload = line.split(" ", 1)
-            except ValueError:
-                raise CheckpointError(f"{path}:{lineno}: malformed line") from None
-            if hashlib.sha256(payload.encode()).hexdigest() != digest:
-                raise CheckpointError(f"{path}:{lineno}: content hash mismatch")
-            record = ScanRecord.from_dict(json.loads(payload))
-            done[record.p] = record
+    with open(path, "rb") as fh:
+        text = _complete_lines(fh.read()).decode("utf-8")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            digest, payload = line.split(" ", 1)
+        except ValueError:
+            raise CheckpointError(f"{path}:{lineno}: malformed line") from None
+        if hashlib.sha256(payload.encode()).hexdigest() != digest:
+            raise CheckpointError(f"{path}:{lineno}: content hash mismatch")
+        record = ScanRecord.from_dict(json.loads(payload))
+        done[record.p] = record
     return done
 
 
@@ -97,9 +105,11 @@ def scan_range(
         fresh.extend(_run_sharded(chunks))
 
     if checkpoint and fresh:
-        with open(checkpoint, "a", encoding="utf-8") as fh:
+        with open(checkpoint, "a+b") as fh:
+            fh.seek(0)
+            fh.truncate(len(_complete_lines(fh.read())))
             for rec in sorted(fresh, key=lambda r: r.p):
-                fh.write(_checkpoint_line(rec))
+                fh.write(_checkpoint_line(rec).encode())
 
     wanted = set(primes)
     merged = {p: r for p, r in done.items() if p in wanted}

@@ -1,11 +1,14 @@
 """Bernoulli tables mod p, irregular indices, and the checkpointed scan."""
 
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
 
+from eiscomp import bernoulli
 from eiscomp.bernoulli import (
+    INT64_MAX_PRIME,
     ScanRecord,
     bernoulli_mod,
     bernoulli_table_mod,
@@ -13,6 +16,7 @@ from eiscomp.bernoulli import (
     pair_scan,
 )
 from eiscomp.errors import CheckpointError
+from eiscomp.padic import is_admissible_prime
 from eiscomp.scan import (
     load_checkpoint,
     primes_in,
@@ -106,6 +110,33 @@ def test_out_of_range_rejected():
         bernoulli_mod(37, 35)  # p-2
     with pytest.raises(ValueError):
         bernoulli_mod(37, -1)
+
+
+def longest_dot_fits_int64(p):
+    """The recurrence's longest inner product, (p-5)/2 terms below (p-1)^2 each, fits."""
+    return (p - 5) // 2 * (p - 1) ** 2 < 2**63
+
+
+def next_prime_above(n):
+    return next(q for q in count(n + 1) if is_admissible_prime(q))
+
+
+def test_int64_limit_is_the_largest_exact_prime():
+    assert is_admissible_prime(INT64_MAX_PRIME)
+    assert longest_dot_fits_int64(INT64_MAX_PRIME)
+    assert not longest_dot_fits_int64(next_prime_above(INT64_MAX_PRIME))
+
+
+def test_table_beyond_int64_limit_rejected_before_any_work(monkeypatch):
+    def recurrence_must_not_run(p):
+        raise AssertionError("the O(p^2) recurrence started")
+
+    monkeypatch.setattr(bernoulli, "_numpy_table", recurrence_must_not_run)
+    p = next_prime_above(INT64_MAX_PRIME)
+    with pytest.raises(ValueError, match=str(INT64_MAX_PRIME)):
+        bernoulli_table_mod(p)
+    with pytest.raises(ValueError):
+        bernoulli_mod(p, 4)
 
 
 # --- irregular indices --------------------------------------------------------------
@@ -224,6 +255,32 @@ def test_checkpoint_corruption_detected(tmp_path):
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(str(ck))
+
+
+def test_torn_final_line_is_dropped_and_cut_before_append(tmp_path):
+    # a run killed mid-append leaves its last record without the newline
+    ck = tmp_path / "scan.ck"
+    scan_range(5, 60, checkpoint=str(ck))
+    whole = ck.read_bytes()
+    ck.write_bytes(whole[:-20])
+    assert len(load_checkpoint(str(ck))) == whole.count(b"\n") - 1
+    resumed = scan_range(5, 60, checkpoint=str(ck))
+    assert records_to_csv(resumed) == records_to_csv(scan_range(5, 60))
+    # the fragment was cut off, so the rewritten record stands on its own line
+    assert ck.read_bytes() == whole
+
+
+def test_bad_last_line_with_its_newline_still_raises(tmp_path):
+    # only a line missing its newline counts as torn; a complete bad line is corruption
+    ck = tmp_path / "scan.ck"
+    scan_range(5, 60, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    lines[-1] = lines[-1][:-20]
+    ck.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(ck))
+    with pytest.raises(CheckpointError):
+        scan_range(5, 60, checkpoint=str(ck))
 
 
 def test_csv_and_json_shapes():

@@ -163,6 +163,19 @@ def test_structure_internal_errors_exit_codes(capsys, monkeypatch, error, code):
     assert err == f"error: {error}\n"
 
 
+def test_scan_corrupt_checkpoint_is_usage_error(capsys, tmp_path):
+    ck = tmp_path / "scan.ck"
+    code, _, _ = run(capsys, "scan", "--min", "5", "--max", "60", "--checkpoint", str(ck))
+    assert code == 0
+    _, payload = ck.read_text().splitlines()[0].split(" ", 1)
+    ck.write_text("0" * 64 + " " + payload + "\n")  # digest no longer matches
+    code, out, err = run(capsys, "scan", "--min", "5", "--max", "60", "--checkpoint", str(ck))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "content hash mismatch" in err and "Traceback" not in err
+
+
 def test_scan_pair_hit_exits_one(capsys, monkeypatch):
     import eiscomp.cli as cli
     from eiscomp.bernoulli import ScanRecord

@@ -10,6 +10,7 @@ from eiscomp.hecke import (
     duality_pairing_matrix,
     eisenstein_localize,
     full_hecke_algebra,
+    generator_primes,
     hecke_action,
     hecke_matrix,
     hecke_report,
@@ -18,7 +19,7 @@ from eiscomp.hecke import (
     sigma_eigenvalue,
     t_p_redundancy_check,
 )
-from eiscomp.linalg import MatFp, rank, rref
+from eiscomp.linalg import MatFp, algebra_closure, generalized_eigenspace, rank, rref
 from eiscomp.qexp import (
     QSeries,
     delta_q,
@@ -112,6 +113,57 @@ def test_commutativity_and_multiplicativity():
         # prime-power recursion: T(4) = T(2)^2 - 2^(k-1) T(1)
         eye = MatFp.identity(p, s.dim)
         assert t[4] == t[2] * t[2] - eye.scaled(pow(2, k - 1, p))
+
+
+def test_generator_primes():
+    assert generator_primes(4) == []  # sturm(4) = 1
+    assert generator_primes(12) == [2]
+    assert generator_primes(300) == [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+def test_hecke_matrix_built_once_per_space():
+    s = working_space(13, 36)
+    assert hecke_matrix(s, 3) is hecke_matrix(s, 3)
+    # the precision check runs before the lookup: a planted entry cannot bypass it
+    n = 4 * s.prec
+    s.hecke_matrices[n] = MatFp.identity(13, s.dim)
+    try:
+        with pytest.raises(PrecisionError):
+            hecke_matrix(s, n)
+    finally:
+        del s.hecke_matrices[n]
+
+
+def row_space(mats):
+    """Reduced echelon rows of the span of equally sized matrices, flattened."""
+    red, _, rk = rref(MatFp(mats[0].p, [m.flat() for m in mats]))
+    return red.rows[:rk]
+
+
+PRIME_GENERATION_CASES = [(7, 300), (37, 180), (37, 32), (59, 44), (11, 120), (13, 156)]
+
+
+@pytest.mark.parametrize("p, k", PRIME_GENERATION_CASES)
+def test_prime_generators_span_the_full_algebra(p, k):
+    s = working_space(p, k)
+    every_n = [hecke_matrix(s, n) for n in range(2, sturm(k) + 1)]
+    from_all = algebra_closure(every_n, p=p, dim=s.dim)
+    assert row_space(full_hecke_algebra(s).basis) == row_space(from_all)
+
+
+@pytest.mark.parametrize("p, k", PRIME_GENERATION_CASES)
+def test_prime_generators_cut_out_the_same_eisenstein_piece(p, k):
+    s = working_space(p, k)
+    system = EisensteinSystem(p, k)
+    eye = MatFp.identity(p, s.dim)
+    etas = [
+        hecke_matrix(s, n) - eye.scaled(system.eigenvalue(n))
+        for n in range(2, sturm(k) + 1)
+    ]
+    from_all = generalized_eigenspace(etas, s.dim)
+    piece = eisenstein_localize(s)
+    assert sorted(piece.restricted) == generator_primes(k)
+    assert row_space([piece.basis]) == row_space([from_all])
 
 
 # --- duality ----------------------------------------------------------------------

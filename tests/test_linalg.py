@@ -59,6 +59,19 @@ def minor_rank_oracle(mat, p, max_size):
     return best
 
 
+def matmul_oracle(a, b):
+    """Product of two MatFp by the schoolbook triple loop on Python ints."""
+    p = a.p
+    return [
+        [sum(a.rows[i][t] * b.rows[t][j] for t in range(a.ncols)) % p for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def random_mat(rng, p, nrows, ncols):
+    return MatFp(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
 # --- rref / rank -------------------------------------------------------------
 
 def test_rref_identity_and_zero():
@@ -151,6 +164,32 @@ def test_solve_reports_inconsistency():
     assert solve(a, [1, 2]) is None
 
 
+# --- products ------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [5, 293, 4001])
+def test_matmul_matches_triple_loop_oracle(p):
+    rng = random.Random(p)
+    shapes = [(0, 3, 4), (1, 1, 1), (3, 0, 2), (2, 4, 0), (1, 5, 1), (5, 1, 5)]
+    shapes += [tuple(rng.randrange(1, 9) for _ in range(3)) for _ in range(20)]
+    for n, m, k in shapes:
+        a, b = random_mat(rng, p, n, m), random_mat(rng, p, m, k)
+        prod = a * b
+        assert (prod.nrows, prod.ncols) == (n, k)
+        assert prod.rows == matmul_oracle(a, b), (n, m, k)
+
+
+def test_matmul_exact_at_the_int64_edge():
+    # the largest prime with (p-1)^2 < 2^63: one product fits in int64, two do not
+    p = 3037000493
+    assert (p - 1) ** 2 < 2**63 <= 2 * (p - 1) ** 2
+    rng = random.Random(7)
+    for n in (1, 2):
+        top = MatFp(p, [[p - 1] * n for _ in range(3)], n)
+        assert (top * top.transpose()).rows == matmul_oracle(top, top.transpose())
+        a, b = random_mat(rng, p, 3, n), random_mat(rng, p, n, 4)
+        assert (a * b).rows == matmul_oracle(a, b)
+
+
 # --- generalized eigenspace ---------------------------------------------------
 
 def test_gen_eigenspace_zero_op_gives_whole_space():
@@ -175,6 +214,16 @@ def test_gen_eigenspace_rejects_non_commuting():
     b = MatFp(5, [[0, 0], [1, 0]])
     with pytest.raises(ValueError):
         generalized_eigenspace([a, b], 2)
+
+
+def test_gen_eigenspace_rejects_a_non_commuting_later_pair():
+    # the first operator commutes with both others; only the second and third clash
+    first = MatFp.identity(5, 2).scaled(3)
+    second = MatFp(5, [[0, 1], [0, 0]])
+    third = MatFp(5, [[0, 0], [1, 0]])
+    assert first.commutes_with(second) and first.commutes_with(third)
+    with pytest.raises(ValueError):
+        generalized_eigenspace([first, second, third], 2)
 
 
 # --- stable idempotent ---------------------------------------------------------
