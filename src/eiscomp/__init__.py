@@ -24,8 +24,6 @@ from .companions import (
 )
 from .hecke import (
     EisLocalPiece,
-    EisensteinSystem,
-    HeckeAlgebra,
     duality_pairing_matrix,
     eisenstein_localize,
     full_hecke_algebra,

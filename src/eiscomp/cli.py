@@ -2,9 +2,10 @@
 
 Machine-readable JSON (or CSV) goes to stdout or --out; a short human
 summary goes to stderr.  Exit codes: 0 all good, 1 a mathematically
-asserted statement or an internal invariant failed (never expected) or a
-scan found a mirror pair, 2 usage or scope error, or a corrupt scan
-checkpoint.
+asserted statement or an internal invariant failed (never expected), a
+scan found a mirror pair, or a scan shard process died (the run is not
+repeated in-process and checkpoints nothing), 2 usage or scope error, or
+a corrupt scan checkpoint.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .bernoulli import irregular_indices
 from .companions import companion_report
@@ -242,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         _note(f"error: {e}")
         return USAGE_ERROR
-    except (NotLocalError, AssertionError) as e:
+    except (NotLocalError, AssertionError, BrokenProcessPool) as e:
         _note(f"error: {e}")
         return ASSERTION_ERROR
     except (PrecisionError, NonInvertibleError, ValueError, CheckpointError) as e:

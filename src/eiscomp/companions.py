@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PrecisionError
 from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import EchelonSpace, MatFp, kernel, solve
@@ -72,7 +74,8 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
     n a(n; g) for every n up to the graded comparison bound.  For n prime
     to p that forces a(n; g) = n^(k'-1) a(n; f); the remaining
     coefficients of g are free and are solved for by membership in the
-    weight-k' basis.
+    weight-k' basis.  At k = p-1 that space M_2 is zero, so g = 0 is the
+    only candidate and the coordinate list is empty.
     """
     p, k = f.p, f.weight
     if f.digits != 1:
@@ -84,19 +87,17 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
     if f.prec < bound:
         raise PrecisionError(f"need {bound} coefficients, have {f.prec}")
     kp = p + 1 - k
+    forced = [n for n in range(1, bound) if n % p]
+    rhs = MatFp(p, [[pow(n, kp - 1, p) * f.coeffs[n]] for n in forced], 1)
+    if space_dim(kp) == 0:
+        return (True, []) if rhs.is_zero() else (False, None)
     target = miller_basis(p, kp, bound)
     # linear system: coords c of g must hit the forced coefficients
-    rows = []
-    rhs = []
-    for n in range(1, bound):
-        if n % p == 0:
-            continue
-        rows.append([row.coeffs[n] for row in target.rows])
-        rhs.append(pow(n, kp - 1, p) * f.coeffs[n] % p)
-    system = MatFp(p, rows, target.dim)
-    coords = solve(system, rhs)
-    if coords is None:
+    coeffs = np.array([row.coeffs for row in target.rows], dtype=object)
+    solution = solve(MatFp(p, coeffs[:, forced].T), rhs)
+    if solution is None:
         return False, None
+    coords = solution.a[:, 0].tolist()
     g = target.coords_to_series(coords)
     if theta_series(f, kp).coeffs[:bound] != theta_series(g).coeffs[:bound]:
         raise AssertionError("solved companion fails theta^(k') f = theta g")
@@ -117,11 +118,9 @@ def companion_space(piece: EisLocalPiece) -> list[list[int]]:
     target = EchelonSpace(p, bound)
     for row in miller_basis(p, kp, bound).rows:
         target.insert(theta_series(row).coeffs)
-    residues = []
-    for s in piece.basis_series(bound):
-        residues.append(target.reduce(theta_series(s, kp).coeffs))
-    resid = MatFp(p, residues, bound)
-    return kernel(resid.transpose()).rows
+    thetas = [theta_series(s, kp).coeffs for s in piece.basis_series(bound)]
+    resid = MatFp(p, target.reduce(thetas))
+    return kernel(resid.transpose()).a.tolist()
 
 
 def companion_dimension(piece: EisLocalPiece) -> int:

@@ -17,7 +17,7 @@ localization at it is their common generalized kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import PrecisionError
@@ -26,7 +26,7 @@ from .linalg import (
     algebra_closure,
     generalized_eigenspace,
     kernel,
-    rref,
+    rank,
     solve,
     stable_idempotent,
 )
@@ -49,17 +49,6 @@ def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
         if n % d == 0:
             s += pow(d, k - 1, m)
     return s % m
-
-
-@dataclass(frozen=True)
-class EisensteinSystem:
-    """The eigenvalue system n -> sigma_(k-1)(n) mod p."""
-
-    p: int
-    k: int
-
-    def eigenvalue(self, n: int) -> int:
-        return sigma_eigenvalue(self.p, self.k, n)
 
 
 def hecke_action(f: QSeries, n: int) -> QSeries:
@@ -111,37 +100,24 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
                 f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
             )
         cols.append(coords)
-    mat = MatFp(space.p, [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)], space.dim)
+    mat = MatFp(space.p, cols, space.dim).transpose()
     space.hecke_matrices[n] = mat
     return mat
 
 
-@dataclass
-class HeckeAlgebra:
-    """Linear basis (identity first) of the algebra generated by T(n)."""
-
-    space: FormSpace
-    basis: list[MatFp]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def full_hecke_algebra(space: FormSpace) -> HeckeAlgebra:
-    """Closure of {T(l) : l prime, l <= sturm(k)}.
+def full_hecke_algebra(space: FormSpace) -> list[MatFp]:
+    """Linear basis, identity first, of the closure of {T(l) : l prime, l <= sturm(k)}.
 
     The closure contains every T(n) with n <= sturm(k).  By duality the
     functionals f -> a(1; f|t) realize a(n; f) for these n, which pin forms
     down, so it spans the algebra's dual.
     """
     gens = [hecke_matrix(space, ell) for ell in generator_primes(space.k)]
-    basis = algebra_closure(gens, p=space.p, dim=space.dim)
-    return HeckeAlgebra(space=space, basis=basis)
+    return algebra_closure(gens, p=space.p, dim=space.dim)
 
 
-def duality_pairing_matrix(space: FormSpace, algebra: HeckeAlgebra) -> tuple[MatFp, int]:
-    """The pairing matrix [a(1; f_j | t_i)] and its rank.
+def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatFp, int]:
+    """The pairing matrix [a(1; f_j | t_i)] over an algebra basis t_i, and its rank.
 
     Full rank is the perfect-duality statement, valid for 2 <= k not
     divisible by p-1; outside that range the rank is reported, not
@@ -149,15 +125,9 @@ def duality_pairing_matrix(space: FormSpace, algebra: HeckeAlgebra) -> tuple[Mat
     """
     if space.prec < 2:
         raise PrecisionError("pairing against a(1) needs at least two coefficients")
-    a1 = [row.coeffs[1] for row in space.rows]  # a(1) of each basis row
-    p = space.p
-    entries = []
-    for t in algebra.basis:
-        entries.append(
-            [sum(a1[r] * t.rows[r][j] for r in range(space.dim)) % p for j in range(space.dim)]
-        )
-    mat = MatFp(p, entries, space.dim)
-    return mat, rref(mat)[2]
+    a1 = MatFp(space.p, [[row.coeffs[1] for row in space.rows]])  # a(1) of each basis row
+    mat = MatFp.vstack([a1 * t for t in algebra])
+    return mat, rank(mat)
 
 
 def ordinary_projector(space: FormSpace) -> MatFp:
@@ -172,7 +142,7 @@ def ordinary_dim(p: int, k: int) -> int:
     if space_dim(k) == 0:
         return 0
     space = miller_basis(p, k, p * sturm(k))
-    return rref(ordinary_projector(space))[2]
+    return rank(ordinary_projector(space))
 
 
 @dataclass
@@ -188,8 +158,6 @@ class EisLocalPiece:
     space: FormSpace
     basis: MatFp  # rows = piece basis vectors, in space coordinates
     restricted: dict[int, MatFp]
-    system: EisensteinSystem
-    cuspidal: bool = field(default=False)
 
     @property
     def p(self) -> int:
@@ -205,21 +173,23 @@ class EisLocalPiece:
 
     def eta_restricted(self, n: int) -> MatFp:
         """(T(n) - sigma_(k-1)(n)) on the piece."""
-        lam = self.system.eigenvalue(n)
+        lam = sigma_eigenvalue(self.p, self.k, n)
         return self.restricted[n] - MatFp.identity(self.p, self.dim).scaled(lam)
 
     def vector_series(self, coords: list[int], prec: int) -> QSeries:
         """Expand a piece vector to a q-series at any requested precision."""
-        high = miller_basis(self.p, self.k, max(prec, self.space.prec))
-        ambient = self.basis.transpose().apply(coords)
-        return high.coords_to_series(ambient).truncate(prec)
+        return self._series(MatFp(self.p, [coords], self.dim) * self.basis, prec)[0]
 
     def basis_series(self, prec: int) -> list[QSeries]:
-        eye = MatFp.identity(self.p, self.dim)
-        return [self.vector_series(eye.row(i), prec) for i in range(self.dim)]
+        return self._series(self.basis, prec)
+
+    def _series(self, ambient: MatFp, prec: int) -> list[QSeries]:
+        """The q-series of each row of ambient, a matrix in space coordinates."""
+        high = miller_basis(self.p, self.k, max(prec, self.space.prec))
+        return [high.coords_to_series(row).truncate(prec) for row in ambient.a.tolist()]
 
     def contains_ambient(self, vec: list[int]) -> bool:
-        return solve(self.basis.transpose(), vec) is not None
+        return solve(self.basis.transpose(), MatFp(self.p, [vec]).transpose()) is not None
 
     def cuspidal_subpiece(self) -> "EisLocalPiece":
         """The intersection with the cuspidal subspace (constant term zero).
@@ -227,35 +197,25 @@ class EisLocalPiece:
         In echelon coordinates the constant term of a vector is its
         pivot-0 entry, so one linear condition cuts the subspace out.
         """
-        p = self.p
-        condition = MatFp(p, [self.basis.col(0)], self.dim)  # wants c . B[:,0] = 0
+        condition = MatFp(self.p, self.basis.a[:, :1].T)  # wants c . B[:,0] = 0
         ker = kernel(condition)  # rows = piece-coordinates of cuspidal vectors
-        amb = ker * self.basis  # back to ambient coordinates
-        sub_restricted = {}
-        for n, op in self.restricted.items():
-            sub_restricted[n] = _restrict_operator(op, ker)
         return EisLocalPiece(
             space=self.space,
-            basis=amb,
-            restricted=sub_restricted,
-            system=self.system,
-            cuspidal=True,
+            basis=ker * self.basis,  # back to ambient coordinates
+            restricted={n: _restrict_operator(op, ker) for n, op in self.restricted.items()},
         )
 
 
 def _restrict_operator(op: MatFp, basis_rows: MatFp) -> MatFp:
-    """Matrix of op on the span of basis_rows (which must be op-stable)."""
-    p = op.p
+    """Matrix of op on the span of basis_rows (which must be op-stable).
+
+    Column j holds the coordinates of op applied to basis row j.
+    """
     bt = basis_rows.transpose()
-    cols = []
-    for i in range(basis_rows.nrows):
-        image = op.apply(basis_rows.row(i))
-        coords = solve(bt, image)
-        if coords is None:
-            raise AssertionError("subspace is not stable under the operator")
-        cols.append(coords)
-    n = basis_rows.nrows
-    return MatFp(p, [[cols[j][i] for j in range(n)] for i in range(n)], n)
+    mat = solve(bt, op * bt)
+    if mat is None:
+        raise AssertionError("subspace is not stable under the operator")
+    return mat
 
 
 def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
@@ -269,13 +229,12 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     """
     p, k = space.p, space.k
     primes = generator_primes(k)
-    system = EisensteinSystem(p, k)
     ops = {ell: hecke_matrix(space, ell) for ell in primes}
     eye = MatFp.identity(p, space.dim)
-    etas = [ops[ell] - eye.scaled(system.eigenvalue(ell)) for ell in primes]
+    etas = [ops[ell] - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in primes]
     basis = generalized_eigenspace(etas, space.dim, p=p)
     restricted = {ell: _restrict_operator(ops[ell], basis) for ell in primes}
-    piece = EisLocalPiece(space=space, basis=basis, restricted=restricted, system=system)
+    piece = EisLocalPiece(space=space, basis=basis, restricted=restricted)
     for ell in primes:
         if not (piece.eta_restricted(ell) ** piece.dim).is_zero():
             raise AssertionError("localization generator fails to be nilpotent")
@@ -329,9 +288,9 @@ def hecke_report(p: int, k: int) -> dict:
         "k": k,
         "dim": space.dim,
         "eis_local_dim": piece.dim,
-        "ordinary_dim": rref(ordinary_projector(space))[2],
+        "ordinary_dim": rank(ordinary_projector(space)),
         "duality_rank": dual_rank,
-        "algebra_dim": algebra.dim,
+        "algebra_dim": len(algebra),
         "tp_redundant": tp.redundant,
         "tp_checked": tp.checked,
         "precision": prec,

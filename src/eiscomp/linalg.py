@@ -5,11 +5,13 @@ the stable idempotent of an endomorphism, and linear closure of commuting
 matrix algebras.  Pivoting is deterministic (first nonzero entry), so all
 outputs are reproducible bit for bit.
 
-Spaces handled here are small (a few hundred dimensions at the very most),
-so matrices are plain Python integers in row-major lists.  Matrix products
-run on numpy: on int64 arrays while every entry's sum of products fits,
-that is while ncols * (p-1)^2 < 2^63, and on object arrays of Python
-integers, exact at any size, above that bound.
+A matrix is one 2-D numpy array of residues in [0, p).  The storage dtype
+follows from p alone: int64 while (p-1)^2 < 2^63, which keeps every
+entrywise a - c*b of residues exact (the largest such prime is
+3037000493), and object arrays of Python integers above that.  Matrix
+products run on int64 while every entry's sum of products fits, that is
+while ncols * (p-1)^2 < 2^63, and on object arrays, exact at any size,
+above that bound.
 """
 
 from __future__ import annotations
@@ -21,115 +23,85 @@ import numpy as np
 from .padic import require_admissible_prime
 
 
+def _residues(p: int, entries) -> np.ndarray:
+    """entries, an integer array or nested sequence, reduced into [0, p).
+
+    The array is int64 while (p-1)^2 < 2^63 and holds Python integers above.
+    """
+    a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
+    if (p - 1) ** 2 < 2**63:
+        return (a % p).astype(np.int64, copy=False)
+    return a.astype(object) % p
+
+
 class MatFp:
-    """A matrix over F_p; entries kept reduced into [0, p)."""
+    """A matrix over F_p, held as one 2-D array `a` of residues in [0, p)."""
 
-    __slots__ = ("p", "nrows", "ncols", "rows")
+    __slots__ = ("p", "a")
 
-    def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
+    def __init__(
+        self, p: int, rows: Sequence[Sequence[int]] | np.ndarray, ncols: int | None = None
+    ):
         require_admissible_prime(p)
-        self.p = p
-        self.rows = [[e % p for e in r] for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols disagrees with row length")
-        else:
+        a = _residues(p, rows)
+        if a.ndim == 1 and a.size == 0:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+            a = a.reshape(0, ncols)
+        if a.ndim != 2:
+            raise ValueError("entries do not form a matrix")
+        if ncols is not None and ncols != a.shape[1]:
+            raise ValueError("ncols disagrees with row length")
+        self.p = p
+        self.a = a
 
-    @classmethod
-    def zeros(cls, p: int, nrows: int, ncols: int) -> "MatFp":
-        return cls(p, [[0] * ncols for _ in range(nrows)], ncols)
+    @property
+    def nrows(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.a.shape[1]
 
     @classmethod
     def identity(cls, p: int, n: int) -> "MatFp":
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls(p, np.eye(n, dtype=np.int64))
 
     @classmethod
     def vstack(cls, mats: Sequence["MatFp"]) -> "MatFp":
         if not mats:
             raise ValueError("nothing to stack")
         p, ncols = mats[0].p, mats[0].ncols
-        rows: list[list[int]] = []
-        for m in mats:
-            if m.p != p or m.ncols != ncols:
-                raise ValueError("incompatible stack")
-            rows.extend(m.rows)
-        return cls(p, rows, ncols)
-
-    @classmethod
-    def from_flat(cls, p: int, n: int, flat: Sequence[int]) -> "MatFp":
-        return cls(p, [list(flat[i * n : (i + 1) * n]) for i in range(n)], n)
-
-    def copy(self) -> "MatFp":
-        return MatFp(self.p, [r[:] for r in self.rows], self.ncols)
-
-    def row(self, i: int) -> list[int]:
-        return self.rows[i][:]
-
-    def col(self, j: int) -> list[int]:
-        return [r[j] for r in self.rows]
-
-    def flat(self) -> list[int]:
-        return [e for r in self.rows for e in r]
+        if any(m.p != p or m.ncols != ncols for m in mats):
+            raise ValueError("incompatible stack")
+        return cls(p, np.vstack([m.a for m in mats]))
 
     def transpose(self) -> "MatFp":
-        return MatFp(
-            self.p,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        return MatFp(self.p, self.a.T)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for r in self.rows for e in r)
+        return not self.a.any()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatFp):
             return NotImplemented
-        return (self.p, self.nrows, self.ncols, self.rows) == (
-            other.p,
-            other.nrows,
-            other.ncols,
-            other.rows,
-        )
-
-    def __hash__(self):
-        return hash((self.p, tuple(tuple(r) for r in self.rows)))
-
-    def __add__(self, other: "MatFp") -> "MatFp":
-        self._compat(other, same_shape=True)
-        return MatFp(
-            self.p,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return self.p == other.p and np.array_equal(self.a, other.a)
 
     def __sub__(self, other: "MatFp") -> "MatFp":
         self._compat(other, same_shape=True)
-        return MatFp(
-            self.p,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return MatFp(self.p, self.a - other.a)
 
     def scaled(self, c: int) -> "MatFp":
-        return MatFp(self.p, [[c * e for e in r] for r in self.rows], self.ncols)
+        return MatFp(self.p, self.a * (c % self.p))
 
     def __mul__(self, other: "MatFp") -> "MatFp":
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        p = self.p
         # an entry sums ncols products of residues, each at most (p-1)^2
-        dtype = np.int64 if self.ncols * (p - 1) ** 2 < 2**63 else object
-        a = np.array(self.rows, dtype=dtype).reshape(self.nrows, self.ncols)
-        b = np.array(other.rows, dtype=dtype).reshape(other.nrows, other.ncols)
-        return MatFp(p, (a @ b % p).tolist(), other.ncols)
+        if self.ncols * (self.p - 1) ** 2 < 2**63:
+            return MatFp(self.p, self.a @ other.a)
+        return MatFp(self.p, self.a.astype(object) @ other.a.astype(object))
 
     def __pow__(self, e: int) -> "MatFp":
         if self.nrows != self.ncols:
@@ -145,20 +117,13 @@ class MatFp:
             e >>= 1
         return acc
 
-    def apply(self, vec: Sequence[int]) -> list[int]:
-        """Matrix times column vector."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length disagrees")
-        p = self.p
-        return [sum(a * b for a, b in zip(row, vec)) % p for row in self.rows]
-
     def commutes_with(self, other: "MatFp") -> bool:
         return self * other == other * self
 
     def _compat(self, other: "MatFp", same_shape: bool = False) -> None:
         if self.p != other.p:
             raise ValueError("mixed characteristics")
-        if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
+        if same_shape and self.a.shape != other.a.shape:
             raise ValueError("shape mismatch")
 
     def __repr__(self):
@@ -168,26 +133,24 @@ class MatFp:
 def rref(a: MatFp) -> tuple[MatFp, list[int], int]:
     """Reduced row-echelon form, pivot columns, and rank."""
     p = a.p
-    rows = [r[:] for r in a.rows]
+    m = a.a.copy()
     pivots: list[int] = []
-    r = 0
     for c in range(a.ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [e * inv % p for e in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [(e - f * l) % p for e, l in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == a.nrows:
             break
-    return MatFp(p, rows, a.ncols), pivots, len(pivots)
+        below = np.flatnonzero(m[r:, c])
+        if below.size == 0:
+            continue
+        i = r + int(below[0])
+        m[[r, i]] = m[[i, r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        f = m[:, c].copy()
+        f[r] = 0
+        # columns left of c are zero in the pivot row
+        m[:, c:] = (m[:, c:] - f[:, None] * m[r, c:]) % p
+        pivots.append(c)
+    return MatFp(p, m), pivots, len(pivots)
 
 
 def rank(a: MatFp) -> int:
@@ -197,51 +160,41 @@ def rank(a: MatFp) -> int:
 def kernel(a: MatFp) -> MatFp:
     """Basis of the right null space; rows of the result are basis vectors."""
     red, pivots, rk = rref(a)
-    p = a.p
     free = [c for c in range(a.ncols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [0] * a.ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-red.rows[i][f]) % p
-        basis.append(v)
-    out = MatFp(p, basis, a.ncols)
-    if any(any(a.apply(v)) for v in out.rows):
+    basis = np.zeros((len(free), a.ncols), dtype=red.a.dtype)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = -red.a[:rk, free].T
+    out = MatFp(a.p, basis)
+    if not (a * out.transpose()).is_zero():
         raise AssertionError("kernel vector not annihilated")
     return out
 
 
-def solve(a: MatFp, b: Sequence[int]) -> list[int] | None:
-    """One solution of a x = b, or None if the system is inconsistent."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side has the wrong length")
-    p = a.p
-    aug = MatFp(p, [row + [bb] for row, bb in zip(a.rows, b)], a.ncols + 1)
-    red, pivots, _ = rref(aug)
-    if a.ncols in pivots:
+def solve(a: MatFp, b: MatFp) -> MatFp | None:
+    """One solution x of a x = b, or None if some column of b is out of reach."""
+    a._compat(b)
+    if b.nrows != a.nrows:
+        raise ValueError("right-hand side has the wrong number of rows")
+    n = a.ncols
+    red, pivots, rk = rref(MatFp(a.p, np.hstack([a.a, b.a])))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [0] * a.ncols
-    for i, c in enumerate(pivots):
-        x[c] = red.rows[i][a.ncols]
-    if a.apply(x) != [e % p for e in b]:
+    x = np.zeros((n, b.ncols), dtype=red.a.dtype)
+    x[pivots] = red.a[:rk, n:]
+    out = MatFp(a.p, x)
+    if a * out != b:
         raise AssertionError("solution does not satisfy the system")
-    return x
+    return out
 
 
 def inverse(a: MatFp) -> MatFp:
     if a.nrows != a.ncols:
         raise ValueError("inverse of a non-square matrix")
-    n = a.nrows
-    aug = MatFp(
-        a.p,
-        [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a.rows)],
-        2 * n,
-    )
-    red, pivots, rk = rref(aug)
-    if rk < n or pivots[:n] != list(range(n)):
+    # a x = 1 is solvable exactly when a is invertible
+    x = solve(a, MatFp.identity(a.p, a.nrows))
+    if x is None:
         raise ValueError("matrix is singular")
-    return MatFp(a.p, [r[n:] for r in red.rows], n)
+    return x
 
 
 def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = None) -> MatFp:
@@ -257,7 +210,6 @@ def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = No
         if p is None:
             raise ValueError("empty operator list needs an explicit p")
         return MatFp.identity(p, dim)
-    p = mats[0].p
     for m in mats:
         if m.nrows != dim or m.ncols != dim:
             raise ValueError("operator does not act on the given space")
@@ -278,23 +230,12 @@ def stable_idempotent(u: MatFp) -> MatFp:
     """
     if u.nrows != u.ncols:
         raise ValueError("idempotent of a non-square matrix")
-    n = u.nrows
-    if n == 0:
-        return u.copy()
-    p = u.p
-    v = u**n
+    v = u**u.nrows
     _, pivots, rk = rref(v)
-    im_cols = [v.col(j) for j in pivots]
-    ker_rows = kernel(v).rows
-    cols = im_cols + ker_rows  # column basis of F^n = im + ker
-    pmat = MatFp(p, [[cols[j][i] for j in range(n)] for i in range(n)], n)
-    pinv = inverse(pmat)
-    zeroed = MatFp(
-        p,
-        [[cols[j][i] if j < rk else 0 for j in range(n)] for i in range(n)],
-        n,
-    )
-    e = zeroed * pinv
+    im = MatFp(u.p, v.transpose().a[pivots])  # rows: a basis of im(v)
+    cols = MatFp.vstack([im, kernel(v)]).transpose()  # column basis of F^n = im + ker
+    # cols * diag(1 on im, 0 on ker) * cols^-1
+    e = im.transpose() * MatFp(u.p, inverse(cols).a[:rk])
     if e * e != e or e * u != u * e:
         raise AssertionError("stable idempotent is not a commuting projector")
     return e
@@ -303,48 +244,46 @@ def stable_idempotent(u: MatFp) -> MatFp:
 class EchelonSpace:
     """An incrementally built row space over F_p.
 
-    Rows are stored with unit leading coefficients; inserted vectors are
-    forward-reduced against the existing rows (no back-reduction, so the
-    insertion order is visible in the stored basis, deterministically).
+    `rows`, one array, holds the basis with unit leading coefficients at
+    `pivots`; inserted vectors are forward-reduced against the existing
+    rows (no back-reduction, so the insertion order is visible in the
+    stored basis, deterministically).
     """
 
     def __init__(self, p: int, width: int):
         require_admissible_prime(p)
         self.p = p
         self.width = width
-        self.rows: list[list[int]] = []
+        self.rows = _residues(p, np.zeros((0, width), dtype=np.int64))
         self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vec: Sequence[int]) -> list[int]:
-        """Residue of vec after subtracting its projection on the span."""
-        p = self.p
-        v = [e % p for e in vec]
-        if len(v) != self.width:
+    def reduce(self, vecs) -> np.ndarray:
+        """Residue of vecs after subtracting its projection on the span.
+
+        vecs is one vector or a 2-D array of them, one per row.
+        """
+        v = _residues(self.p, vecs)
+        if v.shape[-1] != self.width:
             raise ValueError("width mismatch")
         for piv, row in zip(self.pivots, self.rows):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
+            v = (v - v[..., piv, None] * row) % self.p
         return v
 
-    def insert(self, vec: Sequence[int]) -> list[int] | None:
+    def insert(self, vec) -> np.ndarray | None:
         """Add vec to the span; returns the normalized new row, or None."""
         v = self.reduce(vec)
-        piv = next((i for i, e in enumerate(v) if e != 0), None)
-        if piv is None:
+        nonzero = np.flatnonzero(v)
+        if nonzero.size == 0:
             return None
-        inv = pow(v[piv], -1, self.p)
-        row = [e * inv % self.p for e in v]
-        self.rows.append(row)
+        piv = int(nonzero[0])
+        row = v * pow(int(v[piv]), -1, self.p) % self.p
+        self.rows = np.vstack([self.rows, row])
         self.pivots.append(piv)
         return row
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return all(e == 0 for e in self.reduce(vec))
 
 
 def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | None = None) -> list[MatFp]:
@@ -366,9 +305,9 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
     basis: list[MatFp] = []
 
     def push(m: MatFp) -> None:
-        row = ech.insert(m.flat())
+        row = ech.insert(m.a.ravel())
         if row is not None:
-            basis.append(MatFp.from_flat(p, dim, row))
+            basis.append(MatFp(p, row.reshape(dim, dim)))
 
     push(MatFp.identity(p, dim))
     i = 0

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .companions import companion_dimension, localized_pieces
 from .errors import NotLocalError
 from .hecke import EisLocalPiece, generator_primes
@@ -28,8 +30,8 @@ def _span(mats: list[MatFp]) -> list[MatFp]:
     p, n = mats[0].p, mats[0].nrows
     ech = EchelonSpace(p, n * n)
     for m in mats:
-        ech.insert(m.flat())
-    return [MatFp.from_flat(p, n, row) for row in ech.rows]
+        ech.insert(m.a.ravel())
+    return [MatFp(p, row.reshape(n, n)) for row in ech.rows]
 
 
 @dataclass
@@ -95,8 +97,8 @@ def socle_dim(alg: LocalAlgebra) -> int:
     if not alg.maxideal_gens or alg.dim == 1:
         return alg.dim
     # row i holds the products basis[i]*g side by side; the socle is its left kernel
-    rows = [[e for g in alg.maxideal_gens for e in (b * g).flat()] for b in alg.basis]
-    return alg.dim - rank(MatFp(alg.p, rows))
+    rows = [np.concatenate([(b * g).a.ravel() for g in alg.maxideal_gens]) for b in alg.basis]
+    return alg.dim - rank(MatFp(alg.p, np.array(rows)))
 
 
 def gorenstein(alg: LocalAlgebra) -> bool:
@@ -124,18 +126,15 @@ def module_cyclic_dim(piece_cusp: EisLocalPiece) -> int:
     """dim of (cuspidal piece) / (maximal ideal * cuspidal piece).
 
     One means the piece is cyclic over its local Hecke algebra, by
-    Nakayama.  Computed from the nilpotent generators acting on the piece.
+    Nakayama.  Computed from the nilpotent generators acting on the piece:
+    the rows of the stacked transposes span the images of all of them.
     """
     if piece_cusp.dim == 0:
         return 0
-    p = piece_cusp.p
-    ech = EchelonSpace(p, piece_cusp.dim)
-    eye = MatFp.identity(p, piece_cusp.dim)
-    for ell in generator_primes(piece_cusp.k):
-        eta = piece_cusp.eta_restricted(ell)
-        for i in range(piece_cusp.dim):
-            ech.insert(eta.apply(eye.row(i)))
-    return piece_cusp.dim - ech.dim
+    images = MatFp.vstack(
+        [piece_cusp.eta_restricted(ell).transpose() for ell in generator_primes(piece_cusp.k)]
+    )
+    return piece_cusp.dim - rank(images)
 
 
 def check_equivalences(gor_h: bool, cyclic: bool, min_gens_one: bool) -> list[str]:

@@ -105,7 +105,7 @@ def test_criterion_5_duality_perfectness():
             space = miller_basis(p, k, max(2, sturm(k) ** 2))
             algebra = full_hecke_algebra(space)
             _, rk = duality_pairing_matrix(space, algebra)
-            assert rk == space.dim == algebra.dim, (p, k)
+            assert rk == space.dim == len(algebra), (p, k)
             checked += 1
     report(5, f"pairing matrix full-rank on {checked} sampled (p, k)")
 

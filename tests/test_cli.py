@@ -195,3 +195,23 @@ def test_witness_csv_flag(capsys, tmp_path):
     )
     assert code == 0
     assert path.read_text().startswith("pair,side,weight,a0")
+
+
+def test_scan_dead_shard_exits_one_with_one_error_line(capsys, monkeypatch):
+    import os
+
+    import eiscomp.scan as scan
+
+    real = scan.pair_scan
+
+    def dying(p):
+        if p == 7:
+            os._exit(3)  # the shard process ends without a Python exception
+        return real(p)
+
+    monkeypatch.setattr(scan, "pair_scan", dying)
+    code, out, err = run(capsys, "scan", "--min", "5", "--max", "30", "--shards", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -137,6 +137,17 @@ def test_companion_relation_is_symmetric():
     assert theta_series(g, k).coeffs[:bound] == theta_series(f).coeffs[:bound]
 
 
+def test_weight_p_minus_1_companion_lives_in_the_zero_space():
+    # k = p-1 puts the companion in M_2 = 0, so only g = 0 can serve
+    p, k = 13, 12
+    bound = plan_companion(p, k).bound
+    one = miller_basis(p, k, max(bound, sturm(k))).rows[0].truncate(bound)
+    assert one.coeffs == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
+    assert has_companion(one) == (True, [])
+    delta = delta_q(p, bound)
+    assert has_companion(delta) == (False, None)
+
+
 def test_companion_out_of_range_rejected():
     f = delta_q(7, 40)  # weight 12 > p - 1 = 6
     with pytest.raises(ValueError):
