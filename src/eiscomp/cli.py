@@ -4,8 +4,8 @@ Machine-readable JSON (or CSV) goes to stdout or --out; a short human
 summary goes to stderr.  Exit codes: 0 all good, 1 a mathematically
 asserted statement or an internal invariant failed (never expected), a
 scan found a mirror pair, or a scan shard process died (the run is not
-repeated in-process and checkpoints nothing), 2 usage or scope error, or
-a corrupt scan checkpoint.
+repeated in-process; its checkpoint keeps every prime below the first one
+left unfinished), 2 usage or scope error, or a corrupt scan checkpoint.
 """
 
 from __future__ import annotations

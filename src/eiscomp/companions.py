@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PrecisionError
 from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import EchelonSpace, MatFp, kernel, solve
@@ -93,8 +91,7 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
         return (True, []) if rhs.is_zero() else (False, None)
     target = miller_basis(p, kp, bound)
     # linear system: coords c of g must hit the forced coefficients
-    coeffs = np.array([row.coeffs for row in target.rows], dtype=object)
-    solution = solve(MatFp(p, coeffs[:, forced].T), rhs)
+    solution = solve(MatFp(p, target.coeffs[:, forced].T), rhs)
     if solution is None:
         return False, None
     coords = solution.a[:, 0].tolist()
@@ -116,8 +113,8 @@ def companion_space(piece: EisLocalPiece) -> list[list[int]]:
     bound = plan.bound
     kp = p + 1 - k
     target = EchelonSpace(p, bound)
-    for row in miller_basis(p, kp, bound).rows:
-        target.insert(theta_series(row).coeffs)
+    for row in miller_basis(p, kp, bound).coeffs:
+        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
     thetas = [theta_series(s, kp).coeffs for s in piece.basis_series(bound)]
     resid = MatFp(p, target.reduce(thetas))
     return kernel(resid.transpose()).a.tolist()

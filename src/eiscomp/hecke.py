@@ -3,8 +3,8 @@
 Operators act on coefficients through the divisor-sum rule
 a(m; f|T(n)) = sum over d | gcd(m, n) of d^(k-1) a(mn/d^2; f); at level one
 the diamond action is trivial and T(m, m) is the scalar m^(k-2).  Matrices
-are taken in the echelon basis of a FormSpace by membership solving, once
-per space and index.
+are taken in the echelon basis of a FormSpace, whose first dim
+coefficients are coordinates, once per space and index.
 
 The Hecke algebra is the linear closure of T(l) for the primes l up to the
 weight's coefficient bound sturm(k).  That suffices: the algebra is spanned
@@ -18,11 +18,15 @@ localization at it is their common generalized kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
+
+import numpy as np
 
 from .errors import PrecisionError
 from .linalg import (
     MatFp,
+    _matmul,
+    _residues,
     algebra_closure,
     generalized_eigenspace,
     kernel,
@@ -30,7 +34,7 @@ from .linalg import (
     solve,
     stable_idempotent,
 )
-from .qexp import FormSpace, QSeries, membership, miller_basis, sturm
+from .qexp import FormSpace, QSeries, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -51,6 +55,22 @@ def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
     return s % m
 
 
+def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
+    """T(n) on each row of a, an array of weight-k residues, as in hecke_action.
+
+    a(i; f|T(n)) sums d^(k-1) a(in/d^2) over d | gcd(i, n), so each divisor
+    d of n adds d^(k-1) a(jn/d) at i = dj: one strided slice per divisor.
+    """
+    out = np.zeros_like(a[..., ::n])  # floor((prec-1)/n) + 1 coefficients
+    for d in range(1, n + 1):
+        if n % d == 0:
+            hits = out[..., ::d]
+            terms = a[..., :: n // d][..., : hits.shape[-1]]
+            # (m-1) + (m-1)^2 < 2^63 wherever residues mod m are stored as int64
+            hits[...] = (hits + pow(d, k - 1, modulus) * terms) % modulus
+    return out
+
+
 def hecke_action(f: QSeries, n: int) -> QSeries:
     """f | T(n) on q-expansions, using f's weight tag.
 
@@ -59,17 +79,8 @@ def hecke_action(f: QSeries, n: int) -> QSeries:
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    k, m = f.weight, f.modulus
-    out_prec = (f.prec - 1) // n + 1 if f.prec else 0
-    out = [0] * out_prec
-    for i in range(out_prec):
-        g = gcd(i, n) if i else n
-        acc = 0
-        for d in range(1, g + 1):
-            if g % d == 0:
-                acc += pow(d, k - 1, m) * f.coeffs[i * n // (d * d)]
-        out[i] = acc % m
-    return QSeries(f.p, out, k, f.digits)
+    image = _hecke_image(_residues(f.modulus, f.coeffs), n, f.weight, f.modulus)
+    return QSeries(f.p, image.tolist(), f.weight, f.digits)
 
 
 def hecke_matrix(space: FormSpace, n: int) -> MatFp:
@@ -91,16 +102,14 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
     cached = space.hecke_matrices.get(n)
     if cached is not None:
         return cached
-    cols = []
-    for row in space.rows:
-        image = hecke_action(row, n)
-        coords = membership(image, space)
-        if coords is None:
-            raise AssertionError(
-                f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
-            )
-        cols.append(coords)
-    mat = MatFp(space.p, cols, space.dim).transpose()
+    images = _hecke_image(space.coeffs, n, space.k, space.p)
+    # as in membership: the first dim coefficients are the coordinates
+    coords = images[:, : space.dim]
+    if not np.array_equal(_matmul(coords, space.coeffs[:, : images.shape[1]], space.p), images):
+        raise AssertionError(
+            f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
+        )
+    mat = MatFp(space.p, coords.T)
     space.hecke_matrices[n] = mat
     return mat
 
@@ -125,7 +134,7 @@ def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatF
     """
     if space.prec < 2:
         raise PrecisionError("pairing against a(1) needs at least two coefficients")
-    a1 = MatFp(space.p, [[row.coeffs[1] for row in space.rows]])  # a(1) of each basis row
+    a1 = MatFp(space.p, space.coeffs[:, 1:2].T)  # a(1) of each basis row
     mat = MatFp.vstack([a1 * t for t in algebra])
     return mat, rank(mat)
 
@@ -186,7 +195,8 @@ class EisLocalPiece:
     def _series(self, ambient: MatFp, prec: int) -> list[QSeries]:
         """The q-series of each row of ambient, a matrix in space coordinates."""
         high = miller_basis(self.p, self.k, max(prec, self.space.prec))
-        return [high.coords_to_series(row).truncate(prec) for row in ambient.a.tolist()]
+        rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
+        return [QSeries(self.p, row, self.k) for row in rows.tolist()]
 
     def contains_ambient(self, vec: list[int]) -> bool:
         return solve(self.basis.transpose(), MatFp(self.p, [vec]).transpose()) is not None

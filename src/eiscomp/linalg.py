@@ -5,13 +5,13 @@ the stable idempotent of an endomorphism, and linear closure of commuting
 matrix algebras.  Pivoting is deterministic (first nonzero entry), so all
 outputs are reproducible bit for bit.
 
-A matrix is one 2-D numpy array of residues in [0, p).  The storage dtype
-follows from p alone: int64 while (p-1)^2 < 2^63, which keeps every
-entrywise a - c*b of residues exact (the largest such prime is
-3037000493), and object arrays of Python integers above that.  Matrix
-products run on int64 while every entry's sum of products fits, that is
-while ncols * (p-1)^2 < 2^63, and on object arrays, exact at any size,
-above that bound.
+A matrix is one 2-D numpy array of residues in [0, p).  `_residues` and
+`_matmul` hold the dtype rules, keyed on the modulus m, for these matrices
+and for the q-expansion bases over Z/p^M alike: storage is int64 while
+(m-1)^2 < 2^63, which keeps every entrywise a - c*b exact (the largest such
+prime is 3037000493), and Python integers above; a product runs on int64
+while each entry's sum of ncols products fits, ncols * (m-1)^2 < 2^63, and
+on Python integers, exact at any size, above that bound.
 """
 
 from __future__ import annotations
@@ -23,15 +23,22 @@ import numpy as np
 from .padic import require_admissible_prime
 
 
-def _residues(p: int, entries) -> np.ndarray:
-    """entries, an integer array or nested sequence, reduced into [0, p).
+def _residues(modulus: int, entries) -> np.ndarray:
+    """entries, an integer array or nested sequence, reduced into [0, modulus).
 
-    The array is int64 while (p-1)^2 < 2^63 and holds Python integers above.
+    The array is int64 while (modulus-1)^2 < 2^63 and holds Python integers above.
     """
     a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
-    if (p - 1) ** 2 < 2**63:
-        return (a % p).astype(np.int64, copy=False)
-    return a.astype(object) % p
+    if (modulus - 1) ** 2 < 2**63:
+        return (a % modulus).astype(np.int64, copy=False)
+    return a.astype(object) % modulus
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """a @ b of residue arrays, reduced into [0, modulus); int64 only while exact."""
+    if a.shape[-1] * (modulus - 1) ** 2 < 2**63:
+        return _residues(modulus, a @ b)
+    return _residues(modulus, a.astype(object) @ b.astype(object))
 
 
 class MatFp:
@@ -98,10 +105,7 @@ class MatFp:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        # an entry sums ncols products of residues, each at most (p-1)^2
-        if self.ncols * (self.p - 1) ** 2 < 2**63:
-            return MatFp(self.p, self.a @ other.a)
-        return MatFp(self.p, self.a.astype(object) @ other.a.astype(object))
+        return MatFp(self.p, _matmul(self.a, other.a, self.p))
 
     def __pow__(self, e: int) -> "MatFp":
         if self.nrows != self.ncols:

@@ -16,12 +16,18 @@ do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PrecisionError
 
 
+@lru_cache(maxsize=1024)
 def is_admissible_prime(p: int) -> bool:
-    """True for primes p >= 5, the only moduli accepted anywhere here."""
+    """True for primes p >= 5, the only moduli accepted anywhere here.
+
+    Memoized: every matrix, echelon space and series construction asks,
+    and trial division takes milliseconds near p = 3 * 10^9.
+    """
     if p < 5 or p % 2 == 0 or p % 3 == 0:
         return False
     d = 5

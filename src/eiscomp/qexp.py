@@ -23,7 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .errors import NonInvertibleError, PrecisionError
+from .linalg import _matmul, _residues
 from .padic import require_admissible_prime
 
 
@@ -304,24 +307,32 @@ def delta_q(p: int, prec: int, digits: int = 1) -> QSeries:
 # ---------------------------------------------------------------------------
 # echelon bases
 
-@dataclass
+@dataclass(eq=False)
 class FormSpace:
     """Echelonized q-expansion basis of M_k at level one, fixed precision.
 
-    Rows are in reduced echelon form with pivots 0..dim-1; the pivot-0 row
-    is the only one with a nonzero constant term, so rows[1:] span the
-    cuspidal subspace.  `hecke_matrices` holds the matrix of each T(n)
-    once `hecke.hecke_matrix` has built it.
+    `coeffs` is one read-only dim x prec array of residues mod p^digits,
+    stored and multiplied under linalg's int64/object rule.  Row j starts
+    at q^j and vanishes at every other q^i, i < dim, so the first dim
+    coefficients of a form are its coordinates; row 0 is the only one with
+    a nonzero constant term, so rows 1.. span the cuspidal subspace.
+    `hecke_matrices` holds the matrix of each T(n) once
+    `hecke.hecke_matrix` has built it.
     """
 
     p: int
     digits: int
     k: int
-    prec: int
-    dim: int
-    rows: list[QSeries]
-    pivots: list[int]
-    hecke_matrices: dict = field(default_factory=dict, compare=False, repr=False)
+    coeffs: np.ndarray
+    hecke_matrices: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def prec(self) -> int:
+        return self.coeffs.shape[1]
 
     @property
     def modulus(self) -> int:
@@ -330,14 +341,8 @@ class FormSpace:
     def coords_to_series(self, coords: list[int]) -> QSeries:
         if len(coords) != self.dim:
             raise ValueError("coordinate length disagrees with dimension")
-        m = self.modulus
-        out = [0] * self.prec
-        for c, row in zip(coords, self.rows):
-            if c % m == 0:
-                continue
-            for n in range(self.prec):
-                out[n] = (out[n] + c * row.coeffs[n]) % m
-        return QSeries(self.p, out, self.k, self.digits)
+        row = _matmul(_residues(self.modulus, [coords]), self.coeffs, self.modulus)[0]
+        return QSeries(self.p, row.tolist(), self.k, self.digits)
 
     def to_json(self) -> dict:
         return {
@@ -346,7 +351,7 @@ class FormSpace:
             "k": self.k,
             "precision": self.prec,
             "dim": self.dim,
-            "rows": [list(r.coeffs) for r in self.rows],
+            "rows": self.coeffs.tolist(),
         }
 
 
@@ -382,48 +387,34 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     e6 = _unit_eisenstein(p, 6, prec, digits)
     delta = delta_q(p, prec, digits)
 
-    e4_pows: dict[int, QSeries] = {0: QSeries(p, [1] + [0] * (prec - 1), 0, digits)}
-    one = e4_pows[0]
-
-    def e4_power(a: int) -> QSeries:
-        while a not in e4_pows:
-            top = max(e4_pows)
-            e4_pows[top + 1] = e4_pows[top] * e4
-        return e4_pows[a]
-
-    rows: list[list[int]] = []
-    dpow = one
+    e4_pows = [QSeries(p, [1] + [0] * (prec - 1), 0, digits)]
+    monomials: list[list[int]] = []
+    dpow = e4_pows[0]
     for j in range(d):
         r = k - 12 * j
         b = 0 if r % 4 == 0 else 1
         a = (r - 6 * b) // 4
-        mono = e4_power(a)
+        while len(e4_pows) <= a:
+            e4_pows.append(e4_pows[-1] * e4)
+        mono = e4_pows[a]
         if b:
             mono = mono * e6
-        mono = mono * dpow
-        if mono.coeffs[j] % m != 1 or any(mono.coeffs[i] for i in range(j)):
-            raise AssertionError(f"basis monomial {j} lacks a unit pivot at q^{j}")
-        rows.append(list(mono.coeffs))
+        monomials.append((mono * dpow).coeffs)
         if j + 1 < d:
             dpow = dpow * delta
+    rows = _residues(m, monomials)  # d >= 1 for every even k >= 4
+    # monomial j must be q^j + O(q^(j+1)): the leading block is unit upper triangular
+    lacking = np.flatnonzero((np.tril(rows[:, :d]) != np.eye(d, dtype=np.int64)).any(axis=1))
+    if lacking.size:
+        j = int(lacking[0])
+        raise AssertionError(f"basis monomial {j} lacks a unit pivot at q^{j}")
 
-    # clear above the unit pivots
+    # clear above the unit pivots, one pivot column at a time
     for j in range(1, d):
-        lead = rows[j]
-        for i in range(j):
-            c = rows[i][j]
-            if c:
-                rows[i] = [(x - c * y) % m for x, y in zip(rows[i], lead)]
+        rows[:j] = (rows[:j] - rows[:j, j, None] * rows[j]) % m
+    rows.flags.writeable = False
 
-    space = FormSpace(
-        p=p,
-        digits=digits,
-        k=k,
-        prec=prec,
-        dim=d,
-        rows=[QSeries(p, r, k, digits) for r in rows],
-        pivots=list(range(d)),
-    )
+    space = FormSpace(p=p, digits=digits, k=k, coeffs=rows)
     with _BASIS_LOCK:
         _BASIS_CACHE.setdefault(key, space)
     return space
@@ -449,13 +440,11 @@ def membership(f: QSeries, space: FormSpace, *, min_prec: int | None = None) -> 
     if usable < need:
         raise PrecisionError(f"have {usable} coefficients, need {need}")
     m = space.modulus
-    coords = [f.coeffs[j] for j in space.pivots]
-    for n in range(usable):
-        acc = 0
-        for c, row in zip(coords, space.rows):
-            acc += c * row.coeffs[n]
-        if acc % m != f.coeffs[n]:
-            return None
+    # the basis is the identity on q^0..q^(dim-1), so those are the coordinates
+    coords = f.coeffs[: space.dim]
+    span = _matmul(_residues(m, [coords]), space.coeffs[:, :usable], m)[0]
+    if span.tolist() != f.coeffs[:usable]:
+        return None
     return coords
 
 

@@ -1,10 +1,13 @@
-"""Batch scanning of primes: sharding, checkpointing, deterministic merge.
+"""Batch scanning of primes: worker processes, checkpointing, ordered merge.
 
-Work is embarrassingly parallel: each shard owns the primes whose index in
-the sorted prime list is congruent to the shard number.  Results are merged
-by sorting on p, so the merged CSV/JSON output is byte-identical for any
+Work is embarrassingly parallel: with more than one shard, the primes go
+one at a time, in ascending order, to a pool of at most `shards` worker
+processes (and no more than the usable cores), and their records come
+back in the same order, so the CSV/JSON output is byte-identical for any
 shard count.  The checkpoint file holds one line per completed prime,
-`<sha256-of-payload> <payload-json>`, and a resumed run recomputes nothing
+`<sha256-of-payload> <payload-json>`, sorted by p, and each record is
+appended and flushed as it arrives, so a killed run or a dead worker
+keeps every prime finished before it.  A resumed run recomputes nothing
 that already checkpointed; any hash mismatch aborts loudly.  A final line
 without its newline is what a run killed mid-append leaves behind: it is
 ignored, and cut off before the next append.
@@ -12,10 +15,11 @@ ignored, and cut off before the next append.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
 
 from .bernoulli import SCAN_CSV_HEADER, ScanRecord, pair_scan
 from .errors import CheckpointError
@@ -71,8 +75,15 @@ def load_checkpoint(path: str) -> dict[int, ScanRecord]:
     return done
 
 
-def _scan_chunk(primes: Sequence[int]) -> list[dict]:
-    return [pair_scan(p).to_dict() for p in primes]
+def _scan_one(p: int) -> dict:
+    # the module-level name, so a wrapped pair_scan also runs in workers
+    return pair_scan(p).to_dict()
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def scan_range(
@@ -83,9 +94,10 @@ def scan_range(
 ) -> list[ScanRecord]:
     """Scan every prime in [p_min, p_max]; resumable and shard-invariant.
 
-    Shards run in separate processes when shards > 1 (falling back to
-    in-process execution where process pools are unavailable).  The
-    returned list is sorted by p regardless of scheduling.
+    With shards > 1 the primes run in worker processes (falling back to
+    in-process execution where process pools are unavailable).  Each
+    record is checkpointed as soon as it and every smaller prime are done.
+    The returned list is sorted by p regardless of scheduling.
     """
     if p_max < p_min:
         return []
@@ -95,21 +107,18 @@ def scan_range(
     done = load_checkpoint(checkpoint) if checkpoint else {}
     todo = [p for p in primes if p not in done]
 
-    chunks = [todo[s::shards] for s in range(shards)]
-    chunks = [c for c in chunks if c]
     fresh: list[ScanRecord] = []
-    if len(chunks) <= 1:
-        for chunk in chunks:
-            fresh.extend(pair_scan(p) for p in chunk)
-    else:
-        fresh.extend(_run_sharded(chunks))
-
-    if checkpoint and fresh:
-        with open(checkpoint, "a+b") as fh:
+    with contextlib.ExitStack() as stack:
+        fh = None
+        if checkpoint and todo:
+            fh = stack.enter_context(open(checkpoint, "a+b"))
             fh.seek(0)
             fh.truncate(len(_complete_lines(fh.read())))
-            for rec in sorted(fresh, key=lambda r: r.p):
+        for rec in _scan_in_order(todo, min(shards, len(todo), _usable_cores()), stack):
+            fresh.append(rec)
+            if fh is not None:
                 fh.write(_checkpoint_line(rec).encode())
+                fh.flush()
 
     wanted = set(primes)
     merged = {p: r for p, r in done.items() if p in wanted}
@@ -117,19 +126,23 @@ def scan_range(
     return [merged[p] for p in sorted(merged)]
 
 
-def _run_sharded(chunks: list[list[int]]) -> list[ScanRecord]:
-    try:
-        from concurrent.futures import ProcessPoolExecutor
+def _scan_in_order(
+    primes: list[int], workers: int, stack: contextlib.ExitStack
+) -> Iterator[ScanRecord]:
+    """The record of each prime, in input order; a pool lives on `stack`."""
+    if workers > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    except (OSError, PermissionError, ImportError):
-        # restricted environments: same chunks, same merge, one process
-        results = [_scan_chunk(c) for c in chunks]
-    out: list[ScanRecord] = []
-    for dicts in results:
-        out.extend(ScanRecord.from_dict(d) for d in dicts)
-    return out
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # on an early exit, queued primes are dropped, not computed
+            stack.callback(pool.shutdown, cancel_futures=True)
+            dicts = pool.map(_scan_one, primes)
+        except (OSError, ImportError, NotImplementedError):
+            pass  # restricted environments: the same primes, in this process
+        else:
+            return (ScanRecord.from_dict(d) for d in dicts)
+    return (pair_scan(p) for p in primes)
 
 
 def records_to_csv(records: Iterable[ScanRecord]) -> str:

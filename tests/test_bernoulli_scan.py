@@ -223,6 +223,49 @@ def test_scan_finds_the_first_irregular_primes():
     assert total_pair_hits(recs) == 0
 
 
+def test_workers_are_capped_at_the_usable_cores(monkeypatch):
+    import concurrent.futures
+    import os
+
+    made = []
+
+    class InProcessPool:
+        # records its worker count and starts no process
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    fresh = records_to_csv(scan_range(5, 100))
+    assert made == []
+    for shards in (5000, 2):
+        assert records_to_csv(scan_range(5, 100, shards=shards)) == fresh
+    assert made == [3, 2]
+    scan_range(5, 5, shards=8)  # one prime to do: no pool
+    assert made == [3, 2]
+
+
+def test_failing_prime_keeps_every_smaller_one_checkpointed(tmp_path, monkeypatch):
+    import eiscomp.scan as scan
+
+    def failing(p):
+        if p == 29:
+            raise RuntimeError("p = 29 failed")
+        return pair_scan(p)
+
+    monkeypatch.setattr(scan, "pair_scan", failing)
+    ck = tmp_path / "scan.ck"
+    with pytest.raises(RuntimeError, match="29"):
+        scan_range(5, 60, checkpoint=str(ck))
+    assert sorted(load_checkpoint(str(ck))) == primes_in(5, 23)
+
+
 def test_checkpoint_resume_matches_fresh(tmp_path):
     ck = tmp_path / "scan.ck"
     first = scan_range(5, 120, checkpoint=str(ck))

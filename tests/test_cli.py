@@ -210,8 +210,43 @@ def test_scan_dead_shard_exits_one_with_one_error_line(capsys, monkeypatch):
         return real(p)
 
     monkeypatch.setattr(scan, "pair_scan", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # a pool even on one core
     code, out, err = run(capsys, "scan", "--min", "5", "--max", "30", "--shards", "2")
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_scan_dead_shard_keeps_the_primes_finished_before_it(capsys, monkeypatch, tmp_path):
+    import os
+    import time
+
+    import eiscomp.scan as scan
+    from eiscomp.scan import load_checkpoint, records_to_csv, scan_range
+
+    ck = tmp_path / "scan.ck"
+    real = scan.pair_scan
+
+    def dying(p):
+        if p == 29:
+            # die only once the parent has checkpointed a record, so nothing races
+            deadline = time.monotonic() + 30
+            while not (ck.exists() and ck.stat().st_size) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(3)
+        return real(p)
+
+    monkeypatch.setattr(scan, "pair_scan", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    argv = ["scan", "--min", "5", "--max", "60", "--checkpoint", str(ck)]
+    code, out, err = run(capsys, *argv, "--shards", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    kept = load_checkpoint(str(ck))  # every line hash-valid
+    assert kept and max(kept) < 29
+    monkeypatch.setattr(scan, "pair_scan", real)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == records_to_csv(scan_range(5, 60))

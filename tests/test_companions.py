@@ -67,8 +67,8 @@ def test_theta_kernel_trivial_in_low_weights():
         bound = (kp + p + 1) // 12 + 1
         space = miller_basis(p, kp, bound)
         ech = EchelonSpace(p, bound)
-        for row in space.rows:
-            assert ech.insert(theta_series(row).coeffs) is not None
+        for row in space.coeffs:
+            assert ech.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs) is not None
 
 
 # --- filtration --------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_theta_kernel_trivial_in_low_weights():
 def test_filtration_weight_p_minus_1_constant_is_zero():
     for p in (11, 13):
         s = miller_basis(p, p - 1, sturm(p - 1) + 4)
-        assert filtration(s.rows[0]) == 0  # the row reducing to 1
+        assert filtration(QSeries(p, s.coeffs[0].tolist(), p - 1)) == 0  # the row reducing to 1
 
 
 def test_filtration_delta_is_twelve():
@@ -141,7 +141,7 @@ def test_weight_p_minus_1_companion_lives_in_the_zero_space():
     # k = p-1 puts the companion in M_2 = 0, so only g = 0 can serve
     p, k = 13, 12
     bound = plan_companion(p, k).bound
-    one = miller_basis(p, k, max(bound, sturm(k))).rows[0].truncate(bound)
+    one = QSeries(p, miller_basis(p, k, max(bound, sturm(k))).coeffs[0, :bound].tolist(), k)
     assert one.coeffs == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
     assert has_companion(one) == (True, [])
     delta = delta_q(p, bound)
@@ -217,8 +217,8 @@ def test_dimension_stable_under_precision_increase():
     bound = plan_companion(p, k).bound + 20
     kp = p + 1 - k
     target = EchelonSpace(p, bound)
-    for row in miller_basis(p, kp, bound).rows:
-        target.insert(theta_series(row).coeffs)
+    for row in miller_basis(p, kp, bound).coeffs:
+        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
     residues = [
         target.reduce(theta_series(s, kp).coeffs)
         for s in piece.basis_series(bound)

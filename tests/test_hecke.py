@@ -1,6 +1,7 @@
 """Hecke operators, duality, ordinary projector, Eisenstein localization."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -20,6 +21,7 @@ from eiscomp.hecke import (
 )
 from eiscomp.linalg import MatFp, algebra_closure, generalized_eigenspace, rank, rref
 from eiscomp.qexp import (
+    FormSpace,
     QSeries,
     delta_q,
     eisenstein_q,
@@ -64,6 +66,51 @@ def test_action_precision_contract():
     f = QSeries(7, list(range(10)), 12)
     img = hecke_action(f, 3)
     assert img.prec == 4  # (10-1)//3 + 1
+
+
+def hecke_action_oracle(f, n):
+    """The former per-coefficient divisor sum a(i; f|T(n)) = sum d^(k-1) a(in/d^2)."""
+    k, m = f.weight, f.modulus
+    out = []
+    for i in range((f.prec - 1) // n + 1 if f.prec else 0):
+        g = gcd(i, n) if i else n
+        out.append(sum(pow(d, k - 1, m) * f.coeffs[i * n // (d * d)] for d in range(1, g + 1) if g % d == 0) % m)
+    return out
+
+
+# digits 1 at three primes, and both sides of the int64 storage bound: the
+# largest prime p with (p-1)^2 < 2^63, the next prime, 5^13 and 5^14
+@pytest.mark.parametrize(
+    "p,digits", [(5, 1), (11, 1), (293, 1), (3037000493, 1), (3037000507, 1), (5, 13), (5, 14)]
+)
+def test_action_matches_the_per_coefficient_oracle(p, digits):
+    rng = random.Random(p + digits)
+    m = p**digits
+    for prec in (0, 1, 2, 17, 40):
+        coeffs = [m - 1] * prec if prec == 40 else [rng.randrange(m) for _ in range(prec)]
+        f = QSeries(p, coeffs, rng.randrange(4, 400, 2), digits)
+        for n in range(1, 13):
+            assert hecke_action(f, n).coeffs == hecke_action_oracle(f, n), (prec, n)
+
+
+@pytest.mark.parametrize("p,k", [(5, 60), (11, 48), (293, 36)])
+def test_matrix_matches_the_oracle_images(p, k):
+    s = working_space(p, k)
+    for n in generator_primes(k):
+        cols = []
+        for row in s.coeffs.tolist():
+            image = QSeries(p, hecke_action_oracle(QSeries(p, row, k), n), k)
+            cols.append(membership(image, s))
+        assert hecke_matrix(s, n) == MatFp(p, cols).transpose()
+
+
+def test_matrix_rejects_an_image_outside_the_space():
+    s = working_space(11, 48)
+    coeffs = s.coeffs.copy()
+    coeffs[1, s.dim] = (coeffs[1, s.dim] + 1) % 11  # row 1 is no longer a form
+    bad = FormSpace(p=11, digits=1, k=48, coeffs=coeffs)
+    with pytest.raises(AssertionError, match="left M_48"):
+        hecke_matrix(bad, 2)
 
 
 # --- matrices -------------------------------------------------------------------

@@ -12,6 +12,7 @@ from eiscomp.padic import (
     a_t_poly,
     eval_lambda,
     gamma_generator,
+    is_admissible_prime,
     plog,
     s_exponent,
     teichmuller,
@@ -250,3 +251,18 @@ def test_padic_reduce_cannot_invent_digits():
     x = PadicInt(7, 5, 2)
     with pytest.raises(PrecisionError):
         x.reduce(5)
+
+
+def test_prime_check_is_memoized():
+    # trial division near 3 * 10^9 takes milliseconds; each construction asks again
+    from eiscomp.linalg import EchelonSpace, MatFp
+    from eiscomp.qexp import QSeries
+
+    p = 3037000493
+    MatFp(p, [[1]])
+    misses = is_admissible_prime.cache_info().misses
+    MatFp(p, [[2]])
+    EchelonSpace(p, 3)
+    QSeries(p, [1, 2], 0)
+    assert is_admissible_prime.cache_info().misses == misses
+    assert is_admissible_prime(p) and not is_admissible_prime(p + 2)

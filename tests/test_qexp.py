@@ -1,12 +1,16 @@
 """q-expansion engine: Eisenstein series, the discriminant, echelon bases."""
 
+import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eiscomp.errors import NonInvertibleError, PrecisionError
 from eiscomp.qexp import (
     QSeries,
+    _unit_eisenstein,
     bernoulli_fraction,
     convolve_mod,
     delta_q,
@@ -155,20 +159,20 @@ def test_miller_dimensions_match_formula():
         for k in range(4, 201, 2):
             s = miller_basis(p, k, sturm(k))
             assert s.dim == space_dim(k), (p, k)
-            assert s.pivots == list(range(s.dim))
+            assert (s.coeffs[:, : s.dim] == np.eye(s.dim, dtype=np.int64)).all()
 
 
 def test_miller_weight12_second_row_is_delta():
     s = miller_basis(11, 12, 12)
     d = delta_q(11, 12)
-    assert s.rows[1].coeffs == d.coeffs
-    assert s.rows[0].coeffs[0] == 1 and s.rows[0].coeffs[1] == 0
+    assert s.coeffs[1].tolist() == d.coeffs
+    assert s.coeffs[0][0] == 1 and s.coeffs[0][1] == 0
 
 
 def test_miller_weight4_is_unit_eisenstein():
     s = miller_basis(7, 4, 8)
     assert s.dim == 1
-    assert s.rows[0].coeffs == [(240 * sigma_oracle(n, 3)) % 7 if n else 1 for n in range(8)]
+    assert s.coeffs[0].tolist() == [(240 * sigma_oracle(n, 3)) % 7 if n else 1 for n in range(8)]
 
 
 def test_miller_weight14_dim1():
@@ -179,8 +183,8 @@ def test_miller_stable_under_precision_increase():
     for (p, k) in ((11, 36), (13, 48)):
         lo = miller_basis(p, k, sturm(k) + 2)
         hi = miller_basis(p, k, sturm(k) + 12)
-        for r1, r2 in zip(lo.rows, hi.rows):
-            assert r2.coeffs[: lo.prec] == r1.coeffs
+        for r1, r2 in zip(lo.coeffs, hi.coeffs):
+            assert r2[: lo.prec].tolist() == r1.tolist()
 
 
 def test_weight_p_minus_1_contains_the_constant():
@@ -188,7 +192,7 @@ def test_weight_p_minus_1_contains_the_constant():
     # multiplication by this series is the sanctioned weight shift mod p
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         s = miller_basis(p, p - 1, sturm(p - 1) + 10)
-        assert s.rows[0].coeffs == [1] + [0] * (s.prec - 1)
+        assert s.coeffs[0].tolist() == [1] + [0] * (s.prec - 1)
 
 
 def test_unit_weight_p_minus_1_eisenstein_scaling_vanishes():
@@ -204,16 +208,16 @@ def test_base_change_mod_p_consistency():
     p, k = 7, 24
     hi = miller_basis(p, k, 8, digits=2)
     lo = miller_basis(p, k, 8, digits=1)
-    for r2, r1 in zip(hi.rows, lo.rows):
-        assert [c % p for c in r2.coeffs] == r1.coeffs
+    for r2, r1 in zip(hi.coeffs, lo.coeffs):
+        assert [c % p for c in r2.tolist()] == r1.tolist()
 
 
 # --- membership --------------------------------------------------------------------
 
 def test_membership_basis_elements():
     s = miller_basis(11, 24, 10)
-    for i, row in enumerate(s.rows):
-        coords = membership(row, s)
+    for i, row in enumerate(s.coeffs):
+        coords = membership(QSeries(11, row.tolist(), 24), s)
         want = [0] * s.dim
         want[i] = 1
         assert coords == want
@@ -255,3 +259,96 @@ def test_series_weight_rules():
         _ = a + b
     c = a.with_weight(10)  # 4 + 6 = 4 + (p-1)
     assert c.weight == 10 and c.coeffs == a.coeffs
+
+
+# --- the array basis against the former list implementations -----------------
+
+def basis_oracle(p, k, prec, digits):
+    """Rows E4^a E6^b Delta^j, cleared above each unit pivot one (row, pivot) pair at a time."""
+    m = p**digits
+    e4, e6 = (_unit_eisenstein(p, w, prec, digits) for w in (4, 6))
+    delta = delta_q(p, prec, digits)
+    rows = []
+    for j in range(space_dim(k)):
+        b = (k - 12 * j) % 4 // 2
+        rows.append((e4.pow((k - 12 * j - 6 * b) // 4) * e6.pow(b) * delta.pow(j)).coeffs)
+    for j in range(1, len(rows)):
+        lead = rows[j]
+        for i in range(j):
+            c = rows[i][j]
+            if c:
+                rows[i] = [(x - c * y) % m for x, y in zip(rows[i], lead)]
+    return rows
+
+
+def coords_to_series_oracle(rows, coords, m):
+    out = [0] * len(rows[0])
+    for c, row in zip(coords, rows):
+        for n in range(len(row)):
+            out[n] = (out[n] + c * row[n]) % m
+    return out
+
+
+def membership_oracle(f, rows, m):
+    coords = f.coeffs[: len(rows)]
+    for n in range(min(f.prec, len(rows[0]))):
+        if sum(c * row[n] for c, row in zip(coords, rows)) % m != f.coeffs[n]:
+            return None
+    return coords
+
+
+# (p, digits, k): digits 1 at three primes, then both sides of the int64
+# storage bound (5^13 int64, 5^14 objects) and of the product bound at 5^13
+# (dim 6 * (5^13 - 1)^2 < 2^63 <= dim 7 * (5^13 - 1)^2)
+ARRAY_BASIS_CASES = [
+    (5, 1, 60), (11, 1, 48), (293, 1, 36), (293, 1, 4),
+    (5, 13, 60), (5, 13, 72), (5, 14, 60), (5, 14, 72),
+]
+
+
+@pytest.mark.parametrize("p,digits,k", ARRAY_BASIS_CASES)
+def test_array_basis_matches_the_list_oracles(p, digits, k):
+    rng = random.Random(p * 1000 + digits * 100 + k)
+    m = p**digits
+    prec = sturm(k) + 7
+    s = miller_basis(p, k, prec, digits)
+    rows = basis_oracle(p, k, prec, digits)
+    assert s.coeffs.tolist() == rows
+    assert s.coeffs.dtype == (np.int64 if (m - 1) ** 2 < 2**63 else object)
+    assert not s.coeffs.flags.writeable
+    for trial in range(12):
+        coords = [m - 1] * s.dim if trial == 0 else [rng.randrange(m) for _ in range(s.dim)]
+        inside = coords_to_series_oracle(rows, coords, m)
+        assert s.coords_to_series(coords).coeffs == inside
+        outside = list(inside)
+        outside[rng.randrange(s.dim, prec)] += rng.randrange(1, m)
+        noise = [rng.randrange(m) for _ in range(prec)]
+        for coeffs in (inside, outside, noise):
+            f = QSeries(p, coeffs, k, digits)
+            assert membership(f, s) == membership_oracle(f, rows, m)
+        assert membership(QSeries(p, inside, k, digits), s) == coords
+
+
+@pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
+def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
+    # at Z/5^13 the products of dim 6 run on int64, those of dim 7 on Python integers
+    from eiscomp import linalg
+
+    seen = []
+    real = linalg._residues
+    monkeypatch.setattr(linalg, "_residues", lambda m, a: seen.append(a.dtype) or real(m, a))
+    s = miller_basis(5, k, sturm(k) + 3, 13)
+    m = 5**13
+    coords = [m - 1] * s.dim
+    want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
+    assert s.coords_to_series(coords).coeffs == want
+    assert membership(QSeries(5, want, k, 13), s) == coords
+    assert seen == [dtype, dtype]
+
+
+def test_cli_basis_at_fourteen_digits_matches_the_oracle(capsys):
+    from eiscomp.cli import main
+
+    assert main(["basis", "--p", "5", "--k", "72", "--prec", "12", "--digits", "14"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["rows"] == basis_oracle(5, 72, 12, 14)
