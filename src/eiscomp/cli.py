@@ -162,14 +162,13 @@ def cmd_selftest(args) -> int:
     te = hecke_action(e, 3)
     lam = sum(d**15 for d in (1, 3)) % 11
     checks.append(
-        ("E_16 | T(3) = sigma_15(3) E_16 over F_11", te.coeffs == e.scale(lam).coeffs[: te.prec])
+        ("E_16 | T(3) = sigma_15(3) E_16 over F_11", (te - e.scale(lam)).is_zero())
     )
 
     f = eisenstein_q(13, 6, 60)
     lhs_series = hecke_action(theta_series(f), 5)
     rhs_series = theta_series(hecke_action(f, 5)).scale(5)
-    n = min(lhs_series.prec, rhs_series.prec)
-    checks.append(("T(5) theta = 5 theta T(5)", lhs_series.coeffs[:n] == rhs_series.coeffs[:n]))
+    checks.append(("T(5) theta = 5 theta T(5)", (lhs_series - rhs_series).is_zero()))
 
     checks.append(("irregular indices of 37 are [32]", irregular_indices(37) == [32]))
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PrecisionError
 from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import EchelonSpace, MatFp, kernel, solve
 from .qexp import (
     PrecisionPlan,
     QSeries,
+    _powers,
     membership,
     miller_basis,
     plan_companion,
@@ -30,9 +33,9 @@ def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
     """Apply theta^j: a(n) -> n^j a(n), weight tag + j(p+1)."""
     if iterates < 0:
         raise ValueError("negative theta iterate")
-    m = f.modulus
-    out = [pow(n, iterates, m) * c % m if n else (c if iterates == 0 else 0) for n, c in enumerate(f.coeffs)]
-    return QSeries(f.p, out, f.weight + iterates * (f.p + 1), f.digits)
+    # 0^0 = 1 keeps a(0) at zero iterates; any iterate kills it
+    powers = _powers(iterates, f.prec, f.modulus)
+    return QSeries(f.p, powers * f.coeffs, f.weight + iterates * (f.p + 1), f.digits)
 
 
 def filtration(f: QSeries, k: int | None = None) -> int:
@@ -55,7 +58,7 @@ def filtration(f: QSeries, k: int | None = None) -> int:
     candidates = [k0 for k0 in range(k % (p - 1), k + 1, p - 1)]
     for k0 in candidates:
         if k0 == 0:
-            if all(c == 0 for c in f.coeffs[1:need]):
+            if not f.coeffs[1:need].any():
                 return 0
             continue
         if k0 % 2 == 1 or space_dim(k0) == 0:
@@ -85,8 +88,8 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
     if f.prec < bound:
         raise PrecisionError(f"need {bound} coefficients, have {f.prec}")
     kp = p + 1 - k
-    forced = [n for n in range(1, bound) if n % p]
-    rhs = MatFp(p, [[pow(n, kp - 1, p) * f.coeffs[n]] for n in forced], 1)
+    forced = np.flatnonzero(np.arange(bound) % p)  # 0 < n < bound, n prime to p
+    rhs = MatFp(p, theta_series(f, kp - 1).coeffs[forced, None])
     if space_dim(kp) == 0:
         return (True, []) if rhs.is_zero() else (False, None)
     target = miller_basis(p, kp, bound)
@@ -96,7 +99,7 @@ def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
         return False, None
     coords = solution.a[:, 0].tolist()
     g = target.coords_to_series(coords)
-    if theta_series(f, kp).coeffs[:bound] != theta_series(g).coeffs[:bound]:
+    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
         raise AssertionError("solved companion fails theta^(k') f = theta g")
     return True, coords
 
@@ -114,9 +117,9 @@ def companion_space(piece: EisLocalPiece) -> list[list[int]]:
     kp = p + 1 - k
     target = EchelonSpace(p, bound)
     for row in miller_basis(p, kp, bound).coeffs:
-        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
-    thetas = [theta_series(s, kp).coeffs for s in piece.basis_series(bound)]
-    resid = MatFp(p, target.reduce(thetas))
+        target.insert(theta_series(QSeries(p, row, kp)).coeffs)
+    basis = piece.series(MatFp.identity(p, piece.dim).a, bound)
+    resid = MatFp(p, target.reduce(np.stack([theta_series(s, kp).coeffs for s in basis])))
     return kernel(resid.transpose()).a.tolist()
 
 
@@ -140,7 +143,7 @@ def mirror_check(f: QSeries, g: QSeries) -> bool:
     bound = plan.bound
     if min(f.prec, g.prec) < bound:
         raise PrecisionError("pair is below the comparison bound")
-    if theta_series(f, kp).coeffs[:bound] != theta_series(g).coeffs[:bound]:
+    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
         raise ValueError("not a companion pair")
     if f.is_zero():
         return True
@@ -194,12 +197,11 @@ def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
     piece, _ = localized_pieces(p, k)
     target = miller_basis(p, kp, max(prec, sturm(kp)))
     lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(prec))]
-    for idx, (fc, gc) in enumerate(report.witnesses):
-        f = piece.vector_series(fc, prec)
-        g = target.coords_to_series(gc).truncate(min(prec, target.prec))
-        gpad = list(g.coeffs) + [0] * (prec - g.prec)
-        lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.coeffs))
-        lines.append(f"{idx},g,{kp}," + ",".join(str(c) for c in gpad))
+    fs = piece.series([fc for fc, _ in report.witnesses], prec)
+    for idx, ((_, gc), f) in enumerate(zip(report.witnesses, fs)):
+        g = target.coords_to_series(gc).truncate(prec)
+        lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.coeffs.tolist()))
+        lines.append(f"{idx},g,{kp}," + ",".join(str(c) for c in g.coeffs.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -231,8 +233,7 @@ def companion_report(p: int, k: int) -> CompanionReport:
     if k != p - 1 and c_m != c_m_prime:
         raise AssertionError("mirror equality fails away from weight p-1")
     witnesses = []
-    for c in wit_coords:
-        f = piece.vector_series(c, plan.bound)
+    for c, f in zip(wit_coords, piece.series(wit_coords, plan.bound)):
         ok, g_coords = has_companion(f)
         if not ok:
             raise AssertionError("kernel vector lost its companion on recheck")

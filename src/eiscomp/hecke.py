@@ -26,7 +26,6 @@ from .errors import PrecisionError
 from .linalg import (
     MatFp,
     _matmul,
-    _residues,
     algebra_closure,
     generalized_eigenspace,
     kernel,
@@ -34,7 +33,7 @@ from .linalg import (
     solve,
     stable_idempotent,
 )
-from .qexp import FormSpace, QSeries, miller_basis, sturm
+from .qexp import FormSpace, QSeries, divisor_power_sums, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -47,12 +46,7 @@ def generator_primes(k: int) -> list[int]:
 
 def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
     """sigma_(k-1)(n) mod p^digits: the Eisenstein eigenvalue of T(n)."""
-    m = p**digits
-    s = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            s += pow(d, k - 1, m)
-    return s % m
+    return int(divisor_power_sums(k - 1, n + 1, p**digits)[n])
 
 
 def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
@@ -79,8 +73,7 @@ def hecke_action(f: QSeries, n: int) -> QSeries:
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    image = _hecke_image(_residues(f.modulus, f.coeffs), n, f.weight, f.modulus)
-    return QSeries(f.p, image.tolist(), f.weight, f.digits)
+    return QSeries(f.p, _hecke_image(f.coeffs, n, f.weight, f.modulus), f.weight, f.digits)
 
 
 def hecke_matrix(space: FormSpace, n: int) -> MatFp:
@@ -185,18 +178,12 @@ class EisLocalPiece:
         lam = sigma_eigenvalue(self.p, self.k, n)
         return self.restricted[n] - MatFp.identity(self.p, self.dim).scaled(lam)
 
-    def vector_series(self, coords: list[int], prec: int) -> QSeries:
-        """Expand a piece vector to a q-series at any requested precision."""
-        return self._series(MatFp(self.p, [coords], self.dim) * self.basis, prec)[0]
-
-    def basis_series(self, prec: int) -> list[QSeries]:
-        return self._series(self.basis, prec)
-
-    def _series(self, ambient: MatFp, prec: int) -> list[QSeries]:
-        """The q-series of each row of ambient, a matrix in space coordinates."""
+    def series(self, coords: np.ndarray | list[list[int]], prec: int) -> list[QSeries]:
+        """The q-series, to any precision, of each row of coords, vectors in piece coordinates."""
+        ambient = MatFp(self.p, coords, self.dim) * self.basis
         high = miller_basis(self.p, self.k, max(prec, self.space.prec))
         rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
-        return [QSeries(self.p, row, self.k) for row in rows.tolist()]
+        return [QSeries(self.p, row, self.k) for row in rows]
 
     def contains_ambient(self, vec: list[int]) -> bool:
         return solve(self.basis.transpose(), MatFp(self.p, [vec]).transpose()) is not None

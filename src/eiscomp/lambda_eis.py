@@ -159,7 +159,7 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     if const_checked:
         euler = 1 - p ** (k - 1)
         interp = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), p**digits)
-        const_match = interp == p_deprived_eisenstein_q(p, k, 1, digits).coeffs[0]
+        const_match = interp == p_deprived_eisenstein_q(p, k, 1, digits)[0]
     return SpecializationReport(
         p=p,
         d=d,

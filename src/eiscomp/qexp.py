@@ -11,8 +11,10 @@ arithmetic constant term -B_k/(2k), while the echelon basis uses the
 unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
 explicit; nothing rescales silently.
 
-Series multiplication packs coefficients into big integers (one fixed-width
-slot per coefficient) and performs a single big multiplication, which keeps
+A series is one read-only array of residues, stored like the bases under
+linalg's int64/object rule.  Multiplication packs each array into a big
+integer, one fixed-width slot per coefficient written through numpy byte
+views of 64-bit limbs, and performs a single big multiplication, which keeps
 the high-precision products needed by the companion computations cheap.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -85,41 +87,54 @@ def reduce_fraction(x: Fraction, modulus: int) -> int:
 # ---------------------------------------------------------------------------
 # series kernel
 
-def convolve_mod(a: list[int], b: list[int], modulus: int, out_len: int | None = None) -> list[int]:
-    """Truncated product of coefficient lists, exactly, modulo `modulus`.
+def _pack(c: np.ndarray, slot: int) -> int:
+    """The integer whose little-endian slot-byte digits are the residues c."""
+    limbs = np.zeros((len(c), -(-slot // 8)), dtype="<u8")
+    if c.dtype == object:
+        for j in range(limbs.shape[1]):
+            limbs[:, j] = (c >> (64 * j)) & (2**64 - 1)
+    else:
+        limbs[:, 0] = c
+    return int.from_bytes(limbs.view(np.uint8)[:, :slot].tobytes(), "little")
+
+
+def _unpack(x: int, n: int, slot: int, modulus: int) -> np.ndarray:
+    """The first n little-endian slot-byte digits of x, reduced mod modulus."""
+    raw = x.to_bytes(max(n * slot, (x.bit_length() + 7) // 8), "little")
+    words = np.zeros((n, -(-slot // 8) * 8), dtype=np.uint8)
+    words[:, :slot] = np.frombuffer(raw, dtype=np.uint8, count=n * slot).reshape(n, slot)
+    limbs = words.view("<u8")
+    if limbs.shape[1] == 1:
+        return _residues(modulus, limbs[:, 0])
+    return _residues(modulus, sum(limbs[:, j].astype(object) << (64 * j) for j in range(limbs.shape[1])))
+
+
+def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None = None) -> np.ndarray:
+    """Truncated product of residue arrays, exactly, modulo `modulus`.
 
     Both operands are packed into a big integer with one coefficient per
-    fixed-width slot, multiplied once, and unpacked.  The slot width is
+    fixed-width slot, multiplied once, and unpacked; the slots are written
+    and read through numpy byte views of 64-bit limbs.  The slot width is
     chosen from min(len)*(modulus-1)^2 so no convolution sum can cross a
-    slot boundary.
+    slot boundary.  The result is stored under linalg's `_residues` rule.
     """
     if out_len is None:
         out_len = min(len(a), len(b))
-    if out_len <= 0:
-        return []
     la, lb = min(len(a), out_len), min(len(b), out_len)
-    if la == 0 or lb == 0:
-        return [0] * out_len
+    if la <= 0 or lb <= 0:
+        return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
     bound = min(la, lb) * (modulus - 1) ** 2
-    slot = max(1, (bound.bit_length() + 7) // 8)
-    pa = bytearray(slot * la)
-    for i in range(la):
-        c = a[i] % modulus
-        pa[i * slot : i * slot + slot] = c.to_bytes(slot, "little")
-    pb = bytearray(slot * lb)
-    for i in range(lb):
-        c = b[i] % modulus
-        pb[i * slot : i * slot + slot] = c.to_bytes(slot, "little")
-    prod = int.from_bytes(bytes(pa), "little") * int.from_bytes(bytes(pb), "little")
-    raw = prod.to_bytes(slot * (la + lb), "little")
-    out = [0] * out_len
-    for i in range(min(out_len, la + lb - 1)):
-        out[i] = int.from_bytes(raw[i * slot : (i + 1) * slot], "little") % modulus
-    return out
+    slot = (bound.bit_length() + 7) // 8
+    prod = _pack(_residues(modulus, a[:la]), slot) * _pack(_residues(modulus, b[:lb]), slot)
+    return _unpack(prod, out_len, slot, modulus)
 
 
 class QSeries:
     """A q-expansion truncated to `prec` coefficients over Z/p^digits.
+
+    `coeffs` is one read-only 1-D array of residues mod p^digits, stored as
+    FormSpace.coeffs is; the constructor reduces a copy of its input, and
+    `f[n]` is a Python int.
 
     `weight` is a graded-ring tag: products add it, and mod p the tag may
     be shifted by multiples of p-1 without changing coefficients (that is
@@ -129,7 +144,7 @@ class QSeries:
 
     __slots__ = ("p", "digits", "weight", "coeffs")
 
-    def __init__(self, p: int, coeffs: list[int], weight: int, digits: int = 1):
+    def __init__(self, p: int, coeffs: np.ndarray | list[int], weight: int, digits: int = 1):
         require_admissible_prime(p)
         if digits < 1:
             raise ValueError("digits must be positive")
@@ -138,12 +153,10 @@ class QSeries:
         self.p = p
         self.digits = digits
         self.weight = weight
-        m = p**digits
-        self.coeffs = [c % m for c in coeffs]
-
-    @classmethod
-    def zero(cls, p: int, prec: int, weight: int, digits: int = 1) -> "QSeries":
-        return cls(p, [0] * prec, weight, digits)
+        self.coeffs = _residues(p**digits, coeffs)
+        if self.coeffs.ndim != 1:
+            raise ValueError("series coefficients must form one row")
+        self.coeffs.flags.writeable = False
 
     @property
     def prec(self) -> int:
@@ -154,21 +167,12 @@ class QSeries:
         return self.p**self.digits
 
     def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
+        return int(self.coeffs[n])
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError(f"only {self.prec} coefficients known, need {prec}")
         return QSeries(self.p, self.coeffs[:prec], self.weight, self.digits)
-
-    def with_weight(self, weight: int) -> "QSeries":
-        """Re-tag the graded weight (an explicit E_(p-1)-multiple move mod p)."""
-        if self.digits == 1:
-            if (weight - self.weight) % (self.p - 1) != 0:
-                raise ValueError("weight shift must be a multiple of p-1")
-        elif weight != self.weight:
-            raise ValueError("weight tags are rigid over Z/p^M")
-        return QSeries(self.p, self.coeffs, weight, self.digits)
 
     def _compat(self, other: "QSeries") -> None:
         if self.p != other.p or self.digits != other.digits:
@@ -179,18 +183,14 @@ class QSeries:
         if self.weight != other.weight:
             raise ValueError("adding forms of different weights")
         n = min(self.prec, other.prec)
-        return QSeries(
-            self.p,
-            [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])],
-            self.weight,
-            self.digits,
-        )
+        return QSeries(self.p, self.coeffs[:n] + other.coeffs[:n], self.weight, self.digits)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "QSeries":
-        return QSeries(self.p, [c * a for a in self.coeffs], self.weight, self.digits)
+        # a residue times a residue stays below (m-1)^2, exact on int64 storage
+        return QSeries(self.p, c % self.modulus * self.coeffs, self.weight, self.digits)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._compat(other)
@@ -200,7 +200,8 @@ class QSeries:
     def pow(self, e: int) -> "QSeries":
         if e < 0:
             raise ValueError("negative series power")
-        acc = QSeries(self.p, [1] + [0] * (self.prec - 1), 0, self.digits)
+        # the unit series 1 + O(q^prec), at the operand's precision
+        acc = QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
         base = self
         while e:
             if e & 1:
@@ -211,7 +212,7 @@ class QSeries:
         return acc
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs.any()
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -224,15 +225,32 @@ class QSeries:
 # ---------------------------------------------------------------------------
 # classical series
 
-def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by: int | None = None) -> list[int]:
-    """out[n] = sum of t^power over divisors t of n (optionally p-deprived)."""
-    out = [0] * prec
-    for t in range(1, prec):
-        if skip_divisible_by is not None and t % skip_divisible_by == 0:
-            continue
-        tp = pow(t, power, modulus)
-        for n in range(t, prec, t):
-            out[n] = (out[n] + tp) % modulus
+def _powers(e: int, n: int, modulus: int) -> np.ndarray:
+    """i^e mod modulus for i in range(n), with 0^0 = 1, by square-and-multiply on arrays."""
+    base = _residues(modulus, np.arange(n))
+    out = _residues(modulus, np.ones(n, dtype=np.int64))
+    while e:
+        if e & 1:
+            out = out * base % modulus
+        base = base * base % modulus
+        e >>= 1
+    return out
+
+
+def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by: int | None = None) -> np.ndarray:
+    """out[n] = sum of t^power over divisors t of n (optionally p-deprived).
+
+    Each n = s*t, s <= t, is reached from s <= sqrt(prec-1) by two strided
+    adds: s^power for every t >= s, and t^power for t > s only.
+    """
+    pw = _powers(power, prec, modulus)
+    if skip_divisible_by is not None:
+        pw[::skip_divisible_by] = 0
+    out = np.zeros_like(pw)
+    for s in range(1, isqrt(max(prec - 1, 0)) + 1):
+        out[s * s :: s] = (out[s * s :: s] + pw[s]) % modulus
+        above = out[s * (s + 1) :: s]
+        above[...] = (above + pw[s + 1 : s + 1 + len(above)]) % modulus
     return out
 
 
@@ -278,12 +296,8 @@ def p_deprived_eisenstein_q(
 
 def _unit_eisenstein(p: int, k: int, prec: int, digits: int) -> QSeries:
     # weight 4 and 6 series normalized to constant term 1; exact over Z
-    scale = {4: 240, 6: -504}[k]
-    m = p**digits
-    sig = divisor_power_sums(k - 1, prec, m)
-    coeffs = [(scale * s) % m for s in sig]
-    if prec > 0:
-        coeffs[0] = 1 % m
+    coeffs = {4: 240, 6: -504}[k] * divisor_power_sums(k - 1, prec, p**digits)
+    coeffs[:1] = 1
     return QSeries(p, coeffs, k, digits)
 
 
@@ -296,12 +310,9 @@ def delta_q(p: int, prec: int, digits: int = 1) -> QSeries:
     require_admissible_prime(p)
     if prec < 1:
         raise ValueError("need at least one coefficient")
-    m = p**digits
     e4 = _unit_eisenstein(p, 4, prec, digits)
     e6 = _unit_eisenstein(p, 6, prec, digits)
-    diff = e4.pow(3) - e6.pow(2)
-    inv1728 = pow(1728, -1, m)
-    return QSeries(p, [c * inv1728 % m for c in diff.coeffs], 12, digits)
+    return (e4.pow(3) - e6.pow(2)).scale(pow(1728, -1, p**digits))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +353,7 @@ class FormSpace:
         if len(coords) != self.dim:
             raise ValueError("coordinate length disagrees with dimension")
         row = _matmul(_residues(self.modulus, [coords]), self.coeffs, self.modulus)[0]
-        return QSeries(self.p, row.tolist(), self.k, self.digits)
+        return QSeries(self.p, row, self.k, self.digits)
 
     def to_json(self) -> dict:
         return {
@@ -387,8 +398,8 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     e6 = _unit_eisenstein(p, 6, prec, digits)
     delta = delta_q(p, prec, digits)
 
-    e4_pows = [QSeries(p, [1] + [0] * (prec - 1), 0, digits)]
-    monomials: list[list[int]] = []
+    e4_pows = [e4.pow(0)]
+    monomials: list[np.ndarray] = []
     dpow = e4_pows[0]
     for j in range(d):
         r = k - 12 * j
@@ -402,7 +413,7 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         monomials.append((mono * dpow).coeffs)
         if j + 1 < d:
             dpow = dpow * delta
-    rows = _residues(m, monomials)  # d >= 1 for every even k >= 4
+    rows = np.stack(monomials)  # d >= 1 for every even k >= 4
     # monomial j must be q^j + O(q^(j+1)): the leading block is unit upper triangular
     lacking = np.flatnonzero((np.tril(rows[:, :d]) != np.eye(d, dtype=np.int64)).any(axis=1))
     if lacking.size:
@@ -442,10 +453,10 @@ def membership(f: QSeries, space: FormSpace, *, min_prec: int | None = None) -> 
     m = space.modulus
     # the basis is the identity on q^0..q^(dim-1), so those are the coordinates
     coords = f.coeffs[: space.dim]
-    span = _matmul(_residues(m, [coords]), space.coeffs[:, :usable], m)[0]
-    if span.tolist() != f.coeffs[:usable]:
+    span = _matmul(coords[None], space.coeffs[:, :usable], m)[0]
+    if not np.array_equal(span, f.coeffs[:usable]):
         return None
-    return coords
+    return coords.tolist()
 
 
 # ---------------------------------------------------------------------------

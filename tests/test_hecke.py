@@ -3,6 +3,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from eiscomp.errors import PrecisionError
@@ -43,7 +44,7 @@ def working_space(p, k, *, with_tp=False):
 
 def test_t1_is_identity():
     d = delta_q(11, 20)
-    assert hecke_action(d, 1).coeffs == d.coeffs
+    assert np.array_equal(hecke_action(d, 1).coeffs, d.coeffs)
 
 
 def test_eisenstein_is_simultaneous_eigenform():
@@ -51,7 +52,7 @@ def test_eisenstein_is_simultaneous_eigenform():
     for n in (2, 3, 4, 5, 6, 12):
         img = hecke_action(e, n)
         lam = sigma_eigenvalue(13, 16, n)
-        assert img.coeffs == [lam * c % 13 for c in e.coeffs[: img.prec]]
+        assert img.coeffs.tolist() == [lam * c % 13 for c in e.coeffs[: img.prec]]
 
 
 def test_delta_t2_eigenvalue_is_tau2():
@@ -59,7 +60,7 @@ def test_delta_t2_eigenvalue_is_tau2():
     for p in (11, 101):
         d = delta_q(p, 40)
         img = hecke_action(d, 2)
-        assert img.coeffs == [(-24) * c % p for c in d.coeffs[: img.prec]]
+        assert img.coeffs.tolist() == [(-24) * c % p for c in d.coeffs[: img.prec]]
 
 
 def test_action_precision_contract():
@@ -74,7 +75,7 @@ def hecke_action_oracle(f, n):
     out = []
     for i in range((f.prec - 1) // n + 1 if f.prec else 0):
         g = gcd(i, n) if i else n
-        out.append(sum(pow(d, k - 1, m) * f.coeffs[i * n // (d * d)] for d in range(1, g + 1) if g % d == 0) % m)
+        out.append(sum(pow(d, k - 1, m) * f[i * n // (d * d)] for d in range(1, g + 1) if g % d == 0) % m)
     return out
 
 
@@ -90,7 +91,7 @@ def test_action_matches_the_per_coefficient_oracle(p, digits):
         coeffs = [m - 1] * prec if prec == 40 else [rng.randrange(m) for _ in range(prec)]
         f = QSeries(p, coeffs, rng.randrange(4, 400, 2), digits)
         for n in range(1, 13):
-            assert hecke_action(f, n).coeffs == hecke_action_oracle(f, n), (prec, n)
+            assert hecke_action(f, n).coeffs.tolist() == hecke_action_oracle(f, n), (prec, n)
 
 
 @pytest.mark.parametrize("p,k", [(5, 60), (11, 48), (293, 36)])

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from eiscomp.errors import NonInvertibleError, PrecisionError
+from eiscomp.linalg import _residues
 from eiscomp.qexp import (
     QSeries,
     _unit_eisenstein,
     bernoulli_fraction,
     convolve_mod,
     delta_q,
+    divisor_power_sums,
     eisenstein_q,
     membership,
     miller_basis,
@@ -70,20 +72,80 @@ def test_bernoulli_fractions():
     assert bernoulli_fraction(12) == Fraction(-691, 2730)
 
 
-def test_convolve_matches_schoolbook():
-    import random
+def convolve_oracle(a, b, m, out_len):
+    """Schoolbook truncated product of coefficient lists mod m."""
+    want = [0] * out_len
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < out_len:
+                want[i + j] = (want[i + j] + x * y) % m
+    return want
 
-    rng = random.Random(4)
-    for m in (7, 37, 5**3):
-        a = [rng.randrange(m) for _ in range(23)]
-        b = [rng.randrange(m) for _ in range(17)]
-        got = convolve_mod(a, b, m)
-        want = [0] * min(len(a), len(b))
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                if i + j < len(want):
-                    want[i + j] = (want[i + j] + x * y) % m
-        assert got == want
+
+# (modulus, len(a), len(b), out_len), with the slot width in bytes that the
+# kernel derives from min(len) * (m-1)^2: slots of 1 to 8 bytes, two limbs,
+# three and four limbs, both sides of the int64 storage bound (3037000493 and
+# 5^13 int64, 3037000507 and 5^14 objects), empty operands, and out_len of 0,
+# below both lengths and above both
+CONVOLVE_CASES = [
+    (7, 3, 5, None),  # 1 byte
+    (37, 23, 17, None),  # 2
+    (5**3, 23, 17, None),  # 3
+    (293, 300, 300, None),  # 4
+    (65537, 20, 20, None),  # 5
+    (5**9, 50, 60, None),  # 6
+    (5**11, 20, 25, None),  # 7
+    (5**13, 6, 9, None),  # 8
+    (5**13, 100, 90, None),  # 9: two limbs
+    (5**14, 30, 40, None),  # 9
+    (5**30, 12, 15, None),  # 18: three limbs
+    (7**40, 12, 15, None),  # 29: four limbs
+    (3037000493, 1, 5, None),  # 8
+    (3037000493, 40, 40, None),  # 9
+    (3037000507, 1, 5, None),  # 8, on objects
+    (3037000507, 40, 40, None),  # 9
+    (7, 0, 5, None),
+    (7, 5, 0, None),
+    (7, 0, 0, 4),
+    (37, 23, 17, 0),
+    (37, 23, 17, 10),
+    (37, 23, 17, 50),
+]
+
+
+@pytest.mark.parametrize("fill", ["random", "max"])
+@pytest.mark.parametrize("m,la,lb,out_len", CONVOLVE_CASES)
+def test_convolve_matches_schoolbook(m, la, lb, out_len, fill):
+    # all-(m-1) operands reach the slot bound min(la, lb) * (m-1)^2 exactly
+    rng = random.Random(m * 1000 + la * 10 + lb)
+    a, b = ([m - 1] * n if fill == "max" else [rng.randrange(m) for _ in range(n)] for n in (la, lb))
+    got = convolve_mod(_residues(m, a), _residues(m, b), m, out_len)
+    want = convolve_oracle(a, b, m, min(la, lb) if out_len is None else out_len)
+    assert got.tolist() == want
+    assert got.dtype == (np.int64 if (m - 1) ** 2 < 2**63 else object)
+
+
+def divisor_power_sums_oracle(power, prec, modulus, skip=None):
+    """The former per-divisor loop: t^power added at every multiple of t."""
+    out = [0] * prec
+    for t in range(1, prec):
+        if skip is not None and t % skip == 0:
+            continue
+        tp = pow(t, power, modulus)
+        for n in range(t, prec, t):
+            out[n] = (out[n] + tp) % modulus
+    return out
+
+
+@pytest.mark.parametrize("modulus", [5, 293, 3037000493, 3037000507, 5**14])
+def test_divisor_power_sums_match_the_per_divisor_oracle(modulus):
+    # prec - 1 in {1, 16, 49, 121} is a square, whose root divides it once
+    for prec in (0, 1, 2, 3, 17, 50, 122, 160):
+        for power in (0, 3, 291):
+            for skip in (None, 2, 5):
+                got = divisor_power_sums(power, prec, modulus, skip_divisible_by=skip)
+                assert got.tolist() == divisor_power_sums_oracle(power, prec, modulus, skip), (prec, power, skip)
+                assert got.dtype == (np.int64 if (modulus - 1) ** 2 < 2**63 else object)
 
 
 # --- Eisenstein series --------------------------------------------------------
@@ -143,13 +205,13 @@ def test_delta_against_integer_oracle():
     assert tau[1] == 1 and tau[2] == -24 and tau[3] == 252
     for p in (5, 11, 101):
         d = delta_q(p, PREC)
-        assert d.coeffs == [t % p for t in tau]
+        assert d.coeffs.tolist() == [t % p for t in tau]
 
 
 def test_delta_mod_p_squared_matches_oracle():
     tau = delta_integer_oracle(10)
     d = delta_q(5, 10, digits=3)
-    assert d.coeffs == [t % 125 for t in tau]
+    assert d.coeffs.tolist() == [t % 125 for t in tau]
 
 
 # --- echelon bases ----------------------------------------------------------------
@@ -165,7 +227,7 @@ def test_miller_dimensions_match_formula():
 def test_miller_weight12_second_row_is_delta():
     s = miller_basis(11, 12, 12)
     d = delta_q(11, 12)
-    assert s.coeffs[1].tolist() == d.coeffs
+    assert np.array_equal(s.coeffs[1], d.coeffs)
     assert s.coeffs[0][0] == 1 and s.coeffs[0][1] == 0
 
 
@@ -225,7 +287,7 @@ def test_membership_basis_elements():
 
 def test_membership_zero():
     s = miller_basis(11, 24, 10)
-    z = QSeries.zero(11, 10, 24)
+    z = QSeries(11, [0] * 10, 24)
     assert membership(z, s) == [0] * s.dim
 
 
@@ -235,7 +297,7 @@ def test_membership_eisenstein_in_miller():
         e = eisenstein_q(p, k, 10)
         coords = membership(e, s)
         assert coords is not None
-        assert s.coords_to_series(coords).coeffs == e.coeffs
+        assert np.array_equal(s.coords_to_series(coords).coeffs, e.coeffs)
 
 
 def test_membership_rejects_outsiders():
@@ -251,14 +313,39 @@ def test_membership_insufficient_precision_is_an_error():
         membership(short, s)
 
 
+def test_series_is_one_read_only_residue_array():
+    src = np.array([3, -1, 15, 2**40], dtype=np.int64)
+    f = QSeries(7, src, 4)
+    assert f.coeffs.dtype == np.int64 and not f.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 1
+    reduced = np.array([1, 2, 3], dtype=np.int64)
+    g = QSeries(7, reduced, 4)
+    src[0] = reduced[0] = 5  # the caller's arrays stay the caller's
+    assert f.coeffs.tolist() == [3, 6, 1, 2**40 % 7] and g.coeffs.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError):
+        QSeries(7, [[1, 2], [3, 4]], 4)
+    with pytest.raises(ValueError):
+        QSeries(7, np.zeros((2, 3), dtype=np.int64), 4)
+    big = QSeries(5, [5**14 + 2, -1], 4, 14)
+    assert big.coeffs.dtype == object and not big.coeffs.flags.writeable
+    for x, want in ((f[1], 6), (g[0], 1), (big[0], 2), (big[1], 5**14 - 1)):
+        assert type(x) is int and x == want
+
+
+@pytest.mark.parametrize("prec", [0, 1, 5])
+def test_pow_zero_is_the_unit_at_the_operand_precision(prec):
+    one = QSeries(7, list(range(3, 3 + prec)), 4).pow(0)
+    assert one.prec == prec and one.weight == 0
+    assert one.coeffs.tolist() == [1, 0, 0, 0, 0][:prec]
+
+
 def test_series_weight_rules():
     a = QSeries(7, [1, 2, 3], 4)
     b = QSeries(7, [1, 1, 1], 6)
     assert (a * b).weight == 10
     with pytest.raises(ValueError):
         _ = a + b
-    c = a.with_weight(10)  # 4 + 6 = 4 + (p-1)
-    assert c.weight == 10 and c.coeffs == a.coeffs
 
 
 # --- the array basis against the former list implementations -----------------
@@ -271,7 +358,7 @@ def basis_oracle(p, k, prec, digits):
     rows = []
     for j in range(space_dim(k)):
         b = (k - 12 * j) % 4 // 2
-        rows.append((e4.pow((k - 12 * j - 6 * b) // 4) * e6.pow(b) * delta.pow(j)).coeffs)
+        rows.append((e4.pow((k - 12 * j - 6 * b) // 4) * e6.pow(b) * delta.pow(j)).coeffs.tolist())
     for j in range(1, len(rows)):
         lead = rows[j]
         for i in range(j):
@@ -290,9 +377,9 @@ def coords_to_series_oracle(rows, coords, m):
 
 
 def membership_oracle(f, rows, m):
-    coords = f.coeffs[: len(rows)]
+    coords = f.coeffs[: len(rows)].tolist()
     for n in range(min(f.prec, len(rows[0]))):
-        if sum(c * row[n] for c, row in zip(coords, rows)) % m != f.coeffs[n]:
+        if sum(c * row[n] for c, row in zip(coords, rows)) % m != f[n]:
             return None
     return coords
 
@@ -319,7 +406,7 @@ def test_array_basis_matches_the_list_oracles(p, digits, k):
     for trial in range(12):
         coords = [m - 1] * s.dim if trial == 0 else [rng.randrange(m) for _ in range(s.dim)]
         inside = coords_to_series_oracle(rows, coords, m)
-        assert s.coords_to_series(coords).coeffs == inside
+        assert s.coords_to_series(coords).coeffs.tolist() == inside
         outside = list(inside)
         outside[rng.randrange(s.dim, prec)] += rng.randrange(1, m)
         noise = [rng.randrange(m) for _ in range(prec)]
@@ -341,7 +428,7 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     m = 5**13
     coords = [m - 1] * s.dim
     want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
-    assert s.coords_to_series(coords).coeffs == want
+    assert s.coords_to_series(coords).coeffs.tolist() == want
     assert membership(QSeries(5, want, k, 13), s) == coords
     assert seen == [dtype, dtype]
 
