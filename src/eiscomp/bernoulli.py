@@ -1,12 +1,25 @@
 """Bernoulli numbers modulo p and irregular-index scanning.
 
-B_k mod p is computed by the classical recurrence
-sum_j binom(m+1, j) B_j = 0, carried entirely mod p; this is valid for
-0 <= k <= p-3, where every B_j involved is p-integral and every division
-by m+1 <= p-2 is a unit.  The whole table for one prime costs O(p^2)
-field operations; the inner products and Pascal-row updates run on int64
-numpy vectors, which is exact up to p = INT64_MAX_PRIME; larger primes are
-rejected.
+B_k mod p comes from Voronoi's congruence.  For a primitive root g mod p
+and even k in [2, p-3], where g^k != 1,
+
+    (g^k - 1) B_k = k g^(k-1) S_(k-1)  (mod p),   S_m = sum_(j=1..p-1) j^m floor(jg/p).
+
+Put j = g^i, f_i = floor((g^i mod p) g / p) and h = (p-1)/2.  Since
+g^(i+h) = -g^i, the second half of the cycle mirrors the first,
+f_(i+h) = g-1-f_i, and for odd m = 2u+1 the sum halves:
+
+    S_m = sum_(i<h) (2 f_i - g + 1) g^i w^(iu),   w = g^2.
+
+Bluestein's identity iu = T(i+u) - T(i) - T(u), with T(n) = n(n-1)/2,
+makes all (p-3)/2 of these sums one correlation of a length-h sequence
+with a chirp of length h + (p-5)/2, which runs on qexp.convolve_mod, the
+package's one product kernel.  Powers of g, chirps, the discrete logs that
+give each inverse (g^k - 1)^(-1) = g^(-log(g^k - 1)), and the final
+products are int64 numpy expressions, so a table costs O(M(p)), M(p) being
+the cost of one product of length-p residue arrays, plus O(p) array work.
+No int64 intermediate exceeds (p-1)^2, which fixes the largest
+prime handled, TABLE_MAX_PRIME; larger primes are rejected.
 
 A prime's scan record collects its irregular indices, any pair (k, k')
 with k + k' = p + 1 and both Bernoulli values divisible by p, and the
@@ -21,51 +34,75 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import FpElem, require_admissible_prime
+from .qexp import convolve_mod
 
-# The longest inner product of the recurrence (m = p-3) has (p-5)/2 terms,
-# each a product of two residues at most (p-1)^2.  int64 holds the sum
-# exactly while (p-5)/2 * (p-1)^2 < 2^63; this is the largest such prime.
-INT64_MAX_PRIME = 2642239
+# The transform's int64 intermediates are products of two residues, at most
+# (p-1)^2; (g^i mod p)*g with g < p; and chirp exponents t(t-1) with
+# t <= p-4.  All stay below 2^63 while (p-1)^2 < 2^63; this is the largest
+# such prime.
+TABLE_MAX_PRIME = 3037000493
 
 
-def _numpy_table(p: int) -> list[int]:
-    """The recurrence with its inner loops on int64 vectors."""
-    size = p - 2
-    b = np.zeros(size, dtype=np.int64)
-    b[0] = 1
-    if size > 1:
-        b[1] = (p - pow(2, -1, p)) % p
-    row = np.zeros(size + 2, dtype=np.int64)
-    nxt = np.zeros(size + 2, dtype=np.int64)
-    row[0] = 1
-    row[1] = 2
-    row[2] = 1
-    width = 3  # row currently holds C(2, 0..2)
-    for m in range(2, size):
-        # advance Pascal row: C(m, .) -> C(m+1, .)
-        nxt[0] = 1
-        np.add(row[1:width], row[0 : width - 1], out=nxt[1:width])
-        nxt[width] = 1
-        width += 1
-        np.remainder(nxt[:width], p, out=row[:width])
-        if m % 2 == 1:
-            continue
-        s = int(row[0]) + int(row[1]) * int(b[1])
-        if m > 2:
-            s += int(np.dot(row[2:m:2], b[2:m:2]))
-        b[m] = (-s * pow(m + 1, -1, p)) % p
-    return [int(x) for x in b]
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p."""
+    n = p - 1
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _geometric(g: int, n: int, p: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) mod p, doubling the known prefix each step."""
+    pw = np.ones(n, dtype=np.int64)
+    size = 1
+    while size < n:
+        step = min(size, n - size)
+        pw[size : size + step] = pw[:step] * pow(g, size, p) % p
+        size += step
+    return pw
+
+
+def _voronoi_table(p: int) -> list[int]:
+    """B_k mod p for 0 <= k <= p-3 from one half-length correlation."""
+    g = primitive_root(p)
+    n, h, count = p - 1, (p - 1) // 2, (p - 3) // 2  # count: even k in [2, p-3]
+    pw = _geometric(g, n, p)  # pw[e] = g^e, exponents taken mod p-1
+    i = np.arange(h, dtype=np.int64)
+    f = pw[:h] * g // p
+    x = (2 * f - g + 1) * pw[:h] % p * pw[-(i * (i - 1)) % n] % p  # times w^(-T(i))
+    t = np.arange(h + count - 1, dtype=np.int64)
+    chirp = pw[t * (t - 1) % n]  # w^T(t)
+    # c_u = sum_i x_i chirp_(i+u): the product with x reversed, from index h-1 on
+    c = convolve_mod(x[::-1], chirp, p, out_len=h - 1 + count)[h - 1 :]
+    u = i[:count]
+    s = c * pw[-(u * (u - 1)) % n] % p  # S_(2u+1) = w^(-T(u)) c_u
+    k = 2 * u + 2
+    log = np.empty(p, dtype=np.int64)
+    log[pw] = np.arange(n, dtype=np.int64)
+    inv = pw[-log[pw[k] - 1] % n]  # (g^k - 1)^(-1)
+    b = np.zeros(p - 2, dtype=np.int64)
+    b[0], b[1] = 1, (p - 1) // 2  # B_1 = -1/2
+    b[2::2] = k * pw[k - 1] % p * s % p * inv % p
+    return b.tolist()
 
 
 @lru_cache(maxsize=64)
 def bernoulli_table_mod(p: int) -> tuple[int, ...]:
     """B_k mod p for 0 <= k <= p-3 (odd k > 1 entries are zero)."""
-    if p > INT64_MAX_PRIME:
+    if p > TABLE_MAX_PRIME:
         raise ValueError(
-            f"p = {p} exceeds {INT64_MAX_PRIME}, the largest prime the int64 table handles exactly"
+            f"p = {p} exceeds {TABLE_MAX_PRIME}, the largest prime the int64 table handles exactly"
         )
     require_admissible_prime(p)
-    return tuple(_numpy_table(p))
+    return tuple(_voronoi_table(p))
 
 
 def bernoulli_mod(p: int, k: int) -> FpElem:

@@ -1,10 +1,11 @@
 """Batch scanning of primes: worker processes, checkpointing, ordered merge.
 
 Work is embarrassingly parallel: with more than one shard, the primes go
-one at a time, in ascending order, to a pool of at most `shards` worker
-processes (and no more than the usable cores), and their records come
-back in the same order, so the CSV/JSON output is byte-identical for any
-shard count.  The checkpoint file holds one line per completed prime,
+in ascending order, in chunks of about an eighth of each worker's share,
+to a pool of at most `shards` worker processes (and no more than the
+usable cores), and their records come back in the same order, so the
+CSV/JSON output is byte-identical for any shard count.  The checkpoint
+file holds one line per completed prime,
 `<sha256-of-payload> <payload-json>`, sorted by p, and each record is
 appended and flushed as it arrives, so a killed run or a dead worker
 keeps every prime finished before it.  A resumed run recomputes nothing
@@ -96,7 +97,8 @@ def scan_range(
 
     With shards > 1 the primes run in worker processes (falling back to
     in-process execution where process pools are unavailable).  Each
-    record is checkpointed as soon as it and every smaller prime are done.
+    record is checkpointed as soon as its chunk and every smaller prime
+    are done.
     The returned list is sorted by p regardless of scheduling.
     """
     if p_max < p_min:
@@ -137,7 +139,8 @@ def _scan_in_order(
             pool = ProcessPoolExecutor(max_workers=workers)
             # on an early exit, queued primes are dropped, not computed
             stack.callback(pool.shutdown, cancel_futures=True)
-            dicts = pool.map(_scan_one, primes)
+            # a few chunks per worker: fewer round trips, still balanced
+            dicts = pool.map(_scan_one, primes, chunksize=max(1, len(primes) // (8 * workers)))
         except (OSError, ImportError, NotImplementedError):
             pass  # restricted environments: the same primes, in this process
         else:

@@ -4,16 +4,19 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
+import numpy as np
 import pytest
+import sympy
 
 from eiscomp import bernoulli
 from eiscomp.bernoulli import (
-    INT64_MAX_PRIME,
+    TABLE_MAX_PRIME,
     ScanRecord,
     bernoulli_mod,
     bernoulli_table_mod,
     irregular_indices,
     pair_scan,
+    primitive_root,
 )
 from eiscomp.errors import CheckpointError
 from eiscomp.padic import is_admissible_prime
@@ -63,6 +66,8 @@ def test_b32_vanishes_mod_37():
 
 
 def test_table_matches_exact_oracle_small_primes():
+    # 5, 7 and 11 are the transform's edge cases: its chirp runs (p-5)/2 = 0, 1
+    # and 3 terms past the length-(p-1)/2 sequence
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         table = bernoulli_table_mod(p)
         for k in range(0, p - 2):
@@ -91,9 +96,80 @@ def pure_table(p: int) -> list[int]:
     return b
 
 
+# The longest inner product of the recurrence (m = p-3) has (p-5)/2 terms,
+# each a product of two residues at most (p-1)^2.  int64 holds the sum
+# exactly while (p-5)/2 * (p-1)^2 < 2^63; this is the largest such prime.
+INT64_MAX_PRIME = 2642239
+
+
+def numpy_table(p: int) -> list[int]:
+    """The O(p^2) recurrence with its inner loops on int64 vectors."""
+    if p > INT64_MAX_PRIME:
+        raise ValueError(f"the int64 recurrence is exact only up to {INT64_MAX_PRIME}")
+    size = p - 2
+    b = np.zeros(size, dtype=np.int64)
+    b[0] = 1
+    if size > 1:
+        b[1] = (p - pow(2, -1, p)) % p
+    row = np.zeros(size + 2, dtype=np.int64)
+    nxt = np.zeros(size + 2, dtype=np.int64)
+    row[0] = 1
+    row[1] = 2
+    row[2] = 1
+    width = 3  # row currently holds C(2, 0..2)
+    for m in range(2, size):
+        # advance Pascal row: C(m, .) -> C(m+1, .)
+        nxt[0] = 1
+        np.add(row[1:width], row[0 : width - 1], out=nxt[1:width])
+        nxt[width] = 1
+        width += 1
+        np.remainder(nxt[:width], p, out=row[:width])
+        if m % 2 == 1:
+            continue
+        s = int(row[0]) + int(row[1]) * int(b[1])
+        if m > 2:
+            s += int(np.dot(row[2:m:2], b[2:m:2]))
+        b[m] = (-s * pow(m + 1, -1, p)) % p
+    return [int(x) for x in b]
+
+
 def test_numpy_and_pure_tables_agree():
     for p in (53, 101, 257):
+        assert numpy_table(p) == pure_table(p)
         assert list(bernoulli_table_mod(p)) == pure_table(p)
+
+
+def test_table_matches_the_recurrence_at_every_prime_to_1000():
+    for p in primes_in(5, 1000):
+        assert list(bernoulli_table_mod(p)) == numpy_table(p), p
+
+
+# 2311: p-1 = 2*3*5*7*11; 3989 = 1 and 4003 = 3 mod 4
+@pytest.mark.parametrize("p", [2311, 3547, 3989, 4001, 4003])
+def test_table_matches_the_recurrence_at_larger_primes(p):
+    assert list(bernoulli_table_mod(p)) == numpy_table(p)
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(10007, 2), (10007, 500), (10007, 5004), (10007, 8000), (30011, 4), (30011, 2000), (30011, 6000)],
+)
+def test_table_matches_sympy_at_sampled_indices(p, k):
+    b = sympy.bernoulli(k)
+    assert bernoulli_table_mod(p)[k] == b.p * pow(b.q, -1, p) % p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 41, 2311, 4001, 4003, 30011])
+def test_primitive_root_has_order_exactly_p_minus_1(p):
+    g = primitive_root(p)
+    powers = set()
+    x = 1
+    for _ in range(p - 1):
+        powers.add(x)
+        x = x * g % p
+    assert len(powers) == p - 1
+    # and it is the least: every smaller c has order a proper divisor of p-1
+    assert all(any(pow(c, (p - 1) // q, p) == 1 for q in sympy.primefactors(p - 1)) for c in range(2, g))
 
 
 def test_recurrence_internal_consistency():
@@ -112,9 +188,13 @@ def test_out_of_range_rejected():
         bernoulli_mod(37, -1)
 
 
-def longest_dot_fits_int64(p):
-    """The recurrence's longest inner product, (p-5)/2 terms below (p-1)^2 each, fits."""
-    return (p - 5) // 2 * (p - 1) ** 2 < 2**63
+def transform_fits_int64(p):
+    """The transform's largest int64 intermediates fit.
+
+    Residue products and (g^i mod p)*g with g < p stay at most (p-1)^2, and
+    the largest chirp exponent is t(t-1) with t = p-4.
+    """
+    return max((p - 1) ** 2, (p - 4) * (p - 5)) < 2**63
 
 
 def next_prime_above(n):
@@ -122,18 +202,19 @@ def next_prime_above(n):
 
 
 def test_int64_limit_is_the_largest_exact_prime():
-    assert is_admissible_prime(INT64_MAX_PRIME)
-    assert longest_dot_fits_int64(INT64_MAX_PRIME)
-    assert not longest_dot_fits_int64(next_prime_above(INT64_MAX_PRIME))
+    assert is_admissible_prime(TABLE_MAX_PRIME)
+    assert transform_fits_int64(TABLE_MAX_PRIME)
+    assert not transform_fits_int64(next_prime_above(TABLE_MAX_PRIME))
 
 
 def test_table_beyond_int64_limit_rejected_before_any_work(monkeypatch):
-    def recurrence_must_not_run(p):
-        raise AssertionError("the O(p^2) recurrence started")
+    def transform_must_not_run(p):
+        raise AssertionError("the transform started")
 
-    monkeypatch.setattr(bernoulli, "_numpy_table", recurrence_must_not_run)
-    p = next_prime_above(INT64_MAX_PRIME)
-    with pytest.raises(ValueError, match=str(INT64_MAX_PRIME)):
+    monkeypatch.setattr(bernoulli, "_voronoi_table", transform_must_not_run)
+    monkeypatch.setattr(bernoulli, "primitive_root", transform_must_not_run)
+    p = next_prime_above(TABLE_MAX_PRIME)
+    with pytest.raises(ValueError, match=str(TABLE_MAX_PRIME)):
         bernoulli_table_mod(p)
     with pytest.raises(ValueError):
         bernoulli_mod(p, 4)
@@ -234,7 +315,7 @@ def test_workers_are_capped_at_the_usable_cores(monkeypatch):
         def __init__(self, max_workers):
             made.append(max_workers)
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
         def shutdown(self, wait=True, *, cancel_futures=False):
