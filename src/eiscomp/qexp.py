@@ -2,9 +2,11 @@
 
 Provides truncated q-series with explicit precision and weight tags,
 classical and p-deprived Eisenstein series, the discriminant series, the
-echelonized monomial basis of M_k (built from weight-4/6 unit-normalized
-Eisenstein series and the discriminant), and membership solving against
-such a basis.
+echelonized monomial basis of M_k, and membership solving against such a
+basis.  The basis monomials E4^a E6^b Delta^j (weight-4/6 unit-normalized
+Eisenstein series and the discriminant) are built as a ladder, one product
+per row: each row is the one before times Delta/E4^3, where the inverse of
+E4^3 = 1 + O(q) is exact over Z/p^M by Newton iteration (`inverse_mod`).
 
 Two normalizations coexist deliberately: `eisenstein_q` carries the
 arithmetic constant term -B_k/(2k), while the echelon basis uses the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -75,8 +77,6 @@ def bernoulli_fraction(n: int) -> Fraction:
 
 def reduce_fraction(x: Fraction, modulus: int) -> int:
     """x mod `modulus`; explicit error when the denominator is not a unit."""
-    from math import gcd
-
     if gcd(x.denominator, modulus) != 1:
         raise NonInvertibleError(
             f"denominator {x.denominator} is not invertible mod {modulus}"
@@ -127,6 +127,29 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None
     slot = (bound.bit_length() + 7) // 8
     prod = _pack(_residues(modulus, a[:la]), slot) * _pack(_residues(modulus, b[:lb]), slot)
     return _unpack(prod, out_len, slot, modulus)
+
+
+def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
+    """The power series 1/f to len(f) coefficients, exactly, modulo `modulus`.
+
+    Newton's step g <- g + g(1 - fg) doubles the number of correct
+    coefficients, so the inverse costs two products per doubling on
+    `convolve_mod`.  It is exact over Z/modulus whenever the constant term
+    is a unit; otherwise NonInvertibleError is raised.
+    """
+    n = len(f)
+    if n == 0:
+        return _residues(modulus, np.zeros(0, dtype=np.int64))
+    c = int(f[0])
+    if gcd(c, modulus) != 1:
+        raise NonInvertibleError(f"constant term {c} is not a unit mod {modulus}")
+    g = _residues(modulus, [pow(c, -1, modulus)])
+    while len(g) < n:
+        have, want = len(g), min(2 * len(g), n)
+        # f*g = 1 + O(q^have): only its coefficients have..want-1 are needed
+        err = convolve_mod(f, g, modulus, want)[have:]
+        g = np.concatenate((g, -convolve_mod(g, err, modulus, want - have) % modulus))
+    return g
 
 
 class QSeries:
@@ -198,17 +221,22 @@ class QSeries:
         return QSeries(self.p, out, self.weight + other.weight, self.digits)
 
     def pow(self, e: int) -> "QSeries":
+        """self^e by squaring: floor(log2 e) + popcount(e) - 1 products for e >= 1."""
         if e < 0:
             raise ValueError("negative series power")
-        # the unit series 1 + O(q^prec), at the operand's precision
-        acc = QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
+        if e == 0:
+            # the unit series 1 + O(q^prec), at the operand's precision
+            return QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
         base = self
-        while e:
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        acc = base
+        while e > 1:
+            e >>= 1
+            base = base * base
             if e & 1:
                 acc = acc * base
-            if e > 1:
-                base = base * base
-            e >>= 1
         return acc
 
     def is_zero(self) -> bool:
@@ -373,9 +401,13 @@ _BASIS_LOCK = threading.Lock()
 def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> FormSpace:
     """Reduced echelon basis of M_k(level 1) over Z/p^digits.
 
-    Built from the monomials E4^a E6^b Delta^j of weight k (j < dim, b in
-    {0,1}); the j-th monomial starts q^j + ..., so the echelonization only
-    clears entries above unit pivots and works over Z/p^M unchanged.
+    Built from the monomials M_j = E4^a E6^b Delta^j of weight k (j < dim,
+    b in {0,1}); the j-th monomial starts q^j + ..., so the echelonization
+    only clears entries above unit pivots and works over Z/p^M unchanged.
+    Row j has weight k - 12j, so b is the same on every row and a drops by
+    3 per row: M_0 = E4^a E6^b and M_(j+1) = M_j * Delta/E4^3, one product
+    per row.  E4^3 = 1 + O(q), so its inverse (`inverse_mod`) is exact and
+    the monomials are the same truncated series as the direct products.
     Results are cached per (p, k, prec, digits); recomputing at higher
     precision reproduces the same rows truncated.
     """
@@ -395,24 +427,15 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     d = space_dim(k)
     m = p**digits
     e4 = _unit_eisenstein(p, 4, prec, digits)
-    e6 = _unit_eisenstein(p, 6, prec, digits)
-    delta = delta_q(p, prec, digits)
-
-    e4_pows = [e4.pow(0)]
-    monomials: list[np.ndarray] = []
-    dpow = e4_pows[0]
-    for j in range(d):
-        r = k - 12 * j
-        b = 0 if r % 4 == 0 else 1
-        a = (r - 6 * b) // 4
-        while len(e4_pows) <= a:
-            e4_pows.append(e4_pows[-1] * e4)
-        mono = e4_pows[a]
-        if b:
-            mono = mono * e6
-        monomials.append((mono * dpow).coeffs)
-        if j + 1 < d:
-            dpow = dpow * delta
+    b = k % 4 // 2
+    mono = e4.pow((k - 6 * b) // 4)
+    if b:
+        mono = mono * _unit_eisenstein(p, 6, prec, digits)
+    monomials = [mono.coeffs]
+    if d > 1:
+        ratio = convolve_mod(delta_q(p, prec, digits).coeffs, inverse_mod(e4.pow(3).coeffs, m), m)
+        for _ in range(d - 1):
+            monomials.append(convolve_mod(monomials[-1], ratio, m))
     rows = np.stack(monomials)  # d >= 1 for every even k >= 4
     # monomial j must be q^j + O(q^(j+1)): the leading block is unit upper triangular
     lacking = np.flatnonzero((np.tril(rows[:, :d]) != np.eye(d, dtype=np.int64)).any(axis=1))

@@ -17,6 +17,7 @@ from eiscomp.qexp import (
     delta_q,
     divisor_power_sums,
     eisenstein_q,
+    inverse_mod,
     membership,
     miller_basis,
     p_deprived_eisenstein_q,
@@ -340,6 +341,61 @@ def test_pow_zero_is_the_unit_at_the_operand_precision(prec):
     assert one.coeffs.tolist() == [1, 0, 0, 0, 0][:prec]
 
 
+def count_products(monkeypatch):
+    """Output lengths of every qexp.convolve_mod call made from now on."""
+    from eiscomp import qexp
+
+    lengths = []
+    real = qexp.convolve_mod
+
+    def counted(a, b, modulus, out_len=None):
+        out = real(a, b, modulus, out_len)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(qexp, "convolve_mod", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("digits", [1, 14])
+def test_pow_squares_from_the_first_set_bit(monkeypatch, digits):
+    # pow(e) costs floor(log2 e) squarings and popcount(e) - 1 multiplications
+    f = QSeries(5, [1, 3, 4, 2, 0, 1, 3, 2, 4], 4, digits)
+    lengths = count_products(monkeypatch)
+    for e in list(range(1, 40)) + [64, 127, 1000]:
+        lengths.clear()
+        got = f.pow(e)
+        assert len(lengths) == e.bit_length() - 1 + bin(e).count("1") - 1
+        assert got.weight == 4 * e and got.prec == f.prec
+        if e <= 12:
+            want = f
+            for _ in range(e - 1):
+                want = want * f
+            assert got.coeffs.tolist() == want.coeffs.tolist()
+
+
+# --- Newton inverse -------------------------------------------------------------
+
+@pytest.mark.parametrize("digits", [1, 13, 14])
+@pytest.mark.parametrize("prec", [1, 2, 3, 64, 65])
+def test_inverse_times_the_series_is_one(prec, digits):
+    # digits 13 keeps 5^13 on int64 storage, digits 14 moves to objects
+    m = 5**digits
+    rng = random.Random(prec * 100 + digits)
+    unit = 5 * rng.randrange(m // 5) + rng.randrange(1, 5)
+    f = [unit] + [rng.randrange(m) for _ in range(prec - 1)]
+    g = inverse_mod(_residues(m, f), m)
+    assert g.dtype == (np.int64 if digits < 14 else object) and len(g) == prec
+    assert convolve_oracle(f, g.tolist(), m, prec) == [1] + [0] * (prec - 1)
+
+
+@pytest.mark.parametrize("p,digits,head", [(5, 1, 0), (5, 1, 5), (7, 3, 7 * 12), (5, 14, 5**13)])
+def test_inverse_needs_a_unit_constant_term(p, digits, head):
+    m = p**digits
+    with pytest.raises(NonInvertibleError):
+        inverse_mod(_residues(m, [head, 1, 2, 3]), m)
+
+
 def test_series_weight_rules():
     a = QSeries(7, [1, 2, 3], 4)
     b = QSeries(7, [1, 1, 1], 6)
@@ -414,6 +470,35 @@ def test_array_basis_matches_the_list_oracles(p, digits, k):
             f = QSeries(p, coeffs, k, digits)
             assert membership(f, s) == membership_oracle(f, rows, m)
         assert membership(QSeries(p, inside, k, digits), s) == coords
+
+
+# one weight per class k mod 12: b = 0 (k = 0, 4, 8 mod 12) and b = 1 (2, 6, 10),
+# dim 1 (k = 4, 6, 14) and a last row that is pure Delta^(d-1) (k = 0 mod 12)
+LADDER_WEIGHTS = [4, 6, 12, 14, 16, 18, 20, 22, 48, 50, 52, 54, 56, 58, 120, 134]
+
+
+@pytest.mark.parametrize("p,digits", [(5, 1), (7, 1), (293, 1), (5, 13), (5, 14)])
+def test_ladder_basis_matches_the_direct_monomials(p, digits):
+    # the Sturm bound and both sides of Newton's doubling lengths
+    for k in LADDER_WEIGHTS:
+        for prec in sorted({sturm(k), 32, 33, 64, 65}):
+            if prec >= sturm(k):
+                assert miller_basis(p, k, prec, digits).coeffs.tolist() == basis_oracle(p, k, prec, digits), (k, prec)
+
+
+def test_ladder_basis_at_the_companion_bound():
+    # plan_companion(293, 156) compares 3834 coefficients
+    assert miller_basis(293, 156, 3834).coeffs.tolist() == basis_oracle(293, 156, 3834, 1)
+
+
+def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
+    from eiscomp import qexp
+
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    lengths = count_products(monkeypatch)
+    s = miller_basis(293, 156, 3834)
+    # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
+    assert sum(n == 3834 for n in lengths) <= s.dim + 2 * (156 - 1).bit_length() + 8 == 38
 
 
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
