@@ -14,10 +14,13 @@ unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
 explicit; nothing rescales silently.
 
 A series is one read-only array of residues, stored like the bases under
-linalg's int64/object rule.  Multiplication packs each array into a big
-integer, one fixed-width slot per coefficient written through numpy byte
-views of 64-bit limbs, and performs a single big multiplication, which keeps
-the high-precision products needed by the companion computations cheap.
+linalg's int64/object rule.  Every product, of series here and of the
+Bernoulli correlation in `bernoulli`, runs on one kernel, `convolve_mod`:
+float64 FFTs of the residues split into base-2^s digits, with s chosen so
+that Percival's roundoff bound proves each integer coefficient recovered by
+rounding, and a runtime check that raises instead of rounding a coefficient
+that is not within 1/4 of an integer.  The answer is exact for every
+modulus; floating point is only the means of the convolution.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
 
@@ -87,46 +90,96 @@ def reduce_fraction(x: Fraction, modulus: int) -> int:
 # ---------------------------------------------------------------------------
 # series kernel
 
-def _pack(c: np.ndarray, slot: int) -> int:
-    """The integer whose little-endian slot-byte digits are the residues c."""
-    limbs = np.zeros((len(c), -(-slot // 8)), dtype="<u8")
-    if c.dtype == object:
-        for j in range(limbs.shape[1]):
-            limbs[:, j] = (c >> (64 * j)) & (2**64 - 1)
-    else:
-        limbs[:, 0] = c
-    return int.from_bytes(limbs.view(np.uint8)[:, :slot].tobytes(), "little")
+# Exactness of the float64 transforms.  Percival (Math. Comp. 72, 2003,
+# Thm. 5.1; Brent-Zimmermann, Modern Computer Arithmetic, Thm. 3.3.2) bounds
+# the error of a product z = x*y computed through radix-2 FFTs of size 2^n in
+# double precision by
+#
+#   max |z' - z| < |x| |y| ((1+e)^(3n) (1+e sqrt5)^(3n+1) (1+b)^(3n) - 1),
+#
+# |x| and |y| Euclidean norms, e = 2^-53 the unit roundoff and b the error of
+# the computed roots of unity, taken as e.  Operands of lengths la and lb with
+# digits below 2^s have |x| |y| <= sqrt(la lb) (2^s - 1)^2.  With P pieces per
+# operand an output piece sums at most P such products, so its error is at
+# most P times the bound; the P - 1 frequency-domain additions and numpy's
+# pocketfft, which is not the analysed radix-2 transform (it runs radix-4 and
+# real-input passes), are covered by the factor _FFT_SAFETY on top.  While the
+# total stays <= 1/4, rint recovers every coefficient exactly, and since the
+# factor in brackets exceeds 2e, every coefficient is below 2^53 / 32, exact
+# in float64 and in int64.
+_FFT_SAFETY = 4
+_FFT_MAX_ERROR = 0.25
 
 
-def _unpack(x: int, n: int, slot: int, modulus: int) -> np.ndarray:
-    """The first n little-endian slot-byte digits of x, reduced mod modulus."""
-    raw = x.to_bytes(max(n * slot, (x.bit_length() + 7) // 8), "little")
-    words = np.zeros((n, -(-slot // 8) * 8), dtype=np.uint8)
-    words[:, :slot] = np.frombuffer(raw, dtype=np.uint8, count=n * slot).reshape(n, slot)
-    limbs = words.view("<u8")
-    if limbs.shape[1] == 1:
-        return _residues(modulus, limbs[:, 0])
-    return _residues(modulus, sum(limbs[:, j].astype(object) << (64 * j) for j in range(limbs.shape[1])))
+def _piece_bits(la: int, lb: int, n: int, pieces: int) -> int:
+    """Largest s for which P-piece operands of base-2^s digits multiply exactly.
+
+    la and lb are the operand lengths, 2^n the transform size and P `pieces`:
+    s is the largest width with _FFT_SAFETY * P * sqrt(la lb) (2^s - 1)^2
+    times Percival's factor stays <= _FFT_MAX_ERROR.
+    """
+    e = 2.0**-53
+    percival = expm1(6 * n * log1p(e) + (3 * n + 1) * log1p(e * sqrt(5)))  # b = e
+    limit = _FFT_MAX_ERROR / (_FFT_SAFETY * pieces * sqrt(la * lb) * percival)
+    return int(sqrt(limit) + 1).bit_length() - 1  # largest s with 2^s <= sqrt(limit) + 1
+
+
+def _split(la: int, lb: int, n: int, bits: int) -> tuple[int, int]:
+    """(P, s): the fewest pieces P of width s = _piece_bits(..., P) covering `bits` bits."""
+    pieces = 1
+    while pieces * (s := _piece_bits(la, lb, n, pieces)) < bits:
+        pieces += 1
+    return pieces, s
+
+
+def _spectra(c: np.ndarray, pieces: int, s: int, size: int) -> np.ndarray:
+    """The size-point rfft of each base-2^s digit row of the residues c, lowest first."""
+    digits = np.empty((pieces, len(c)))
+    for i in range(pieces):
+        digits[i] = c >> (s * i) & ((1 << s) - 1)
+    return np.fft.rfft(digits, size)
 
 
 def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None = None) -> np.ndarray:
     """Truncated product of residue arrays, exactly, modulo `modulus`.
 
-    Both operands are packed into a big integer with one coefficient per
-    fixed-width slot, multiplied once, and unpacked; the slots are written
-    and read through numpy byte views of 64-bit limbs.  The slot width is
-    chosen from min(len)*(modulus-1)^2 so no convolution sum can cross a
-    slot boundary.  The result is stored under linalg's `_residues` rule.
+    Each residue is split into P base-2^s digits, each operand's digit rows
+    go through a float64 rfft of a power-of-two size at least la + lb - 1
+    (so no term wraps around), the cross terms of each output digit are
+    summed in the frequency domain, and one irfft and rint give the integer
+    digit products, recombined mod `modulus`.  A square (`a is b`) is
+    transformed once.  _split picks the widest digits that Percival's error
+    bound keeps exact (one piece for moduli below 2^12 at every length up to
+    4000); larger moduli, object storage included, take more pieces on the
+    same path.  Should a raw coefficient still lie more than 1/4 from an
+    integer, AssertionError is raised rather than a rounded guess returned.
+    The result is stored under linalg's `_residues` rule.
     """
     if out_len is None:
         out_len = min(len(a), len(b))
     la, lb = min(len(a), out_len), min(len(b), out_len)
     if la <= 0 or lb <= 0:
         return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
-    bound = min(la, lb) * (modulus - 1) ** 2
-    slot = (bound.bit_length() + 7) // 8
-    prod = _pack(_residues(modulus, a[:la]), slot) * _pack(_residues(modulus, b[:lb]), slot)
-    return _unpack(prod, out_len, slot, modulus)
+    n = (la + lb - 2).bit_length()  # 2^n >= la + lb - 1
+    pieces, s = _split(la, lb, n, (modulus - 1).bit_length())
+    fa = _spectra(_residues(modulus, a[:la]), pieces, s, 1 << n)
+    fb = fa if a is b else _spectra(_residues(modulus, b[:lb]), pieces, s, 1 << n)
+    spec = np.zeros((2 * pieces - 1, fa.shape[1]), dtype=complex)
+    for i in range(pieces):
+        spec[i : i + pieces] += fa[i] * fb
+    raw = np.fft.irfft(spec, 1 << n)
+    exact = np.rint(raw)
+    err = float(np.abs(raw - exact).max())
+    if err > _FFT_MAX_ERROR:
+        raise AssertionError(
+            f"float64 product coefficient {err:.3g} away from an integer, above the exact bound {_FFT_MAX_ERROR}"
+        )
+    terms = exact[:, : min(out_len, la + lb - 1)].astype(np.int64)
+    out = _residues(modulus, np.zeros(out_len, dtype=np.int64))
+    head = out[: terms.shape[1]]
+    for t, term in enumerate(terms):
+        head[...] = (head + _residues(modulus, term) * pow(2, s * t, modulus) % modulus) % modulus
+    return out
 
 
 def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
@@ -338,9 +391,14 @@ def delta_q(p: int, prec: int, digits: int = 1) -> QSeries:
     require_admissible_prime(p)
     if prec < 1:
         raise ValueError("need at least one coefficient")
-    e4 = _unit_eisenstein(p, 4, prec, digits)
+    return _delta(_unit_eisenstein(p, 4, prec, digits).pow(3))
+
+
+def _delta(e4_cubed: QSeries) -> QSeries:
+    """(E4^3 - E6^2)/1728 from E4^3, at its precision and modulus."""
+    p, prec, digits = e4_cubed.p, e4_cubed.prec, e4_cubed.digits
     e6 = _unit_eisenstein(p, 6, prec, digits)
-    return (e4.pow(3) - e6.pow(2)).scale(pow(1728, -1, p**digits))
+    return (e4_cubed - e6.pow(2)).scale(pow(1728, -1, p**digits))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +491,8 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         mono = mono * _unit_eisenstein(p, 6, prec, digits)
     monomials = [mono.coeffs]
     if d > 1:
-        ratio = convolve_mod(delta_q(p, prec, digits).coeffs, inverse_mod(e4.pow(3).coeffs, m), m)
+        e4_cubed = e4.pow(3)  # shared by Delta and the inverse
+        ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
         for _ in range(d - 1):
             monomials.append(convolve_mod(monomials[-1], ratio, m))
     rows = np.stack(monomials)  # d >= 1 for every even k >= 4

@@ -159,6 +159,28 @@ def test_table_matches_sympy_at_sampled_indices(p, k):
     assert bernoulli_table_mod(p)[k] == b.p * pow(b.q, -1, p) % p
 
 
+def test_table_at_100003_takes_two_digit_pieces_and_matches_sympy(monkeypatch):
+    # the correlation at p = 100003 is past the one-piece limit of the product kernel
+    from eiscomp import bernoulli
+    from eiscomp.qexp import _split
+
+    pieces = []
+    real = bernoulli.convolve_mod
+
+    def spy(a, b, modulus, out_len=None):
+        la, lb = min(len(a), out_len), min(len(b), out_len)
+        pieces.append(_split(la, lb, (la + lb - 2).bit_length(), (modulus - 1).bit_length())[0])
+        return real(a, b, modulus, out_len)
+
+    monkeypatch.setattr(bernoulli, "convolve_mod", spy)
+    p = 100003
+    table = bernoulli_table_mod.__wrapped__(p)
+    assert pieces == [2]
+    for k in (2, 4, 12, 100, 1000):
+        b = sympy.bernoulli(k)
+        assert table[k] == b.p * pow(b.q, -1, p) % p, k
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 41, 2311, 4001, 4003, 30011])
 def test_primitive_root_has_order_exactly_p_minus_1(p):
     g = primitive_root(p)

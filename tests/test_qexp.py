@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eiscomp.errors import NonInvertibleError, PrecisionError
 from eiscomp.linalg import _residues
 from eiscomp.qexp import (
     QSeries,
+    _piece_bits,
+    _split,
     _unit_eisenstein,
     bernoulli_fraction,
     convolve_mod,
@@ -83,28 +87,27 @@ def convolve_oracle(a, b, m, out_len):
     return want
 
 
-# (modulus, len(a), len(b), out_len), with the slot width in bytes that the
-# kernel derives from min(len) * (m-1)^2: slots of 1 to 8 bytes, two limbs,
-# three and four limbs, both sides of the int64 storage bound (3037000493 and
-# 5^13 int64, 3037000507 and 5^14 objects), empty operands, and out_len of 0,
-# below both lengths and above both
+# (modulus, len(a), len(b), out_len): moduli of 3 to 113 bits, so one to seven
+# digit pieces per residue, both sides of the int64 storage bound (3037000493
+# and 5^13 int64, 3037000507 and 5^14 objects), empty operands, and out_len
+# of 0, below both lengths and above both
 CONVOLVE_CASES = [
-    (7, 3, 5, None),  # 1 byte
-    (37, 23, 17, None),  # 2
-    (5**3, 23, 17, None),  # 3
-    (293, 300, 300, None),  # 4
-    (65537, 20, 20, None),  # 5
-    (5**9, 50, 60, None),  # 6
-    (5**11, 20, 25, None),  # 7
-    (5**13, 6, 9, None),  # 8
-    (5**13, 100, 90, None),  # 9: two limbs
-    (5**14, 30, 40, None),  # 9
-    (5**30, 12, 15, None),  # 18: three limbs
-    (7**40, 12, 15, None),  # 29: four limbs
-    (3037000493, 1, 5, None),  # 8
-    (3037000493, 40, 40, None),  # 9
-    (3037000507, 1, 5, None),  # 8, on objects
-    (3037000507, 40, 40, None),  # 9
+    (7, 3, 5, None),
+    (37, 23, 17, None),
+    (5**3, 23, 17, None),
+    (293, 300, 300, None),
+    (65537, 20, 20, None),
+    (5**9, 50, 60, None),
+    (5**11, 20, 25, None),
+    (5**13, 6, 9, None),
+    (5**13, 100, 90, None),
+    (5**14, 30, 40, None),
+    (5**30, 12, 15, None),
+    (7**40, 12, 15, None),
+    (3037000493, 1, 5, None),
+    (3037000493, 40, 40, None),
+    (3037000507, 1, 5, None),
+    (3037000507, 40, 40, None),
     (7, 0, 5, None),
     (7, 5, 0, None),
     (7, 0, 0, 4),
@@ -117,13 +120,126 @@ CONVOLVE_CASES = [
 @pytest.mark.parametrize("fill", ["random", "max"])
 @pytest.mark.parametrize("m,la,lb,out_len", CONVOLVE_CASES)
 def test_convolve_matches_schoolbook(m, la, lb, out_len, fill):
-    # all-(m-1) operands reach the slot bound min(la, lb) * (m-1)^2 exactly
+    # all-(m-1) operands make every digit piece as large as the modulus allows
     rng = random.Random(m * 1000 + la * 10 + lb)
     a, b = ([m - 1] * n if fill == "max" else [rng.randrange(m) for _ in range(n)] for n in (la, lb))
     got = convolve_mod(_residues(m, a), _residues(m, b), m, out_len)
     want = convolve_oracle(a, b, m, min(la, lb) if out_len is None else out_len)
     assert got.tolist() == want
     assert got.dtype == (np.int64 if (m - 1) ** 2 < 2**63 else object)
+
+
+def _pack(c, slot):
+    """The integer whose little-endian slot-byte digits are the residues c."""
+    limbs = np.zeros((len(c), -(-slot // 8)), dtype="<u8")
+    if c.dtype == object:
+        for j in range(limbs.shape[1]):
+            limbs[:, j] = (c >> (64 * j)) & (2**64 - 1)
+    else:
+        limbs[:, 0] = c
+    return int.from_bytes(limbs.view(np.uint8)[:, :slot].tobytes(), "little")
+
+
+def _unpack(x, n, slot, modulus):
+    """The first n little-endian slot-byte digits of x, reduced mod modulus."""
+    raw = x.to_bytes(max(n * slot, (x.bit_length() + 7) // 8), "little")
+    words = np.zeros((n, -(-slot // 8) * 8), dtype=np.uint8)
+    words[:, :slot] = np.frombuffer(raw, dtype=np.uint8, count=n * slot).reshape(n, slot)
+    limbs = words.view("<u8")
+    if limbs.shape[1] == 1:
+        return _residues(modulus, limbs[:, 0])
+    return _residues(modulus, sum(limbs[:, j].astype(object) << (64 * j) for j in range(limbs.shape[1])))
+
+
+def kronecker_oracle(a, b, modulus, out_len=None):
+    """The former big-integer product: one fixed-width slot per coefficient, one multiply.
+
+    The slot width comes from min(la, lb) * (modulus-1)^2, so no convolution
+    sum crosses a slot boundary.
+    """
+    if out_len is None:
+        out_len = min(len(a), len(b))
+    la, lb = min(len(a), out_len), min(len(b), out_len)
+    if la <= 0 or lb <= 0:
+        return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
+    slot = ((min(la, lb) * (modulus - 1) ** 2).bit_length() + 7) // 8
+    prod = _pack(_residues(modulus, a[:la]), slot) * _pack(_residues(modulus, b[:lb]), slot)
+    return _unpack(prod, out_len, slot, modulus)
+
+
+# digits 1, 2, 13 and 14 at p = 5 and 491 (5^13 is int64, 5^14 and 491^13 are
+# objects), and the largest prime with int64 storage
+PROPERTY_MODULI = [p**d for p in (5, 491) for d in (1, 2, 13, 14)] + [3037000493]
+
+
+@pytest.mark.parametrize("m", PROPERTY_MODULI)
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_convolve_matches_the_kronecker_oracle(m, data):
+    entry = st.one_of(st.sampled_from([0, 1, m - 1]), st.integers(0, m - 1))
+    a, b = (data.draw(st.lists(entry, max_size=70)) for _ in range(2))
+    full = len(a) + len(b) - 1  # the untruncated product length
+    where = data.draw(st.sampled_from(["default", "below", "equal", "above"]))
+    out_len = {
+        "default": None,
+        "below": data.draw(st.integers(0, max(full - 1, 0))),
+        "equal": max(full, 0),
+        "above": max(full, 0) + data.draw(st.integers(1, 9)),
+    }[where]
+    got = convolve_mod(_residues(m, a), _residues(m, b), m, out_len)
+    want = kronecker_oracle(_residues(m, a), _residues(m, b), m, out_len)
+    assert got.tolist() == want.tolist()
+    assert got.dtype == want.dtype
+    if a:
+        square = _residues(m, a)
+        assert convolve_mod(square, square, m, out_len).tolist() == kronecker_oracle(square, square, m, out_len).tolist()
+
+
+def test_workload_products_take_one_piece_and_p_near_1e5_two():
+    # (la, lb, modulus): survey products at the companion bounds of (293, 156)
+    # and (491, 292), a modulus of 2^12 at length 4000, the scan's
+    # correlation at 4001, and the correlation at 100003
+    for la, lb, m, pieces in [
+        (3834, 3834, 293, 1),
+        (11989, 11989, 491, 1),
+        (4000, 4000, 2**12, 1),
+        (2000, 3997, 4001, 1),
+        (50001, 100000, 100003, 2),
+    ]:
+        assert _split(la, lb, (la + lb - 2).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
+
+
+@pytest.mark.parametrize("la,lb", [(1, 1), (300, 300), (4000, 4000), (2000, 3997)])
+def test_worst_case_operands_at_the_one_to_two_piece_limit(la, lb):
+    # all-(m-1) operands at the widest one-piece modulus 2^s, just above it,
+    # and at the widest two-piece modulus, whose m-1 fills both pieces
+    n = (la + lb - 2).bit_length()
+    s1, s2 = _piece_bits(la, lb, n, 1), _piece_bits(la, lb, n, 2)
+    for m, pieces in ((2**s1, 1), (2**s1 + 2, 2), (2 ** (2 * s2), 2)):
+        assert _split(la, lb, n, (m - 1).bit_length()) == (pieces, s1 if pieces == 1 else s2)
+        a, b = _residues(m, [m - 1] * la), _residues(m, [m - 1] * lb)
+        for out_len in (None, la + lb - 1):
+            assert convolve_mod(a, b, m, out_len).tolist() == kronecker_oracle(a, b, m, out_len).tolist()
+        assert convolve_mod(a, a, m).tolist() == kronecker_oracle(a, a, m).tolist()
+
+
+def test_convolve_raises_instead_of_rounding(monkeypatch):
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
+    a = _residues(293, list(range(1, 41)))
+    with pytest.raises(AssertionError, match="away from an integer"):
+        convolve_mod(a, a, 293)
+
+
+def test_cli_exits_1_when_the_product_bound_fails(monkeypatch, capsys):
+    from eiscomp import qexp
+    from eiscomp.cli import main
+
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
+    assert main(["basis", "--p", "37", "--k", "32"]) == 1
+    assert "away from an integer" in capsys.readouterr().err
 
 
 def divisor_power_sums_oracle(power, prec, modulus, skip=None):
@@ -499,6 +615,23 @@ def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
     s = miller_basis(293, 156, 3834)
     # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
     assert sum(n == 3834 for n in lengths) <= s.dim + 2 * (156 - 1).bit_length() + 8 == 38
+
+
+@pytest.mark.parametrize("digits", [1, 2])
+def test_basis_builds_e4_cubed_once(monkeypatch, digits):
+    # Delta and the inverse in the ladder share one E4^3
+    from eiscomp import qexp
+
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    powers = []
+    real = QSeries.pow
+    monkeypatch.setattr(QSeries, "pow", lambda f, e: powers.append((f.weight, e)) or real(f, e))
+    lengths = count_products(monkeypatch)
+    s = miller_basis(293, 156, 3834 if digits == 1 else 60, digits)
+    assert powers.count((4, 3)) == 1
+    # 13 ladder rows, 8 products for E4^39, 2 for E4^3, 1 for E6^2, the last Newton step and R
+    assert sum(n == s.prec for n in lengths) == 26
+    assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
