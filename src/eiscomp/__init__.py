@@ -8,7 +8,6 @@ for mirror pairs of irregular Bernoulli indices.
 
 from .bernoulli import (
     ScanRecord,
-    bernoulli_mod,
     bernoulli_table_mod,
     irregular_indices,
     pair_scan,
@@ -37,7 +36,6 @@ from .hecke import (
 from .lambda_eis import (
     LambdaEisenstein,
     build_lambda_eisenstein,
-    lambda_eis_coeff,
     specialize_and_compare,
 )
 from .linalg import (
@@ -54,13 +52,11 @@ from .localstruct import (
     LocalAlgebra,
     StructureReport,
     eis_ideal_min_gens,
-    gorenstein,
     restrict_algebra,
     socle_dim,
     structure_report,
 )
 from .padic import (
-    FpElem,
     LambdaPoly,
     PadicInt,
     a_t_poly,

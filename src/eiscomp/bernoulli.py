@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .padic import FpElem, require_admissible_prime
+from .padic import require_admissible_prime
 from .qexp import convolve_mod
 
 # The transform's int64 intermediates are products of two residues, at most
@@ -94,23 +94,20 @@ def _voronoi_table(p: int) -> list[int]:
     return b.tolist()
 
 
-@lru_cache(maxsize=64)
+# A table near p = 10^5 holds about 3.6 MB of Python ints, and a scan asks for
+# each prime's table once, so only the last few are kept.
+@lru_cache(maxsize=4)
 def bernoulli_table_mod(p: int) -> tuple[int, ...]:
-    """B_k mod p for 0 <= k <= p-3 (odd k > 1 entries are zero)."""
+    """B_k mod p for 0 <= k <= p-3 (odd k > 1 entries are zero).
+
+    Outside that range B_k need not be p-integral.
+    """
     if p > TABLE_MAX_PRIME:
         raise ValueError(
             f"p = {p} exceeds {TABLE_MAX_PRIME}, the largest prime the int64 table handles exactly"
         )
     require_admissible_prime(p)
     return tuple(_voronoi_table(p))
-
-
-def bernoulli_mod(p: int, k: int) -> FpElem:
-    """B_k mod p for 0 <= k <= p-3; outside that range B_k need not be p-integral."""
-    require_admissible_prime(p)
-    if not (0 <= k <= p - 3):
-        raise ValueError(f"index {k} outside the p-integral range [0, {p - 3}]")
-    return FpElem(bernoulli_table_mod(p)[k], p)
 
 
 def irregular_indices(p: int) -> list[int]:
@@ -169,7 +166,7 @@ def pair_scan(p: int) -> ScanRecord:
     """
     require_admissible_prime(p)
     table = bernoulli_table_mod(p)
-    irr = tuple(irregular_indices(p))
+    irr = tuple(k for k in range(4, p - 2, 2) if table[k] == 0)
     irr_set = set(irr)
     hits = []
     for k in irr:

@@ -21,7 +21,7 @@ from .errors import CheckpointError, NonInvertibleError, NotLocalError, Precisio
 from .hecke import hecke_report
 from .lambda_eis import build_lambda_eisenstein, specialize_and_compare
 from .localstruct import CSV_HEADER, structure_report
-from .qexp import miller_basis, space_dim, sturm
+from .qexp import miller_basis, sturm
 from .scan import records_to_csv, records_to_json, scan_range, total_pair_hits
 
 USAGE_ERROR = 2
@@ -40,11 +40,9 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _require_weight(p: int, k: int) -> None:
+def _require_weight(k: int) -> None:
     if k % 2 == 1 or k < 4:
         raise UsageError(f"weight {k} is empty at level one (need even k >= 4)")
-    if space_dim(k) == 0:
-        raise UsageError(f"weight {k} has no forms")
 
 
 class UsageError(Exception):
@@ -52,7 +50,7 @@ class UsageError(Exception):
 
 
 def cmd_basis(args) -> int:
-    _require_weight(args.p, args.k)
+    _require_weight(args.k)
     prec = args.prec if args.prec else sturm(args.k)
     prec = max(prec, sturm(args.k))  # cannot opt into unsoundness
     space = miller_basis(args.p, args.k, prec, args.digits)
@@ -62,7 +60,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    _require_weight(args.p, args.k)
+    _require_weight(args.k)
     report = hecke_report(args.p, args.k)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     _note(
@@ -74,7 +72,7 @@ def cmd_hecke(args) -> int:
 
 def cmd_companion(args) -> int:
     p, k = args.p, args.k
-    _require_weight(p, k)
+    _require_weight(k)
     if not (4 <= k <= p - 3):
         raise UsageError(f"weight {k} outside [4, {p - 3}] for p = {p}")
     report = companion_report(p, k)
@@ -91,7 +89,7 @@ def cmd_companion(args) -> int:
 
 def cmd_structure(args) -> int:
     p, k = args.p, args.k
-    _require_weight(p, k)
+    _require_weight(k)
     if not (4 <= k <= p - 3):
         raise UsageError(f"weight {k} outside [4, {p - 3}] for p = {p}")
     report = structure_report(p, k)
@@ -144,8 +142,7 @@ def cmd_selftest(args) -> int:
 
     from .companions import theta_series
     from .hecke import hecke_action
-    from .padic import a_t_poly, eval_lambda, gamma_generator, teichmuller
-    from .padic import PadicInt
+    from .padic import PadicInt, a_t_poly, eval_lambda, teichmuller
     from .qexp import eisenstein_q
 
     t = teichmuller(2, 5, 2)

@@ -4,9 +4,9 @@ The n-th coefficient of the family attached to the character omega^d is
 sum over divisors t of n prime to p of omega^d(t) * A_t(T), an element of
 Z_p[[T]] handled modulo (p^M, T^D).  Specializing T -> gamma^d - 1 must
 reproduce the p-deprived Eisenstein series of weight d+2 coefficient by
-coefficient; the constant term is matched against the classical
-interpolation value -(1 - p^(d+2-1)) B_(d+2) / (2(d+2)) rather than any
-power-series construction.
+coefficient.  That series' constant term, the interpolation value
+-(1 - p^(d+2-1)) B_(d+2) / (2(d+2)), is checked mod p against B_(d+2) from
+the Voronoi table of the bernoulli module.
 
 The pair with d = p-3 (character omega^(-2)) is the excluded one: its
 constant-term value is not p-integral, so only positive coefficients are
@@ -17,21 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bernoulli import bernoulli_table_mod
 from .padic import (
     LambdaPoly,
     PadicInt,
     a_t_poly,
     eval_lambda,
-    gamma_generator,
     require_admissible_prime,
     teichmuller,
 )
-from .qexp import (
-    bernoulli_fraction,
-    divisor_power_sums,
-    p_deprived_eisenstein_q,
-    reduce_fraction,
-)
+from .qexp import divisor_power_sums, p_deprived_eisenstein_q
 
 
 @dataclass
@@ -50,50 +45,27 @@ class LambdaEisenstein:
     digits: int
     coeffs: dict[int, LambdaPoly]
 
-    def coefficient(self, n: int) -> LambdaPoly:
-        return self.coeffs[n]
 
+def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: int) -> LambdaEisenstein:
+    """The family's coefficients for 1 <= n < q_prec, by a divisor sieve.
 
-def lambda_eis_coeff(
-    p: int,
-    d: int,
-    n: int,
-    t_trunc: int,
-    digits: int,
-    _atp_cache: dict | None = None,
-) -> LambdaPoly:
-    """The n-th family coefficient: sum of omega^d(t) A_t over t | n, p - t.
-
-    A_t(T) = t (1+T)^(s(t)); the Teichmuller factor makes the
-    specialization at T = gamma^d - 1 collapse to t^(d+1).
+    The n-th coefficient is the sum of omega^d(t) A_t over t | n prime to p,
+    with A_t(T) = t (1+T)^(s(t)); the Teichmuller factor makes the
+    specialization at T = gamma^d - 1 collapse to t^(d+1).  Each term
+    omega^d(t) A_t is formed once and added into every multiple of t.
     """
     require_admissible_prime(p)
-    if n < 1:
-        raise ValueError("q-coefficients start at n = 1")
     if d < 0 or d % 2 == 1 or d > p - 3:
         raise ValueError(f"character exponent {d} outside the even range [0, {p - 3}]")
     q = p**digits
-    acc = LambdaPoly.constant(0, p, t_trunc, digits)
-    for t in range(1, n + 1):
-        if n % t or t % p == 0:
+    coeffs = {n: LambdaPoly.constant(0, p, t_trunc, digits) for n in range(1, q_prec)}
+    for t in range(1, q_prec):
+        if t % p == 0:
             continue
-        if _atp_cache is not None and t in _atp_cache:
-            at = _atp_cache[t]
-        else:
-            at = a_t_poly(t, p, t_trunc, digits)
-            if _atp_cache is not None:
-                _atp_cache[t] = at
         omega_d = pow(teichmuller(t, p, digits).value, d, q)
-        acc = acc + at.scale(omega_d)
-    return acc
-
-
-def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: int) -> LambdaEisenstein:
-    cache: dict[int, LambdaPoly] = {}
-    coeffs = {
-        n: lambda_eis_coeff(p, d, n, t_trunc, digits, _atp_cache=cache)
-        for n in range(1, q_prec)
-    }
+        term = a_t_poly(t, p, t_trunc, digits).scale(omega_d)
+        for n in range(t, q_prec, t):
+            coeffs[n] = coeffs[n] + term
     return LambdaEisenstein(
         p=p, d=d, q_prec=q_prec, t_trunc=t_trunc, digits=digits, coeffs=coeffs
     )
@@ -138,9 +110,10 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     """Specialize at T = gamma^d - 1 and compare with the weight-(d+2) series.
 
     Every stored coefficient is evaluated and compared modulo
-    p^min(digits, t_trunc).  The constant term is compared against the
-    interpolation value whenever d < p-3 (the excluded character pair sits
-    at d = p-3, where that value is not p-integral).
+    p^min(digits, t_trunc).  The constant term is checked mod p only: the
+    target's a(0) against -B_k/(2k) from the Voronoi table, whenever
+    d < p-3 (the excluded character pair sits at d = p-3, where that value
+    is not p-integral).
     """
     p, d = family.p, family.d
     k = d + 2
@@ -152,14 +125,15 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     target = divisor_power_sums(k - 1, family.q_prec, p**digits, skip_divisible_by=p)
     mismatches = []
     for n in range(1, family.q_prec):
-        lhs = eval_lambda(family.coefficient(n), x)
+        lhs = eval_lambda(family.coeffs[n], x)
         if lhs.value % qc != target[n] % qc:
             mismatches.append(n)
     const_match: bool | None = None
     if const_checked:
-        euler = 1 - p ** (k - 1)
-        interp = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), p**digits)
-        const_match = interp == p_deprived_eisenstein_q(p, k, 1, digits)[0]
+        # a(0) = -(1 - p^(k-1)) B_k/(2k) = -B_k/(2k) mod p, with B_k from the
+        # Voronoi table, which shares no code with the exact-rational B_k
+        voronoi = -bernoulli_table_mod(p)[k] * pow(2 * k, -1, p) % p
+        const_match = p_deprived_eisenstein_q(p, k, 1)[0] == voronoi
     return SpecializationReport(
         p=p,
         d=d,
@@ -171,17 +145,3 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
         constant_term_checked=const_checked,
         constant_term_match=const_match,
     )
-
-
-def family_json(family: LambdaEisenstein) -> dict:
-    """Truncated coefficient dump for external inspection."""
-    return {
-        "p": family.p,
-        "d": family.d,
-        "digits": family.digits,
-        "t_trunc": family.t_trunc,
-        "q_prec": family.q_prec,
-        "coefficients": {
-            str(n): list(poly.coeffs) for n, poly in sorted(family.coeffs.items())
-        },
-    }

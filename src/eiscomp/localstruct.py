@@ -101,11 +101,6 @@ def socle_dim(alg: LocalAlgebra) -> int:
     return alg.dim - rank(MatFp(alg.p, np.array(rows)))
 
 
-def gorenstein(alg: LocalAlgebra) -> bool:
-    """Gorenstein for an Artinian local algebra: one-dimensional socle."""
-    return socle_dim(alg) == 1
-
-
 def eis_ideal_min_gens(cusp_alg: LocalAlgebra | None, full_alg: LocalAlgebra) -> int:
     """Minimal generator count of the Eisenstein-ideal image.
 
@@ -239,6 +234,7 @@ def structure_report(p: int, k: int) -> StructureReport:
         gor_h = socle_h == 1
         cyclic = module_cyclic_dim(cusp) == 1
     min_gens = eis_ideal_min_gens(cusp_alg, full_alg)
+    socle_full = socle_dim(full_alg)
     failures: list[str] = []
     if c_m_prime == 1 and not zero_cusp:
         failures = check_equivalences(bool(gor_h), bool(cyclic), min_gens == 1)
@@ -248,9 +244,9 @@ def structure_report(p: int, k: int) -> StructureReport:
         dim_m_local=piece.dim,
         dim_s_local=cusp.dim,
         c_m_prime=c_m_prime,
-        gorenstein_full=gorenstein(full_alg),
+        gorenstein_full=socle_full == 1,
         gorenstein_cusp=gor_h,
-        socle_full=socle_dim(full_alg),
+        socle_full=socle_full,
         socle_cusp=socle_h,
         min_gens=min_gens,
         cyclic_cusp=cyclic,

@@ -1,4 +1,4 @@
-"""Exact arithmetic in F_p and Z/p^M.
+"""Exact arithmetic in Z/p^M.
 
 Teichmuller lifts, the p-adic logarithm with explicit working-precision
 inflation, the exponent s(t) defined by t*omega(t)^-1 = gamma^(s(t)) for the
@@ -52,45 +52,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-@dataclass(frozen=True)
-class FpElem:
-    """An element of F_p, kept reduced."""
-
-    residue: int
-    p: int
-
-    def __post_init__(self):
-        require_admissible_prime(self.p)
-        object.__setattr__(self, "residue", self.residue % self.p)
-
-    def __add__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.residue + other.residue, self.p)
-
-    def __sub__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.residue - other.residue, self.p)
-
-    def __mul__(self, other: "FpElem") -> "FpElem":
-        self._check(other)
-        return FpElem(self.residue * other.residue, self.p)
-
-    def inverse(self) -> "FpElem":
-        if self.residue == 0:
-            raise ZeroDivisionError("0 has no inverse in F_p")
-        return FpElem(pow(self.residue, -1, self.p), self.p)
-
-    def _check(self, other: "FpElem") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
 
 
 @dataclass(frozen=True)
@@ -268,17 +229,6 @@ class LambdaPoly:
 
     def scale(self, c: int) -> "LambdaPoly":
         return LambdaPoly(tuple(c * a for a in self.coeffs), self.p, self.prec)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        d, m = self._join(other)
-        q = self.p**m
-        out = [0] * d
-        for i, a in enumerate(self.coeffs[:d]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: d - i]):
-                out[i + j] = (out[i + j] + a * b) % q
-        return LambdaPoly(tuple(out), self.p, m)
 
 
 def a_t_poly(t: int, p: int, trunc: int, prec: int) -> LambdaPoly:

@@ -513,7 +513,7 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     return space
 
 
-def membership(f: QSeries, space: FormSpace, *, min_prec: int | None = None) -> list[int] | None:
+def membership(f: QSeries, space: FormSpace) -> list[int] | None:
     """Coordinates of f in the space's basis, or None if f lies outside.
 
     Every coefficient available to both sides must agree exactly; too few
@@ -528,7 +528,7 @@ def membership(f: QSeries, space: FormSpace, *, min_prec: int | None = None) -> 
             raise ValueError("incomparable weights")
     elif f.weight != space.k:
         raise ValueError("incomparable weights over Z/p^M")
-    need = max(sturm(space.k), min_prec or 0, space.dim)
+    need = max(sturm(space.k), space.dim)
     usable = min(f.prec, space.prec)
     if usable < need:
         raise PrecisionError(f"have {usable} coefficients, need {need}")

@@ -12,7 +12,6 @@ from eiscomp import bernoulli
 from eiscomp.bernoulli import (
     TABLE_MAX_PRIME,
     ScanRecord,
-    bernoulli_mod,
     bernoulli_table_mod,
     irregular_indices,
     pair_scan,
@@ -52,17 +51,17 @@ def bernoulli_oracle_mod(p, k):
 
 def test_b0_is_one_everywhere():
     for p in (5, 7, 37, 101):
-        assert bernoulli_mod(p, 0).residue == 1
+        assert bernoulli_table_mod(p)[0] == 1
 
 
 def test_b2_is_one_sixth():
-    assert bernoulli_mod(5, 2).residue == 1  # 1/6 = 1 mod 5
-    assert bernoulli_mod(7, 2).residue == pow(6, -1, 7)
+    assert bernoulli_table_mod(5)[2] == 1  # 1/6 = 1 mod 5
+    assert bernoulli_table_mod(7)[2] == pow(6, -1, 7)
 
 
 def test_b32_vanishes_mod_37():
     assert bernoulli_oracle_mod(37, 32) == 0
-    assert bernoulli_mod(37, 32).residue == 0
+    assert bernoulli_table_mod(37)[32] == 0
 
 
 def test_table_matches_exact_oracle_small_primes():
@@ -203,13 +202,6 @@ def test_recurrence_internal_consistency():
             assert total == 0, (p, m)
 
 
-def test_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        bernoulli_mod(37, 35)  # p-2
-    with pytest.raises(ValueError):
-        bernoulli_mod(37, -1)
-
-
 def transform_fits_int64(p):
     """The transform's largest int64 intermediates fit.
 
@@ -238,8 +230,6 @@ def test_table_beyond_int64_limit_rejected_before_any_work(monkeypatch):
     p = next_prime_above(TABLE_MAX_PRIME)
     with pytest.raises(ValueError, match=str(TABLE_MAX_PRIME)):
         bernoulli_table_mod(p)
-    with pytest.raises(ValueError):
-        bernoulli_mod(p, 4)
 
 
 # --- irregular indices --------------------------------------------------------------
@@ -298,6 +288,26 @@ def test_synthetic_pair_detection():
 def test_record_roundtrip():
     rec = pair_scan(157)
     assert ScanRecord.from_dict(rec.to_dict()) == rec
+
+
+def test_pair_scan_reads_one_table_and_the_cache_stays_bounded():
+    # a scan asks for each prime's table once, so the cache keeps only a few;
+    # near 10^5 each table is megabytes of Python ints
+    primes = primes_in(101, 157)
+    assert len(primes) == 12
+    bernoulli_table_mod.cache_clear()
+    records = [pair_scan(p) for p in primes]
+    info = bernoulli_table_mod.cache_info()
+    assert (info.hits, info.misses) == (0, len(primes))
+    assert info.currsize <= info.maxsize < len(primes)
+    for rec in records:
+        p = rec.p
+        assert rec.irregular_indices == tuple(
+            k for k in range(4, p - 2, 2) if bernoulli_oracle_mod(p, k) == 0
+        )
+        half = bernoulli_oracle_mod(p, (p + 1) // 2) != 0 if p % 4 == 3 else None
+        assert rec.half_index_ok == half
+        assert pair_scan(p) == rec  # again, mostly from tables rebuilt after eviction
 
 
 # --- scan_range ---------------------------------------------------------------------------

@@ -1,31 +1,34 @@
 """Truncated Iwasawa-algebra Eisenstein coefficients and specialization."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
+from eiscomp import lambda_eis, qexp
+from eiscomp.cli import main
 from eiscomp.lambda_eis import (
     LambdaEisenstein,
     build_lambda_eisenstein,
-    family_json,
-    lambda_eis_coeff,
     specialize_and_compare,
 )
 from eiscomp.padic import LambdaPoly, PadicInt, a_t_poly, eval_lambda, teichmuller
 
 
 def test_coefficient_at_one_is_constant_one():
-    f = lambda_eis_coeff(5, 0, 1, 4, 3)
+    f = build_lambda_eisenstein(5, 0, 2, 4, 3).coeffs[1]
     assert f.coeffs == (1, 0, 0, 0)
 
 
 def test_coefficient_at_p_only_t_one_survives():
-    f = lambda_eis_coeff(7, 2, 7, 5, 3)
+    f = build_lambda_eisenstein(7, 2, 8, 5, 3).coeffs[7]
     assert f.coeffs == (1, 0, 0, 0, 0)
 
 
 def test_coefficient_at_two_matches_a2():
     # n = 2, d = 0, p = 5: coefficient is 1 + A_2(T)
     p, m, d_t = 5, 2, 3
-    f = lambda_eis_coeff(p, 0, 2, d_t, m)
+    f = build_lambda_eisenstein(p, 0, 3, d_t, m).coeffs[2]
     a2 = a_t_poly(2, p, d_t, m)
     want = tuple((1 if j == 0 else 0) + c for j, c in enumerate(a2.coeffs))
     assert f.coeffs == tuple(c % p**m for c in want)
@@ -65,8 +68,8 @@ def test_specializations_at_congruent_weights_agree_mod_p():
     x1 = PadicInt(pow(1 + p, d, p**m) - 1, p, m)
     x2 = PadicInt(pow(1 + p, d + p - 1, p**m) - 1, p, m)
     for n in range(1, 15):
-        v1 = eval_lambda(fam.coefficient(n), x1)
-        v2 = eval_lambda(fam.coefficient(n), x2)
+        v1 = eval_lambda(fam.coeffs[n], x1)
+        v2 = eval_lambda(fam.coeffs[n], x2)
         assert v1.value % p == v2.value % p
 
 
@@ -91,12 +94,40 @@ def test_fault_injection_detected():
 
 def test_exponent_range_enforced():
     with pytest.raises(ValueError):
-        lambda_eis_coeff(7, 3, 2, 4, 2)  # odd d
+        build_lambda_eisenstein(7, 3, 3, 4, 2)  # odd d
     with pytest.raises(ValueError):
-        lambda_eis_coeff(7, 6, 2, 4, 2)  # d > p - 3
+        build_lambda_eisenstein(7, 6, 3, 4, 2)  # d > p - 3
 
 
-def test_family_json_dump():
-    fam = build_lambda_eisenstein(5, 0, 6, 4, 2)
-    blob = family_json(fam)
-    assert blob["p"] == 5 and blob["coefficients"]["1"] == [1, 0, 0, 0]
+def test_sieve_matches_the_divisor_sum_at_each_n():
+    # the n-th coefficient summed directly over the divisors t of n prime to p
+    for p, d, q_prec, d_t, m in ((5, 2, 30, 4, 3), (7, 4, 26, 5, 2)):
+        fam = build_lambda_eisenstein(p, d, q_prec, d_t, m)
+        assert sorted(fam.coeffs) == list(range(1, q_prec))
+        for n in range(1, q_prec):
+            want = [0] * d_t
+            for t in range(1, n + 1):
+                if n % t == 0 and t % p != 0:
+                    om_d = pow(teichmuller(t, p, m).value, d, p**m)
+                    for j, c in enumerate(a_t_poly(t, p, d_t, m).coeffs):
+                        want[j] += om_d * c
+            assert fam.coeffs[n].coeffs == tuple(c % p**m for c in want), (p, d, n)
+
+
+def test_wrong_bernoulli_value_fails_the_constant_term(monkeypatch, capsys):
+    # B_k + 1 wherever the exact-rational B_k is bound must not pass: the check
+    # reads B_k mod p from the Voronoi table, which does not use that path
+    true_b = qexp.bernoulli_fraction
+
+    def shifted(n):
+        return true_b(n) + Fraction(1)
+
+    monkeypatch.setattr(qexp, "bernoulli_fraction", shifted)
+    monkeypatch.setattr(lambda_eis, "bernoulli_fraction", shifted, raising=False)
+    rep = specialize_and_compare(build_lambda_eisenstein(7, 2, 30, 8, 3))
+    assert rep.coefficients_match and rep.constant_term_checked
+    assert rep.constant_term_match is False
+    assert not rep.ok
+    assert main(["specialize", "--p", "7", "--d", "2"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["constant_term_match"] is False and blob["ok"] is False

@@ -6,7 +6,6 @@ import pytest
 
 from eiscomp.errors import PrecisionError
 from eiscomp.padic import (
-    FpElem,
     LambdaPoly,
     PadicInt,
     a_t_poly,
@@ -243,8 +242,6 @@ def test_small_primes_rejected_at_construction():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):
             PadicInt(1, p, 2)
-        with pytest.raises(ValueError):
-            FpElem(1, p)
 
 
 def test_padic_reduce_cannot_invent_digits():

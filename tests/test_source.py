@@ -38,3 +38,52 @@ def test_benchmark_tracer_still_wraps_every_traced_layer(monkeypatch):
         tracer.uninstall()
     for target, key, orig in patched:
         assert vars(target)[key] is orig
+
+
+# Exported for readers of the library although nothing in the package, the CLI
+# or bench/ calls them.
+LIBRARY_ONLY = {
+    "ordinary_dim",  # acceptance criterion 8, ordinary-rank weight stability
+    "filtration",  # the only code for the paper's filtration statements
+    "mirror_check",  # the only code for the paper's mirror companion relation
+}
+
+
+def _uses(tree: ast.AST, strings: bool) -> set[str]:
+    """Names that `tree` reads outside the def or class that binds them.
+
+    Imports alone do not count.  With `strings`, string constants count too:
+    the benchmark's tracer patches functions by name.
+    """
+    found: set[str] = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # API that only tests call should go rather than grow back unnoticed
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    sources = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [(p, True) for p in (PACKAGE.parents[1] / "bench").glob("*.py") if not p.name.startswith("test_")]
+    used: set[str] = set()
+    for path, strings in sources:
+        used |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), strings)
+    assert sorted(exported - used - LIBRARY_ONLY) == []
+    assert LIBRARY_ONLY <= exported - used  # a kept name that gains a caller leaves the list
