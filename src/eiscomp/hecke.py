@@ -128,7 +128,9 @@ def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatF
     if space.prec < 2:
         raise PrecisionError("pairing against a(1) needs at least two coefficients")
     a1 = MatFp(space.p, space.coeffs[:, 1:2].T)  # a(1) of each basis row
-    mat = MatFp.vstack([a1 * t for t in algebra])
+    # columns i*dim .. (i+1)*dim - 1 of the one product hold a1 * algebra[i]
+    pairs = _matmul(a1.a, np.hstack([t.a for t in algebra]), space.p)
+    mat = MatFp(space.p, pairs.reshape(len(algebra), space.dim))
     return mat, rank(mat)
 
 

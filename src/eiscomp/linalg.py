@@ -251,19 +251,34 @@ class EchelonSpace:
     `rows`, one array, holds the basis with unit leading coefficients at
     `pivots`; inserted vectors are forward-reduced against the existing
     rows (no back-reduction, so the insertion order is visible in the
-    stored basis, deterministically).
+    stored basis, deterministically).  `rows` is a view of the filled part
+    of a buffer whose capacity doubles when full, so the stored rows are
+    copied O(log dim) times in all, not once per insert.
+
+    Row i vanishes at the pivots of rows 0..i-1, so L = rows[:, pivots] is
+    unit upper-triangular.  The forward-reduced residue of v, the one that
+    vanishes at every pivot, is therefore v - (v[pivots] L^-1) rows: `reduce`
+    is two `_matmul` calls, for one vector or a whole block, against L^-1,
+    which is kept and extended by one column per insert.  Both products
+    have inner dimension r = dim, so they run on int64 while
+    r * (p-1)^2 < 2^63 and on Python integers above.
     """
 
     def __init__(self, p: int, width: int):
         require_admissible_prime(p)
         self.p = p
         self.width = width
-        self.rows = _residues(p, np.zeros((0, width), dtype=np.int64))
         self.pivots: list[int] = []
+        self._buf = _residues(p, np.zeros((0, width), dtype=np.int64))
+        self._linv = _residues(p, np.zeros((0, 0), dtype=np.int64))
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._buf[: self.dim]
 
     def reduce(self, vecs) -> np.ndarray:
         """Residue of vecs after subtracting its projection on the span.
@@ -273,9 +288,9 @@ class EchelonSpace:
         v = _residues(self.p, vecs)
         if v.shape[-1] != self.width:
             raise ValueError("width mismatch")
-        for piv, row in zip(self.pivots, self.rows):
-            v = (v - v[..., piv, None] * row) % self.p
-        return v
+        r = self.dim
+        coeffs = _matmul(v[..., self.pivots], self._linv[:r, :r], self.p)
+        return _residues(self.p, v - _matmul(coeffs, self.rows, self.p))
 
     def insert(self, vec) -> np.ndarray | None:
         """Add vec to the span; returns the normalized new row, or None."""
@@ -285,7 +300,18 @@ class EchelonSpace:
             return None
         piv = int(nonzero[0])
         row = v * pow(int(v[piv]), -1, self.p) % self.p
-        self.rows = np.vstack([self.rows, row])
+        r = self.dim
+        if r == len(self._buf):
+            cap = max(4, 2 * r)
+            buf = _residues(self.p, np.zeros((cap, self.width), dtype=np.int64))
+            buf[:r] = self._buf
+            linv = _residues(self.p, np.zeros((cap, cap), dtype=np.int64))
+            linv[:r, :r] = self._linv[:r, :r]
+            self._buf, self._linv = buf, linv
+        # L^-1 of [[L, x], [0, 1]] is [[L^-1, -L^-1 x], [0, 1]], x the new pivot column
+        self._linv[:r, r] = _residues(self.p, -_matmul(self._linv[:r, :r], self._buf[:r, piv], self.p))
+        self._linv[r, r] = 1
+        self._buf[r] = row
         self.pivots.append(piv)
         return row
 
@@ -293,10 +319,12 @@ class EchelonSpace:
 def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | None = None) -> list[MatFp]:
     """Linear basis of the unital algebra generated by commuting matrices.
 
-    Breadth-first product-and-reduce until the dimension stabilizes.  The
-    returned list starts with the identity; members are reduced
-    representatives, so the list is deterministic for a fixed generator
-    order.
+    Breadth-first product-and-reduce until the dimension stabilizes: each
+    basis member is multiplied by all generators in one product, the block
+    of products is reduced in one call, and the nonzero residues are
+    inserted in generator order.  The returned list starts with the
+    identity; members are reduced representatives, so the list is
+    deterministic for a fixed generator order.
     """
     mats = list(gens)
     if mats:
@@ -308,16 +336,22 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
     ech = EchelonSpace(p, dim * dim)
     basis: list[MatFp] = []
 
-    def push(m: MatFp) -> None:
-        row = ech.insert(m.a.ravel())
+    def push(vec: np.ndarray) -> None:
+        row = ech.insert(vec)
         if row is not None:
             basis.append(MatFp(p, row.reshape(dim, dim)))
 
-    push(MatFp.identity(p, dim))
+    push(np.eye(dim, dtype=np.int64).ravel())
+    if not mats:
+        return basis
+    # columns g*dim .. (g+1)*dim - 1 of b.a @ stacked hold b * gens[g]
+    stacked = np.hstack([g.a for g in mats])
     i = 0
     while i < len(basis):
-        b = basis[i]
+        prods = _matmul(basis[i].a, stacked, p)
         i += 1
-        for g in mats:
-            push(b * g)
+        block = prods.reshape(dim, len(mats), dim).transpose(1, 0, 2).reshape(len(mats), dim * dim)
+        for res in ech.reduce(block):
+            if res.any():
+                push(res)
     return basis

@@ -273,16 +273,16 @@ def test_half_index_defined_and_true_for_3_mod_4():
         assert rec.half_index_ok is True
 
 
-def test_synthetic_pair_detection():
-    # the detector itself, on a doctored table: force B_k = B_k' = 0
+def test_synthetic_pair_detection(monkeypatch):
+    # the detector itself, on a doctored table: force B_4 = B_34 = 0 mod 37,
+    # a mirror pair since 4 + 34 = 38 = p + 1; the true index 32 stays
     p = 37
-    irr = {4, 34}  # 4 + 34 = 38 = p + 1
-    hits = []
-    for k in sorted(irr):
-        kp = p + 1 - k
-        if kp in irr and k <= kp:
-            hits.append((k, kp))
-    assert hits == [(4, 34)]
+    table = list(bernoulli_table_mod(p))
+    table[4] = table[34] = 0
+    monkeypatch.setattr(bernoulli, "bernoulli_table_mod", lambda q: table)
+    rec = pair_scan(p)
+    assert rec.pair_hits == ((4, 34),)
+    assert rec.irregular_indices == (4, 32, 34)
 
 
 def test_record_roundtrip():

@@ -229,6 +229,16 @@ def test_duality_weight12_rank2():
     assert rk == 2 == s.dim == len(alg)
 
 
+@pytest.mark.parametrize("p, k", [(11, 36), (5, 48)])
+def test_duality_matrix_stacks_one_product_per_algebra_element(p, k):
+    s = working_space(p, k)
+    alg = full_hecke_algebra(s)
+    a1 = MatFp(p, s.coeffs[:, 1:2].T)
+    mat, rk = duality_pairing_matrix(s, alg)
+    assert mat == MatFp.vstack([a1 * t for t in alg])
+    assert rk == rank(mat)
+
+
 def test_duality_excluded_weight_reported_not_asserted():
     # k = 0 mod p-1: the pairing may degenerate; rank is only reported
     s = working_space(5, 8)

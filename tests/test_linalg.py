@@ -106,6 +106,30 @@ def echelon_reduce_oracle(vec, rows, pivots, p):
     return v
 
 
+def closure_oracle(gens, p, dim):
+    """The one-product-at-a-time closure: each b * g reduced and inserted alone, on row lists."""
+    if dim == 0:
+        return []
+    rows, pivots, basis = [], [], []
+
+    def push(m):
+        res = echelon_reduce_oracle(m.a.ravel().tolist(), rows, pivots, p)
+        piv = next((i for i, e in enumerate(res) if e), None)
+        if piv is not None:
+            rows.append([e * pow(res[piv], -1, p) % p for e in res])
+            pivots.append(piv)
+            basis.append(MatFp(p, [rows[-1][i * dim : (i + 1) * dim] for i in range(dim)]))
+
+    push(MatFp.identity(p, dim))
+    i = 0
+    while i < len(basis):
+        b = basis[i]
+        i += 1
+        for g in gens:
+            push(b * g)
+    return [entries(b) for b in basis]
+
+
 def random_mat(rng, p, nrows, ncols):
     return MatFp(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
@@ -458,3 +482,68 @@ def test_echelon_space_matches_forward_reduction(p, data):
     vecs = data.draw(row_lists(p, None, width))
     probe = data.draw(row_lists(p, 1, width))[0]
     check_echelon(p, vecs, probe, width)
+
+
+@st.composite
+def commuting_gens(draw, p):
+    """(dim, generators): none, polynomials in one matrix, or two diagonals; maybe one repeated."""
+    dim = draw(st.integers(0, 4))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["none", "poly", "diag"]))
+    if kind == "none":
+        return dim, []
+    if kind == "poly":
+        a = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+        powers = [MatFp.identity(p, dim), a, a * a, a * a * a]
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = draw(st.lists(entry, min_size=len(powers), max_size=len(powers)))
+            total = sum(m.a.astype(object) * c for m, c in zip(powers, coeffs))
+            gens.append(MatFp(p, total))
+    else:
+        gens = []
+        for _ in range(2):
+            diag = draw(st.lists(entry, min_size=dim, max_size=dim))
+            gens.append(MatFp(p, [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)], dim))
+    if draw(st.booleans()):
+        gens.append(gens[0])
+    return dim, gens
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@PROPERTY
+@given(data=st.data())
+def test_block_closure_matches_the_one_product_oracle(p, data):
+    dim, gens = data.draw(commuting_gens(p))
+    got = algebra_closure(gens, p=p, dim=dim)
+    assert [entries(b) for b in got] == closure_oracle(gens, p, dim)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_block_closure_edge_cases_match_the_oracle(p):
+    a = MatFp(p, [[0, 1, 0], [0, 0, 1], [1, p - 1, 0]])
+    cases = [
+        (3, []),  # no generators: the scalars
+        (1, [MatFp(p, [[p - 1]]), MatFp(p, [[2]])]),  # dim 1
+        (3, [a, a * a, a, MatFp.identity(p, 3)]),  # repeated generators
+    ]
+    for dim, gens in cases:
+        got = algebra_closure(gens, p=p, dim=dim)
+        assert [entries(b) for b in got] == closure_oracle(gens, p, dim), (dim, len(gens))
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@PROPERTY
+@given(data=st.data())
+def test_block_reduce_matches_reducing_each_row(p, data):
+    width = data.draw(st.integers(1, 6))
+    vecs = data.draw(row_lists(p, None, width))
+    block = data.draw(row_lists(p, None, width))
+    ech = EchelonSpace(p, width)
+    for v in vecs:
+        ech.insert(v)
+    rows, pivots = ech.rows.tolist(), ech.pivots
+    got = ech.reduce(np.array(block, dtype=object).reshape(len(block), width))
+    assert got.shape == (len(block), width)
+    assert got.tolist() == [ech.reduce(v).tolist() for v in block]
+    assert got.tolist() == [echelon_reduce_oracle(v, rows, pivots, p) for v in block]
