@@ -17,7 +17,6 @@ from .companions import (
     companion_dimension,
     companion_report,
     filtration,
-    has_companion,
     mirror_check,
     theta_series,
 )

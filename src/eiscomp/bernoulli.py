@@ -165,8 +165,7 @@ def pair_scan(p: int) -> ScanRecord:
     index range and produce empty records.
     """
     require_admissible_prime(p)
-    table = bernoulli_table_mod(p)
-    irr = tuple(k for k in range(4, p - 2, 2) if table[k] == 0)
+    irr = tuple(irregular_indices(p))
     irr_set = set(irr)
     hits = []
     for k in irr:
@@ -175,7 +174,8 @@ def pair_scan(p: int) -> ScanRecord:
             hits.append((k, kp))
     half_ok: bool | None = None
     if p % 4 == 3 and p >= 7:
-        half_ok = table[(p + 1) // 2] != 0
+        # (p+1)/2 is then even and in [4, p-3], where irr lists every zero of the table
+        half_ok = (p + 1) // 2 not in irr_set
     return ScanRecord(
         p=p,
         irregular_indices=irr,

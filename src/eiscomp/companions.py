@@ -6,6 +6,11 @@ theta^(k') f = theta g, equivalently theta^k g = theta f.  Both sides of
 that relation live in the graded ring at weight W = k + k'(p+1), so
 comparing coefficients up to floor(W/12) decides it; no basis at weight W
 is ever materialized, only coefficient vectors of that length.
+
+One routine, `_theta_reduce`, decides the relation: it reduces
+theta^(k') f against theta(M_k') and returns the residue with the
+coordinates of g.  `companion_space` takes the kernel of the residues and
+`companion_report` reads each witness's g from the same routine.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import PrecisionError
 from .hecke import EisLocalPiece, eisenstein_localize
-from .linalg import EchelonSpace, MatFp, kernel, solve
+from .linalg import MatFp, _matmul, _residues, kernel
 from .qexp import (
     PrecisionPlan,
     QSeries,
@@ -68,40 +73,32 @@ def filtration(f: QSeries, k: int | None = None) -> int:
     raise AssertionError(f"form of weight {k} missing from its own weight")
 
 
-def has_companion(f: QSeries) -> tuple[bool, list[int] | None]:
-    """Decide whether f (weight k, 4 <= k <= p-1) has a companion.
+def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residues theta^(k') f - theta g and the weight-k' coordinates of g.
 
-    A companion g of weight k' = p+1-k must satisfy n^(k') a(n; f) =
-    n a(n; g) for every n up to the graded comparison bound.  For n prime
-    to p that forces a(n; g) = n^(k'-1) a(n; f); the remaining
-    coefficients of g are free and are solved for by membership in the
-    weight-k' basis.  At k = p-1 that space M_2 is zero, so g = 0 is the
-    only candidate and the coordinate list is empty.
+    fs holds weight-k series, one per row, to the comparison bound; f has
+    a companion exactly when its residue is zero, and g is then one.  Row
+    j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta of it
+    is j at q^j and zero at the other q^i, i < dim < p: its coordinate is
+    v[j]/j.  Theta of row 0 vanishes below q^dim and is cleared at its
+    first nonzero coefficient, or skipped if it has none to the bound.
+    The residue vanishes at those pivots, so it is the forward-reduced
+    residue against any echelon basis of theta(M_k') with them.
     """
-    p, k = f.p, f.weight
-    if f.digits != 1:
-        raise ValueError("companions are a mod-p notion")
-    if not (4 <= k <= p - 1) or k % 2 == 1:
-        raise ValueError(f"weight {k} outside the companion range for p={p}")
-    plan = plan_companion(p, k)
-    bound = plan.bound
-    if f.prec < bound:
-        raise PrecisionError(f"need {bound} coefficients, have {f.prec}")
     kp = p + 1 - k
-    forced = np.flatnonzero(np.arange(bound) % p)  # 0 < n < bound, n prime to p
-    rhs = MatFp(p, theta_series(f, kp - 1).coeffs[forced, None])
-    if space_dim(kp) == 0:
-        return (True, []) if rhs.is_zero() else (False, None)
+    bound = plan_companion(p, k).bound
     target = miller_basis(p, kp, bound)
-    # linear system: coords c of g must hit the forced coefficients
-    solution = solve(MatFp(p, target.coeffs[:, forced].T), rhs)
-    if solution is None:
-        return False, None
-    coords = solution.a[:, 0].tolist()
-    g = target.coords_to_series(coords)
-    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
-        raise AssertionError("solved companion fails theta^(k') f = theta g")
-    return True, coords
+    d = target.dim
+    rows = _residues(p, target.coeffs * _powers(1, bound, p))
+    v = _residues(p, fs * _powers(kp, bound, p))
+    coords = _residues(p, np.zeros((len(v), d), dtype=np.int64))
+    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -1, p) for j in range(1, d)]) % p
+    lead = np.flatnonzero(rows[0])
+    if lead.size:
+        n0 = int(lead[0])
+        rest = v[:, n0] - _matmul(coords[:, 1:], rows[1:, n0], p)
+        coords[:, 0] = rest * pow(int(rows[0, n0]), -1, p) % p
+    return _residues(p, v - _matmul(coords, rows, p)), coords
 
 
 def companion_space(piece: EisLocalPiece) -> list[list[int]]:
@@ -109,18 +106,12 @@ def companion_space(piece: EisLocalPiece) -> list[list[int]]:
 
     An element f of the weight-k piece has a companion exactly when
     theta^(k') f falls in theta(M_k'), both spanned to the graded bound;
-    the subspace is the kernel of the induced quotient map.
+    the subspace is the kernel of the map to the residues.
     """
     p, k = piece.p, piece.k
-    plan = plan_companion(p, k)
-    bound = plan.bound
-    kp = p + 1 - k
-    target = EchelonSpace(p, bound)
-    for row in miller_basis(p, kp, bound).coeffs:
-        target.insert(theta_series(QSeries(p, row, kp)).coeffs)
-    basis = piece.series(MatFp.identity(p, piece.dim).a, bound)
-    resid = MatFp(p, target.reduce(np.stack([theta_series(s, kp).coeffs for s in basis])))
-    return kernel(resid.transpose()).a.tolist()
+    basis = piece.series(MatFp.identity(p, piece.dim).a, plan_companion(p, k).bound)
+    resid, _ = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
+    return kernel(MatFp(p, resid).transpose()).a.tolist()
 
 
 def companion_dimension(piece: EisLocalPiece) -> int:
@@ -232,12 +223,11 @@ def companion_report(p: int, k: int) -> CompanionReport:
         raise AssertionError("companion dimensions violate the mirror inequality")
     if k != p - 1 and c_m != c_m_prime:
         raise AssertionError("mirror equality fails away from weight p-1")
-    witnesses = []
-    for c, f in zip(wit_coords, piece.series(wit_coords, plan.bound)):
-        ok, g_coords = has_companion(f)
-        if not ok:
-            raise AssertionError("kernel vector lost its companion on recheck")
-        witnesses.append((c, g_coords))
+    fs = piece.series(wit_coords, plan.bound)
+    resid, g_coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
+    if resid.any():
+        raise AssertionError("kernel vector lost its companion on recheck")
+    witnesses = list(zip(wit_coords, g_coords.tolist()))
     return CompanionReport(
         p=p,
         k=k,

@@ -259,9 +259,14 @@ class EchelonSpace:
     unit upper-triangular.  The forward-reduced residue of v, the one that
     vanishes at every pivot, is therefore v - (v[pivots] L^-1) rows: `reduce`
     is two `_matmul` calls, for one vector or a whole block, against L^-1,
-    which is kept and extended by one column per insert.  Both products
+    which is kept and extended by one column per new row.  Both products
     have inner dimension r = dim, so they run on int64 while
     r * (p-1)^2 < 2^63 and on Python integers above.
+
+    `insert` takes one vector or a block: the block is reduced against the
+    stored rows in that one `reduce` call, and each new pivot is then
+    cleared from the later rows of the block by a rank-1 step, which gives
+    row for row what inserting the vectors one at a time would.
     """
 
     def __init__(self, p: int, width: int):
@@ -292,39 +297,46 @@ class EchelonSpace:
         coeffs = _matmul(v[..., self.pivots], self._linv[:r, :r], self.p)
         return _residues(self.p, v - _matmul(coeffs, self.rows, self.p))
 
-    def insert(self, vec) -> np.ndarray | None:
-        """Add vec to the span; returns the normalized new row, or None."""
-        v = self.reduce(vec)
-        nonzero = np.flatnonzero(v)
-        if nonzero.size == 0:
-            return None
-        piv = int(nonzero[0])
-        row = v * pow(int(v[piv]), -1, self.p) % self.p
-        r = self.dim
-        if r == len(self._buf):
-            cap = max(4, 2 * r)
-            buf = _residues(self.p, np.zeros((cap, self.width), dtype=np.int64))
-            buf[:r] = self._buf
-            linv = _residues(self.p, np.zeros((cap, cap), dtype=np.int64))
-            linv[:r, :r] = self._linv[:r, :r]
-            self._buf, self._linv = buf, linv
-        # L^-1 of [[L, x], [0, 1]] is [[L^-1, -L^-1 x], [0, 1]], x the new pivot column
-        self._linv[:r, r] = _residues(self.p, -_matmul(self._linv[:r, :r], self._buf[:r, piv], self.p))
-        self._linv[r, r] = 1
-        self._buf[r] = row
-        self.pivots.append(piv)
-        return row
+    def insert(self, vecs) -> np.ndarray:
+        """Add vecs, one vector or a 2-D block of them, to the span in row order.
+
+        Returns the new normalized rows, one per vector that was not yet in
+        the span (none, if every one was), as a 2-D array.
+        """
+        p, start = self.p, self.dim
+        block = np.atleast_2d(self.reduce(vecs))
+        for i, v in enumerate(block):
+            nonzero = np.flatnonzero(v)
+            if nonzero.size == 0:
+                continue
+            piv = int(nonzero[0])
+            row = v * pow(int(v[piv]), -1, p) % p
+            block[i + 1 :] = (block[i + 1 :] - block[i + 1 :, piv, None] * row) % p
+            r = self.dim
+            if r == len(self._buf):
+                cap = max(4, 2 * r)
+                buf = _residues(p, np.zeros((cap, self.width), dtype=np.int64))
+                buf[:r] = self._buf
+                linv = _residues(p, np.zeros((cap, cap), dtype=np.int64))
+                linv[:r, :r] = self._linv[:r, :r]
+                self._buf, self._linv = buf, linv
+            # L^-1 of [[L, x], [0, 1]] is [[L^-1, -L^-1 x], [0, 1]], x the new pivot column
+            self._linv[:r, r] = _residues(p, -_matmul(self._linv[:r, :r], self._buf[:r, piv], p))
+            self._linv[r, r] = 1
+            self._buf[r] = row
+            self.pivots.append(piv)
+        return self._buf[start : self.dim].copy()
 
 
 def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | None = None) -> list[MatFp]:
     """Linear basis of the unital algebra generated by commuting matrices.
 
-    Breadth-first product-and-reduce until the dimension stabilizes: each
-    basis member is multiplied by all generators in one product, the block
-    of products is reduced in one call, and the nonzero residues are
-    inserted in generator order.  The returned list starts with the
-    identity; members are reduced representatives, so the list is
-    deterministic for a fixed generator order.
+    Breadth-first product-and-insert until the dimension stabilizes: each
+    basis member is multiplied by all generators in one product, and that
+    block of products, in generator order, is inserted in one call, so one
+    `reduce` per block.  The returned list starts with the identity;
+    members are reduced representatives, so the list is deterministic for
+    a fixed generator order.
     """
     mats = list(gens)
     if mats:
@@ -334,14 +346,7 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
     if dim == 0:
         return []
     ech = EchelonSpace(p, dim * dim)
-    basis: list[MatFp] = []
-
-    def push(vec: np.ndarray) -> None:
-        row = ech.insert(vec)
-        if row is not None:
-            basis.append(MatFp(p, row.reshape(dim, dim)))
-
-    push(np.eye(dim, dtype=np.int64).ravel())
+    basis = [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(np.eye(dim, dtype=np.int64).ravel())]
     if not mats:
         return basis
     # columns g*dim .. (g+1)*dim - 1 of b.a @ stacked hold b * gens[g]
@@ -351,7 +356,5 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
         prods = _matmul(basis[i].a, stacked, p)
         i += 1
         block = prods.reshape(dim, len(mats), dim).transpose(1, 0, 2).reshape(len(mats), dim * dim)
-        for res in ech.reduce(block):
-            if res.any():
-                push(res)
+        basis += [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(block)]
     return basis

@@ -19,19 +19,21 @@ import numpy as np
 from .companions import companion_dimension, localized_pieces
 from .errors import NotLocalError
 from .hecke import EisLocalPiece, generator_primes
-from .linalg import EchelonSpace, MatFp, algebra_closure, rank
+from .linalg import EchelonSpace, MatFp, _matmul, algebra_closure, rank
 from .qexp import PrecisionPlan, plan_companion
 
 
-def _span(mats: list[MatFp]) -> list[MatFp]:
-    """Echelon basis of the linear span of equally sized square matrices."""
-    if not mats:
-        return []
+def _products(mats: list[MatFp], gens: list[MatFp]) -> np.ndarray:
+    """Every m*g flattened to one row, m-major, from one product.
+
+    Row i*len(gens) + j holds mats[i] * gens[j]: block (i, j) of the
+    stacked mats times the side-by-side gens.
+    """
     p, n = mats[0].p, mats[0].nrows
-    ech = EchelonSpace(p, n * n)
-    for m in mats:
-        ech.insert(m.a.ravel())
-    return [MatFp(p, row.reshape(n, n)) for row in ech.rows]
+    if not gens:
+        return np.zeros((0, n * n), dtype=mats[0].a.dtype)
+    prods = _matmul(np.vstack([m.a for m in mats]), np.hstack([g.a for g in gens]), p)
+    return prods.reshape(len(mats), n, len(gens), n).transpose(0, 2, 1, 3).reshape(-1, n * n)
 
 
 @dataclass
@@ -53,7 +55,9 @@ class LocalAlgebra:
             if not (g**g.nrows).is_zero():
                 raise NotLocalError("a maximal-ideal generator is not nilpotent")
         # each A*g is already an ideal, so the products b*g span the maximal ideal
-        self.maxideal = _span([b * g for b in self.basis for g in self.maxideal_gens])
+        n = self.basis[0].nrows
+        rows = EchelonSpace(self.p, n * n).insert(_products(self.basis, self.maxideal_gens))
+        self.maxideal = [MatFp(self.p, row.reshape(n, n)) for row in rows]
         if len(self.maxideal) != self.dim - 1:
             raise NotLocalError(
                 f"ideal of generators has dimension {len(self.maxideal)}, "
@@ -97,8 +101,8 @@ def socle_dim(alg: LocalAlgebra) -> int:
     if not alg.maxideal_gens or alg.dim == 1:
         return alg.dim
     # row i holds the products basis[i]*g side by side; the socle is its left kernel
-    rows = [np.concatenate([(b * g).a.ravel() for g in alg.maxideal_gens]) for b in alg.basis]
-    return alg.dim - rank(MatFp(alg.p, np.array(rows)))
+    rows = _products(alg.basis, alg.maxideal_gens).reshape(alg.dim, -1)
+    return alg.dim - rank(MatFp(alg.p, rows))
 
 
 def eis_ideal_min_gens(cusp_alg: LocalAlgebra | None, full_alg: LocalAlgebra) -> int:
@@ -113,7 +117,8 @@ def eis_ideal_min_gens(cusp_alg: LocalAlgebra | None, full_alg: LocalAlgebra) ->
     """
     if cusp_alg is None or not full_alg.maxideal:
         return 0
-    m2 = _span([x * g for x in full_alg.maxideal for g in full_alg.maxideal_gens])
+    n = full_alg.maxideal[0].nrows
+    m2 = EchelonSpace(full_alg.p, n * n).insert(_products(full_alg.maxideal, full_alg.maxideal_gens))
     return len(full_alg.maxideal) - len(m2)
 
 

@@ -1,33 +1,90 @@
 """Theta operator, filtration, companion detection and dimensions."""
 
-import random
-
 import numpy as np
 import pytest
+import sympy
 
+from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import (
+    _theta_reduce,
     companion_dimension,
     companion_report,
     companion_space,
     filtration,
-    has_companion,
     localized_pieces,
     mirror_check,
     theta_series,
     witness_csv,
 )
-from eiscomp.hecke import eisenstein_localize, hecke_action
-from eiscomp.linalg import EchelonSpace, MatFp
+from eiscomp.errors import PrecisionError
+from eiscomp.hecke import hecke_action
+from eiscomp.linalg import EchelonSpace, MatFp, kernel, solve
 from eiscomp.qexp import (
     QSeries,
     delta_q,
     eisenstein_q,
     miller_basis,
     plan_companion,
+    space_dim,
     sturm,
 )
 
 IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)]
+
+
+# --- oracles -----------------------------------------------------------------
+
+def companion_oracle(f):
+    """Decide whether f (weight k, 4 <= k <= p-1) has a companion: (ok, g coordinates).
+
+    A companion g of weight k' = p+1-k must satisfy n^(k') a(n; f) =
+    n a(n; g) for every n up to the graded comparison bound.  For n prime
+    to p that forces a(n; g) = n^(k'-1) a(n; f); the remaining
+    coefficients of g are free and are solved for by membership in the
+    weight-k' basis.  At k = p-1 that space M_2 is zero, so g = 0 is the
+    only candidate and the coordinate list is empty.
+    """
+    p, k = f.p, f.weight
+    if f.digits != 1:
+        raise ValueError("companions are a mod-p notion")
+    if not (4 <= k <= p - 1) or k % 2 == 1:
+        raise ValueError(f"weight {k} outside the companion range for p={p}")
+    bound = plan_companion(p, k).bound
+    if f.prec < bound:
+        raise PrecisionError(f"need {bound} coefficients, have {f.prec}")
+    kp = p + 1 - k
+    forced = np.flatnonzero(np.arange(bound) % p)  # 0 < n < bound, n prime to p
+    rhs = MatFp(p, theta_series(f, kp - 1).coeffs[forced, None])
+    if space_dim(kp) == 0:
+        return (True, []) if rhs.is_zero() else (False, None)
+    target = miller_basis(p, kp, bound)
+    # linear system: coords c of g must hit the forced coefficients
+    solution = solve(MatFp(p, target.coeffs[:, forced].T), rhs)
+    if solution is None:
+        return False, None
+    coords = solution.a[:, 0].tolist()
+    g = target.coords_to_series(coords)
+    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
+        raise AssertionError("solved companion fails theta^(k') f = theta g")
+    return True, coords
+
+
+def echelon_residues(fs, kp, bound):
+    """theta^(k') of each series reduced against an EchelonSpace built from theta(M_k'), row by row."""
+    p = fs[0].p
+    target = EchelonSpace(p, bound)
+    for row in miller_basis(p, kp, bound).coeffs:
+        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
+    return target.reduce(np.stack([theta_series(f, kp).coeffs[:bound] for f in fs]))
+
+
+def oracle_pairs():
+    """Every irregular pair p < 400, and even k on both sides of (p+1)/2 at four primes."""
+    pairs = [(p, k) for p in sympy.primerange(11, 400) for k in irregular_indices(p)]
+    for p in (101, 103, 127, 131):
+        half = (p + 1) // 2
+        pairs += [(p, half - 2 + half % 2), (p, half + 2 - half % 2)]
+    return pairs
 
 
 # --- theta -----------------------------------------------------------------
@@ -80,7 +137,8 @@ def test_theta_kernel_trivial_in_low_weights():
         space = miller_basis(p, kp, bound)
         ech = EchelonSpace(p, bound)
         for row in space.coeffs:
-            assert ech.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs) is not None
+            assert len(ech.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)) == 1
+        assert ech.dim == space.dim
 
 
 # --- filtration --------------------------------------------------------------
@@ -122,7 +180,7 @@ def test_eisenstein_pair_are_companions():
         kp = p + 1 - k
         bound = plan_companion(p, k).bound
         f = eisenstein_q(p, k, bound)
-        ok, g_coords = has_companion(f)
+        ok, g_coords = companion_oracle(f)
         assert ok
         g = miller_basis(p, kp, bound).coords_to_series(g_coords)
         e_kp = eisenstein_q(p, kp, bound)
@@ -134,9 +192,9 @@ def test_eisenstein_pair_are_companions():
 def test_zero_has_companion_zero():
     p, k = 13, 6
     bound = plan_companion(p, k).bound
-    z = QSeries(p, [0] * bound, k)
-    ok, coords = has_companion(z)
-    assert ok and all(c == 0 for c in coords)
+    resid, coords = _theta_reduce(p, k, np.zeros((1, bound), dtype=np.int64))
+    assert not resid.any() and not coords.any()
+    assert coords.shape == (1, miller_basis(p, p + 1 - k, bound).dim)
 
 
 def test_companion_relation_is_symmetric():
@@ -144,7 +202,7 @@ def test_companion_relation_is_symmetric():
     kp = p + 1 - k
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
-    _, g_coords = has_companion(f)
+    _, g_coords = companion_oracle(f)
     g = miller_basis(p, kp, bound).coords_to_series(g_coords)
     assert np.array_equal(theta_series(g, k).coeffs[:bound], theta_series(f).coeffs[:bound])
 
@@ -155,15 +213,16 @@ def test_weight_p_minus_1_companion_lives_in_the_zero_space():
     bound = plan_companion(p, k).bound
     one = QSeries(p, miller_basis(p, k, max(bound, sturm(k))).coeffs[0, :bound].tolist(), k)
     assert one.coeffs.tolist() == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
-    assert has_companion(one) == (True, [])
+    assert companion_oracle(one) == (True, [])
     delta = delta_q(p, bound)
-    assert has_companion(delta) == (False, None)
+    assert companion_oracle(delta) == (False, None)
 
 
 def test_companion_out_of_range_rejected():
-    f = delta_q(7, 40)  # weight 12 > p - 1 = 6
-    with pytest.raises(ValueError):
-        has_companion(f)
+    # the report takes k in [4, p-3], even, so that both mirror weights carry a basis
+    for p, k in ((7, 12), (37, 36), (37, 31), (37, 2)):
+        with pytest.raises(ValueError):
+            companion_report(p, k)
 
 
 # --- companion dimensions ----------------------------------------------------------
@@ -189,7 +248,7 @@ def test_companion_space_gives_witnesses():
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
     f = piece.series(vecs[:1], bound)[0]
-    ok, _ = has_companion(f)
+    ok, _ = companion_oracle(f)
     assert ok
 
 
@@ -205,7 +264,7 @@ def test_mirror_check_eisenstein_pair():
     p, k = 37, 32
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
-    _, gc = has_companion(f)
+    _, gc = companion_oracle(f)
     g = miller_basis(p, p + 1 - k, bound).coords_to_series(gc)
     assert mirror_check(f, g)
 
@@ -215,10 +274,11 @@ def test_mirror_check_on_discovered_pairs():
         rep = companion_report(p, k)
         bound = rep.plan.bound
         piece, _ = localized_pieces(p, k)
-        for f_coords, g_coords in rep.witnesses:
+        for f_coords, _ in rep.witnesses:
             f = piece.series([f_coords], bound)[0]
+            ok, g_coords = companion_oracle(f)
             g = miller_basis(p, rep.k_prime, bound).coords_to_series(g_coords)
-            assert mirror_check(f, g), (p, k)
+            assert ok and mirror_check(f, g), (p, k)
 
 
 def test_dimension_stable_under_precision_increase():
@@ -227,17 +287,8 @@ def test_dimension_stable_under_precision_increase():
     piece, _ = localized_pieces(p, k)
     base = companion_dimension(piece)
     bound = plan_companion(p, k).bound + 20
-    kp = p + 1 - k
-    target = EchelonSpace(p, bound)
-    for row in miller_basis(p, kp, bound).coeffs:
-        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
-    residues = [
-        target.reduce(theta_series(s, kp).coeffs)
-        for s in piece.series(MatFp.identity(p, piece.dim).a, bound)
-    ]
-    from eiscomp.linalg import kernel
-
-    again = kernel(MatFp(p, residues, bound).transpose()).nrows
+    fs = piece.series(MatFp.identity(p, piece.dim).a, bound)
+    again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound)).transpose()).nrows
     assert again == base
 
 
@@ -253,10 +304,52 @@ def test_companion_dimension_against_exhaustive_count():
     for a in range(p):
         for b in range(p):
             f = basis[0].scale(a) + basis[1].scale(b)
-            ok, _ = has_companion(f)
+            ok, _ = companion_oracle(f)
             count += ok
     c = companion_dimension(piece)
     assert count == p**c == 37
+
+
+def test_theta_reduce_matches_both_oracles():
+    # the one decider against the EchelonSpace build of theta(M_k') (residues) and
+    # the forced-coefficient solve (g), on the basis rows of both pieces and on
+    # every witness of the report
+    for p, k in oracle_pairs():
+        piece, piece_prime = localized_pieces(p, k)
+        for pc in (piece, piece_prime):
+            bound = plan_companion(p, pc.k).bound
+            fs = pc.series(MatFp.identity(p, pc.dim).a, bound)
+            resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]))
+            assert resid.tolist() == echelon_residues(fs, p + 1 - pc.k, bound).tolist(), (p, pc.k)
+            for f, r, c in zip(fs, resid, coords):
+                ok, want = companion_oracle(f)
+                assert ok == (not r.any()), (p, pc.k)
+                assert not ok or c.tolist() == want, (p, pc.k)
+        rep = companion_report(p, k)
+        for f_coords, g_coords in rep.witnesses:
+            f = piece.series([f_coords], rep.plan.bound)[0]
+            assert companion_oracle(f) == (True, g_coords), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (13, 6), (37, 8), (37, 32), (101, 50)])
+def test_theta_reduce_on_random_blocks_matches_the_echelon_build(p, k):
+    # k = 2 puts E_(p-1) = 1 mod p first in M_(p-1): theta of row 0 is zero to the
+    # bound and its step is skipped, as EchelonSpace skips a zero row
+    kp = p + 1 - k
+    bound = plan_companion(p, k).bound
+    rng = np.random.default_rng(p * k)
+    target = miller_basis(p, kp, bound)
+    fs = [QSeries(p, row, k) for row in rng.integers(0, p, (4, bound))]
+    g = QSeries(p, rng.integers(0, p, target.dim) @ target.coeffs % p, kp)
+    # theta^(k') theta^(k-1) g = theta^p g = theta g, so this row has the companion g
+    fs.append(QSeries(p, theta_series(g, k - 1).coeffs, k))
+    resid, coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
+    assert resid.tolist() == echelon_residues(fs, kp, bound).tolist()
+    assert resid[:4].any(axis=1).all() and not resid[4].any()
+    for f, r, c in zip(fs, resid, coords):
+        lhs = theta_series(f, kp).coeffs
+        rhs = theta_series(target.coords_to_series(c.tolist())).coeffs
+        assert ((lhs - rhs) % p).tolist() == r.tolist()
 
 
 def test_witness_csv_shape():

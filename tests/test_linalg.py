@@ -355,11 +355,20 @@ def test_closure_matches_krylov_minimal_polynomial():
     power = MatFp.identity(7, 3)
     dims = 0
     for _ in range(4):
-        if ech.insert(power.a.ravel()) is not None:
-            dims += 1
+        dims += len(ech.insert(power.a.ravel()))
         power = power * a
-    assert dims == 3
+    assert dims == ech.dim == 3
     assert len(basis) == 3
+
+
+def test_closure_reduces_each_block_once(monkeypatch):
+    # the identity, then one block of products per basis element: one reduce each
+    calls = []
+    reduce = EchelonSpace.reduce
+    monkeypatch.setattr(EchelonSpace, "reduce", lambda self, v: calls.append(len(v)) or reduce(self, v))
+    a = MatFp(7, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    basis = algebra_closure([a, a * a, a])
+    assert calls == [9] + [3] * len(basis)
 
 
 def test_closure_is_multiplicatively_closed():
@@ -423,19 +432,28 @@ def check_arithmetic(p, a_rows, b_rows, c_rows, n, m, k, scale):
     assert entries(a.scaled(scale)) == [[x * scale % p for x in r] for r in a_rows]
 
 
-def check_echelon(p, vecs, probe, width):
+def check_echelon(p, vecs, probe, width, cuts, flat):
+    """Insert vecs in blocks split at `cuts` against one-at-a-time forward reduction.
+
+    Repeated or end cuts give empty blocks; with `flat`, one-row blocks go
+    in as a single 1-D vector.
+    """
     ech = EchelonSpace(p, width)
     rows, pivots = [], []
-    for v in vecs:
-        got = ech.insert(v)
-        res = echelon_reduce_oracle(v, rows, pivots, p)
-        piv = next((i for i, e in enumerate(res) if e), None)
-        if piv is None:
-            assert got is None
-            continue
-        rows.append([e * pow(res[piv], -1, p) % p for e in res])
-        pivots.append(piv)
-        assert got.tolist() == rows[-1]
+    ends = [0, *sorted(cuts), len(vecs)]
+    for lo, hi in zip(ends, ends[1:]):
+        block = np.array(vecs[lo:hi], dtype=object).reshape(hi - lo, width)
+        got = ech.insert(block[0] if flat and hi - lo == 1 else block)
+        new = []
+        for v in vecs[lo:hi]:
+            res = echelon_reduce_oracle(v, rows, pivots, p)
+            piv = next((i for i, e in enumerate(res) if e), None)
+            if piv is not None:
+                rows.append([e * pow(res[piv], -1, p) % p for e in res])
+                pivots.append(piv)
+                new.append(rows[-1])
+        assert got.shape == (len(new), width)
+        assert got.tolist() == new
     assert (ech.rows.tolist(), ech.pivots) == (rows, pivots)
     assert ech.reduce(probe).tolist() == echelon_reduce_oracle(probe, rows, pivots, p)
 
@@ -451,7 +469,9 @@ def test_edge_shapes_match_the_oracles(p, n, m):
         c_rows = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
         check_arithmetic(p, a_rows, b_rows, c_rows, n, m, k, rng.randrange(p))
     probe = [rng.randrange(p) for _ in range(m)]
-    check_echelon(p, a_rows, probe, m)
+    for cuts in ([], [0, n], [0, min(1, n), min(1, n)]):
+        for flat in (False, True):
+            check_echelon(p, a_rows, probe, m, cuts, flat)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -478,10 +498,11 @@ def test_arithmetic_matches_the_list_oracles(p, data):
 @PROPERTY
 @given(data=st.data())
 def test_echelon_space_matches_forward_reduction(p, data):
-    width = data.draw(st.integers(1, 6))
+    width = data.draw(st.integers(0, 6))
     vecs = data.draw(row_lists(p, None, width))
     probe = data.draw(row_lists(p, 1, width))[0]
-    check_echelon(p, vecs, probe, width)
+    cuts = data.draw(st.lists(st.integers(0, len(vecs)), max_size=4))
+    check_echelon(p, vecs, probe, width, cuts, data.draw(st.booleans()))
 
 
 @st.composite
