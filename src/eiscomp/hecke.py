@@ -24,12 +24,14 @@ import numpy as np
 
 from .errors import PrecisionError
 from .linalg import (
+    EchelonSpace,
     MatFp,
     _matmul,
     algebra_closure,
     generalized_eigenspace,
     kernel,
     rank,
+    restrict_operator,
     solve,
     stable_idempotent,
 )
@@ -154,14 +156,15 @@ class EisLocalPiece:
     """The generalized eigenspace at the Eisenstein maximal ideal.
 
     `basis` rows are vectors in the ambient FormSpace's coordinates;
-    `restricted` maps each prime l <= sturm(k) to the matrix of T(l) on
-    the piece; these generate the local algebra.  Every restricted
-    T(l) - sigma_(k-1)(l) is nilpotent here.
+    `etas` holds the matrix on the piece of each T(l) - sigma_(k-1)(l),
+    l prime up to sturm(k), in generator_primes(k) order.  Every one is
+    nilpotent; they generate the maximal ideal of the local algebra, and
+    with the identity the algebra itself.
     """
 
     space: FormSpace
     basis: MatFp  # rows = piece basis vectors, in space coordinates
-    restricted: dict[int, MatFp]
+    etas: list[MatFp]
 
     @property
     def p(self) -> int:
@@ -174,11 +177,6 @@ class EisLocalPiece:
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def eta_restricted(self, n: int) -> MatFp:
-        """(T(n) - sigma_(k-1)(n)) on the piece."""
-        lam = sigma_eigenvalue(self.p, self.k, n)
-        return self.restricted[n] - MatFp.identity(self.p, self.dim).scaled(lam)
 
     def series(self, coords: np.ndarray | list[list[int]], prec: int) -> list[QSeries]:
         """The q-series, to any precision, of each row of coords, vectors in piece coordinates."""
@@ -201,20 +199,8 @@ class EisLocalPiece:
         return EisLocalPiece(
             space=self.space,
             basis=ker * self.basis,  # back to ambient coordinates
-            restricted={n: _restrict_operator(op, ker) for n, op in self.restricted.items()},
+            etas=[restrict_operator(eta, ker) for eta in self.etas],
         )
-
-
-def _restrict_operator(op: MatFp, basis_rows: MatFp) -> MatFp:
-    """Matrix of op on the span of basis_rows (which must be op-stable).
-
-    Column j holds the coordinates of op applied to basis row j.
-    """
-    bt = basis_rows.transpose()
-    mat = solve(bt, op * bt)
-    if mat is None:
-        raise AssertionError("subspace is not stable under the operator")
-    return mat
 
 
 def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
@@ -227,15 +213,14 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     congruent cusp form exists.
     """
     p, k = space.p, space.k
-    primes = generator_primes(k)
-    ops = {ell: hecke_matrix(space, ell) for ell in primes}
     eye = MatFp.identity(p, space.dim)
-    etas = [ops[ell] - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in primes]
+    etas = [
+        hecke_matrix(space, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
+    ]
     basis = generalized_eigenspace(etas, space.dim, p=p)
-    restricted = {ell: _restrict_operator(ops[ell], basis) for ell in primes}
-    piece = EisLocalPiece(space=space, basis=basis, restricted=restricted)
-    for ell in primes:
-        if not (piece.eta_restricted(ell) ** piece.dim).is_zero():
+    piece = EisLocalPiece(space, basis, [restrict_operator(eta, basis) for eta in etas])
+    for eta in piece.etas:
+        if not (eta**piece.dim).is_zero():
             raise AssertionError("localization generator fails to be nilpotent")
     return piece
 
@@ -252,25 +237,23 @@ class TpRedundancy:
 def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
     """Does dropping T(p) lose anything from the Hecke algebra?
 
-    Compares the closure of {T(l) : l prime, l <= bound, l != p} with
-    the closure of the same set plus T(p); the prime-to-p operators are
-    expected to generate everything when 2 <= k <= p-2.  Weights outside
-    that window are reported as skipped.
+    The check runs only when 2 <= k <= p-2; weights outside that window
+    are reported as skipped.  There sturm(k) < p, so the generators of
+    `full_hecke_algebra` are exactly the prime-to-p T(l), and T(p) is
+    redundant when it reduces to zero against that algebra's span.  The
+    prime-to-p operators are expected to generate everything.
     """
     p, k = space.p, space.k
     if not (2 <= k <= p - 2):
         return TpRedundancy(checked=False, redundant=None, reason=f"weight {k} outside [2, {p - 2}]")
     if space.dim == 0:
         return TpRedundancy(checked=True, redundant=True, reason="zero space")
-    prime_to_p = [hecke_matrix(space, ell) for ell in generator_primes(k) if ell != p]
-    without = algebra_closure(prime_to_p, p=p, dim=space.dim)
-    with_tp = algebra_closure(
-        prime_to_p + [hecke_matrix(space, p)], p=p, dim=space.dim
-    )
+    span = EchelonSpace(p, space.dim**2)
+    span.insert(np.array([t.a.ravel() for t in full_hecke_algebra(space)]))
     return TpRedundancy(
         checked=True,
-        redundant=len(without) == len(with_tp),
-        reason="compared closures with and without T(p)",
+        redundant=not span.reduce(hecke_matrix(space, p).a.ravel()).any(),
+        reason="reduced T(p) against the closure of the prime-to-p T(l)",
     )
 
 

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over F_p.
 
-Row-echelon forms, kernels, solving, commuting generalized eigenspaces,
-the stable idempotent of an endomorphism, and linear closure of commuting
-matrix algebras.  Pivoting is deterministic (first nonzero entry), so all
-outputs are reproducible bit for bit.
+Row-echelon forms, kernels, solves, restrictions to stable subspaces,
+commuting generalized eigenspaces, stable idempotents and the linear
+closure of commuting matrix algebras.  Pivoting is deterministic (first
+nonzero entry), so all outputs are reproducible bit for bit.
 
 A matrix is one 2-D numpy array of residues in [0, p).  `_residues` and
 `_matmul` hold the dtype rules, keyed on the modulus m, for these matrices
@@ -201,12 +201,28 @@ def inverse(a: MatFp) -> MatFp:
     return x
 
 
-def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = None) -> MatFp:
-    """Basis of the common generalized kernel of commuting operators.
+def restrict_operator(op: MatFp, basis_rows: MatFp) -> MatFp:
+    """Matrix of op on the span of basis_rows, which op must keep.
 
-    Returns rows spanning the intersection of ker(op^dim) over all ops;
-    the exponent equals the ambient dimension, which always suffices.
-    Non-commuting inputs are rejected.  An empty operator list cuts
+    Column j holds the coordinates of op applied to basis row j; a span
+    that op does not keep raises ValueError.
+    """
+    bt = basis_rows.transpose()
+    mat = solve(bt, op * bt)
+    if mat is None:
+        raise ValueError("subspace is not stable under the operator")
+    return mat
+
+
+def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = None) -> MatFp:
+    """Canonical basis of the common generalized kernel V of commuting operators.
+
+    One power, op^dim of the first op, acts on the whole space; each later
+    op is restricted to the kernel found so far, which it must keep, and
+    its generalized kernel is taken there.  The restrictions to V must
+    commute.  Either failure raises ValueError.  The rows equal
+    kernel(kernel(V)): `kernel`'s coordinates times a basis in `kernel`'s
+    reduced form is again in that form.  An empty operator list cuts
     nothing out, so the whole space comes back (p must then be given).
     """
     mats = list(ops)
@@ -217,12 +233,14 @@ def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = No
     for m in mats:
         if m.nrows != dim or m.ncols != dim:
             raise ValueError("operator does not act on the given space")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not mats[i].commutes_with(mats[j]):
-                raise ValueError("generalized eigenspace needs commuting operators")
-    powers = [m**dim for m in mats]
-    return kernel(MatFp.vstack(powers))
+    basis = kernel(mats[0] ** dim)
+    for m in mats[1:]:
+        sub = restrict_operator(m, basis)
+        basis = kernel(sub**sub.nrows) * basis
+    subs = [restrict_operator(m, basis) for m in mats]
+    if any(not a.commutes_with(b) for i, a in enumerate(subs) for b in subs[i + 1 :]):
+        raise ValueError("generalized eigenspace needs commuting operators")
+    return basis
 
 
 def stable_idempotent(u: MatFp) -> MatFp:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .companions import companion_dimension, localized_pieces
 from .errors import NotLocalError
-from .hecke import EisLocalPiece, generator_primes
+from .hecke import EisLocalPiece
 from .linalg import EchelonSpace, MatFp, _matmul, algebra_closure, rank
 from .qexp import PrecisionPlan, plan_companion
 
@@ -76,17 +76,16 @@ class LocalAlgebra:
 def restrict_algebra(piece: EisLocalPiece) -> LocalAlgebra:
     """The local Hecke algebra acting on an Eisenstein-local piece.
 
-    Basis from the closure of the restricted T(l), l prime up to the
-    coefficient bound; maximal ideal generated by the restricted
-    T(l) - sigma_(k-1)(l).  A non-local outcome (which a semisimple,
-    non-localized input would produce) is rejected.
+    Basis from the closure of the piece's etas, the restricted
+    T(l) - sigma_(k-1)(l) for l prime up to the coefficient bound, which
+    also generate the maximal ideal.  A non-local outcome (which a
+    semisimple, non-localized input would produce) is rejected.
     """
     if piece.dim == 0:
         raise ValueError("zero piece carries the zero ring")
-    primes = generator_primes(piece.k)
     return LocalAlgebra(
-        basis=algebra_closure([piece.restricted[ell] for ell in primes], p=piece.p, dim=piece.dim),
-        maxideal_gens=[piece.eta_restricted(ell) for ell in primes],
+        basis=algebra_closure(piece.etas, p=piece.p, dim=piece.dim),
+        maxideal_gens=piece.etas,
     )
 
 
@@ -131,9 +130,7 @@ def module_cyclic_dim(piece_cusp: EisLocalPiece) -> int:
     """
     if piece_cusp.dim == 0:
         return 0
-    images = MatFp.vstack(
-        [piece_cusp.eta_restricted(ell).transpose() for ell in generator_primes(piece_cusp.k)]
-    )
+    images = MatFp.vstack([eta.transpose() for eta in piece_cusp.etas])
     return piece_cusp.dim - rank(images)
 
 

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from eiscomp import hecke
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import (
     duality_pairing_matrix,
@@ -209,7 +210,7 @@ def test_prime_generators_cut_out_the_same_eisenstein_piece(p, k):
     ]
     from_all = generalized_eigenspace(etas, s.dim)
     piece = eisenstein_localize(s)
-    assert sorted(piece.restricted) == generator_primes(k)
+    assert len(piece.etas) == len(generator_primes(k))
     assert row_space([piece.basis]) == row_space([from_all])
 
 
@@ -290,7 +291,7 @@ def test_irregular_piece_is_bigger():
     e = eisenstein_q(37, 32, s.prec)
     assert piece.contains_ambient(membership(e, s))
     # eta(2) restricted is nilpotent nonzero: a genuine non-semisimple block
-    eta = piece.eta_restricted(2)
+    eta = piece.etas[0]  # generator_primes(32) == [2, 3]
     assert not eta.is_zero()
     assert (eta * eta).is_zero()
 
@@ -309,6 +310,19 @@ def test_piece_has_no_pure_constant():
         flat = kernel(MatFp(p, tails, s.prec - 1).transpose())
         for amb in (flat * piece.basis).a.tolist():
             assert s.coords_to_series(amb).coeffs[0] == 0
+
+
+def test_localization_raises_one_full_matrix_to_a_power(monkeypatch):
+    # only the first generator is powered on the whole space; the other
+    # generalized kernels and the nilpotency checks run on restrictions
+    s = miller_basis(491, 292, sturm(292) ** 2)
+    assert (s.dim, len(generator_primes(292))) == (25, 9)
+    sizes = []
+    power = MatFp.__pow__
+    monkeypatch.setattr(MatFp, "__pow__", lambda self, e: sizes.append(self.nrows) or power(self, e))
+    piece = eisenstein_localize(s)
+    assert sizes[0] == s.dim and sizes.count(s.dim) == 1
+    assert max(sizes[1:]) < s.dim and piece.dim == 2
 
 
 def test_cuspidal_subpiece_dims():
@@ -342,6 +356,35 @@ def test_tp_redundancy_weight12_p11():
     s = working_space(11, 12, with_tp=True)
     r = t_p_redundancy_check(s)
     assert not r.checked and r.redundant is None
+
+
+def tp_redundancy_oracle(space):
+    """The former check: the closure of the prime-to-p T(l) against the same plus T(p)."""
+    p = space.p
+    prime_to_p = [hecke.hecke_matrix(space, ell) for ell in generator_primes(space.k) if ell != p]
+    without = algebra_closure(prime_to_p, p=p, dim=space.dim)
+    with_tp = algebra_closure(prime_to_p + [hecke.hecke_matrix(space, p)], p=p, dim=space.dim)
+    return len(without) == len(with_tp)
+
+
+def test_tp_redundancy_matches_the_two_closure_oracle():
+    # the pairs of acceptance criterion 6
+    for p in (11, 13, 37):
+        for k in range(4, p - 1, 2):
+            s = working_space(p, k, with_tp=True)
+            r = t_p_redundancy_check(s)
+            assert r.checked and r.redundant == tp_redundancy_oracle(s), (p, k)
+
+
+def test_tp_redundancy_sees_an_operator_outside_the_algebra(monkeypatch):
+    p = 37
+    s = working_space(p, 32, with_tp=True)
+    outside = MatFp(p, np.arange(s.dim**2).reshape(s.dim, s.dim))
+    real = hecke.hecke_matrix
+    monkeypatch.setattr(hecke, "hecke_matrix", lambda space, n: outside if n == p else real(space, n))
+    assert tp_redundancy_oracle(s) is False
+    r = t_p_redundancy_check(s)
+    assert r.checked and r.redundant is False
 
 
 def test_tp_redundancy_in_range_sample():

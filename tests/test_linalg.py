@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eiscomp.bernoulli import irregular_indices
+from eiscomp.hecke import generator_primes, hecke_matrix, sigma_eigenvalue
 from eiscomp.linalg import (
     EchelonSpace,
     MatFp,
@@ -20,6 +22,8 @@ from eiscomp.linalg import (
     solve,
     stable_idempotent,
 )
+from eiscomp.qexp import miller_basis, sturm
+from eiscomp.scan import primes_in
 
 
 # --- oracles ---------------------------------------------------------------
@@ -267,6 +271,45 @@ def test_matmul_exact_at_the_int64_edge():
 
 # --- generalized eigenspace ---------------------------------------------------
 
+def generalized_kernel_oracle(ops, dim, *, p=None):
+    """The former routine: every pair checked for commutation on the whole
+    space, then kernel(vstack(op^dim))."""
+    mats = list(ops)
+    if not mats:
+        return MatFp.identity(p, dim)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if not mats[i].commutes_with(mats[j]):
+                raise ValueError("generalized eigenspace needs commuting operators")
+    return kernel(MatFp.vstack([m**dim for m in mats]))
+
+
+def hecke_etas(space):
+    """The generators T(l) - sigma_(k-1)(l), l in generator_primes(k), on a whole space."""
+    eye = MatFp.identity(space.p, space.dim)
+    return [
+        hecke_matrix(space, ell) - eye.scaled(sigma_eigenvalue(space.p, space.k, ell))
+        for ell in generator_primes(space.k)
+    ]
+
+
+def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
+    # the hecke workload's five items at its precision, and both mirror
+    # weights of every irregular pair p < 400 at the localization's
+    spaces = [
+        miller_basis(p, k, max(sturm(k) ** 2, p * sturm(k)))
+        for p, k in [(7, 300), (11, 240), (13, 180), (37, 180), (101, 96)]
+    ]
+    for p in primes_in(5, 399):
+        for k in irregular_indices(p):
+            spaces += [miller_basis(p, w, sturm(w) ** 2) for w in (k, p + 1 - k)]
+    assert len(spaces) == 5 + 2 * 23
+    for s in spaces:
+        etas = hecke_etas(s)
+        got = generalized_eigenspace(etas, s.dim, p=s.p)
+        assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
+
+
 def test_gen_eigenspace_zero_op_gives_whole_space():
     z = zeros(7, 3, 3)
     assert generalized_eigenspace([z], 3).nrows == 3
@@ -292,13 +335,32 @@ def test_gen_eigenspace_rejects_non_commuting():
 
 
 def test_gen_eigenspace_rejects_a_non_commuting_later_pair():
-    # the first operator commutes with both others; only the second and third clash
-    first = MatFp.identity(5, 2).scaled(3)
+    # the first operator commutes with both others; only the second and third clash,
+    # and on the whole space, which is the first operator's generalized kernel
+    first = zeros(5, 2, 2)
     second = MatFp(5, [[0, 1], [0, 0]])
     third = MatFp(5, [[0, 0], [1, 0]])
     assert first.commutes_with(second) and first.commutes_with(third)
     with pytest.raises(ValueError):
         generalized_eigenspace([first, second, third], 2)
+
+
+def test_gen_eigenspace_ignores_a_clash_off_the_piece():
+    # 3I has generalized kernel {0}, so the common one is the zero space; the
+    # clash of the other two lies off it, where only the whole-space check saw it
+    ops = [MatFp.identity(5, 2).scaled(3), MatFp(5, [[0, 1], [0, 0]]), MatFp(5, [[0, 0], [1, 0]])]
+    got = generalized_eigenspace(ops, 2)
+    assert got.nrows == 0 and got == generalized_kernel_oracle(ops[:1], 2)
+    with pytest.raises(ValueError):
+        generalized_kernel_oracle(ops, 2)
+
+
+def test_gen_eigenspace_rejects_an_operator_that_leaves_the_first_kernel():
+    # ker(a^2) is the line of e0, and b maps e0 to e1
+    a = MatFp(5, [[0, 0], [0, 1]])
+    b = MatFp(5, [[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="not stable"):
+        generalized_eigenspace([a, b], 2)
 
 
 # --- stable idempotent ---------------------------------------------------------
@@ -529,6 +591,50 @@ def commuting_gens(draw, p):
     if draw(st.booleans()):
         gens.append(gens[0])
     return dim, gens
+
+
+@st.composite
+def commuting_family(draw, p):
+    """(dim, ops): polynomials in one matrix, often singular, with constant
+    term often 0; or block sums of upper-triangular Toeplitz blocks (a scalar
+    plus a polynomial in the nilpotent shift), the scalar 0 on every op in
+    the blocks drawn inside the kernel, in a random basis when one is drawn
+    invertible."""
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 5))
+        a = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+        powers = [MatFp.identity(p, dim), a, a * a]
+        ops = []
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = [draw(st.one_of(st.just(0), entry))] + draw(st.lists(entry, min_size=2, max_size=2))
+            ops.append(MatFp(p, sum(m.a.astype(object) * c for m, c in zip(powers, coeffs))))
+        return dim, ops
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    inside = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    dim = sum(sizes)
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = np.zeros((dim, dim), dtype=object)
+        at = 0
+        for size, zero in zip(sizes, inside):
+            c = [0 if zero else draw(entry)] + draw(st.lists(entry, min_size=size - 1, max_size=size - 1))
+            for i in range(size):
+                op[at + i, at + i : at + size] = c[: size - i]
+            at += size
+        ops.append(MatFp(p, op))
+    change = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+    if rank(change) == dim:
+        ops = [inverse(change) * op * change for op in ops]
+    return dim, ops
+
+
+@pytest.mark.parametrize("p", [5, 7, 491, 3037000493])
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_gen_eigenspace_matches_the_oracle_on_commuting_families(p, data):
+    dim, ops = data.draw(commuting_family(p))
+    assert generalized_eigenspace(ops, dim) == generalized_kernel_oracle(ops, dim)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

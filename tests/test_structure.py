@@ -147,14 +147,10 @@ def test_restrict_37_32_full_piece():
 
 def test_restrict_rejects_semisimple_double():
     space = miller_basis(5, 12, sturm(12) ** 2)
-    fake_ops = {
-        1: MatFp.identity(5, 2),
-        2: MatFp(5, [[1, 0], [0, 2]]),
-    }
     fake = EisLocalPiece(
         space=space,
         basis=MatFp.identity(5, 2),
-        restricted=fake_ops,
+        etas=[MatFp(5, [[1, 0], [0, 2]])],
     )
     with pytest.raises(NotLocalError):
         restrict_algebra(fake)
