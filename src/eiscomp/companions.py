@@ -2,15 +2,21 @@
 
 theta = q d/dq multiplies a(n) by n and raises the graded weight by p+1.
 A weight-k form f and a weight-k' form g (k' = p+1-k) are companions when
-theta^(k') f = theta g, equivalently theta^k g = theta f.  Both sides of
-that relation live in the graded ring at weight W = k + k'(p+1), so
-comparing coefficients up to floor(W/12) decides it; no basis at weight W
-is ever materialized, only coefficient vectors of that length.
+theta^(k') f = theta g.  On q-expansions mod p, n^p = n makes theta^p =
+theta (Katz, LNM 601, 1977), so applying theta^(k-1) shows the relation
+is equivalent to theta f = theta^k g.  The first form lives in the graded
+ring at weight W = k + k'(p+1), the second at W' = k' + k(p+1), and
+comparing coefficients up to floor(min(W, W')/12) decides either one; no
+basis at that weight is ever materialized, only coefficient vectors of
+that length.  The bound, plan_companion(p, max(k, k')).bound, is the same
+for both weights of a pair, so c(m) and c(m') share it.
 
-One routine, `_theta_reduce`, decides the relation: it reduces
-theta^(k') f against theta(M_k') and returns the residue with the
-coordinates of g.  `companion_space` takes the kernel of the residues and
-`companion_report` reads each witness's g from the same routine.
+One routine, `_theta_reduce`, decides the relation: it reduces theta^(k')
+f against theta(M_k') when k' <= k, and theta f against theta^k(M_k')
+otherwise, and returns the residue with the coordinates of g, which are
+the same in both directions.  `companion_space` takes the kernel of the
+residues and `companion_report` reads each witness's g from the same
+routine.  Gross (Duke Math. J. 61, 1990) gives the companion theory.
 """
 
 from __future__ import annotations
@@ -73,26 +79,36 @@ def filtration(f: QSeries, k: int | None = None) -> int:
     raise AssertionError(f"form of weight {k} missing from its own weight")
 
 
-def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residues theta^(k') f - theta g and the weight-k' coordinates of g.
+def _companion_bound(p: int, k: int) -> int:
+    """Coefficients that decide the companion relation at either weight of (k, p+1-k)."""
+    return plan_companion(p, max(k, p + 1 - k)).bound
 
-    fs holds weight-k series, one per row, to the comparison bound; f has
-    a companion exactly when its residue is zero, and g is then one.  Row
-    j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta of it
-    is j at q^j and zero at the other q^i, i < dim < p: its coordinate is
-    v[j]/j.  Theta of row 0 vanishes below q^dim and is cleared at its
-    first nonzero coefficient, or skipped if it has none to the bound.
-    The residue vanishes at those pivots, so it is the forward-reduced
-    residue against any echelon basis of theta(M_k') with them.
+
+def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residues theta^a f - theta^b g and the weight-k' coordinates of g.
+
+    The direction is the one at the smaller graded weight: (a, b) = (k', 1)
+    when k' <= k, else (1, k), and the comparison bound is
+    `_companion_bound(p, k)`, which fs, weight-k series one per row, must
+    reach; longer rows are cut to it.  f has a companion exactly when its
+    residue is zero, and g is then one, the same g in both directions.
+    Row j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta^b
+    of it is the unit j^b at q^j and zero at the other q^i, i < dim < p:
+    its coordinate is v[j]/j^b.  Theta^b of row 0 vanishes below q^dim and
+    is cleared at its first nonzero coefficient, or skipped if it has none
+    to the bound.  The residue vanishes at those pivots, so it is the
+    forward-reduced residue against any echelon basis of theta^b(M_k')
+    with them.
     """
     kp = p + 1 - k
-    bound = plan_companion(p, k).bound
+    a, b = (kp, 1) if kp <= k else (1, k)
+    bound = _companion_bound(p, k)
     target = miller_basis(p, kp, bound)
     d = target.dim
-    rows = _residues(p, target.coeffs * _powers(1, bound, p))
-    v = _residues(p, fs * _powers(kp, bound, p))
+    rows = _residues(p, target.coeffs * _powers(b, bound, p))
+    v = _residues(p, fs[:, :bound] * _powers(a, bound, p))
     coords = _residues(p, np.zeros((len(v), d), dtype=np.int64))
-    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -1, p) for j in range(1, d)]) % p
+    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -b, p) for j in range(1, d)]) % p
     lead = np.flatnonzero(rows[0])
     if lead.size:
         n0 = int(lead[0])
@@ -105,11 +121,11 @@ def companion_space(piece: EisLocalPiece) -> list[list[int]]:
     """Basis (piece coordinates) of the companion-admitting subspace.
 
     An element f of the weight-k piece has a companion exactly when
-    theta^(k') f falls in theta(M_k'), both spanned to the graded bound;
-    the subspace is the kernel of the map to the residues.
+    `_theta_reduce` leaves it no residue to the bound both weights of the
+    pair share; the subspace is the kernel of the map to the residues.
     """
     p, k = piece.p, piece.k
-    basis = piece.series(MatFp.identity(p, piece.dim).a, plan_companion(p, k).bound)
+    basis = piece.series(MatFp.identity(p, piece.dim).a, _companion_bound(p, k))
     resid, _ = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
     return kernel(MatFp(p, resid).transpose()).a.tolist()
 
@@ -197,8 +213,16 @@ def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
 
 
 def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
-    """The weight-k and weight-(p+1-k) Eisenstein-local pieces."""
+    """The weight-k and weight-(p+1-k) Eisenstein-local pieces.
+
+    Each weight's basis is built once, longer first, at every precision
+    the pair reads: the localization's sturm(w)^2 and the companion bound.
+    Every later request, the localization's included, is a view of it.
+    """
     kp = p + 1 - k
+    bound = _companion_bound(p, k)
+    for prec, w in sorted(((max(bound, sturm(w) ** 2), w) for w in (k, kp)), reverse=True):
+        miller_basis(p, w, prec)
     piece = eisenstein_localize(miller_basis(p, k, sturm(k) ** 2))
     piece_prime = eisenstein_localize(miller_basis(p, kp, sturm(kp) ** 2))
     return piece, piece_prime
@@ -214,7 +238,6 @@ def companion_report(p: int, k: int) -> CompanionReport:
     if not (4 <= k <= p - 3) or k % 2 == 1:
         raise ValueError(f"weight {k} outside [4, p-3] for p={p}")
     kp = p + 1 - k
-    plan = plan_companion(p, k)
     piece, piece_prime = localized_pieces(p, k)
     wit_coords = companion_space(piece)
     c_m = len(wit_coords)
@@ -223,7 +246,7 @@ def companion_report(p: int, k: int) -> CompanionReport:
         raise AssertionError("companion dimensions violate the mirror inequality")
     if k != p - 1 and c_m != c_m_prime:
         raise AssertionError("mirror equality fails away from weight p-1")
-    fs = piece.series(wit_coords, plan.bound)
+    fs = piece.series(wit_coords, _companion_bound(p, k))
     resid, g_coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
     if resid.any():
         raise AssertionError("kernel vector lost its companion on recheck")
@@ -237,5 +260,5 @@ def companion_report(p: int, k: int) -> CompanionReport:
         dim_piece=piece.dim,
         dim_piece_prime=piece_prime.dim,
         witnesses=witnesses,
-        plan=plan,
+        plan=plan_companion(p, k),
     )

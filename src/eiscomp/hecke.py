@@ -217,8 +217,7 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     etas = [
         hecke_matrix(space, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
     ]
-    basis = generalized_eigenspace(etas, space.dim, p=p)
-    piece = EisLocalPiece(space, basis, [restrict_operator(eta, basis) for eta in etas])
+    piece = EisLocalPiece(space, *generalized_eigenspace(etas, space.dim, p=p))
     for eta in piece.etas:
         if not (eta**piece.dim).is_zero():
             raise AssertionError("localization generator fails to be nilpotent")
@@ -234,14 +233,15 @@ class TpRedundancy:
     reason: str
 
 
-def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
+def t_p_redundancy_check(space: FormSpace, algebra: list[MatFp]) -> TpRedundancy:
     """Does dropping T(p) lose anything from the Hecke algebra?
 
+    `algebra` is `full_hecke_algebra(space)`, which the caller has built.
     The check runs only when 2 <= k <= p-2; weights outside that window
     are reported as skipped.  There sturm(k) < p, so the generators of
-    `full_hecke_algebra` are exactly the prime-to-p T(l), and T(p) is
-    redundant when it reduces to zero against that algebra's span.  The
-    prime-to-p operators are expected to generate everything.
+    that algebra are exactly the prime-to-p T(l), and T(p) is redundant
+    when it reduces to zero against the algebra's span.  The prime-to-p
+    operators are expected to generate everything.
     """
     p, k = space.p, space.k
     if not (2 <= k <= p - 2):
@@ -249,7 +249,7 @@ def t_p_redundancy_check(space: FormSpace) -> TpRedundancy:
     if space.dim == 0:
         return TpRedundancy(checked=True, redundant=True, reason="zero space")
     span = EchelonSpace(p, space.dim**2)
-    span.insert(np.array([t.a.ravel() for t in full_hecke_algebra(space)]))
+    span.insert(np.array([t.a.ravel() for t in algebra]))
     return TpRedundancy(
         checked=True,
         redundant=not span.reduce(hecke_matrix(space, p).a.ravel()).any(),
@@ -264,7 +264,7 @@ def hecke_report(p: int, k: int) -> dict:
     algebra = full_hecke_algebra(space)
     _, dual_rank = duality_pairing_matrix(space, algebra)
     piece = eisenstein_localize(space)
-    tp = t_p_redundancy_check(space)
+    tp = t_p_redundancy_check(space, algebra)
     return {
         "p": p,
         "k": k,

@@ -214,22 +214,25 @@ def restrict_operator(op: MatFp, basis_rows: MatFp) -> MatFp:
     return mat
 
 
-def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = None) -> MatFp:
-    """Canonical basis of the common generalized kernel V of commuting operators.
+def generalized_eigenspace(
+    ops: Sequence[MatFp], dim: int, *, p: int | None = None
+) -> tuple[MatFp, list[MatFp]]:
+    """Canonical basis of the common generalized kernel V of commuting operators,
+    and the matrix of each operator on V, in the order given.
 
     One power, op^dim of the first op, acts on the whole space; each later
     op is restricted to the kernel found so far, which it must keep, and
-    its generalized kernel is taken there.  The restrictions to V must
-    commute.  Either failure raises ValueError.  The rows equal
-    kernel(kernel(V)): `kernel`'s coordinates times a basis in `kernel`'s
-    reduced form is again in that form.  An empty operator list cuts
-    nothing out, so the whole space comes back (p must then be given).
+    its generalized kernel is taken there.  Every op must keep V, and the
+    restrictions to V must commute.  Either failure raises ValueError.  The
+    rows equal kernel(kernel(V)): `kernel`'s coordinates times a basis in
+    `kernel`'s reduced form is again in that form.  An empty operator list
+    cuts nothing out, so the whole space comes back (p must then be given).
     """
     mats = list(ops)
     if not mats:
         if p is None:
             raise ValueError("empty operator list needs an explicit p")
-        return MatFp.identity(p, dim)
+        return MatFp.identity(p, dim), []
     for m in mats:
         if m.nrows != dim or m.ncols != dim:
             raise ValueError("operator does not act on the given space")
@@ -240,7 +243,7 @@ def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int | None = No
     subs = [restrict_operator(m, basis) for m in mats]
     if any(not a.commutes_with(b) for i, a in enumerate(subs) for b in subs[i + 1 :]):
         raise ValueError("generalized eigenspace needs commuting operators")
-    return basis
+    return basis, subs
 
 
 def stable_idempotent(u: MatFp) -> MatFp:

@@ -217,12 +217,16 @@ def structure_report(p: int, k: int) -> StructureReport:
     Under c(m') = 1 the localized full algebra is asserted Gorenstein, the
     cuspidal-side conditions (Gorenstein, cyclic piece, principal ideal
     image) are asserted pairwise equivalent, and the dimension identity
-    dim(M-local) = dim(S-local) + 1 is asserted.  Complete-intersection
-    status is reported as not evaluated.
+    dim(M-local) = dim(S-local) + 1 is asserted.  Away from k = p-1,
+    c(m) is computed too and must equal c(m'), else AssertionError.
+    Complete-intersection status is reported as not evaluated.
     """
     piece, piece_prime = localized_pieces(p, k)
     cusp = piece.cuspidal_subpiece()
     c_m_prime = companion_dimension(piece_prime)
+    # the two pieces reduce in opposite directions, so each checks the other
+    if k != p - 1 and companion_dimension(piece) != c_m_prime:
+        raise AssertionError("mirror equality c(m) = c(m') fails away from weight p-1")
     full_alg = restrict_algebra(piece)
     zero_cusp = cusp.dim == 0
     if zero_cusp:

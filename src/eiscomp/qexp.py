@@ -452,7 +452,17 @@ class FormSpace:
         }
 
 
-_BASIS_CACHE: dict[tuple[int, int, int, int], FormSpace] = {}
+@dataclass(eq=False)
+class _Ladder:
+    """What `miller_basis` keeps per (p, digits): the longest ratio Delta/E4^3
+    computed, the longest basis built per weight, and every space served."""
+
+    ratio: np.ndarray | None = None
+    longest: dict[int, FormSpace] = field(default_factory=dict)
+    served: dict[tuple[int, int], FormSpace] = field(default_factory=dict)
+
+
+_BASIS_CACHE: dict[tuple[int, int], _Ladder] = {}
 _BASIS_LOCK = threading.Lock()
 
 
@@ -466,8 +476,15 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     3 per row: M_0 = E4^a E6^b and M_(j+1) = M_j * Delta/E4^3, one product
     per row.  E4^3 = 1 + O(q), so its inverse (`inverse_mod`) is exact and
     the monomials are the same truncated series as the direct products.
-    Results are cached per (p, k, prec, digits); recomputing at higher
-    precision reproduces the same rows truncated.
+
+    One basis is built per (p, k, digits), the longest asked for; a shorter
+    precision is served as the read-only column view coeffs[:, :prec], which
+    equals a build at that precision (the ladder products are exact
+    truncated series and the clearing reads only the first dim columns).
+    Each served space is cached under (p, k, prec, digits), so a repeated
+    call returns the same FormSpace with its `hecke_matrices`.  The ratio
+    Delta/E4^3 depends only on (p, digits) and the precision: the longest
+    one computed is kept and every shorter ladder runs on its prefix.
     """
     require_admissible_prime(p)
     if k < 4 or k % 2 == 1:
@@ -476,9 +493,13 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         prec = sturm(k)
     if prec < sturm(k):
         raise PrecisionError(f"precision {prec} below the weight-{k} bound {sturm(k)}")
-    key = (p, k, prec, digits)
     with _BASIS_LOCK:
-        hit = _BASIS_CACHE.get(key)
+        ladder = _BASIS_CACHE.setdefault((p, digits), _Ladder())
+        hit = ladder.served.get((k, prec))
+        full = ladder.longest.get(k)
+        if hit is None and full is not None and full.prec >= prec:
+            view = FormSpace(p=p, digits=digits, k=k, coeffs=full.coeffs[:, :prec])
+            hit = ladder.served.setdefault((k, prec), view)
     if hit is not None:
         return hit
 
@@ -491,10 +512,15 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         mono = mono * _unit_eisenstein(p, 6, prec, digits)
     monomials = [mono.coeffs]
     if d > 1:
-        e4_cubed = e4.pow(3)  # shared by Delta and the inverse
-        ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
+        ratio = ladder.ratio
+        if ratio is None or len(ratio) < prec:
+            e4_cubed = e4.pow(3)  # shared by Delta and the inverse
+            ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
+            with _BASIS_LOCK:
+                if ladder.ratio is None or len(ladder.ratio) < prec:
+                    ladder.ratio = ratio
         for _ in range(d - 1):
-            monomials.append(convolve_mod(monomials[-1], ratio, m))
+            monomials.append(convolve_mod(monomials[-1], ratio[:prec], m))
     rows = np.stack(monomials)  # d >= 1 for every even k >= 4
     # monomial j must be q^j + O(q^(j+1)): the leading block is unit upper triangular
     lacking = np.flatnonzero((np.tril(rows[:, :d]) != np.eye(d, dtype=np.int64)).any(axis=1))
@@ -509,8 +535,10 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
 
     space = FormSpace(p=p, digits=digits, k=k, coeffs=rows)
     with _BASIS_LOCK:
-        _BASIS_CACHE.setdefault(key, space)
-    return space
+        full = ladder.longest.get(k)
+        if full is None or full.prec < prec:
+            ladder.longest[k] = space
+        return ladder.served.setdefault((k, prec), space)
 
 
 def membership(f: QSeries, space: FormSpace) -> list[int] | None:
@@ -564,8 +592,12 @@ class PrecisionPlan:
 def plan_companion(p: int, k: int) -> PrecisionPlan:
     """Comparison weight for the companion condition between k and p+1-k.
 
-    Both sides of the defining relation live in the graded ring at weight
-    W = k + (p+1-k)(p+1); agreeing up to floor(W/12) forces equality.
+    Both sides of theta^(p+1-k) f = theta g, f of weight k, live in the
+    graded ring at weight W = k + (p+1-k)(p+1); agreeing up to floor(W/12)
+    forces equality.  W is the smaller of the two graded weights of the
+    pair exactly when k >= p+1-k, so the companion test reads the shared
+    bound plan_companion(p, max(k, p+1-k)).bound at either weight, in the
+    direction that lives there (see `companions._theta_reduce`).
     """
     kp = p + 1 - k
     w = k + kp * (p + 1)

@@ -116,7 +116,7 @@ def test_criterion_6_prime_to_p_generation():
     for p in (11, 13, 37):
         for k in range(4, p - 1, 2):
             space = miller_basis(p, k, max(sturm(k) ** 2, p * sturm(k)))
-            res = t_p_redundancy_check(space)
+            res = t_p_redundancy_check(space, full_hecke_algebra(space))
             assert res.checked and res.redundant, (p, k)
             checked += 1
     report(6, f"T(p) redundant in the Hecke algebra on {checked} sampled (p, k)")

@@ -69,13 +69,22 @@ def companion_oracle(f):
     return True, coords
 
 
-def echelon_residues(fs, kp, bound):
-    """theta^(k') of each series reduced against an EchelonSpace built from theta(M_k'), row by row."""
+def echelon_residues(fs, kp, bound, a, b):
+    """theta^a of each series reduced against an EchelonSpace built from theta^b(M_k'), row by row."""
     p = fs[0].p
     target = EchelonSpace(p, bound)
     for row in miller_basis(p, kp, bound).coeffs:
-        target.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)
-    return target.reduce(np.stack([theta_series(f, kp).coeffs[:bound] for f in fs]))
+        target.insert(theta_series(QSeries(p, row.tolist(), kp), b).coeffs)
+    return target.reduce(np.stack([theta_series(f, a).coeffs[:bound] for f in fs]))
+
+
+def smaller_direction(p, k):
+    """(a, b, bound): theta^a f = theta^b g at the smaller graded weight of (k, p+1-k)."""
+    kp = p + 1 - k
+    w_first, w_second = k + kp * (p + 1), kp + k * (p + 1)  # theta^(k') f = theta g, theta f = theta^k g
+    if w_first <= w_second:
+        return kp, 1, w_first // 12 + 1
+    return 1, k, w_second // 12 + 1
 
 
 def oracle_pairs():
@@ -288,7 +297,7 @@ def test_dimension_stable_under_precision_increase():
     base = companion_dimension(piece)
     bound = plan_companion(p, k).bound + 20
     fs = piece.series(MatFp.identity(p, piece.dim).a, bound)
-    again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound)).transpose()).nrows
+    again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
     assert again == base
 
 
@@ -311,16 +320,22 @@ def test_companion_dimension_against_exhaustive_count():
 
 
 def test_theta_reduce_matches_both_oracles():
-    # the one decider against the EchelonSpace build of theta(M_k') (residues) and
-    # the forced-coefficient solve (g), on the basis rows of both pieces and on
-    # every witness of the report
+    # the one decider against the EchelonSpace build of the direction it chose
+    # (residues), the companion space against the theta^(k') f = theta g kernel
+    # at the larger bound W = k + k'(p+1), and the forced-coefficient solve at
+    # that bound (g), on the basis rows of both pieces and on every witness
     for p, k in oracle_pairs():
         piece, piece_prime = localized_pieces(p, k)
         for pc in (piece, piece_prime):
-            bound = plan_companion(p, pc.k).bound
-            fs = pc.series(MatFp.identity(p, pc.dim).a, bound)
+            kp = p + 1 - pc.k
+            a, b, bound = smaller_direction(p, pc.k)
+            old = plan_companion(p, pc.k).bound
+            assert bound == min(old, plan_companion(p, kp).bound)
+            fs = pc.series(MatFp.identity(p, pc.dim).a, old)
             resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]))
-            assert resid.tolist() == echelon_residues(fs, p + 1 - pc.k, bound).tolist(), (p, pc.k)
+            assert resid.tolist() == echelon_residues(fs, kp, bound, a, b).tolist(), (p, pc.k)
+            old_kernel = kernel(MatFp(p, echelon_residues(fs, kp, old, kp, 1)).transpose())
+            assert companion_space(pc) == old_kernel.a.tolist(), (p, pc.k)
             for f, r, c in zip(fs, resid, coords):
                 ok, want = companion_oracle(f)
                 assert ok == (not r.any()), (p, pc.k)
@@ -333,10 +348,12 @@ def test_theta_reduce_matches_both_oracles():
 
 @pytest.mark.parametrize("p,k", [(13, 2), (13, 6), (37, 8), (37, 32), (101, 50)])
 def test_theta_reduce_on_random_blocks_matches_the_echelon_build(p, k):
-    # k = 2 puts E_(p-1) = 1 mod p first in M_(p-1): theta of row 0 is zero to the
-    # bound and its step is skipped, as EchelonSpace skips a zero row
+    # k = 2 puts E_(p-1) = 1 mod p first in M_(p-1): theta^2 of row 0 is zero to the
+    # bound and its step is skipped, as EchelonSpace skips a zero row.  (37, 32)
+    # reduces theta^(k') f against theta(M_k'), the others theta f against theta^k(M_k')
     kp = p + 1 - k
     bound = plan_companion(p, k).bound
+    a, b, used = smaller_direction(p, k)
     rng = np.random.default_rng(p * k)
     target = miller_basis(p, kp, bound)
     fs = [QSeries(p, row, k) for row in rng.integers(0, p, (4, bound))]
@@ -344,11 +361,12 @@ def test_theta_reduce_on_random_blocks_matches_the_echelon_build(p, k):
     # theta^(k') theta^(k-1) g = theta^p g = theta g, so this row has the companion g
     fs.append(QSeries(p, theta_series(g, k - 1).coeffs, k))
     resid, coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
-    assert resid.tolist() == echelon_residues(fs, kp, bound).tolist()
+    assert resid.shape == (5, used)
+    assert resid.tolist() == echelon_residues(fs, kp, used, a, b).tolist()
     assert resid[:4].any(axis=1).all() and not resid[4].any()
     for f, r, c in zip(fs, resid, coords):
-        lhs = theta_series(f, kp).coeffs
-        rhs = theta_series(target.coords_to_series(c.tolist())).coeffs
+        lhs = theta_series(f, a).coeffs[:used]
+        rhs = theta_series(target.coords_to_series(c.tolist()), b).coeffs[:used]
         assert ((lhs - rhs) % p).tolist() == r.tolist()
 
 

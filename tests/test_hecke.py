@@ -208,7 +208,7 @@ def test_prime_generators_cut_out_the_same_eisenstein_piece(p, k):
         hecke_matrix(s, n) - eye.scaled(sigma_eigenvalue(p, k, n))
         for n in range(2, sturm(k) + 1)
     ]
-    from_all = generalized_eigenspace(etas, s.dim)
+    from_all, _ = generalized_eigenspace(etas, s.dim)
     piece = eisenstein_localize(s)
     assert len(piece.etas) == len(generator_primes(k))
     assert row_space([piece.basis]) == row_space([from_all])
@@ -347,14 +347,14 @@ def test_localized_eigensystem_multiplicativity():
 
 def test_tp_redundancy_dim1():
     s = working_space(11, 4, with_tp=True)
-    r = t_p_redundancy_check(s)
+    r = t_p_redundancy_check(s, full_hecke_algebra(s))
     assert r.checked and r.redundant
 
 
 def test_tp_redundancy_weight12_p11():
     # k = 12 exceeds p - 2 = 9 for p = 11: out of the lemma's range
     s = working_space(11, 12, with_tp=True)
-    r = t_p_redundancy_check(s)
+    r = t_p_redundancy_check(s, full_hecke_algebra(s))
     assert not r.checked and r.redundant is None
 
 
@@ -372,7 +372,7 @@ def test_tp_redundancy_matches_the_two_closure_oracle():
     for p in (11, 13, 37):
         for k in range(4, p - 1, 2):
             s = working_space(p, k, with_tp=True)
-            r = t_p_redundancy_check(s)
+            r = t_p_redundancy_check(s, full_hecke_algebra(s))
             assert r.checked and r.redundant == tp_redundancy_oracle(s), (p, k)
 
 
@@ -383,14 +383,14 @@ def test_tp_redundancy_sees_an_operator_outside_the_algebra(monkeypatch):
     real = hecke.hecke_matrix
     monkeypatch.setattr(hecke, "hecke_matrix", lambda space, n: outside if n == p else real(space, n))
     assert tp_redundancy_oracle(s) is False
-    r = t_p_redundancy_check(s)
+    r = t_p_redundancy_check(s, full_hecke_algebra(s))
     assert r.checked and r.redundant is False
 
 
 def test_tp_redundancy_in_range_sample():
     for (p, k) in ((13, 10), (37, 12), (37, 32)):
         s = working_space(p, k, with_tp=True)
-        r = t_p_redundancy_check(s)
+        r = t_p_redundancy_check(s, full_hecke_algebra(s))
         assert r.checked and r.redundant, (p, k)
 
 

@@ -18,6 +18,7 @@ from eiscomp.linalg import (
     inverse,
     kernel,
     rank,
+    restrict_operator,
     rref,
     solve,
     stable_idempotent,
@@ -306,23 +307,24 @@ def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
     assert len(spaces) == 5 + 2 * 23
     for s in spaces:
         etas = hecke_etas(s)
-        got = generalized_eigenspace(etas, s.dim, p=s.p)
+        got, subs = generalized_eigenspace(etas, s.dim, p=s.p)
         assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
+        assert subs == [restrict_operator(eta, got) for eta in etas], (s.p, s.k)
 
 
 def test_gen_eigenspace_zero_op_gives_whole_space():
     z = zeros(7, 3, 3)
-    assert generalized_eigenspace([z], 3).nrows == 3
+    assert generalized_eigenspace([z], 3)[0].nrows == 3
 
 
 def test_gen_eigenspace_identity_gives_zero():
     eye = MatFp.identity(7, 3)
-    assert generalized_eigenspace([eye], 3).nrows == 0
+    assert generalized_eigenspace([eye], 3)[0].nrows == 0
 
 
 def test_gen_eigenspace_jordan_block():
     j = MatFp(7, [[0, 1], [1 * 0, 0]])  # J^2 = 0
-    space = generalized_eigenspace([j], 2)
+    space, _ = generalized_eigenspace([j], 2)
     assert space.nrows == 2  # whole space, while ker(J) is 1-dim
     assert kernel(j).nrows == 1
 
@@ -349,7 +351,7 @@ def test_gen_eigenspace_ignores_a_clash_off_the_piece():
     # 3I has generalized kernel {0}, so the common one is the zero space; the
     # clash of the other two lies off it, where only the whole-space check saw it
     ops = [MatFp.identity(5, 2).scaled(3), MatFp(5, [[0, 1], [0, 0]]), MatFp(5, [[0, 0], [1, 0]])]
-    got = generalized_eigenspace(ops, 2)
+    got, _ = generalized_eigenspace(ops, 2)
     assert got.nrows == 0 and got == generalized_kernel_oracle(ops[:1], 2)
     with pytest.raises(ValueError):
         generalized_kernel_oracle(ops, 2)
@@ -634,7 +636,7 @@ def commuting_family(draw, p):
 @given(data=st.data())
 def test_gen_eigenspace_matches_the_oracle_on_commuting_families(p, data):
     dim, ops = data.draw(commuting_family(p))
-    assert generalized_eigenspace(ops, dim) == generalized_kernel_oracle(ops, dim)
+    assert generalized_eigenspace(ops, dim)[0] == generalized_kernel_oracle(ops, dim)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

@@ -634,6 +634,51 @@ def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
+@pytest.mark.parametrize("digits", [1, 2])
+def test_shorter_precision_is_a_view_of_the_longest_build(monkeypatch, digits):
+    # a long basis first, then shorter ones: each equals a cold build and the oracle,
+    # repeats return the same object, and the short requests make no product
+    from eiscomp import qexp
+
+    p, k, long = 293, 156, (400 if digits == 1 else 60)
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    full = miller_basis(p, k, long, digits)
+    lengths = count_products(monkeypatch)
+    shorts = [miller_basis(p, k, prec, digits) for prec in (sturm(k), 33, long - 1)]
+    assert lengths == []
+    assert miller_basis(p, k, long, digits) is full
+    for short in shorts:
+        assert miller_basis(p, k, short.prec, digits) is short
+        assert not short.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            short.coeffs[0, 0] = 0
+        assert short.coeffs.tolist() == full.coeffs[:, : short.prec].tolist()
+        assert short.coeffs.tolist() == basis_oracle(p, k, short.prec, digits)
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    for short in shorts:
+        cold = miller_basis(p, k, short.prec, digits)
+        assert cold is not short and cold.coeffs.tolist() == short.coeffs.tolist()
+
+
+def test_ladder_ratio_is_computed_once_per_prime(monkeypatch):
+    # the ratio Delta/E4^3 depends on p, digits and the precision only: a second
+    # weight at the same or a shorter precision reads a prefix of the first one's
+    from eiscomp import qexp
+
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    inverses = []
+    real = qexp.inverse_mod
+    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
+    spaces = [miller_basis(293, k, prec) for k, prec in ((156, 500), (138, 500), (100, 120), (48, 64))]
+    assert inverses == [500]
+    for s in spaces:
+        assert s.coeffs.tolist() == basis_oracle(293, s.k, s.prec, 1)
+    miller_basis(293, 156, 501)  # longer than the kept ratio: one more inverse
+    assert inverses == [500, 501]
+    miller_basis(293, 138, 64, 2)  # another modulus keeps its own ratio
+    assert inverses == [500, 501, 64]
+
+
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
 def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     # at Z/5^13 the products of dim 6 run on int64, those of dim 7 on Python integers

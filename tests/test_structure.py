@@ -217,3 +217,35 @@ def test_csv_row_shape():
     rep = structure_report(37, 32)
     row = rep.csv_row()
     assert row.startswith("37,32,2,1,1,true,true,1")
+
+
+def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys):
+    # c(m) and c(m') reduce in opposite directions at k != k'; a disagreement raises,
+    # which the CLI turns into exit code 1
+    import eiscomp.localstruct as localstruct
+    from eiscomp.cli import main
+
+    real = localstruct.companion_dimension
+    monkeypatch.setattr(localstruct, "companion_dimension", lambda pc: real(pc) + (pc.k == 32))
+    with pytest.raises(AssertionError, match="c\\(m\\) = c\\(m'\\)"):
+        structure_report(37, 32)
+    assert main(["structure", "--p", "37", "--k", "32"]) == 1
+    assert "c(m) = c(m')" in capsys.readouterr().err
+
+
+def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeypatch):
+    # (293, 156): both weights are read at the shared companion bound 3395, above
+    # sturm(w)^2, so each is built once there and the second ladder reuses the ratio
+    from eiscomp import qexp
+
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    builds, inverses = [], []
+    real_e4, real_inv = qexp._unit_eisenstein, qexp.inverse_mod
+    # every build starts from one E4 series; a view starts from none
+    monkeypatch.setattr(
+        qexp, "_unit_eisenstein", lambda p, w, prec, d: (w == 4 and builds.append(prec)) or real_e4(p, w, prec, d)
+    )
+    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real_inv(f, m))
+    rep = structure_report(293, 156)
+    assert builds == [3395, 3395] and inverses == [3395]
+    assert rep.c_m_prime == 1 and rep.plan.bound == 3395
