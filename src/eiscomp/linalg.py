@@ -9,9 +9,15 @@ A matrix is one 2-D numpy array of residues in [0, p).  `_residues` and
 `_matmul` hold the dtype rules, keyed on the modulus m, for these matrices
 and for the q-expansion bases over Z/p^M alike: storage is int64 while
 (m-1)^2 < 2^63, which keeps every entrywise a - c*b exact (the largest such
-prime is 3037000493), and Python integers above; a product runs on int64
-while each entry's sum of ncols products fits, ncols * (m-1)^2 < 2^63, and
-on Python integers, exact at any size, above that bound.
+prime is 3037000493), and Python integers above.  A product with inner
+dimension ncols takes the first of three tiers whose bound holds:
+
+- float64 (BLAS) while ncols * (m-1)^2 < 2^53: every partial sum is an
+  integer below 2^53, exact in double precision whatever the summation
+  order or fused multiply-adds (the FFLAS bound of Dumas, Giorgi and Pernet,
+  ACM TOMS 35(3), 2008);
+- int64 while ncols * (m-1)^2 < 2^63;
+- Python integers, exact at any size, above.
 """
 
 from __future__ import annotations
@@ -35,8 +41,18 @@ def _residues(modulus: int, entries) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
-    """a @ b of residue arrays, reduced into [0, modulus); int64 only while exact."""
-    if a.shape[-1] * (modulus - 1) ** 2 < 2**63:
+    """a @ b of residue arrays, reduced into [0, modulus), on the first exact tier.
+
+    Entries may be any integers of absolute value below modulus.  With n =
+    a.shape[-1] inner terms, every partial sum of an entry is at most
+    n * (modulus-1)^2 in absolute value: float64 BLAS is exact while that is
+    below 2^53 and its result is cast to int64 before reducing; int64 is
+    exact while it is below 2^63; Python integers are exact above.
+    """
+    bound = a.shape[-1] * (modulus - 1) ** 2
+    if bound < 2**53:
+        return _residues(modulus, (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64))
+    if bound < 2**63:
         return _residues(modulus, a @ b)
     return _residues(modulus, a.astype(object) @ b.astype(object))
 
@@ -164,7 +180,8 @@ def rank(a: MatFp) -> int:
 def kernel(a: MatFp) -> MatFp:
     """Basis of the right null space; rows of the result are basis vectors."""
     red, pivots, rk = rref(a)
-    free = [c for c in range(a.ncols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(a.ncols) if c not in pivot_set]
     basis = np.zeros((len(free), a.ncols), dtype=red.a.dtype)
     basis[range(len(free)), free] = 1
     basis[:, pivots] = -red.a[:rk, free].T
@@ -281,8 +298,9 @@ class EchelonSpace:
     vanishes at every pivot, is therefore v - (v[pivots] L^-1) rows: `reduce`
     is two `_matmul` calls, for one vector or a whole block, against L^-1,
     which is kept and extended by one column per new row.  Both products
-    have inner dimension r = dim, so they run on int64 while
-    r * (p-1)^2 < 2^63 and on Python integers above.
+    have inner dimension r = dim, so they take `_matmul`'s tier for r:
+    float64 while r * (p-1)^2 < 2^53, int64 while r * (p-1)^2 < 2^63, and
+    Python integers above.
 
     `insert` takes one vector or a block: the block is reduced against the
     stored rows in that one `reduce` call, and each new pivot is then

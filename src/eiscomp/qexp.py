@@ -14,13 +14,16 @@ unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
 explicit; nothing rescales silently.
 
 A series is one read-only array of residues, stored like the bases under
-linalg's int64/object rule.  Every product, of series here and of the
+linalg's int64/object storage rule.  Every product, of series here and of the
 Bernoulli correlation in `bernoulli`, runs on one kernel, `convolve_mod`:
 float64 FFTs of the residues split into base-2^s digits, with s chosen so
 that Percival's roundoff bound proves each integer coefficient recovered by
 rounding, and a runtime check that raises instead of rounding a coefficient
-that is not within 1/4 of an integer.  The answer is exact for every
-modulus; floating point is only the means of the convolution.
+that is not within 1/4 of an integer.  The basis ladder, whose products all
+share one factor, keeps that factor's transform and finishes each product
+on the same step (`_product_from_spectra`), check included.  The answer is
+exact for every modulus; floating point is only the means of the
+convolution.
 """
 
 from __future__ import annotations
@@ -132,6 +135,16 @@ def _split(la: int, lb: int, n: int, bits: int) -> tuple[int, int]:
     return pieces, s
 
 
+def _layout(la: int, lb: int, modulus: int) -> tuple[int, int, int]:
+    """(P, s, size) for a product of operands of lengths la and lb mod `modulus`.
+
+    size is the power of two at least la + lb - 1, so no term wraps around,
+    and (P, s) the fewest base-2^s digit pieces that `_split` proves exact.
+    """
+    n = (la + lb - 2).bit_length()  # 2^n >= la + lb - 1
+    return (*_split(la, lb, n, (modulus - 1).bit_length()), 1 << n)
+
+
 def _spectra(c: np.ndarray, pieces: int, s: int, size: int) -> np.ndarray:
     """The size-point rfft of each base-2^s digit row of the residues c, lowest first."""
     digits = np.empty((pieces, len(c)))
@@ -140,46 +153,57 @@ def _spectra(c: np.ndarray, pieces: int, s: int, size: int) -> np.ndarray:
     return np.fft.rfft(digits, size)
 
 
-def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None = None) -> np.ndarray:
-    """Truncated product of residue arrays, exactly, modulo `modulus`.
+def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, modulus: int, out_len: int) -> np.ndarray:
+    """The first out_len coefficients, mod `modulus`, of the product whose
+    operands' digit spectra (`_spectra`, one `_layout`) are fa and fb.
 
-    Each residue is split into P base-2^s digits, each operand's digit rows
-    go through a float64 rfft of a power-of-two size at least la + lb - 1
-    (so no term wraps around), the cross terms of each output digit are
-    summed in the frequency domain, and one irfft and rint give the integer
-    digit products, recombined mod `modulus`.  A square (`a is b`) is
-    transformed once.  _split picks the widest digits that Percival's error
-    bound keeps exact (one piece for moduli below 2^12 at every length up to
-    4000); larger moduli, object storage included, take more pieces on the
-    same path.  Should a raw coefficient still lie more than 1/4 from an
-    integer, AssertionError is raised rather than a rounded guess returned.
-    The result is stored under linalg's `_residues` rule.
+    The cross terms of each output digit are summed in the frequency domain,
+    one irfft and rint give the integer digit products, and these are
+    recombined mod `modulus`.  Should a raw coefficient lie more than 1/4
+    from an integer, AssertionError is raised rather than a rounded guess
+    returned.  The result is stored under linalg's `_residues` rule.
     """
-    if out_len is None:
-        out_len = min(len(a), len(b))
-    la, lb = min(len(a), out_len), min(len(b), out_len)
-    if la <= 0 or lb <= 0:
-        return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
-    n = (la + lb - 2).bit_length()  # 2^n >= la + lb - 1
-    pieces, s = _split(la, lb, n, (modulus - 1).bit_length())
-    fa = _spectra(_residues(modulus, a[:la]), pieces, s, 1 << n)
-    fb = fa if a is b else _spectra(_residues(modulus, b[:lb]), pieces, s, 1 << n)
+    pieces = len(fa)
     spec = np.zeros((2 * pieces - 1, fa.shape[1]), dtype=complex)
     for i in range(pieces):
         spec[i : i + pieces] += fa[i] * fb
-    raw = np.fft.irfft(spec, 1 << n)
+    raw = np.fft.irfft(spec, size)
     exact = np.rint(raw)
     err = float(np.abs(raw - exact).max())
     if err > _FFT_MAX_ERROR:
         raise AssertionError(
             f"float64 product coefficient {err:.3g} away from an integer, above the exact bound {_FFT_MAX_ERROR}"
         )
-    terms = exact[:, : min(out_len, la + lb - 1)].astype(np.int64)
+    # columns past the product's last term round to exact zeros
+    terms = exact[:, :out_len].astype(np.int64)
     out = _residues(modulus, np.zeros(out_len, dtype=np.int64))
     head = out[: terms.shape[1]]
     for t, term in enumerate(terms):
         head[...] = (head + _residues(modulus, term) * pow(2, s * t, modulus) % modulus) % modulus
     return out
+
+
+def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None = None) -> np.ndarray:
+    """Truncated product of residue arrays, exactly, modulo `modulus`.
+
+    Each residue is split into P base-2^s digits, each operand's digit rows
+    go through a float64 rfft of a power-of-two size at least la + lb - 1
+    (`_spectra`), and `_product_from_spectra` sums the cross terms, inverts,
+    rounds with its exactness check, and recombines mod `modulus`.  A square
+    (`a is b`) is transformed once.  _split picks the widest digits that
+    Percival's error bound keeps exact (one piece for moduli below 2^12 at
+    every length up to 4000); larger moduli, object storage included, take
+    more pieces on the same path.
+    """
+    if out_len is None:
+        out_len = min(len(a), len(b))
+    la, lb = min(len(a), out_len), min(len(b), out_len)
+    if la <= 0 or lb <= 0:
+        return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
+    pieces, s, size = _layout(la, lb, modulus)
+    fa = _spectra(_residues(modulus, a[:la]), pieces, s, size)
+    fb = fa if a is b else _spectra(_residues(modulus, b[:lb]), pieces, s, size)
+    return _product_from_spectra(fa, fb, s, size, modulus, out_len)
 
 
 def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
@@ -409,10 +433,10 @@ class FormSpace:
     """Echelonized q-expansion basis of M_k at level one, fixed precision.
 
     `coeffs` is one read-only dim x prec array of residues mod p^digits,
-    stored and multiplied under linalg's int64/object rule.  Row j starts
-    at q^j and vanishes at every other q^i, i < dim, so the first dim
-    coefficients of a form are its coordinates; row 0 is the only one with
-    a nonzero constant term, so rows 1.. span the cuspidal subspace.
+    stored and multiplied under linalg's rules (`_residues`, `_matmul`).
+    Row j starts at q^j and vanishes at every other q^i, i < dim, so the
+    first dim coefficients of a form are its coordinates; row 0 is the only
+    one with a nonzero constant term, so rows 1.. span the cuspidal subspace.
     `hecke_matrices` holds the matrix of each T(n) once
     `hecke.hecke_matrix` has built it.
     """
@@ -470,17 +494,19 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     """Reduced echelon basis of M_k(level 1) over Z/p^digits.
 
     Built from the monomials M_j = E4^a E6^b Delta^j of weight k (j < dim,
-    b in {0,1}); the j-th monomial starts q^j + ..., so the echelonization
-    only clears entries above unit pivots and works over Z/p^M unchanged.
+    b in {0,1}); the j-th monomial starts q^j + ..., so the leading dim x dim
+    block U of the monomials is unit upper triangular, and the reduced
+    echelon basis is the one product U^-1 * monomials, exact over Z/p^M.
     Row j has weight k - 12j, so b is the same on every row and a drops by
     3 per row: M_0 = E4^a E6^b and M_(j+1) = M_j * Delta/E4^3, one product
-    per row.  E4^3 = 1 + O(q), so its inverse (`inverse_mod`) is exact and
-    the monomials are the same truncated series as the direct products.
+    per row, with the ratio's spectrum computed once per build.  E4^3 =
+    1 + O(q), so its inverse (`inverse_mod`) is exact and the monomials are
+    the same truncated series as the direct products.
 
     One basis is built per (p, k, digits), the longest asked for; a shorter
     precision is served as the read-only column view coeffs[:, :prec], which
     equals a build at that precision (the ladder products are exact
-    truncated series and the clearing reads only the first dim columns).
+    truncated series and U^-1 reads only the first dim columns).
     Each served space is cached under (p, k, prec, digits), so a repeated
     call returns the same FormSpace with its `hecke_matrices`.  The ratio
     Delta/E4^3 depends only on (p, digits) and the precision: the longest
@@ -510,7 +536,8 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     mono = e4.pow((k - 6 * b) // 4)
     if b:
         mono = mono * _unit_eisenstein(p, 6, prec, digits)
-    monomials = [mono.coeffs]
+    rows = _residues(m, np.zeros((d, prec), dtype=np.int64))  # d >= 1 for every even k >= 4
+    rows[0] = mono.coeffs
     if d > 1:
         ratio = ladder.ratio
         if ratio is None or len(ratio) < prec:
@@ -519,18 +546,24 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
             with _BASIS_LOCK:
                 if ladder.ratio is None or len(ladder.ratio) < prec:
                     ladder.ratio = ratio
-        for _ in range(d - 1):
-            monomials.append(convolve_mod(monomials[-1], ratio[:prec], m))
-    rows = np.stack(monomials)  # d >= 1 for every even k >= 4
-    # monomial j must be q^j + O(q^(j+1)): the leading block is unit upper triangular
-    lacking = np.flatnonzero((np.tril(rows[:, :d]) != np.eye(d, dtype=np.int64)).any(axis=1))
+        # every ladder product has the same operand lengths: the ratio is transformed once
+        pieces, s, size = _layout(prec, prec, m)
+        ratio_spectra = _spectra(ratio[:prec], pieces, s, size)
+        for j in range(1, d):
+            row_spectra = _spectra(rows[j - 1], pieces, s, size)
+            rows[j] = _product_from_spectra(row_spectra, ratio_spectra, s, size, m, prec)
+    # monomial j must be q^j + O(q^(j+1)): the leading block U is unit upper triangular
+    unit = np.eye(d, dtype=np.int64)
+    lacking = np.flatnonzero((np.tril(rows[:, :d]) != unit).any(axis=1))
     if lacking.size:
         j = int(lacking[0])
         raise AssertionError(f"basis monomial {j} lacks a unit pivot at q^{j}")
 
-    # clear above the unit pivots, one pivot column at a time
+    # U^-1 by clearing [U | 1] above its unit pivots, O(d^3); the basis is U^-1 rows
+    aug = np.hstack((rows[:, :d], unit))
     for j in range(1, d):
-        rows[:j] = (rows[:j] - rows[:j, j, None] * rows[j]) % m
+        aug[:j] = (aug[:j] - aug[:j, j, None] * aug[j]) % m
+    rows = _matmul(aug[:, d:], rows, m)
     rows.flags.writeable = False
 
     space = FormSpace(p=p, digits=digits, k=k, coeffs=rows)

@@ -2,17 +2,20 @@
 
 import itertools
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import prevprime
 
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.hecke import generator_primes, hecke_matrix, sigma_eigenvalue
 from eiscomp.linalg import (
     EchelonSpace,
     MatFp,
+    _matmul,
     algebra_closure,
     generalized_eigenspace,
     inverse,
@@ -268,6 +271,38 @@ def test_matmul_exact_at_the_int64_edge():
         assert entries(top * top.transpose()) == matmul_oracle(top, top.transpose())
         a, b = random_mat(rng, p, 3, n), random_mat(rng, p, n, 4)
         assert entries(a * b) == matmul_oracle(a, b)
+
+
+# n inner terms of (p-1)^2 stay below 2^53 at this prime, n + 1 do not
+FLOAT64_EDGE_N = 64
+FLOAT64_EDGE_P = prevprime(isqrt((2**53 - 1) // FLOAT64_EDGE_N) + 2)
+
+
+def object_product(a, b, p):
+    """a @ b on Python integers, reduced mod p, as lists."""
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).tolist()
+
+
+def test_matmul_exact_at_the_float64_edge():
+    # the float64 tier takes inner size n, int64 takes n + 1; both must be exact
+    n, p = FLOAT64_EDGE_N, FLOAT64_EDGE_P
+    assert n * (p - 1) ** 2 < 2**53 <= (n + 1) * (p - 1) ** 2
+    rng = random.Random(11)
+    for w in (n, n + 1):
+        top = MatFp(p, [[p - 1] * w for _ in range(3)], w)
+        assert entries(top * top.transpose()) == matmul_oracle(top, top.transpose())
+        # one p - 2 in each operand makes entry (0, 0) odd, so at n + 1 terms,
+        # where it exceeds 2^53, no double holds it
+        odd = top.a.copy()
+        odd[0, 0] = p - 2
+        a, b = MatFp(p, odd), MatFp(p, odd.T)
+        assert entries(a * b) == matmul_oracle(a, b)
+        # entries in (-p, 0): the sums reach -w (p-1)^2
+        neg = np.full((3, w), 1 - p, dtype=np.int64)
+        assert _matmul(neg, top.a.T, p).tolist() == object_product(neg, top.a.T, p)
+        mixed = np.array([[-rng.randrange(1, p) for _ in range(w)] for _ in range(3)], dtype=np.int64)
+        right = random_mat(rng, p, w, 4).a
+        assert _matmul(mixed, right, p).tolist() == object_product(mixed, right, p)
 
 
 # --- generalized eigenspace ---------------------------------------------------
@@ -556,6 +591,26 @@ def test_arithmetic_matches_the_list_oracles(p, data):
     b_rows = data.draw(row_lists(p, m, k))
     c_rows = data.draw(row_lists(p, n, m))
     check_arithmetic(p, a_rows, b_rows, c_rows, n, m, k, data.draw(st.integers(0, p - 1)))
+
+
+@pytest.mark.parametrize("p", [5, 293, 4001, FLOAT64_EDGE_P, 3037000493])
+@PROPERTY
+@given(data=st.data())
+def test_matmul_matches_the_object_product(p, data):
+    # every tier of _matmul, entries in (-p, p), inner sizes on both sides of
+    # the float64 bound at FLOAT64_EDGE_P
+    n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    inner = data.draw(st.one_of(st.integers(0, 8), st.sampled_from([FLOAT64_EDGE_N, FLOAT64_EDGE_N + 1])))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1, 1 - p]), st.integers(1 - p, p - 1))
+
+    def matrix(rows, cols):
+        cells = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    a, b = matrix(n, inner), matrix(inner, k)
+    got = _matmul(a, b, p)
+    assert got.dtype == np.int64 and got.shape == (n, k)
+    assert got.tolist() == object_product(a, b, p)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)

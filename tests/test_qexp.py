@@ -458,18 +458,22 @@ def test_pow_zero_is_the_unit_at_the_operand_precision(prec):
 
 
 def count_products(monkeypatch):
-    """Output lengths of every qexp.convolve_mod call made from now on."""
+    """Output lengths of every series product finished from now on.
+
+    `convolve_mod` and the basis ladder both finish each product on
+    qexp._product_from_spectra, so this counts the products of both.
+    """
     from eiscomp import qexp
 
     lengths = []
-    real = qexp.convolve_mod
+    real = qexp._product_from_spectra
 
-    def counted(a, b, modulus, out_len=None):
-        out = real(a, b, modulus, out_len)
+    def counted(*args):
+        out = real(*args)
         lengths.append(len(out))
         return out
 
-    monkeypatch.setattr(qexp, "convolve_mod", counted)
+    monkeypatch.setattr(qexp, "_product_from_spectra", counted)
     return lengths
 
 
@@ -634,6 +638,27 @@ def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
+def test_ladder_transforms_the_ratio_once(monkeypatch):
+    # the 13 ladder products share the ratio Delta/E4^3: a cold build makes one
+    # forward transform per row M_0..M_12 and one of the ratio, not two per row
+    from eiscomp import qexp
+
+    p, k, prec = 293, 156, 3834
+    e4, delta = _unit_eisenstein(p, 4, prec, 1), delta_q(p, prec)
+    d = space_dim(k)
+    ladder_rows = [(e4.pow(39 - 3 * j) * delta.pow(j)).coeffs for j in range(d - 1)]
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    transformed = []
+    real = qexp._spectra
+    monkeypatch.setattr(qexp, "_spectra", lambda c, *rest: transformed.append(np.array(c)) or real(c, *rest))
+    s = miller_basis(p, k, prec)
+    ratio = qexp._BASIS_CACHE[(p, 1)].ratio
+    full = [c for c in transformed if len(c) == prec]
+    assert sum(np.array_equal(c, ratio) for c in full) == 1
+    assert [sum(np.array_equal(c, row) for c in full) for row in ladder_rows] == [1] * (d - 1)
+    assert s.coeffs.tolist() == basis_oracle(p, k, prec, 1)
+
+
 @pytest.mark.parametrize("digits", [1, 2])
 def test_shorter_precision_is_a_view_of_the_longest_build(monkeypatch, digits):
     # a long basis first, then shorter ones: each equals a cold build and the oracle,
@@ -694,6 +719,24 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     assert s.coords_to_series(coords).coeffs.tolist() == want
     assert membership(QSeries(5, want, k, 13), s) == coords
     assert seen == [dtype, dtype]
+
+
+# (k, digits): the U^-1 product of a basis has inner dimension d, so it runs
+# on float64 while d * (5^digits - 1)^2 < 2^53 and on int64 above: d = 6 on
+# both sides of the bound at adjacent digits, and d = 3, 4 at digits 11
+@pytest.mark.parametrize("k,digits,below", [(60, 10, True), (60, 11, False), (24, 11, True), (36, 11, False)])
+def test_basis_at_the_float64_edge(monkeypatch, k, digits, below):
+    from eiscomp import qexp
+
+    m = 5**digits
+    assert (space_dim(k) * (m - 1) ** 2 < 2**53) == below
+    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    prec = sturm(k) + 7
+    s = miller_basis(5, k, prec, digits)
+    assert s.coeffs.dtype == np.int64
+    assert s.coeffs.tolist() == basis_oracle(5, k, prec, digits)
+    coords = [m - 1] * s.dim
+    assert s.coords_to_series(coords).coeffs.tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
 
 
 def test_cli_basis_at_fourteen_digits_matches_the_oracle(capsys):
