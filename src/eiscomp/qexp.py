@@ -24,6 +24,11 @@ share one factor, keeps that factor's transform and finishes each product
 on the same step (`_product_from_spectra`), check included.  The answer is
 exact for every modulus; floating point is only the means of the
 convolution.
+
+`miller_basis` caches the bases and the ladder ratio of one (p, digits) at a
+time: every basis a pair's computation reads is at that pair's prime, so a
+call at a new prime or modulus drops the previous one's before it builds,
+and a run over many pairs holds the bases of one prime at a time.
 """
 
 from __future__ import annotations
@@ -511,6 +516,12 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     call returns the same FormSpace with its `hecke_matrices`.  The ratio
     Delta/E4^3 depends only on (p, digits) and the precision: the longest
     one computed is kept and every shorter ladder runs on its prefix.
+
+    The cache holds one (p, digits) at a time: a call at another prime or
+    modulus drops every basis and ratio kept so far before it builds.  So
+    the same FormSpace comes back on a repeated call while its (p, digits)
+    stays current; after an eviction the call builds a new FormSpace with
+    the same coefficients, byte for byte, and empty `hecke_matrices`.
     """
     require_admissible_prime(p)
     if k < 4 or k % 2 == 1:
@@ -520,7 +531,11 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     if prec < sturm(k):
         raise PrecisionError(f"precision {prec} below the weight-{k} bound {sturm(k)}")
     with _BASIS_LOCK:
-        ladder = _BASIS_CACHE.setdefault((p, digits), _Ladder())
+        ladder = _BASIS_CACHE.get((p, digits))
+        if ladder is None:
+            # one (p, digits) at a time: a new prime's build drops every other ladder
+            _BASIS_CACHE.clear()
+            ladder = _BASIS_CACHE[(p, digits)] = _Ladder()
         hit = ladder.served.get((k, prec))
         full = ladder.longest.get(k)
         if hit is None and full is not None and full.prec >= prec:

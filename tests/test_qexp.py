@@ -231,11 +231,9 @@ def test_convolve_raises_instead_of_rounding(monkeypatch):
         convolve_mod(a, a, 293)
 
 
-def test_cli_exits_1_when_the_product_bound_fails(monkeypatch, capsys):
-    from eiscomp import qexp
+def test_cli_exits_1_when_the_product_bound_fails(cold_bases, monkeypatch, capsys):
     from eiscomp.cli import main
 
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     real = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
     assert main(["basis", "--p", "37", "--k", "32"]) == 1
@@ -611,10 +609,7 @@ def test_ladder_basis_at_the_companion_bound():
     assert miller_basis(293, 156, 3834).coeffs.tolist() == basis_oracle(293, 156, 3834, 1)
 
 
-def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
-    from eiscomp import qexp
-
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+def test_ladder_basis_makes_one_full_length_product_per_row(cold_bases, monkeypatch):
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834)
     # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
@@ -622,11 +617,8 @@ def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
 
 
 @pytest.mark.parametrize("digits", [1, 2])
-def test_basis_builds_e4_cubed_once(monkeypatch, digits):
+def test_basis_builds_e4_cubed_once(cold_bases, monkeypatch, digits):
     # Delta and the inverse in the ladder share one E4^3
-    from eiscomp import qexp
-
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     powers = []
     real = QSeries.pow
     monkeypatch.setattr(QSeries, "pow", lambda f, e: powers.append((f.weight, e)) or real(f, e))
@@ -638,7 +630,7 @@ def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
-def test_ladder_transforms_the_ratio_once(monkeypatch):
+def test_ladder_transforms_the_ratio_once(cold_bases, monkeypatch):
     # the 13 ladder products share the ratio Delta/E4^3: a cold build makes one
     # forward transform per row M_0..M_12 and one of the ratio, not two per row
     from eiscomp import qexp
@@ -647,12 +639,11 @@ def test_ladder_transforms_the_ratio_once(monkeypatch):
     e4, delta = _unit_eisenstein(p, 4, prec, 1), delta_q(p, prec)
     d = space_dim(k)
     ladder_rows = [(e4.pow(39 - 3 * j) * delta.pow(j)).coeffs for j in range(d - 1)]
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     transformed = []
     real = qexp._spectra
     monkeypatch.setattr(qexp, "_spectra", lambda c, *rest: transformed.append(np.array(c)) or real(c, *rest))
     s = miller_basis(p, k, prec)
-    ratio = qexp._BASIS_CACHE[(p, 1)].ratio
+    ratio = cold_bases[(p, 1)].ratio
     full = [c for c in transformed if len(c) == prec]
     assert sum(np.array_equal(c, ratio) for c in full) == 1
     assert [sum(np.array_equal(c, row) for c in full) for row in ladder_rows] == [1] * (d - 1)
@@ -660,13 +651,10 @@ def test_ladder_transforms_the_ratio_once(monkeypatch):
 
 
 @pytest.mark.parametrize("digits", [1, 2])
-def test_shorter_precision_is_a_view_of_the_longest_build(monkeypatch, digits):
+def test_shorter_precision_is_a_view_of_the_longest_build(cold_bases, monkeypatch, digits):
     # a long basis first, then shorter ones: each equals a cold build and the oracle,
     # repeats return the same object, and the short requests make no product
-    from eiscomp import qexp
-
     p, k, long = 293, 156, (400 if digits == 1 else 60)
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     full = miller_basis(p, k, long, digits)
     lengths = count_products(monkeypatch)
     shorts = [miller_basis(p, k, prec, digits) for prec in (sturm(k), 33, long - 1)]
@@ -679,18 +667,17 @@ def test_shorter_precision_is_a_view_of_the_longest_build(monkeypatch, digits):
             short.coeffs[0, 0] = 0
         assert short.coeffs.tolist() == full.coeffs[:, : short.prec].tolist()
         assert short.coeffs.tolist() == basis_oracle(p, k, short.prec, digits)
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
+    cold_bases.clear()
     for short in shorts:
         cold = miller_basis(p, k, short.prec, digits)
         assert cold is not short and cold.coeffs.tolist() == short.coeffs.tolist()
 
 
-def test_ladder_ratio_is_computed_once_per_prime(monkeypatch):
+def test_ladder_ratio_is_computed_once_per_prime(cold_bases, monkeypatch):
     # the ratio Delta/E4^3 depends on p, digits and the precision only: a second
     # weight at the same or a shorter precision reads a prefix of the first one's
     from eiscomp import qexp
 
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     inverses = []
     real = qexp.inverse_mod
     monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
@@ -705,14 +692,15 @@ def test_ladder_ratio_is_computed_once_per_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
-def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
-    # at Z/5^13 the products of dim 6 run on int64, those of dim 7 on Python integers
+def test_basis_products_at_the_int64_edge(cold_bases, monkeypatch, k, dtype):
+    # at Z/5^13 the products of dim 6 run on int64, those of dim 7 on Python integers;
+    # the basis is built before recording, so only its two products are seen
     from eiscomp import linalg
 
+    s = miller_basis(5, k, sturm(k) + 3, 13)
     seen = []
     real = linalg._residues
     monkeypatch.setattr(linalg, "_residues", lambda m, a: seen.append(a.dtype) or real(m, a))
-    s = miller_basis(5, k, sturm(k) + 3, 13)
     m = 5**13
     coords = [m - 1] * s.dim
     want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
@@ -721,16 +709,38 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     assert seen == [dtype, dtype]
 
 
+def test_basis_cache_holds_one_prime(cold_bases):
+    # a build at a new prime evicts the last one; a rebuild equals the evicted
+    # basis byte for byte and recomputes the same Hecke matrix
+    from eiscomp.hecke import hecke_matrix
+
+    p1, p2, k, prec = 37, 59, 32, 2 * sturm(32)
+    first = miller_basis(p1, k, prec)
+    t2 = hecke_matrix(first, 2)
+    assert list(cold_bases) == [(p1, 1)]
+    assert miller_basis(p1, k, prec) is first
+    other = miller_basis(p2, k, prec)
+    assert list(cold_bases) == [(p2, 1)]
+    assert miller_basis(p2, k, prec) is other
+    miller_basis(p2, k, prec, 2)  # another modulus at the same prime evicts too
+    assert list(cold_bases) == [(p2, 2)]
+    again = miller_basis(p1, k, prec)
+    assert list(cold_bases) == [(p1, 1)]
+    assert again is not first and again.hecke_matrices == {}
+    assert again.coeffs.dtype == first.coeffs.dtype
+    assert again.coeffs.tobytes() == first.coeffs.tobytes()
+    assert again.coeffs.tolist() == basis_oracle(p1, k, prec, 1)
+    assert hecke_matrix(again, 2) is not t2
+    assert hecke_matrix(again, 2).a.tolist() == t2.a.tolist()
+
+
 # (k, digits): the U^-1 product of a basis has inner dimension d, so it runs
 # on float64 while d * (5^digits - 1)^2 < 2^53 and on int64 above: d = 6 on
 # both sides of the bound at adjacent digits, and d = 3, 4 at digits 11
 @pytest.mark.parametrize("k,digits,below", [(60, 10, True), (60, 11, False), (24, 11, True), (36, 11, False)])
-def test_basis_at_the_float64_edge(monkeypatch, k, digits, below):
-    from eiscomp import qexp
-
+def test_basis_at_the_float64_edge(cold_bases, k, digits, below):
     m = 5**digits
     assert (space_dim(k) * (m - 1) ** 2 < 2**53) == below
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     prec = sturm(k) + 7
     s = miller_basis(5, k, prec, digits)
     assert s.coeffs.dtype == np.int64

@@ -233,12 +233,11 @@ def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys
     assert "c(m) = c(m')" in capsys.readouterr().err
 
 
-def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeypatch):
+def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_bases, monkeypatch):
     # (293, 156): both weights are read at the shared companion bound 3395, above
     # sturm(w)^2, so each is built once there and the second ladder reuses the ratio
     from eiscomp import qexp
 
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", {})
     builds, inverses = [], []
     real_e4, real_inv = qexp._unit_eisenstein, qexp.inverse_mod
     # every build starts from one E4 series; a view starts from none
@@ -249,3 +248,44 @@ def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeyp
     rep = structure_report(293, 156)
     assert builds == [3395, 3395] and inverses == [3395]
     assert rep.c_m_prime == 1 and rep.plan.bound == 3395
+
+
+def test_piece_series_after_its_prime_was_evicted(cold_bases):
+    # a piece keeps its space, but its long basis goes with its prime: series at
+    # the companion bound rebuild it, byte for byte
+    from eiscomp.companions import _companion_bound
+
+    p, k = 37, 32
+    piece, _ = localized_pieces(p, k)
+    coords = [[int(i == j) for j in range(piece.dim)] for i in range(piece.dim)]
+    bound = _companion_bound(p, k)
+    before = [f.coeffs.tobytes() for f in piece.series(coords, bound)]
+    structure_report(59, 44)
+    assert list(cold_bases) == [(59, 1)]
+    after = piece.series(coords, bound)
+    assert list(cold_bases) == [(p, 1)]
+    assert [f.coeffs.tobytes() for f in after] == before
+
+
+def retained_bytes(cache):
+    """The bytes the one cached ladder holds: its longest bases and its ratio."""
+    (ladder,) = cache.values()
+    return sum(s.coeffs.nbytes for s in ladder.longest.values()) + ladder.ratio.nbytes
+
+
+def test_structure_reports_in_one_process_hold_one_prime(cold_bases):
+    # after each pair the cache holds that pair's prime only, and as many bytes as
+    # a cold run of the pairs at that prime; (157, 62) and (157, 110) share a ladder
+    pairs = [(37, 32), (59, 44), (101, 68), (157, 62), (157, 110)]
+    held = []
+    for p, k in pairs:
+        structure_report(p, k)
+        assert list(cold_bases) == [(p, 1)]
+        held.append(retained_bytes(cold_bases))
+    for i, (p, _) in enumerate(pairs):
+        cold_bases.clear()
+        for q, k in pairs[: i + 1]:
+            if q == p:
+                structure_report(q, k)
+        assert retained_bytes(cold_bases) == held[i], pairs[i]
+    assert held[-1] > held[-2]  # the second pair at 157 adds its two weights
