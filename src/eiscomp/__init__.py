@@ -14,7 +14,6 @@ from .bernoulli import (
 )
 from .companions import (
     CompanionReport,
-    companion_dimension,
     companion_report,
     filtration,
     mirror_check,

@@ -5,7 +5,10 @@ summary goes to stderr.  Exit codes: 0 all good, 1 a mathematically
 asserted statement or an internal invariant failed (never expected), a
 scan found a mirror pair, or a scan shard process died (the run is not
 repeated in-process; its checkpoint keeps every prime below the first one
-left unfinished), 2 usage or scope error, or a corrupt scan checkpoint.
+left unfinished), 2 a usage error that argparse rejects, a ValueError from
+the library (a weight or exponent out of scope, a precision below its
+bound), a non-invertible denominator, or a corrupt scan checkpoint.  Each scope is checked once, in the
+library, before any work; the commands add no checks of their own.
 """
 
 from __future__ import annotations
@@ -40,17 +43,7 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _require_weight(k: int) -> None:
-    if k % 2 == 1 or k < 4:
-        raise UsageError(f"weight {k} is empty at level one (need even k >= 4)")
-
-
-class UsageError(Exception):
-    """Invalid command combination; maps to exit code 2."""
-
-
 def cmd_basis(args) -> int:
-    _require_weight(args.k)
     prec = args.prec if args.prec else sturm(args.k)
     prec = max(prec, sturm(args.k))  # cannot opt into unsoundness
     space = miller_basis(args.p, args.k, prec, args.digits)
@@ -60,7 +53,6 @@ def cmd_basis(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    _require_weight(args.k)
     report = hecke_report(args.p, args.k)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     _note(
@@ -72,9 +64,6 @@ def cmd_hecke(args) -> int:
 
 def cmd_companion(args) -> int:
     p, k = args.p, args.k
-    _require_weight(k)
-    if not (4 <= k <= p - 3):
-        raise UsageError(f"weight {k} outside [4, {p - 3}] for p = {p}")
     report = companion_report(p, k)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     if args.witness_csv:
@@ -89,9 +78,6 @@ def cmd_companion(args) -> int:
 
 def cmd_structure(args) -> int:
     p, k = args.p, args.k
-    _require_weight(k)
-    if not (4 <= k <= p - 3):
-        raise UsageError(f"weight {k} outside [4, {p - 3}] for p = {p}")
     report = structure_report(p, k)
     if args.format == "csv":
         _emit(CSV_HEADER + "\n" + report.csv_row() + "\n", args.out)
@@ -122,8 +108,6 @@ def cmd_scan(args) -> int:
 
 def cmd_specialize(args) -> int:
     p, d = args.p, args.d
-    if d % 2 == 1 or not (0 <= d <= p - 3):
-        raise UsageError(f"exponent {d} must be even in [0, {p - 3}]")
     family = build_lambda_eisenstein(p, d, args.qprec, args.trunc, args.digits)
     report = specialize_and_compare(family)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
@@ -237,9 +221,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        _note(f"error: {e}")
-        return USAGE_ERROR
     except (NotLocalError, AssertionError, BrokenProcessPool) as e:
         _note(f"error: {e}")
         return ASSERTION_ERROR

@@ -14,14 +14,17 @@ for both weights of a pair, so c(m) and c(m') share it.
 One routine, `_theta_reduce`, decides the relation: it reduces theta^(k')
 f against theta(M_k') when k' <= k, and theta f against theta^k(M_k')
 otherwise, and returns the residue with the coordinates of g, which are
-the same in both directions.  `companion_space` takes the kernel of the
-residues and `companion_report` reads each witness's g from the same
-routine.  Gross (Duke Math. J. 61, 1990) gives the companion theory.
+the same in both directions.  The reduction is linear in f, so
+`companion_space` reduces the piece's basis forms once, takes the kernel of
+their residues, and reads each kernel vector's g off the same coordinates.
+`companion_report` is the one pass per mirror pair: it checks the weight's
+scope, localizes both weights, and checks c(m) = c(m').  Gross (Duke Math.
+J. 61, 1990) gives the companion theory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,22 +120,21 @@ def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _residues(p, v - _matmul(coords, rows, p)), coords
 
 
-def companion_space(piece: EisLocalPiece) -> list[list[int]]:
-    """Basis (piece coordinates) of the companion-admitting subspace.
+def companion_space(piece: EisLocalPiece) -> tuple[list[list[int]], list[list[int]]]:
+    """Basis (piece coordinates) of the companion-admitting subspace, and each one's g.
 
     An element f of the weight-k piece has a companion exactly when
     `_theta_reduce` leaves it no residue to the bound both weights of the
     pair share; the subspace is the kernel of the map to the residues.
+    The reduction is linear in f, so the weight-k' coordinates of the
+    companion g of a kernel vector w are w times the coordinates it returns
+    for the piece's basis forms: the second list holds them, row for row.
     """
     p, k = piece.p, piece.k
     basis = piece.series(MatFp.identity(p, piece.dim).a, _companion_bound(p, k))
-    resid, _ = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
-    return kernel(MatFp(p, resid).transpose()).a.tolist()
-
-
-def companion_dimension(piece: EisLocalPiece) -> int:
-    """dim of the companion-admitting subspace of an Eisenstein-local piece."""
-    return len(companion_space(piece))
+    resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
+    ker = kernel(MatFp(p, resid).transpose()).a
+    return ker.tolist(), _matmul(ker, coords, p).tolist()
 
 
 def mirror_check(f: QSeries, g: QSeries) -> bool:
@@ -170,17 +172,36 @@ def _in_local_piece(f: QSeries) -> bool:
 
 @dataclass
 class CompanionReport:
-    """Companion dimensions for the mirror pair of Eisenstein pieces."""
+    """Companion dimensions for the mirror pair of Eisenstein pieces.
+
+    `witnesses` pairs each basis vector of the weight-k companion space
+    (piece coordinates) with its companion's weight-k' coordinates;
+    `piece` and `piece_prime` are the two pieces the counts were read on.
+    """
 
     p: int
     k: int
-    k_prime: int
-    c_m: int
     c_m_prime: int
-    dim_piece: int
-    dim_piece_prime: int
     witnesses: list[tuple[list[int], list[int]]]
     plan: PrecisionPlan
+    piece: EisLocalPiece = field(repr=False, compare=False)
+    piece_prime: EisLocalPiece = field(repr=False, compare=False)
+
+    @property
+    def k_prime(self) -> int:
+        return self.p + 1 - self.k
+
+    @property
+    def c_m(self) -> int:
+        return len(self.witnesses)
+
+    @property
+    def dim_piece(self) -> int:
+        return self.piece.dim
+
+    @property
+    def dim_piece_prime(self) -> int:
+        return self.piece_prime.dim
 
     def to_json(self) -> dict:
         return {
@@ -201,10 +222,9 @@ class CompanionReport:
 def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
     """Witness q-expansions, one row per side of each companion pair."""
     p, k, kp = report.p, report.k, report.k_prime
-    piece, _ = localized_pieces(p, k)
     target = miller_basis(p, kp, max(prec, sturm(kp)))
     lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(prec))]
-    fs = piece.series([fc for fc, _ in report.witnesses], prec)
+    fs = report.piece.series([fc for fc, _ in report.witnesses], prec)
     for idx, ((_, gc), f) in enumerate(zip(report.witnesses, fs)):
         g = target.coords_to_series(gc).truncate(prec)
         lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.coeffs.tolist()))
@@ -231,34 +251,26 @@ def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
 def companion_report(p: int, k: int) -> CompanionReport:
     """Compute c(m), c(m') and witness pairs for the mirror weights (k, k').
 
-    c(m) <= c(m') always, with equality away from k = p-1; both are at
-    least one because the two Eisenstein series are companions of each
-    other.
+    The one pass per mirror pair.  k must be even in [4, p-3], so that both
+    mirror weights carry a basis; any other k is a ValueError before any
+    work.  Both counts are at least one, because the two Eisenstein series
+    are companions of each other, and they must be equal, else
+    AssertionError.
     """
     if not (4 <= k <= p - 3) or k % 2 == 1:
         raise ValueError(f"weight {k} outside [4, p-3] for p={p}")
-    kp = p + 1 - k
     piece, piece_prime = localized_pieces(p, k)
-    wit_coords = companion_space(piece)
-    c_m = len(wit_coords)
-    c_m_prime = companion_dimension(piece_prime)
-    if not (1 <= c_m <= c_m_prime):
-        raise AssertionError("companion dimensions violate the mirror inequality")
-    if k != p - 1 and c_m != c_m_prime:
-        raise AssertionError("mirror equality fails away from weight p-1")
-    fs = piece.series(wit_coords, _companion_bound(p, k))
-    resid, g_coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
-    if resid.any():
-        raise AssertionError("kernel vector lost its companion on recheck")
-    witnesses = list(zip(wit_coords, g_coords.tolist()))
+    wit_coords, g_coords = companion_space(piece)
+    c_m_prime = len(companion_space(piece_prime)[0])
+    # the two pieces reduce in opposite directions, so each checks the other
+    if not (1 <= len(wit_coords) == c_m_prime):
+        raise AssertionError(f"mirror equality c(m) = c(m') fails: {len(wit_coords)} against {c_m_prime}")
     return CompanionReport(
         p=p,
         k=k,
-        k_prime=kp,
-        c_m=c_m,
         c_m_prime=c_m_prime,
-        dim_piece=piece.dim,
-        dim_piece_prime=piece_prime.dim,
-        witnesses=witnesses,
+        witnesses=list(zip(wit_coords, g_coords)),
         plan=plan_companion(p, k),
+        piece=piece,
+        piece_prime=piece_prime,
     )

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .companions import companion_dimension, localized_pieces
+from .companions import companion_report
 from .errors import NotLocalError
 from .hecke import EisLocalPiece
 from .linalg import EchelonSpace, MatFp, _matmul, algebra_closure, rank
-from .qexp import PrecisionPlan, plan_companion
+from .qexp import PrecisionPlan
 
 
 def _products(mats: list[MatFp], gens: list[MatFp]) -> np.ndarray:
@@ -214,19 +214,17 @@ def dim_identity_holds(piece: EisLocalPiece, piece_cusp: EisLocalPiece) -> bool:
 def structure_report(p: int, k: int) -> StructureReport:
     """Full structure suite for one (p, k): the finite-weight equivalences.
 
-    Under c(m') = 1 the localized full algebra is asserted Gorenstein, the
-    cuspidal-side conditions (Gorenstein, cyclic piece, principal ideal
-    image) are asserted pairwise equivalent, and the dimension identity
-    dim(M-local) = dim(S-local) + 1 is asserted.  Away from k = p-1,
-    c(m) is computed too and must equal c(m'), else AssertionError.
-    Complete-intersection status is reported as not evaluated.
+    Starts from `companion_report(p, k)`, which rejects a weight outside
+    [4, p-3] before any work and checks c(m) = c(m'), and keeps only the
+    algebra work on its weight-k piece.  Under c(m') = 1 the localized full
+    algebra is asserted Gorenstein, the cuspidal-side conditions
+    (Gorenstein, cyclic piece, principal ideal image) are asserted pairwise
+    equivalent, and the dimension identity dim(M-local) = dim(S-local) + 1
+    is asserted.  Complete-intersection status is reported as not evaluated.
     """
-    piece, piece_prime = localized_pieces(p, k)
+    pair = companion_report(p, k)
+    piece, c_m_prime = pair.piece, pair.c_m_prime
     cusp = piece.cuspidal_subpiece()
-    c_m_prime = companion_dimension(piece_prime)
-    # the two pieces reduce in opposite directions, so each checks the other
-    if k != p - 1 and companion_dimension(piece) != c_m_prime:
-        raise AssertionError("mirror equality c(m) = c(m') fails away from weight p-1")
     full_alg = restrict_algebra(piece)
     zero_cusp = cusp.dim == 0
     if zero_cusp:
@@ -244,7 +242,7 @@ def structure_report(p: int, k: int) -> StructureReport:
     failures: list[str] = []
     if c_m_prime == 1 and not zero_cusp:
         failures = check_equivalences(bool(gor_h), bool(cyclic), min_gens == 1)
-    report = StructureReport(
+    return StructureReport(
         p=p,
         k=k,
         dim_m_local=piece.dim,
@@ -259,6 +257,5 @@ def structure_report(p: int, k: int) -> StructureReport:
         dim_identity_ok=dim_identity_holds(piece, cusp),
         zero_cuspidal=zero_cusp,
         equivalence_failures=failures,
-        plan=plan_companion(p, k),
+        plan=pair.plan,
     )
-    return report

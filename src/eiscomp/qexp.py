@@ -484,11 +484,10 @@ class FormSpace:
 @dataclass(eq=False)
 class _Ladder:
     """What `miller_basis` keeps per (p, digits): the longest ratio Delta/E4^3
-    computed, the longest basis built per weight, and every space served."""
+    computed and the longest basis built per weight."""
 
     ratio: np.ndarray | None = None
     longest: dict[int, FormSpace] = field(default_factory=dict)
-    served: dict[tuple[int, int], FormSpace] = field(default_factory=dict)
 
 
 _BASIS_CACHE: dict[tuple[int, int], _Ladder] = {}
@@ -508,20 +507,20 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     1 + O(q), so its inverse (`inverse_mod`) is exact and the monomials are
     the same truncated series as the direct products.
 
-    One basis is built per (p, k, digits), the longest asked for; a shorter
-    precision is served as the read-only column view coeffs[:, :prec], which
-    equals a build at that precision (the ladder products are exact
-    truncated series and U^-1 reads only the first dim columns).
-    Each served space is cached under (p, k, prec, digits), so a repeated
-    call returns the same FormSpace with its `hecke_matrices`.  The ratio
-    Delta/E4^3 depends only on (p, digits) and the precision: the longest
-    one computed is kept and every shorter ladder runs on its prefix.
+    One basis is built per (p, k, digits), the longest asked for, and kept.
+    A call at its precision returns that FormSpace, with its
+    `hecke_matrices`; a shorter precision gets a new FormSpace on the
+    read-only column view coeffs[:, :prec], which equals a build at that
+    precision (the ladder products are exact truncated series and U^-1
+    reads only the first dim columns), with empty `hecke_matrices`.  The
+    ratio Delta/E4^3 depends only on (p, digits) and the precision: the
+    longest one computed is kept and every shorter ladder runs on its
+    prefix.
 
     The cache holds one (p, digits) at a time: a call at another prime or
-    modulus drops every basis and ratio kept so far before it builds.  So
-    the same FormSpace comes back on a repeated call while its (p, digits)
-    stays current; after an eviction the call builds a new FormSpace with
-    the same coefficients, byte for byte, and empty `hecke_matrices`.
+    modulus drops every basis and ratio kept so far before it builds.
+    After an eviction the call builds a new FormSpace with the same
+    coefficients, byte for byte, and empty `hecke_matrices`.
     """
     require_admissible_prime(p)
     if k < 4 or k % 2 == 1:
@@ -536,13 +535,11 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
             # one (p, digits) at a time: a new prime's build drops every other ladder
             _BASIS_CACHE.clear()
             ladder = _BASIS_CACHE[(p, digits)] = _Ladder()
-        hit = ladder.served.get((k, prec))
         full = ladder.longest.get(k)
-        if hit is None and full is not None and full.prec >= prec:
-            view = FormSpace(p=p, digits=digits, k=k, coeffs=full.coeffs[:, :prec])
-            hit = ladder.served.setdefault((k, prec), view)
-    if hit is not None:
-        return hit
+    if full is not None and full.prec >= prec:
+        if full.prec == prec:
+            return full
+        return FormSpace(p=p, digits=digits, k=k, coeffs=full.coeffs[:, :prec])
 
     d = space_dim(k)
     m = p**digits
@@ -586,7 +583,7 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         full = ladder.longest.get(k)
         if full is None or full.prec < prec:
             ladder.longest[k] = space
-        return ladder.served.setdefault((k, prec), space)
+    return space
 
 
 def membership(f: QSeries, space: FormSpace) -> list[int] | None:

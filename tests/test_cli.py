@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, output shapes, usage errors."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eiscomp
 from eiscomp.cli import main
 from eiscomp.errors import NotLocalError
 
@@ -161,6 +166,46 @@ def test_structure_internal_errors_exit_codes(capsys, monkeypatch, error, code):
     assert got == code
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+SCOPE_ERRORS = [
+    ["basis", "--p", "5", "--k", "3"],
+    ["hecke", "--p", "37", "--k", "2"],
+    *[
+        [cmd, "--p", str(p), "--k", str(k)]
+        for cmd in ("companion", "structure")
+        for p, k in ((7, 8), (37, 36), (37, 31), (37, 2))
+    ],
+    ["specialize", "--p", "7", "--d", "3"],
+    ["specialize", "--p", "7", "--d", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", SCOPE_ERRORS, ids=" ".join)
+def test_scope_errors_are_library_value_errors_exiting_2(capsys, argv):
+    # the commands make no checks of their own: the library's ValueError is exit 2
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_scope_check_survives_python_O():
+    # python -O strips assert statements; the one weight check left must still raise
+    src = str(Path(eiscomp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def structure(k):
+        argv = [sys.executable, "-O", "-m", "eiscomp.cli", "structure", "--p", "37", "--k", str(k)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    bad = structure(36)
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr
+    good = structure(32)
+    assert good.returncode == 0, good.stderr
+    assert json.loads(good.stdout)["all_asserted_hold"]
 
 
 def test_scan_corrupt_checkpoint_is_usage_error(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Theta operator, filtration, companion detection and dimensions."""
 
+import json
+
 import numpy as np
 import pytest
 import sympy
@@ -7,7 +9,6 @@ import sympy
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import (
     _theta_reduce,
-    companion_dimension,
     companion_report,
     companion_space,
     filtration,
@@ -238,8 +239,8 @@ def test_companion_out_of_range_rejected():
 
 def test_regular_dimension_is_one():
     piece, piece_prime = localized_pieces(37, 4)
-    assert companion_dimension(piece) == 1
-    assert companion_dimension(piece_prime) == 1
+    assert len(companion_space(piece)[0]) == 1
+    assert len(companion_space(piece_prime)[0]) == 1
 
 
 def test_37_32_mirror_dimension():
@@ -247,13 +248,13 @@ def test_37_32_mirror_dimension():
     # Eisenstein line and its companion subspace is everything
     piece, piece_prime = localized_pieces(37, 32)
     assert piece_prime.dim == 1
-    assert companion_dimension(piece_prime) == 1
-    assert companion_dimension(piece) == 1  # equality away from weight p-1
+    assert len(companion_space(piece_prime)[0]) == 1
+    assert len(companion_space(piece)[0]) == 1  # equality away from weight p-1
 
 
 def test_companion_space_gives_witnesses():
     piece, _ = localized_pieces(59, 44)
-    vecs = companion_space(piece)
+    vecs, _ = companion_space(piece)
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
     f = piece.series(vecs[:1], bound)[0]
@@ -294,7 +295,7 @@ def test_dimension_stable_under_precision_increase():
     # the companion count is about forms, not the chosen cutoff
     p, k = 37, 32
     piece, _ = localized_pieces(p, k)
-    base = companion_dimension(piece)
+    base = len(companion_space(piece)[0])
     bound = plan_companion(p, k).bound + 20
     fs = piece.series(MatFp.identity(p, piece.dim).a, bound)
     again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
@@ -315,7 +316,7 @@ def test_companion_dimension_against_exhaustive_count():
             f = basis[0].scale(a) + basis[1].scale(b)
             ok, _ = companion_oracle(f)
             count += ok
-    c = companion_dimension(piece)
+    c = len(companion_space(piece)[0])
     assert count == p**c == 37
 
 
@@ -335,7 +336,7 @@ def test_theta_reduce_matches_both_oracles():
             resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]))
             assert resid.tolist() == echelon_residues(fs, kp, bound, a, b).tolist(), (p, pc.k)
             old_kernel = kernel(MatFp(p, echelon_residues(fs, kp, old, kp, 1)).transpose())
-            assert companion_space(pc) == old_kernel.a.tolist(), (p, pc.k)
+            assert companion_space(pc)[0] == old_kernel.a.tolist(), (p, pc.k)
             for f, r, c in zip(fs, resid, coords):
                 ok, want = companion_oracle(f)
                 assert ok == (not r.any()), (p, pc.k)
@@ -344,6 +345,66 @@ def test_theta_reduce_matches_both_oracles():
         for f_coords, g_coords in rep.witnesses:
             f = piece.series([f_coords], rep.plan.bound)[0]
             assert companion_oracle(f) == (True, g_coords), (p, k)
+
+
+def test_witness_g_by_linearity_matches_the_oracle():
+    # companion_space reads each witness's g as w . coords, the coordinates that the
+    # one reduction of the piece's basis forms returned: it is the g the oracle solves
+    # for, and theta^a f = theta^b g holds to the bound both weights share
+    for p, k in [(p, k) for p, k in oracle_pairs() if p < 300] + [(37, 4)]:
+        rep = companion_report(p, k)
+        bound = plan_companion(p, k).bound
+        a, b, shared = smaller_direction(p, k)
+        target = miller_basis(p, rep.k_prime, bound)
+        for f_coords, g_coords in rep.witnesses:
+            f = rep.piece.series([f_coords], bound)[0]
+            assert companion_oracle(f) == (True, g_coords), (p, k)
+            g = target.coords_to_series(g_coords)
+            assert theta_series(f, a).coeffs[:shared].tolist() == theta_series(g, b).coeffs[:shared].tolist()
+
+
+def test_companion_report_reduces_each_piece_once(monkeypatch):
+    import eiscomp.companions as companions
+    from eiscomp.localstruct import structure_report
+
+    seen = []
+    real = companions._theta_reduce
+    monkeypatch.setattr(companions, "_theta_reduce", lambda p, k, fs: seen.append(k) or real(p, k, fs))
+    companion_report(37, 32)
+    assert seen == [32, 6]
+    structure_report(37, 32)
+    assert seen == [32, 6, 32, 6]
+
+
+def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
+    # the command localizes each mirror weight once: witness_csv reads report.piece
+    import eiscomp.companions as companions
+    import eiscomp.hecke as hecke
+    from eiscomp.cli import main
+
+    calls = []
+    real = hecke.eisenstein_localize
+
+    def counted(space):
+        calls.append(space.k)
+        return real(space)
+
+    monkeypatch.setattr(hecke, "eisenstein_localize", counted)
+    monkeypatch.setattr(companions, "eisenstein_localize", counted)
+    path = tmp_path / "wit.csv"
+    p, k, kp, prec = 37, 32, 6, 24
+    assert main(["companion", "--p", str(p), "--k", str(k), "--witness-csv", str(path)]) == 0
+    assert calls == [k, kp]
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    piece = real(miller_basis(p, k, sturm(k) ** 2))
+    target = miller_basis(p, kp, prec)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 2 * len(witnesses) > 0
+    for idx, w in enumerate(witnesses):
+        f = piece.series([w["f_coords"]], prec)[0]
+        g = target.coords_to_series(w["g_coords"])
+        assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.coeffs.tolist()]
+        assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.coeffs.tolist()]
 
 
 @pytest.mark.parametrize("p,k", [(13, 2), (13, 6), (37, 8), (37, 32), (101, 50)])

@@ -222,15 +222,29 @@ def test_csv_row_shape():
 def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys):
     # c(m) and c(m') reduce in opposite directions at k != k'; a disagreement raises,
     # which the CLI turns into exit code 1
-    import eiscomp.localstruct as localstruct
+    import eiscomp.companions as companions
     from eiscomp.cli import main
 
-    real = localstruct.companion_dimension
-    monkeypatch.setattr(localstruct, "companion_dimension", lambda pc: real(pc) + (pc.k == 32))
+    real = companions.companion_space
+
+    def without_the_weight_32_witness(pc):
+        wit, gs = real(pc)
+        return (wit[1:], gs[1:]) if pc.k == 32 else (wit, gs)
+
+    monkeypatch.setattr(companions, "companion_space", without_the_weight_32_witness)
     with pytest.raises(AssertionError, match="c\\(m\\) = c\\(m'\\)"):
         structure_report(37, 32)
     assert main(["structure", "--p", "37", "--k", "32"]) == 1
     assert "c(m) = c(m')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [36, 31, 2])
+def test_structure_report_checks_the_weight_before_any_work(cold_bases, k):
+    # k = p-1 would need M_2 on the mirror side, 31 is odd and 2 is below 4: each is
+    # rejected before a basis is built
+    with pytest.raises(ValueError):
+        structure_report(37, k)
+    assert cold_bases == {}
 
 
 def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_bases, monkeypatch):
