@@ -13,13 +13,15 @@ f_(i+h) = g-1-f_i, and for odd m = 2u+1 the sum halves:
 
 Bluestein's identity iu = T(i+u) - T(i) - T(u), with T(n) = n(n-1)/2,
 makes all (p-3)/2 of these sums one correlation of a length-h sequence
-with a chirp of length h + (p-5)/2, which runs on qexp.convolve_mod, the
-package's one product kernel.  Powers of g, chirps, the discrete logs that
-give each inverse (g^k - 1)^(-1) = g^(-log(g^k - 1)), and the final
-products are int64 numpy expressions, so a table costs O(M(p)), M(p) being
-the cost of one product of length-p residue arrays, plus O(p) array work.
-No int64 intermediate exceeds (p-1)^2, which fixes the largest
-prime handled, TABLE_MAX_PRIME; larger primes are rejected.
+with a chirp of length p-3.  That correlation is the middle of a product,
+which qexp.middle_product_mod takes from one cyclic product at the power
+of two at least p-3, on the package's product kernel.  Powers of g,
+chirps, the discrete logs that give each inverse
+(g^k - 1)^(-1) = g^(-log(g^k - 1)), and the final products are int64
+numpy expressions, so a table costs O(M(p)), M(p) being the cost of one
+product of length-p residue arrays, plus O(p) array work.  No int64
+intermediate exceeds (p-1)^2, which fixes the largest prime handled,
+TABLE_MAX_PRIME; larger primes are rejected.
 
 A prime's scan record collects its irregular indices, any pair (k, k')
 with k + k' = p + 1 and both Bernoulli values divisible by p, and the
@@ -34,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .padic import require_admissible_prime
-from .qexp import convolve_mod
+from .qexp import middle_product_mod
 
 # The transform's int64 intermediates are products of two residues, at most
 # (p-1)^2; (g^i mod p)*g with g < p; and chirp exponents t(t-1) with
@@ -70,7 +72,7 @@ def _geometric(g: int, n: int, p: int) -> np.ndarray:
     return pw
 
 
-def _voronoi_table(p: int) -> list[int]:
+def _voronoi_table(p: int) -> np.ndarray:
     """B_k mod p for 0 <= k <= p-3 from one half-length correlation."""
     g = primitive_root(p)
     n, h, count = p - 1, (p - 1) // 2, (p - 3) // 2  # count: even k in [2, p-3]
@@ -80,8 +82,7 @@ def _voronoi_table(p: int) -> list[int]:
     x = (2 * f - g + 1) * pw[:h] % p * pw[-(i * (i - 1)) % n] % p  # times w^(-T(i))
     t = np.arange(h + count - 1, dtype=np.int64)
     chirp = pw[t * (t - 1) % n]  # w^T(t)
-    # c_u = sum_i x_i chirp_(i+u): the product with x reversed, from index h-1 on
-    c = convolve_mod(x[::-1], chirp, p, out_len=h - 1 + count)[h - 1 :]
+    c = middle_product_mod(x, chirp, p)  # c_u = sum_i x_i chirp_(i+u)
     u = i[:count]
     s = c * pw[-(u * (u - 1)) % n] % p  # S_(2u+1) = w^(-T(u)) c_u
     k = 2 * u + 2
@@ -91,15 +92,16 @@ def _voronoi_table(p: int) -> list[int]:
     b = np.zeros(p - 2, dtype=np.int64)
     b[0], b[1] = 1, (p - 1) // 2  # B_1 = -1/2
     b[2::2] = k * pw[k - 1] % p * s % p * inv % p
-    return b.tolist()
+    return b
 
 
-# A table near p = 10^5 holds about 3.6 MB of Python ints, and a scan asks for
+# A table is p - 2 int64 entries, 0.8 MB near p = 10^5, and a scan asks for
 # each prime's table once, so only the last few are kept.
 @lru_cache(maxsize=4)
-def bernoulli_table_mod(p: int) -> tuple[int, ...]:
+def bernoulli_table_mod(p: int) -> np.ndarray:
     """B_k mod p for 0 <= k <= p-3 (odd k > 1 entries are zero).
 
+    A read-only int64 array, shared by every caller through the cache.
     Outside that range B_k need not be p-integral.
     """
     if p > TABLE_MAX_PRIME:
@@ -107,13 +109,15 @@ def bernoulli_table_mod(p: int) -> tuple[int, ...]:
             f"p = {p} exceeds {TABLE_MAX_PRIME}, the largest prime the int64 table handles exactly"
         )
     require_admissible_prime(p)
-    return tuple(_voronoi_table(p))
+    table = _voronoi_table(p)
+    table.flags.writeable = False
+    return table
 
 
 def irregular_indices(p: int) -> list[int]:
-    """Even k in [4, p-3] with p dividing B_k."""
-    table = bernoulli_table_mod(p)
-    return [k for k in range(4, p - 2, 2) if table[k] == 0]
+    """Even k in [4, p-3] with p dividing B_k, as Python ints."""
+    zeros = np.flatnonzero(bernoulli_table_mod(p)[4 : p - 2 : 2] == 0)
+    return (2 * zeros + 4).tolist()
 
 
 @dataclass(frozen=True)

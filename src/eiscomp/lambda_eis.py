@@ -132,7 +132,7 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     if const_checked:
         # a(0) = -(1 - p^(k-1)) B_k/(2k) = -B_k/(2k) mod p, with B_k from the
         # Voronoi table, which shares no code with the exact-rational B_k
-        voronoi = -bernoulli_table_mod(p)[k] * pow(2 * k, -1, p) % p
+        voronoi = -int(bernoulli_table_mod(p)[k]) * pow(2 * k, -1, p) % p
         const_match = p_deprived_eisenstein_q(p, k, 1)[0] == voronoi
     return SpecializationReport(
         p=p,

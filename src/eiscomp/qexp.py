@@ -14,16 +14,18 @@ unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
 explicit; nothing rescales silently.
 
 A series is one read-only array of residues, stored like the bases under
-linalg's int64/object storage rule.  Every product, of series here and of the
-Bernoulli correlation in `bernoulli`, runs on one kernel, `convolve_mod`:
-float64 FFTs of the residues split into base-2^s digits, with s chosen so
-that Percival's roundoff bound proves each integer coefficient recovered by
-rounding, and a runtime check that raises instead of rounding a coefficient
-that is not within 1/4 of an integer.  The basis ladder, whose products all
-share one factor, keeps that factor's transform and finishes each product
-on the same step (`_product_from_spectra`), check included.  The answer is
-exact for every modulus; floating point is only the means of the
-convolution.
+linalg's int64/object storage rule.  Every truncated product of series runs
+on one kernel, `convolve_mod`: float64 FFTs of the residues split into
+base-2^s digits, with s chosen so that Percival's roundoff bound proves each
+integer coefficient recovered by rounding, and a runtime check that raises
+instead of rounding a coefficient that is not within 1/4 of an integer.  The
+basis ladder, whose products all share one factor, keeps that factor's
+transform and finishes each product on the same step
+(`_product_from_spectra`), check included.  The Bernoulli correlation in
+`bernoulli` needs only the middle of a product, which `middle_product_mod`
+takes on the same steps from one cyclic product, sized by the longer
+operand alone.  The answer is exact for every modulus; floating point is
+only the means of the convolution.
 
 `miller_basis` caches the bases and the ladder ratio of one (p, digits) at a
 time: every basis a pair's computation reads is at that pair's prime, so a
@@ -159,8 +161,9 @@ def _spectra(c: np.ndarray, pieces: int, s: int, size: int) -> np.ndarray:
 
 
 def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, modulus: int, out_len: int) -> np.ndarray:
-    """The first out_len coefficients, mod `modulus`, of the product whose
-    operands' digit spectra (`_spectra`, one `_layout`) are fa and fb.
+    """The first out_len coefficients, mod `modulus`, of the size-point cyclic
+    product whose operands' digit spectra (`_spectra`) are fa and fb; at
+    `_layout`'s size nothing wraps around, so that is the truncated product.
 
     The cross terms of each output digit are summed in the frequency domain,
     one irfft and rint give the integer digit products, and these are
@@ -209,6 +212,28 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None
     fa = _spectra(_residues(modulus, a[:la]), pieces, s, size)
     fb = fa if a is b else _spectra(_residues(modulus, b[:lb]), pieces, s, size)
     return _product_from_spectra(fa, fb, s, size, modulus, out_len)
+
+
+def middle_product_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """c_u = sum_(i < la) a_i b_(i+u) for 0 <= u <= lb - la, exactly, modulo `modulus`.
+
+    These are coefficients la-1 .. lb-1 of the product of a reversed and b,
+    the middle of that product (Hanrot, Quercia and Zimmermann, "The Middle
+    Product Algorithm I", AAECC 14, 2004).  One cyclic product of size S, the
+    power of two at least lb, gives them exactly: a term of the full product
+    at index S or more wraps onto index at most la + lb - 2 - S < la - 1,
+    which is not read.  Digits, exactness bound and check are convolve_mod's,
+    with Percival's bound taken at size S.
+    """
+    la, lb = len(a), len(b)
+    if not 0 < la <= lb:
+        raise ValueError(f"middle product needs 0 < len(a) <= len(b), got {la} and {lb}")
+    n = (lb - 1).bit_length()  # 2^n >= lb
+    size = 1 << n
+    pieces, s = _split(la, lb, n, (modulus - 1).bit_length())
+    fa = _spectra(_residues(modulus, a[::-1]), pieces, s, size)
+    fb = _spectra(_residues(modulus, b), pieces, s, size)
+    return _product_from_spectra(fa, fb, s, size, modulus, lb)[la - 1 :]
 
 
 def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
@@ -508,14 +533,16 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     the same truncated series as the direct products.
 
     One basis is built per (p, k, digits), the longest asked for, and kept.
-    A call at its precision returns that FormSpace, with its
-    `hecke_matrices`; a shorter precision gets a new FormSpace on the
-    read-only column view coeffs[:, :prec], which equals a build at that
-    precision (the ladder products are exact truncated series and U^-1
-    reads only the first dim columns), with empty `hecke_matrices`.  The
-    ratio Delta/E4^3 depends only on (p, digits) and the precision: the
-    longest one computed is kept and every shorter ladder runs on its
-    prefix.
+    A call at its precision returns that FormSpace; a shorter precision gets
+    a new FormSpace on the read-only column view coeffs[:, :prec], which
+    equals a build at that precision (the ladder products are exact
+    truncated series and U^-1 reads only the first dim columns).  The view
+    shares the kept build's `hecke_matrices` dict: T(n) in echelon
+    coordinates does not depend on the precision, and `hecke.hecke_matrix`
+    checks the space's own precision against n * sturm(k) before it reads
+    the dict.  The ratio Delta/E4^3 depends only on (p, digits) and the
+    precision: the longest one computed is kept and every shorter ladder
+    runs on its prefix.
 
     The cache holds one (p, digits) at a time: a call at another prime or
     modulus drops every basis and ratio kept so far before it builds.
@@ -539,7 +566,8 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     if full is not None and full.prec >= prec:
         if full.prec == prec:
             return full
-        return FormSpace(p=p, digits=digits, k=k, coeffs=full.coeffs[:, :prec])
+        view = full.coeffs[:, :prec]
+        return FormSpace(p=p, digits=digits, k=k, coeffs=view, hecke_matrices=full.hecke_matrices)
 
     d = space_dim(k)
     m = p**digits

@@ -1,5 +1,6 @@
 """Bernoulli tables mod p, irregular indices, and the checkpointed scan."""
 
+import json
 from fractions import Fraction
 from itertools import count
 from math import comb
@@ -19,6 +20,7 @@ from eiscomp.bernoulli import (
 )
 from eiscomp.errors import CheckpointError
 from eiscomp.padic import is_admissible_prime
+from eiscomp.qexp import convolve_mod
 from eiscomp.scan import (
     load_checkpoint,
     primes_in,
@@ -160,24 +162,79 @@ def test_table_matches_sympy_at_sampled_indices(p, k):
 
 def test_table_at_100003_takes_two_digit_pieces_and_matches_sympy(monkeypatch):
     # the correlation at p = 100003 is past the one-piece limit of the product kernel
-    from eiscomp import bernoulli
-    from eiscomp.qexp import _split
+    from eiscomp import qexp
 
     pieces = []
-    real = bernoulli.convolve_mod
+    real = qexp._split
 
-    def spy(a, b, modulus, out_len=None):
-        la, lb = min(len(a), out_len), min(len(b), out_len)
-        pieces.append(_split(la, lb, (la + lb - 2).bit_length(), (modulus - 1).bit_length())[0])
-        return real(a, b, modulus, out_len)
+    def spy(la, lb, n, bits):
+        split = real(la, lb, n, bits)
+        pieces.append(split[0])
+        return split
 
-    monkeypatch.setattr(bernoulli, "convolve_mod", spy)
+    monkeypatch.setattr(qexp, "_split", spy)
     p = 100003
     table = bernoulli_table_mod.__wrapped__(p)
     assert pieces == [2]
     for k in (2, 4, 12, 100, 1000):
         b = sympy.bernoulli(k)
         assert table[k] == b.p * pow(b.q, -1, p) % p, k
+
+
+def linear_route(a, b, m):
+    """The former correlation: the full linear product of a reversed and b, from index len(a)-1 on."""
+    return convolve_mod(a[::-1], b, m, out_len=len(b))[len(a) - 1 :]
+
+
+def test_table_matches_the_linear_route_at_every_prime_to_4001(monkeypatch):
+    for p in primes_in(5, 4001):
+        table = bernoulli._voronoi_table(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(bernoulli, "middle_product_mod", linear_route)
+            assert np.array_equal(table, bernoulli._voronoi_table(p)), p
+
+
+# 2731 - 3 and 2741 - 3 both lie in (2048, 4096]; the former linear product
+# needed (p-1)/2 + p - 4 points, 4092 at 2731 and 4107 at 2741
+@pytest.mark.parametrize("p, linear_size", [(2731, 4096), (2741, 8192)])
+def test_table_makes_one_product_at_the_power_of_two_above_p_minus_3(monkeypatch, p, linear_size):
+    from eiscomp import qexp
+
+    sizes = []
+    real = qexp._product_from_spectra
+
+    def spy(fa, fb, s, size, modulus, out_len):
+        sizes.append(size)
+        return real(fa, fb, s, size, modulus, out_len)
+
+    monkeypatch.setattr(qexp, "_product_from_spectra", spy)
+    bernoulli_table_mod.__wrapped__(p)
+    assert sizes == [4096]
+    assert qexp._layout((p - 1) // 2, p - 3, p)[2] == linear_size
+
+
+def test_table_raises_instead_of_rounding(monkeypatch):
+    real = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
+    with pytest.raises(AssertionError, match="away from an integer"):
+        bernoulli_table_mod.__wrapped__(101)
+
+
+def test_table_is_a_read_only_int64_array_and_records_hold_python_ints():
+    table = bernoulli_table_mod(157)
+    assert type(table) is np.ndarray and table.dtype == np.int64 and table.shape == (155,)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[62] = 1
+    assert table[62] == 0
+    assert bernoulli_table_mod(157) is table
+    irr = irregular_indices(157)
+    assert irr == [62, 110] and all(type(k) is int for k in irr)
+    for p in (157, 103, 7):
+        rec = pair_scan(p)
+        assert all(type(k) is int for k in rec.irregular_indices)
+        assert rec.half_index_ok is None or type(rec.half_index_ok) is bool
+        assert ScanRecord.from_dict(json.loads(json.dumps(rec.to_dict()))) == rec
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 41, 2311, 4001, 4003, 30011])
@@ -277,11 +334,12 @@ def test_synthetic_pair_detection(monkeypatch):
     # the detector itself, on a doctored table: force B_4 = B_34 = 0 mod 37,
     # a mirror pair since 4 + 34 = 38 = p + 1; the true index 32 stays
     p = 37
-    table = list(bernoulli_table_mod(p))
+    table = bernoulli_table_mod(p).copy()
     table[4] = table[34] = 0
     monkeypatch.setattr(bernoulli, "bernoulli_table_mod", lambda q: table)
     rec = pair_scan(p)
     assert rec.pair_hits == ((4, 34),)
+    assert all(type(k) is int for hit in rec.pair_hits for k in hit)
     assert rec.irregular_indices == (4, 32, 34)
 
 
@@ -292,7 +350,7 @@ def test_record_roundtrip():
 
 def test_pair_scan_reads_one_table_and_the_cache_stays_bounded():
     # a scan asks for each prime's table once, so the cache keeps only a few;
-    # near 10^5 each table is megabytes of Python ints
+    # near 10^5 each table is 0.8 MB of int64
     primes = primes_in(101, 157)
     assert len(primes) == 12
     bernoulli_table_mod.cache_clear()

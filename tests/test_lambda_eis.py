@@ -131,3 +131,26 @@ def test_wrong_bernoulli_value_fails_the_constant_term(monkeypatch, capsys):
     assert main(["specialize", "--p", "7", "--d", "2"]) == 1
     blob = json.loads(capsys.readouterr().out)
     assert blob["constant_term_match"] is False and blob["ok"] is False
+
+
+# `eiscomp specialize --p 37 --d 30`, as written before the Bernoulli table became an array
+SPECIALIZE_37_30 = """{
+  "p": 37,
+  "d": 30,
+  "weight": 32,
+  "digits_checked": 3,
+  "q_prec": 30,
+  "coefficients_match": true,
+  "mismatches": [],
+  "constant_term_checked": true,
+  "constant_term_match": true,
+  "ok": true
+}
+"""
+
+
+def test_specialize_json_is_unchanged_and_its_constant_term_match_a_bool(capsys):
+    assert main(["specialize", "--p", "37", "--d", "30"]) == 0
+    assert capsys.readouterr().out == SPECIALIZE_37_30
+    rep = specialize_and_compare(build_lambda_eisenstein(37, 30, 30, 8, 3))
+    assert type(rep.constant_term_match) is bool and type(rep.ok) is bool

@@ -23,6 +23,7 @@ from eiscomp.qexp import (
     eisenstein_q,
     inverse_mod,
     membership,
+    middle_product_mod,
     miller_basis,
     p_deprived_eisenstein_q,
     space_dim,
@@ -207,6 +208,9 @@ def test_workload_products_take_one_piece_and_p_near_1e5_two():
         (50001, 100000, 100003, 2),
     ]:
         assert _split(la, lb, (la + lb - 2).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
+    # the scan's cyclic middle product at 4001 and the one at 100003, of size >= lb
+    for la, lb, m, pieces in [(2000, 3998, 4001, 1), (50001, 100000, 100003, 2)]:
+        assert _split(la, lb, (lb - 1).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
 
 
 @pytest.mark.parametrize("la,lb", [(1, 1), (300, 300), (4000, 4000), (2000, 3997)])
@@ -229,6 +233,58 @@ def test_convolve_raises_instead_of_rounding(monkeypatch):
     a = _residues(293, list(range(1, 41)))
     with pytest.raises(AssertionError, match="away from an integer"):
         convolve_mod(a, a, 293)
+
+
+def middle_oracle(a, b, m):
+    """Schoolbook c_u = sum_i a_i b_(i+u) mod m, for u <= len(b) - len(a)."""
+    return [sum(x * b[i + u] for i, x in enumerate(a)) % m for u in range(len(b) - len(a) + 1)]
+
+
+def linear_middle(a, b, m):
+    """The middle through the full linear product, as the Bernoulli table took it before."""
+    return convolve_mod(a[::-1], b, m, out_len=len(b))[len(a) - 1 :]
+
+
+# len(b) at and beside powers of two, where the cyclic size steps; 293 takes one
+# digit piece, 3037000493 two on int64 storage, 5^14 two and 5^30 four or five on objects
+@pytest.mark.parametrize("m", [293, 3037000493, 5**14, 5**30])
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_middle_product_matches_the_linear_route_and_schoolbook(m, data):
+    lb = data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]))
+    la = data.draw(st.one_of(st.just(1), st.just(lb), st.integers(1, lb)))
+    entry = st.one_of(st.sampled_from([0, 1, m - 1]), st.integers(0, m - 1))
+    a, b = (_residues(m, data.draw(st.lists(entry, min_size=n, max_size=n))) for n in (la, lb))
+    got = middle_product_mod(a, b, m)
+    assert got.tolist() == linear_middle(a, b, m).tolist()
+    assert got.tolist() == middle_oracle(a.tolist(), b.tolist(), m)
+    assert got.dtype == a.dtype
+
+
+@pytest.mark.parametrize("fill", ["random", "max"])
+def test_middle_product_at_100003_takes_two_pieces(monkeypatch, fill):
+    # the Bernoulli table's operands at p = 100003: lengths (p-1)/2 and p-3
+    from eiscomp import qexp
+
+    p = 100003
+    la, lb = (p - 1) // 2, p - 3
+    rng = np.random.default_rng(p)
+    a, b = (np.full(n, p - 1) if fill == "max" else rng.integers(0, p, n) for n in (la, lb))
+    splits = []
+    real = qexp._split
+    monkeypatch.setattr(qexp, "_split", lambda *args: splits.append(real(*args)) or splits[-1])
+    got = middle_product_mod(a, b, p)
+    assert [pieces for pieces, _ in splits] == [2]
+    assert got.tolist() == linear_middle(a, b, p).tolist()
+    for u in (0, 1, 777, lb - la):  # la (p-1)^2 < 2^63: the int64 dot is exact
+        assert got[u] == int(a @ b[u : u + la]) % p
+
+
+def test_middle_product_needs_a_nonempty_shorter_first_operand():
+    a = _residues(7, [1, 2, 3])
+    for x, y in ((a, a[:2]), (a[:0], a)):
+        with pytest.raises(ValueError, match="middle product"):
+            middle_product_mod(x, y, 7)
 
 
 def test_cli_exits_1_when_the_product_bound_fails(cold_bases, monkeypatch, capsys):

@@ -303,3 +303,18 @@ def test_structure_reports_in_one_process_hold_one_prime(cold_bases):
                 structure_report(q, k)
         assert retained_bytes(cold_bases) == held[i], pairs[i]
     assert held[-1] > held[-2]  # the second pair at 157 adds its two weights
+
+
+def test_a_repeated_pair_reuses_its_hecke_matrices(cold_bases, monkeypatch):
+    # the localization reads a shorter view of the kept build, which shares the
+    # build's Hecke matrices, so running the pair again computes no image
+    from eiscomp import hecke
+
+    images = []
+    real = hecke._hecke_image
+    monkeypatch.setattr(hecke, "_hecke_image", lambda *args: images.append(args[1]) or real(*args))
+    first = structure_report(293, 156)
+    assert len(images) == 11
+    again = structure_report(293, 156)
+    assert len(images) == 11
+    assert again.to_json() == first.to_json()
