@@ -21,11 +21,25 @@ integer coefficient recovered by rounding, and a runtime check that raises
 instead of rounding a coefficient that is not within 1/4 of an integer.  The
 basis ladder, whose products all share one factor, keeps that factor's
 transform and finishes each product on the same step
-(`_product_from_spectra`), check included.  The Bernoulli correlation in
-`bernoulli` needs only the middle of a product, which `middle_product_mod`
-takes on the same steps from one cyclic product, sized by the longer
-operand alone.  The answer is exact for every modulus; floating point is
-only the means of the convolution.
+(`_product_from_spectra`), check included.
+
+A product makes only the array passes its piece count P needs.  With P = 1
+(every product at the companion bound of an irregular pair below p = 2099)
+it transforms the residues themselves, multiplies the two spectra once,
+checks every column of the inverse transform in place, and returns one
+cast and one `%` of the first out_len columns.  With P > 1 (two pieces at
+the companion bound from (2099, 1230) on, in the Bernoulli table near
+p = 10^5, and on Z/p^M) one shift-and-mask makes every digit row, the cross
+terms are summed into a zero-filled spectrum, and the digit products are
+recombined with their weights 2^(s t).  Against the former passes (a digit
+buffer, a zero-filled spectrum and output, and three more `%` per product)
+the survey benchmark's norm_wall_s fell from 0.294 s to 0.255 s
+(BENCH_19.json).
+
+The Bernoulli correlation in `bernoulli` needs only the middle of a product,
+which `middle_product_mod` takes on the same steps from one cyclic product,
+sized by the longer operand alone.  The answer is exact for every modulus;
+floating point is only the means of the convolution.
 
 `miller_basis` caches the bases and the ladder ratio of one (p, digits) at a
 time: every basis a pair's computation reads is at that pair's prime, so a
@@ -153,11 +167,16 @@ def _layout(la: int, lb: int, modulus: int) -> tuple[int, int, int]:
 
 
 def _spectra(c: np.ndarray, pieces: int, s: int, size: int) -> np.ndarray:
-    """The size-point rfft of each base-2^s digit row of the residues c, lowest first."""
-    digits = np.empty((pieces, len(c)))
-    for i in range(pieces):
-        digits[i] = c >> (s * i) & ((1 << s) - 1)
-    return np.fft.rfft(digits, size)
+    """The size-point rfft of each base-2^s digit row of the residues c, lowest first.
+
+    One piece means every residue is below 2^s and is its own digit, so the
+    residues are transformed as they are; more pieces take one shift-and-mask
+    over all digit rows.
+    """
+    if pieces == 1:
+        return np.fft.rfft(c, size)[None]
+    shifts = np.arange(0, s * pieces, s)[:, None]
+    return np.fft.rfft((c >> shifts & ((1 << s) - 1)).astype(np.float64), size)
 
 
 def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, modulus: int, out_len: int) -> np.ndarray:
@@ -165,24 +184,40 @@ def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, mod
     product whose operands' digit spectra (`_spectra`) are fa and fb; at
     `_layout`'s size nothing wraps around, so that is the truncated product.
 
-    The cross terms of each output digit are summed in the frequency domain,
-    one irfft and rint give the integer digit products, and these are
-    recombined mod `modulus`.  Should a raw coefficient lie more than 1/4
+    The spectrum of each output digit sums its cross terms, one irfft and
+    rint give the integer digit products, and these are recombined mod
+    `modulus`.  The check reads every column of the inverse transform, not
+    only the out_len returned: should any raw coefficient lie more than 1/4
     from an integer, AssertionError is raised rather than a rounded guess
     returned.  The result is stored under linalg's `_residues` rule.
+
+    With one piece the spectrum is the one product fa * fb, and the rounded
+    digits are the product's coefficients: one cast and one `%` over the
+    first out_len columns give the result.  With P pieces the 2P - 1 output
+    digits are summed into a zero-filled spectrum and recombined with their
+    weights 2^(s t) mod `modulus`.  The one-piece passes took the survey,
+    hecke and scan benchmarks' norm_wall_s 9-13% lower (BENCH_19.json).
     """
     pieces = len(fa)
-    spec = np.zeros((2 * pieces - 1, fa.shape[1]), dtype=complex)
-    for i in range(pieces):
-        spec[i : i + pieces] += fa[i] * fb
+    if pieces == 1:
+        spec = fa * fb
+    else:
+        spec = np.zeros((2 * pieces - 1, fa.shape[1]), dtype=complex)
+        for i in range(pieces):
+            spec[i : i + pieces] += fa[i] * fb
     raw = np.fft.irfft(spec, size)
     exact = np.rint(raw)
-    err = float(np.abs(raw - exact).max())
+    raw -= exact
+    err = float(max(raw.max(), -raw.min()))
     if err > _FFT_MAX_ERROR:
         raise AssertionError(
             f"float64 product coefficient {err:.3g} away from an integer, above the exact bound {_FFT_MAX_ERROR}"
         )
     # columns past the product's last term round to exact zeros
+    if pieces == 1 and out_len <= size:
+        out = exact[0, :out_len].astype(np.int64)
+        out %= modulus
+        return out
     terms = exact[:, :out_len].astype(np.int64)
     out = _residues(modulus, np.zeros(out_len, dtype=np.int64))
     head = out[: terms.shape[1]]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -213,6 +214,37 @@ def test_workload_products_take_one_piece_and_p_near_1e5_two():
         assert _split(la, lb, (lb - 1).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
 
 
+def test_two_pieces_agree_with_one_on_workload_operands(cold_bases, monkeypatch):
+    # the survey's operands at the companion bound of (293, 156) take one piece;
+    # forced into two pieces of ceil(bits/2) bits they must give the same products
+    from eiscomp import qexp
+
+    p, k, prec = 293, 156, 3834
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, prec), rng.integers(0, p, prec)
+    out_lens = (None, 2 * prec - 1)
+    one_piece = [convolve_mod(a, b, p, n) for n in out_lens]
+    one_basis = miller_basis(p, k, prec).coeffs
+
+    real = qexp._split
+    default_pieces = []
+
+    def halves(la, lb, n, bits):
+        default_pieces.append(real(la, lb, n, bits)[0])
+        s = -(-bits // 2)
+        assert s <= _piece_bits(la, lb, n, 2)  # still inside Percival's bound
+        return 2, s
+
+    monkeypatch.setattr(qexp, "_split", halves)
+    cold_bases.clear()
+    two_pieces = [convolve_mod(a, b, p, n) for n in out_lens]
+    two_basis = miller_basis(p, k, prec).coeffs
+    assert default_pieces and set(default_pieces) == {1}
+    for n, one, two in zip(out_lens, one_piece, two_pieces):
+        assert two.tolist() == one.tolist() == kronecker_oracle(a, b, p, n).tolist()
+    assert two_basis.tolist() == one_basis.tolist() == kronecker_basis_oracle(p, k, prec)
+
+
 @pytest.mark.parametrize("la,lb", [(1, 1), (300, 300), (4000, 4000), (2000, 3997)])
 def test_worst_case_operands_at_the_one_to_two_piece_limit(la, lb):
     # all-(m-1) operands at the widest one-piece modulus 2^s, just above it,
@@ -233,6 +265,45 @@ def test_convolve_raises_instead_of_rounding(monkeypatch):
     a = _residues(293, list(range(1, 41)))
     with pytest.raises(AssertionError, match="away from an integer"):
         convolve_mod(a, a, 293)
+
+
+def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases, monkeypatch):
+    # 0.3 added to the last column of the irfft only, past every coefficient a
+    # product returns (out_len 40 of size 128, 40 of 64, 400 of 1024): the
+    # check must still raise, at convolve_mod, the middle product and a ladder row
+    from eiscomp import qexp
+
+    real = np.fft.irfft
+
+    def last_column_off(*args, **kwargs):
+        raw = real(*args, **kwargs)
+        raw[..., -1] += 0.3
+        return raw
+
+    a = _residues(293, list(range(1, 41)))
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "irfft", last_column_off)
+        with pytest.raises(AssertionError, match="away from an integer"):
+            convolve_mod(a, a, 293)
+        with pytest.raises(AssertionError, match="away from an integer"):
+            middle_product_mod(a[:20], a, 293)
+
+    # a cold build: only the products finished inside miller_basis, its ladder rows, are perturbed
+    finish = qexp._product_from_spectra
+    ladder_rows = []
+
+    def ladder_row_off(*args):
+        if sys._getframe(1).f_code.co_name != "miller_basis":
+            return finish(*args)
+        ladder_rows.append(args[-1])
+        with monkeypatch.context() as mp:
+            mp.setattr(np.fft, "irfft", last_column_off)
+            return finish(*args)
+
+    monkeypatch.setattr(qexp, "_product_from_spectra", ladder_row_off)
+    with pytest.raises(AssertionError, match="away from an integer"):
+        miller_basis(293, 156, 400)
+    assert ladder_rows == [400]
 
 
 def middle_oracle(a, b, m):
@@ -589,6 +660,35 @@ def basis_oracle(p, k, prec, digits):
     for j in range(space_dim(k)):
         b = (k - 12 * j) % 4 // 2
         rows.append((e4.pow((k - 12 * j - 6 * b) // 4) * e6.pow(b) * delta.pow(j)).coeffs.tolist())
+    return clear_above_pivots(rows, m)
+
+
+def kronecker_basis_oracle(p, k, prec):
+    """basis_oracle's rows over F_p, every series product taken by kronecker_oracle."""
+
+    def mul(x, y):
+        return kronecker_oracle(x, y, p, prec)
+
+    def powers(x, e):
+        out = [np.eye(1, prec, dtype=np.int64)[0]]
+        for _ in range(e):
+            out.append(mul(out[-1], x))
+        return out
+
+    e4, e6 = (_unit_eisenstein(p, w, prec, 1).coeffs for w in (4, 6))
+    delta = (mul(mul(e4, e4), e4) - mul(e6, e6)) * pow(1728, -1, p) % p
+    d = space_dim(k)
+    e4_powers, delta_powers = powers(e4, k // 4), powers(delta, d - 1)
+    rows = []
+    for j in range(d):
+        b = (k - 12 * j) % 4 // 2
+        row = mul(e4_powers[(k - 12 * j - 6 * b) // 4], delta_powers[j])
+        rows.append((mul(row, e6) if b else row).tolist())
+    return clear_above_pivots(rows, p)
+
+
+def clear_above_pivots(rows, m):
+    """Monomial rows q^j + ..., cleared above each unit pivot one (row, pivot) pair at a time."""
     for j in range(1, len(rows)):
         lead = rows[j]
         for i in range(j):
