@@ -35,7 +35,7 @@ from .linalg import (
     solve,
     stable_idempotent,
 )
-from .qexp import FormSpace, QSeries, divisor_power_sums, miller_basis, sturm
+from .qexp import FormSpace, QSeries, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -47,8 +47,9 @@ def generator_primes(k: int) -> list[int]:
 
 
 def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
-    """sigma_(k-1)(n) mod p^digits: the Eisenstein eigenvalue of T(n)."""
-    return int(divisor_power_sums(k - 1, n + 1, p**digits)[n])
+    """sigma_(k-1)(n) mod p^digits: the Eisenstein eigenvalue of T(n); 0 at n = 0."""
+    m = p**digits
+    return sum(pow(d, k - 1, m) for d in range(1, n + 1) if n % d == 0) % m
 
 
 def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
@@ -192,14 +193,16 @@ class EisLocalPiece:
         """The intersection with the cuspidal subspace (constant term zero).
 
         In echelon coordinates the constant term of a vector is its
-        pivot-0 entry, so one linear condition cuts the subspace out.
+        pivot-0 entry, so one linear condition cuts the subspace out.  The
+        etas are restricted to it in one `restrict_operator` call, one
+        `solve` for all of them.
         """
         condition = MatFp(self.p, self.basis.a[:, :1].T)  # wants c . B[:,0] = 0
         ker = kernel(condition)  # rows = piece-coordinates of cuspidal vectors
         return EisLocalPiece(
             space=self.space,
             basis=ker * self.basis,  # back to ambient coordinates
-            etas=[restrict_operator(eta, ker) for eta in self.etas],
+            etas=restrict_operator(self.etas, ker),
         )
 
 

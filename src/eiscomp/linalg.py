@@ -137,9 +137,6 @@ class MatFp:
             e >>= 1
         return acc
 
-    def commutes_with(self, other: "MatFp") -> bool:
-        return self * other == other * self
-
     def _compat(self, other: "MatFp", same_shape: bool = False) -> None:
         if self.p != other.p:
             raise ValueError("mixed characteristics")
@@ -218,17 +215,29 @@ def inverse(a: MatFp) -> MatFp:
     return x
 
 
-def restrict_operator(op: MatFp, basis_rows: MatFp) -> MatFp:
-    """Matrix of op on the span of basis_rows, which op must keep.
+def restrict_operator(ops: Sequence[MatFp], basis_rows: MatFp) -> list[MatFp]:
+    """Matrix of each op on the span of basis_rows, which every op must keep.
 
-    Column j holds the coordinates of op applied to basis row j; a span
-    that op does not keep raises ValueError.
+    Column j of the i-th matrix holds the coordinates of ops[i] applied to
+    basis row j.  All ops are restricted at once: one product gives the
+    images [A_1 B^T | ... | A_m B^T], and one `solve` (one `rref` and its
+    verification product) gives their coordinates, which are unique since
+    the rows B are independent.  A span that some op does not keep raises
+    ValueError; an empty op list gives [].
     """
+    mats = list(ops)
+    if not mats:
+        return []
+    d, r = basis_rows.ncols, basis_rows.nrows
+    if any(m.a.shape != (d, d) for m in mats):
+        raise ValueError("operator does not act on the ambient space")
     bt = basis_rows.transpose()
-    mat = solve(bt, op * bt)
-    if mat is None:
+    # row block i of the product is A_i B^T; side by side they are the right-hand sides
+    images = (MatFp.vstack(mats) * bt).a.reshape(len(mats), d, r)
+    coords = solve(bt, MatFp(bt.p, np.hstack(list(images)), len(mats) * r))
+    if coords is None:
         raise ValueError("subspace is not stable under the operator")
-    return mat
+    return [MatFp(bt.p, coords.a[:, i * r : (i + 1) * r], r) for i in range(len(mats))]
 
 
 def generalized_eigenspace(
@@ -237,13 +246,23 @@ def generalized_eigenspace(
     """Canonical basis of the common generalized kernel V of commuting operators,
     and the matrix of each operator on V, in the order given.
 
-    One power, op^dim of the first op, acts on the whole space; each later
-    op is restricted to the kernel found so far, which it must keep, and
-    its generalized kernel is taken there.  Every op must keep V, and the
-    restrictions to V must commute.  Either failure raises ValueError.  The
-    rows equal kernel(kernel(V)): `kernel`'s coordinates times a basis in
-    `kernel`'s reduced form is again in that form.  An empty operator list
-    cuts nothing out, so the whole space comes back (p must then be given).
+    One power, op^dim of the first op, acts on the whole space, and V
+    starts as its kernel.  Each round restricts every op to V in one
+    `restrict_operator` call (every op must keep V).  If some restriction
+    is not nilpotent, V becomes the generalized kernel of the first such
+    one and the next round starts; otherwise the restrictions are the
+    returned matrices.  Each round but the last strictly shrinks V, so the
+    loop ends within dim + 1 rounds.  A later round restricts the current
+    restrictions to the new V, given in the old V's coordinates, which
+    yields each op's matrix on it at the cost of the smaller space.  An op
+    nilpotent on V stays nilpotent on the smaller V of a later round, so
+    the search goes on from the op that cut V.  The restrictions must
+    commute, which one product vstack(subs) * hstack(subs) shows: its
+    block (i, j) is subs[i] * subs[j].  A span not kept or a clash raises
+    ValueError.  The rows equal kernel(kernel(V)): `kernel`'s coordinates
+    times a basis in `kernel`'s reduced form is again in that form.  An
+    empty operator list cuts nothing out, so the whole space comes back (p
+    must then be given).
     """
     mats = list(ops)
     if not mats:
@@ -254,11 +273,18 @@ def generalized_eigenspace(
         if m.nrows != dim or m.ncols != dim:
             raise ValueError("operator does not act on the given space")
     basis = kernel(mats[0] ** dim)
-    for m in mats[1:]:
-        sub = restrict_operator(m, basis)
-        basis = kernel(sub**sub.nrows) * basis
-    subs = [restrict_operator(m, basis) for m in mats]
-    if any(not a.commutes_with(b) for i, a in enumerate(subs) for b in subs[i + 1 :]):
+    subs = restrict_operator(mats, basis)
+    for i in range(1, len(mats)):
+        power = subs[i] ** basis.nrows
+        if not power.is_zero():
+            cut = kernel(power)  # rows in V's coordinates
+            basis = cut * basis
+            subs = restrict_operator(subs, cut)
+    r, n = basis.nrows, len(subs)
+    side_by_side = MatFp(basis.p, np.hstack([s.a for s in subs]), n * r)
+    # block (i, j) of the product is subs[i] * subs[j]
+    prods = (MatFp.vstack(subs) * side_by_side).a.reshape(n, r, n, r)
+    if not np.array_equal(prods, prods.transpose(2, 1, 0, 3)):
         raise ValueError("generalized eigenspace needs commuting operators")
     return basis, subs
 

@@ -188,8 +188,8 @@ def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, mod
     rint give the integer digit products, and these are recombined mod
     `modulus`.  The check reads every column of the inverse transform, not
     only the out_len returned: should any raw coefficient lie more than 1/4
-    from an integer, AssertionError is raised rather than a rounded guess
-    returned.  The result is stored under linalg's `_residues` rule.
+    from an integer, or be NaN, AssertionError is raised rather than a
+    rounded guess returned.  The result is stored under linalg's `_residues` rule.
 
     With one piece the spectrum is the one product fa * fb, and the rounded
     digits are the product's coefficients: one cast and one `%` over the
@@ -209,7 +209,7 @@ def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, mod
     exact = np.rint(raw)
     raw -= exact
     err = float(max(raw.max(), -raw.min()))
-    if err > _FFT_MAX_ERROR:
+    if not err <= _FFT_MAX_ERROR:
         raise AssertionError(
             f"float64 product coefficient {err:.3g} away from an integer, above the exact bound {_FFT_MAX_ERROR}"
         )

@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from eiscomp import hecke
+from eiscomp import hecke, linalg
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import (
     duality_pairing_matrix,
@@ -26,6 +26,7 @@ from eiscomp.qexp import (
     FormSpace,
     QSeries,
     delta_q,
+    divisor_power_sums,
     eisenstein_q,
     membership,
     miller_basis,
@@ -325,6 +326,19 @@ def test_localization_raises_one_full_matrix_to_a_power(monkeypatch):
     assert max(sizes[1:]) < s.dim and piece.dim == 2
 
 
+def test_localization_and_cuspidal_subpiece_make_one_solve_each(monkeypatch):
+    # at (491,292) the first generator's kernel is already the piece: one block
+    # restriction of all nine etas, and one of the piece's etas to the cuspidal part
+    s = miller_basis(491, 292, sturm(292) ** 2)
+    calls = []
+    real = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda a, b: calls.append(b.ncols) or real(a, b))
+    piece = eisenstein_localize(s)
+    cusp = piece.cuspidal_subpiece()
+    assert (piece.dim, cusp.dim, len(piece.etas)) == (2, 1, 9)
+    assert calls == [9 * 2, 9 * 1]
+
+
 def test_cuspidal_subpiece_dims():
     s = working_space(37, 32)
     piece = eisenstein_localize(s)
@@ -333,6 +347,14 @@ def test_cuspidal_subpiece_dims():
     assert piece.dim - 1 == cusp.dim
     for vec in cusp.basis.a.tolist():
         assert s.coords_to_series(vec).coeffs[0] == 0
+
+
+@pytest.mark.parametrize("digits", [1, 3])
+def test_sigma_eigenvalue_matches_divisor_power_sums(digits):
+    for p, k in [(5, 4), (7, 12), (37, 32), (491, 292), (3037000493, 16)]:
+        table = divisor_power_sums(k - 1, 61, p**digits)
+        assert [sigma_eigenvalue(p, k, n, digits) for n in range(61)] == table.tolist(), (p, k)
+    assert sigma_eigenvalue(13, 16, 0) == 0
 
 
 def test_localized_eigensystem_multiplicativity():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import prevprime
 
 from eiscomp.bernoulli import irregular_indices
-from eiscomp.hecke import generator_primes, hecke_matrix, sigma_eigenvalue
+from eiscomp.hecke import EisLocalPiece, generator_primes, hecke_matrix, sigma_eigenvalue
 from eiscomp.linalg import (
     EchelonSpace,
     MatFp,
@@ -315,9 +315,18 @@ def generalized_kernel_oracle(ops, dim, *, p=None):
         return MatFp.identity(p, dim)
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not mats[i].commutes_with(mats[j]):
+            if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise ValueError("generalized eigenspace needs commuting operators")
     return kernel(MatFp.vstack([m**dim for m in mats]))
+
+
+def restriction_oracle(op, basis):
+    """The former per-op restriction: one solve of B^T x = op B^T for one op."""
+    bt = basis.transpose()
+    x = solve(bt, op * bt)
+    if x is None:
+        raise ValueError("subspace is not stable under the operator")
+    return x
 
 
 def hecke_etas(space):
@@ -331,7 +340,8 @@ def hecke_etas(space):
 
 def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
     # the hecke workload's five items at its precision, and both mirror
-    # weights of every irregular pair p < 400 at the localization's
+    # weights of every irregular pair p < 400 at the localization's; the
+    # cuspidal sub-piece's etas against the whole-space etas restricted to it
     spaces = [
         miller_basis(p, k, max(sturm(k) ** 2, p * sturm(k)))
         for p, k in [(7, 300), (11, 240), (13, 180), (37, 180), (101, 96)]
@@ -344,7 +354,9 @@ def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
         etas = hecke_etas(s)
         got, subs = generalized_eigenspace(etas, s.dim, p=s.p)
         assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
-        assert subs == [restrict_operator(eta, got) for eta in etas], (s.p, s.k)
+        assert subs == [restriction_oracle(eta, got) for eta in etas], (s.p, s.k)
+        cusp = EisLocalPiece(s, got, subs).cuspidal_subpiece()
+        assert cusp.etas == [restriction_oracle(eta, cusp.basis) for eta in etas], (s.p, s.k)
 
 
 def test_gen_eigenspace_zero_op_gives_whole_space():
@@ -377,7 +389,7 @@ def test_gen_eigenspace_rejects_a_non_commuting_later_pair():
     first = zeros(5, 2, 2)
     second = MatFp(5, [[0, 1], [0, 0]])
     third = MatFp(5, [[0, 0], [1, 0]])
-    assert first.commutes_with(second) and first.commutes_with(third)
+    assert first * second == second * first and first * third == third * first
     with pytest.raises(ValueError):
         generalized_eigenspace([first, second, third], 2)
 
@@ -398,6 +410,62 @@ def test_gen_eigenspace_rejects_an_operator_that_leaves_the_first_kernel():
     b = MatFp(5, [[0, 0], [1, 0]])
     with pytest.raises(ValueError, match="not stable"):
         generalized_eigenspace([a, b], 2)
+
+
+def test_gen_eigenspace_rejects_an_operator_that_leaves_a_later_kernel():
+    # every op keeps the first kernel, the whole space; the second cuts it to
+    # the plane of e0 and e1, which the third leaves by mapping e0 to e2
+    ops = [zeros(5, 3, 3), MatFp(5, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]), MatFp(5, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])]
+    with pytest.raises(ValueError, match="not stable"):
+        generalized_eigenspace(ops, 3)
+
+
+def test_gen_eigenspace_rejects_a_clash_of_the_first_and_last_of_five():
+    # every pair commutes but the first and the last, which the one product must still see
+    a = MatFp(5, [[0, 1], [0, 0]])
+    b = MatFp(5, [[0, 0], [1, 0]])
+    z = zeros(5, 2, 2)
+    ops = [a, z, z, z, b]
+    clashes = [(i, j) for i in range(5) for j in range(i + 1, 5) if ops[i] * ops[j] != ops[j] * ops[i]]
+    assert clashes == [(0, 4)]
+    with pytest.raises(ValueError, match="commuting"):
+        generalized_eigenspace(ops, 2)
+    assert generalized_eigenspace([a, z, z, z, a], 2)[1] == [a, z, z, z, a]
+
+
+def test_block_restriction_matches_one_solve_per_op():
+    # a 2-dim span kept by every op: the block of three equals three single restrictions
+    rng = random.Random(3)
+    p, dim = 101, 5
+    change = random_mat(rng, p, dim, dim)
+    while rank(change) < dim:
+        change = random_mat(rng, p, dim, dim)
+    ops = []
+    for _ in range(3):
+        block = np.zeros((dim, dim), dtype=np.int64)
+        block[:2, :2] = random_mat(rng, p, 2, 2).a
+        block[2:, 2:] = random_mat(rng, p, 3, 3).a
+        ops.append(change * MatFp(p, block) * inverse(change))
+    # the kept span: the first two columns of change
+    basis = MatFp(p, change.a.T[:2])
+    assert restrict_operator(ops, basis) == [restriction_oracle(op, basis) for op in ops]
+    assert restrict_operator(ops, MatFp.identity(p, dim)) == ops
+
+
+def test_block_restriction_rejects_one_op_that_leaves_the_span():
+    # the line of e0 is kept by 0 and 2I but not by b, which maps e0 to e1
+    basis = MatFp(5, [[1, 0]])
+    b = MatFp(5, [[0, 0], [1, 0]])
+    keep = [zeros(5, 2, 2), MatFp.identity(5, 2).scaled(2)]
+    assert restrict_operator(keep, basis) == [MatFp(5, [[0]]), MatFp(5, [[2]])]
+    with pytest.raises(ValueError, match="not stable"):
+        restrict_operator(keep + [b], basis)
+    with pytest.raises(ValueError, match="not stable"):
+        restrict_operator([b] + keep, basis)
+
+
+def test_block_restriction_of_no_ops_is_empty():
+    assert restrict_operator([], MatFp(5, [[1, 0]])) == []
 
 
 # --- stable idempotent ---------------------------------------------------------

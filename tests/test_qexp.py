@@ -267,22 +267,21 @@ def test_convolve_raises_instead_of_rounding(monkeypatch):
         convolve_mod(a, a, 293)
 
 
-def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases, monkeypatch):
-    # 0.3 added to the last column of the irfft only, past every coefficient a
-    # product returns (out_len 40 of size 128, 40 of 64, 400 of 1024): the
-    # check must still raise, at convolve_mod, the middle product and a ladder row
+def assert_every_product_raises(perturb, monkeypatch):
+    """With perturb applied to each irfft output, convolve_mod, the middle
+    product and the first ladder row of a cold miller_basis must each raise."""
     from eiscomp import qexp
 
     real = np.fft.irfft
 
-    def last_column_off(*args, **kwargs):
+    def perturbed(*args, **kwargs):
         raw = real(*args, **kwargs)
-        raw[..., -1] += 0.3
+        perturb(raw)
         return raw
 
     a = _residues(293, list(range(1, 41)))
     with monkeypatch.context() as mp:
-        mp.setattr(np.fft, "irfft", last_column_off)
+        mp.setattr(np.fft, "irfft", perturbed)
         with pytest.raises(AssertionError, match="away from an integer"):
             convolve_mod(a, a, 293)
         with pytest.raises(AssertionError, match="away from an integer"):
@@ -297,13 +296,33 @@ def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases,
             return finish(*args)
         ladder_rows.append(args[-1])
         with monkeypatch.context() as mp:
-            mp.setattr(np.fft, "irfft", last_column_off)
+            mp.setattr(np.fft, "irfft", perturbed)
             return finish(*args)
 
-    monkeypatch.setattr(qexp, "_product_from_spectra", ladder_row_off)
-    with pytest.raises(AssertionError, match="away from an integer"):
-        miller_basis(293, 156, 400)
+    with monkeypatch.context() as mp:
+        mp.setattr(qexp, "_product_from_spectra", ladder_row_off)
+        with pytest.raises(AssertionError, match="away from an integer"):
+            miller_basis(293, 156, 400)
     assert ladder_rows == [400]
+
+
+def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases, monkeypatch):
+    # 0.3 added to the last column of the irfft only, past every coefficient a
+    # product returns (out_len 40 of size 128, 40 of 64, 400 of 1024): the
+    # check must still raise, at convolve_mod, the middle product and a ladder row
+    def last_column_off(raw):
+        raw[..., -1] += 0.3
+
+    assert_every_product_raises(last_column_off, monkeypatch)
+
+
+def test_exactness_check_raises_on_a_nan_column(cold_bases, monkeypatch):
+    # a NaN compares false with everything, so a check written as err > bound
+    # would let it through to the int64 cast; one NaN column must raise as well
+    def one_column_nan(raw):
+        raw[..., 7] = np.nan
+
+    assert_every_product_raises(one_column_nan, monkeypatch)
 
 
 def middle_oracle(a, b, m):
