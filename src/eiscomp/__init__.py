@@ -15,8 +15,6 @@ from .bernoulli import (
 from .companions import (
     CompanionReport,
     companion_report,
-    filtration,
-    mirror_check,
     theta_series,
 )
 from .hecke import (

@@ -1,4 +1,4 @@
-"""The theta operator, filtration, and companion-form detection.
+"""The theta operator and companion-form detection.
 
 theta = q d/dq multiplies a(n) by n and raises the graded weight by p+1.
 A weight-k form f and a weight-k' form g (k' = p+1-k) are companions when
@@ -28,17 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrecisionError
 from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import MatFp, _matmul, _residues, kernel
 from .qexp import (
     PrecisionPlan,
     QSeries,
     _powers,
-    membership,
     miller_basis,
     plan_companion,
-    space_dim,
     sturm,
 )
 
@@ -50,36 +47,6 @@ def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
     # 0^0 = 1 keeps a(0) at zero iterates; any iterate kills it
     powers = _powers(iterates, f.prec, f.modulus)
     return QSeries(f.p, powers * f.coeffs, f.weight + iterates * (f.p + 1), f.digits)
-
-
-def filtration(f: QSeries, k: int | None = None) -> int:
-    """Least weight k0 = k mod p-1 in which f occurs as a true form.
-
-    Tests membership in the weight-k0 echelon bases at the weight-k
-    coefficient bound, from the bottom up.  Weight 0 means f is constant;
-    weight 2 is empty at level one and is skipped.
-    """
-    if f.is_zero():
-        raise ValueError("the zero series has no filtration")
-    if f.digits != 1:
-        raise ValueError("filtration is a mod-p notion")
-    p = f.p
-    if k is None:
-        k = f.weight
-    need = sturm(k)
-    if f.prec < need:
-        raise PrecisionError(f"need {need} coefficients to settle weight {k}")
-    candidates = [k0 for k0 in range(k % (p - 1), k + 1, p - 1)]
-    for k0 in candidates:
-        if k0 == 0:
-            if not f.coeffs[1:need].any():
-                return 0
-            continue
-        if k0 % 2 == 1 or space_dim(k0) == 0:
-            continue
-        if membership(f.truncate(need), miller_basis(p, k0, need)) is not None:
-            return k0
-    raise AssertionError(f"form of weight {k} missing from its own weight")
 
 
 def _companion_bound(p: int, k: int) -> int:
@@ -135,39 +102,6 @@ def companion_space(piece: EisLocalPiece) -> tuple[list[list[int]], list[list[in
     resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
     ker = kernel(MatFp(p, resid).transpose()).a
     return ker.tolist(), _matmul(ker, coords, p).tolist()
-
-
-def mirror_check(f: QSeries, g: QSeries) -> bool:
-    """For a companion pair (f, g): f local at m implies g local at m'.
-
-    Verifies the companion relation first, then tests membership of f in
-    the weight-k Eisenstein piece and of g in the weight-k' one; returns
-    the truth of the implication.
-    """
-    p, k = f.p, f.weight
-    kp = p + 1 - k
-    if g.weight != kp:
-        raise ValueError("weights are not mirror partners")
-    plan = plan_companion(p, k)
-    bound = plan.bound
-    if min(f.prec, g.prec) < bound:
-        raise PrecisionError("pair is below the comparison bound")
-    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
-        raise ValueError("not a companion pair")
-    if f.is_zero():
-        return True
-    f_in = _in_local_piece(f)
-    g_in = _in_local_piece(g)
-    return (not f_in) or g_in
-
-
-def _in_local_piece(f: QSeries) -> bool:
-    space = miller_basis(f.p, f.weight, max(sturm(f.weight) ** 2, f.prec))
-    coords = membership(f.truncate(space.prec), space)
-    if coords is None:
-        return False
-    piece = eisenstein_localize(space)
-    return piece.contains_ambient(coords)
 
 
 @dataclass

@@ -32,7 +32,6 @@ from .linalg import (
     kernel,
     rank,
     restrict_operator,
-    solve,
     stable_idempotent,
 )
 from .qexp import FormSpace, QSeries, miller_basis, sturm
@@ -185,9 +184,6 @@ class EisLocalPiece:
         high = miller_basis(self.p, self.k, max(prec, self.space.prec))
         rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
         return [QSeries(self.p, row, self.k) for row in rows]
-
-    def contains_ambient(self, vec: list[int]) -> bool:
-        return solve(self.basis.transpose(), MatFp(self.p, [vec]).transpose()) is not None
 
     def cuspidal_subpiece(self) -> "EisLocalPiece":
         """The intersection with the cuspidal subspace (constant term zero).

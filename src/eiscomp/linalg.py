@@ -215,6 +215,21 @@ def inverse(a: MatFp) -> MatFp:
     return x
 
 
+def _products(mats: Sequence[MatFp], gens: Sequence[MatFp]) -> np.ndarray:
+    """Every m*g flattened to one row, m-major, from one product.
+
+    Row i*len(gens) + j holds mats[i] * gens[j]: block (i, j) of the
+    stacked mats times the side-by-side gens.  The matrices are n x n, n = 0
+    included.
+    """
+    p, n = mats[0].p, mats[0].nrows
+    if not gens:
+        return np.zeros((0, n * n), dtype=mats[0].a.dtype)
+    prods = _matmul(np.vstack([m.a for m in mats]), np.hstack([g.a for g in gens]), p)
+    blocks = prods.reshape(len(mats), n, len(gens), n).transpose(0, 2, 1, 3)
+    return blocks.reshape(len(mats) * len(gens), n * n)
+
+
 def restrict_operator(ops: Sequence[MatFp], basis_rows: MatFp) -> list[MatFp]:
     """Matrix of each op on the span of basis_rows, which every op must keep.
 
@@ -257,12 +272,11 @@ def generalized_eigenspace(
     yields each op's matrix on it at the cost of the smaller space.  An op
     nilpotent on V stays nilpotent on the smaller V of a later round, so
     the search goes on from the op that cut V.  The restrictions must
-    commute, which one product vstack(subs) * hstack(subs) shows: its
-    block (i, j) is subs[i] * subs[j].  A span not kept or a clash raises
-    ValueError.  The rows equal kernel(kernel(V)): `kernel`'s coordinates
-    times a basis in `kernel`'s reduced form is again in that form.  An
-    empty operator list cuts nothing out, so the whole space comes back (p
-    must then be given).
+    commute, which one product, `_products(subs, subs)`, shows.  A span
+    not kept or a clash raises ValueError.  The rows equal
+    kernel(kernel(V)): `kernel`'s coordinates times a basis in `kernel`'s
+    reduced form is again in that form.  An empty operator list cuts
+    nothing out, so the whole space comes back (p must then be given).
     """
     mats = list(ops)
     if not mats:
@@ -281,10 +295,9 @@ def generalized_eigenspace(
             basis = cut * basis
             subs = restrict_operator(subs, cut)
     r, n = basis.nrows, len(subs)
-    side_by_side = MatFp(basis.p, np.hstack([s.a for s in subs]), n * r)
-    # block (i, j) of the product is subs[i] * subs[j]
-    prods = (MatFp.vstack(subs) * side_by_side).a.reshape(n, r, n, r)
-    if not np.array_equal(prods, prods.transpose(2, 1, 0, 3)):
+    # row (i, j) holds subs[i] * subs[j]
+    prods = _products(subs, subs).reshape(n, n, r * r)
+    if not np.array_equal(prods, prods.transpose(1, 0, 2)):
         raise ValueError("generalized eigenspace needs commuting operators")
     return basis, subs
 
@@ -412,14 +425,9 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
         return []
     ech = EchelonSpace(p, dim * dim)
     basis = [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(np.eye(dim, dtype=np.int64).ravel())]
-    if not mats:
-        return basis
-    # columns g*dim .. (g+1)*dim - 1 of b.a @ stacked hold b * gens[g]
-    stacked = np.hstack([g.a for g in mats])
     i = 0
     while i < len(basis):
-        prods = _matmul(basis[i].a, stacked, p)
+        block = _products(basis[i : i + 1], mats)
         i += 1
-        block = prods.reshape(dim, len(mats), dim).transpose(1, 0, 2).reshape(len(mats), dim * dim)
         basis += [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(block)]
     return basis

@@ -14,26 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .companions import companion_report
 from .errors import NotLocalError
 from .hecke import EisLocalPiece
-from .linalg import EchelonSpace, MatFp, _matmul, algebra_closure, rank
+from .linalg import EchelonSpace, MatFp, _products, algebra_closure, rank
 from .qexp import PrecisionPlan
-
-
-def _products(mats: list[MatFp], gens: list[MatFp]) -> np.ndarray:
-    """Every m*g flattened to one row, m-major, from one product.
-
-    Row i*len(gens) + j holds mats[i] * gens[j]: block (i, j) of the
-    stacked mats times the side-by-side gens.
-    """
-    p, n = mats[0].p, mats[0].nrows
-    if not gens:
-        return np.zeros((0, n * n), dtype=mats[0].a.dtype)
-    prods = _matmul(np.vstack([m.a for m in mats]), np.hstack([g.a for g in gens]), p)
-    return prods.reshape(len(mats), n, len(gens), n).transpose(0, 2, 1, 3).reshape(-1, n * n)
 
 
 @dataclass

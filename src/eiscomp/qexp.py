@@ -441,24 +441,22 @@ def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
     return QSeries(p, coeffs, k, digits)
 
 
-def p_deprived_eisenstein_q(
-    p: int, k: int, prec: int, digits: int = 1, *, with_constant: bool = True
-) -> QSeries:
+def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
     """The p-stabilized Eisenstein series: divisor sums over t prime to p.
 
     a(0) = -(1 - p^(k-1)) B_k/(2k); a(n) = sum of t^(k-1) over t | n with
     p not dividing t.  Weight 2 is allowed here: the stabilized series
     exists there even though the classical one does not.  For k divisible
-    by p-1 the constant term is not p-integral; requesting it raises,
-    while with_constant=False returns the positive coefficients with a
-    zero in place of a(0).
+    by p-1 the constant term is not p-integral and the call raises; the
+    positive coefficients alone are `divisor_power_sums(k - 1, prec, p**digits,
+    skip_divisible_by=p)`.
     """
     require_admissible_prime(p)
     if k < 2 or k % 2 == 1:
         raise ValueError("need even weight >= 2")
     m = p**digits
     coeffs = divisor_power_sums(k - 1, prec, m, skip_divisible_by=p)
-    if prec > 0 and with_constant:
+    if prec > 0:
         euler = Fraction(1 - p ** (k - 1))
         coeffs[0] = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), m)
     return QSeries(p, coeffs, k, digits)

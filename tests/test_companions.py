@@ -1,4 +1,4 @@
-"""Theta operator, filtration, companion detection and dimensions."""
+"""Theta operator, companion detection and dimensions."""
 
 import json
 
@@ -11,9 +11,7 @@ from eiscomp.companions import (
     _theta_reduce,
     companion_report,
     companion_space,
-    filtration,
     localized_pieces,
-    mirror_check,
     theta_series,
     witness_csv,
 )
@@ -151,38 +149,6 @@ def test_theta_kernel_trivial_in_low_weights():
         assert ech.dim == space.dim
 
 
-# --- filtration --------------------------------------------------------------
-
-def test_filtration_weight_p_minus_1_constant_is_zero():
-    for p in (11, 13):
-        s = miller_basis(p, p - 1, sturm(p - 1) + 4)
-        assert filtration(QSeries(p, s.coeffs[0].tolist(), p - 1)) == 0  # the row reducing to 1
-
-
-def test_filtration_delta_is_twelve():
-    for p in (17, 19, 23):
-        d = delta_q(p, 16)
-        assert filtration(d) == 12
-
-
-def test_filtration_eisenstein_drop():
-    # E_16 over F_11: a(n) = sigma_15(n) = sigma_5(n) mod 11, so filtration 6
-    e = eisenstein_q(11, 16, 4)
-    assert filtration(e) == 6
-
-
-def test_theta_raises_filtration_by_at_most_p_plus_1():
-    for p, k in ((13, 16), (17, 12)):
-        f = delta_q(p, 40)
-        tf = theta_series(f)
-        assert filtration(tf, tf.weight) <= 12 + p + 1
-
-
-def test_filtration_rejects_zero():
-    with pytest.raises(ValueError):
-        filtration(QSeries(7, [0] * 5, 12))
-
-
 # --- companions -----------------------------------------------------------------
 
 def test_eisenstein_pair_are_companions():
@@ -270,25 +236,23 @@ def test_reports_on_irregular_pairs():
         assert rep.plan.bound == (k + (p + 1 - k) * (p + 1)) // 12 + 1
 
 
-def test_mirror_check_eisenstein_pair():
-    p, k = 37, 32
-    bound = plan_companion(p, k).bound
-    f = eisenstein_q(p, k, bound)
-    _, gc = companion_oracle(f)
-    g = miller_basis(p, p + 1 - k, bound).coords_to_series(gc)
-    assert mirror_check(f, g)
+def test_witnesses_lie_in_both_local_pieces():
+    # f local at m implies its companion g local at m': the first dim
+    # coefficients of a form are its coordinates, which must solve against
+    # the piece's basis at that weight
+    def in_piece(series, piece):
+        coords = MatFp(piece.p, [series.coeffs[: piece.space.dim]]).transpose()
+        return solve(piece.basis.transpose(), coords) is not None
 
-
-def test_mirror_check_on_discovered_pairs():
     for p, k in IRREGULAR_PAIRS:
         rep = companion_report(p, k)
         bound = rep.plan.bound
-        piece, _ = localized_pieces(p, k)
-        for f_coords, _ in rep.witnesses:
-            f = piece.series([f_coords], bound)[0]
-            ok, g_coords = companion_oracle(f)
-            g = miller_basis(p, rep.k_prime, bound).coords_to_series(g_coords)
-            assert ok and mirror_check(f, g), (p, k)
+        for f_coords, g_coords in rep.witnesses:
+            f = rep.piece.series([f_coords], bound)[0]
+            ok, oracle_g = companion_oracle(f)
+            assert ok and oracle_g == g_coords, (p, k)
+            g = miller_basis(p, rep.k_prime, bound).coords_to_series(oracle_g)
+            assert in_piece(f, rep.piece) and in_piece(g, rep.piece_prime), (p, k)
 
 
 def test_dimension_stable_under_precision_increase():

@@ -441,10 +441,10 @@ def test_eisenstein_mod_p_squared():
 
 def test_p_deprived_series():
     # (p, k) = (5, 4) has k = p-1: positive coefficients exist, constant does not
-    e = p_deprived_eisenstein_q(5, 4, 12, with_constant=False)
-    assert e.coeffs[5] == 1  # only t = 1 survives
-    assert e.coeffs[1] == 1
-    assert e.coeffs[10] == (1 + 2**3) % 5
+    e = divisor_power_sums(3, 12, 5, skip_divisible_by=5)
+    assert e[5] == 1  # only t = 1 survives
+    assert e[1] == 1
+    assert e[10] == (1 + 2**3) % 5
     with pytest.raises(NonInvertibleError):
         p_deprived_eisenstein_q(5, 4, 12)
     # away from the excluded weights the constant is -(1 - p^(k-1)) B_k / (2k)

@@ -44,8 +44,6 @@ def test_benchmark_tracer_still_wraps_every_traced_layer(monkeypatch):
 # or bench/ calls them.
 LIBRARY_ONLY = {
     "ordinary_dim",  # acceptance criterion 8, ordinary-rank weight stability
-    "filtration",  # the only code for the paper's filtration statements
-    "mirror_check",  # the only code for the paper's mirror companion relation
 }
 
 
@@ -87,3 +85,56 @@ def test_every_export_has_a_caller_outside_the_tests():
         used |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), strings)
     assert sorted(exported - used - LIBRARY_ONLY) == []
     assert LIBRARY_ONLY <= exported - used  # a kept name that gains a caller leaves the list
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _runs(node: ast.AST) -> list[ast.AST]:
+    """What runs once the definition is reached.
+
+    A class runs its header and body, dunder methods included, since the
+    language calls those; its other methods run only when reached by name.
+    """
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    body = [s for s in node.body if not isinstance(s, DEFS) or _is_dunder(s.name)]
+    return node.decorator_list + node.bases + node.keywords + body
+
+
+def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
+    # code that no command, import-time statement or benchmark reaches is dead
+    # unless LIBRARY_ONLY keeps it; dunder methods run implicitly
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    roots = set(LIBRARY_ONLY)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                defs.setdefault(node.name, []).append((path.stem, node))
+        if path.name == "cli.py":
+            roots |= _uses(tree, False)
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFS + (ast.Import, ast.ImportFrom)):
+                roots |= _uses(stmt, False)
+    for path in (PACKAGE.parents[1] / "bench").glob("*.py"):
+        if not path.name.startswith("test_"):
+            roots |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), True)
+    reached: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for _, node in defs.get(name, []) for part in _runs(node) for n in _uses(part, False)]
+    unreached = sorted(
+        f"{module}.{name}"
+        for name, sites in defs.items()
+        for module, _ in sites
+        if name not in reached and not _is_dunder(name)
+    )
+    assert unreached == []

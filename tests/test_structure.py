@@ -3,11 +3,13 @@
 import itertools
 
 import pytest
+import sympy
 
+from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import localized_pieces
 from eiscomp.errors import NotLocalError
 from eiscomp.hecke import EisLocalPiece, eisenstein_localize
-from eiscomp.linalg import MatFp
+from eiscomp.linalg import EchelonSpace, MatFp, _products
 from eiscomp.localstruct import (
     LocalAlgebra,
     check_equivalences,
@@ -318,3 +320,41 @@ def test_a_repeated_pair_reuses_its_hecke_matrices(cold_bases, monkeypatch):
     again = structure_report(293, 156)
     assert len(images) == 11
     assert again.to_json() == first.to_json()
+
+
+# --- Hida control as an oracle ----------------------------------------------------
+
+def hilbert_function(alg):
+    """dim m^i / m^(i+1) for i >= 0, m the maximal ideal, from its powers.
+
+    m^i is an ideal, so m^(i+1) is spanned by its basis times the generators.
+    """
+    n = alg.basis[0].nrows
+    dims, power = [1], alg.maxideal
+    while power:
+        rows = EchelonSpace(alg.p, n * n).insert(_products(power, alg.maxideal_gens))
+        dims.append(len(power) - len(rows))
+        power = [MatFp(alg.p, row.reshape(n, n)) for row in rows]
+    return dims
+
+
+def local_invariants(p, w):
+    piece = eisenstein_localize(miller_basis(p, w, sturm(w) ** 2))
+    alg = restrict_algebra(piece)
+    return piece.dim, piece.cuspidal_subpiece().dim, socle_dim(alg), hilbert_function(alg)
+
+
+def test_hida_control_on_every_irregular_pair_below_600(cold_bases):
+    # T(p) acts as 1 + p^(k-1), which is 1 mod p, on the Eisenstein-local
+    # piece, so the piece is ordinary, and by Hida's control theorem (Ann. Sci.
+    # ENS 19, 1986; Ohta, Ann. Sci. ENS 36, 2003, for the Eisenstein part) its
+    # algebra mod p depends on k only mod p-1.  Weight k + p - 1 runs another
+    # basis, other Hecke matrices and a larger localization, so agreement
+    # checks the whole path.
+    pairs = [(p, k) for p in sympy.primerange(5, 600) for k in irregular_indices(p)]
+    assert len(pairs) == 43
+    found = {}
+    for p, k in pairs:
+        found[p, k] = local_invariants(p, k)
+        assert local_invariants(p, k + p - 1) == found[p, k], (p, k)
+    assert found[547, 486] == (3, 2, 1, [1, 1, 1])  # F_p[x]/(x^3), the one piece of dimension 3
