@@ -236,14 +236,25 @@ def test_reports_on_irregular_pairs():
         assert rep.plan.bound == (k + (p + 1 - k) * (p + 1)) // 12 + 1
 
 
-def test_witnesses_lie_in_both_local_pieces():
-    # f local at m implies its companion g local at m': the first dim
-    # coefficients of a form are its coordinates, which must solve against
-    # the piece's basis at that weight
-    def in_piece(series, piece):
-        coords = MatFp(piece.p, [series.coeffs[: piece.space.dim]]).transpose()
-        return solve(piece.basis.transpose(), coords) is not None
+def _in_piece(series, piece):
+    """Whether series lies in piece: the first dim coefficients of a form are
+    its coordinates, which must solve against the piece's basis at that weight."""
+    coords = MatFp(piece.p, [series.coeffs[: piece.space.dim]]).transpose()
+    return solve(piece.basis.transpose(), coords) is not None
 
+
+def test_mirror_check_eisenstein_pair():
+    # f local at m implies its companion g local at m'
+    p, k = 37, 32
+    piece, piece_prime = localized_pieces(p, k)
+    bound = plan_companion(p, k).bound
+    f = eisenstein_q(p, k, bound)
+    ok, gc = companion_oracle(f)
+    g = miller_basis(p, p + 1 - k, bound).coords_to_series(gc)
+    assert ok and _in_piece(f, piece) and _in_piece(g, piece_prime)
+
+
+def test_mirror_check_on_discovered_pairs():
     for p, k in IRREGULAR_PAIRS:
         rep = companion_report(p, k)
         bound = rep.plan.bound
@@ -252,7 +263,7 @@ def test_witnesses_lie_in_both_local_pieces():
             ok, oracle_g = companion_oracle(f)
             assert ok and oracle_g == g_coords, (p, k)
             g = miller_basis(p, rep.k_prime, bound).coords_to_series(oracle_g)
-            assert in_piece(f, rep.piece) and in_piece(g, rep.piece_prime), (p, k)
+            assert _in_piece(f, rep.piece) and _in_piece(g, rep.piece_prime), (p, k)
 
 
 def test_dimension_stable_under_precision_increase():
