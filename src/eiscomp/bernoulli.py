@@ -77,15 +77,15 @@ def _voronoi_table(p: int) -> np.ndarray:
     g = primitive_root(p)
     n, h, count = p - 1, (p - 1) // 2, (p - 3) // 2  # count: even k in [2, p-3]
     pw = _geometric(g, n, p)  # pw[e] = g^e, exponents taken mod p-1
-    i = np.arange(h, dtype=np.int64)
-    f = pw[:h] * g // p
-    x = (2 * f - g + 1) * pw[:h] % p * pw[-(i * (i - 1)) % n] % p  # times w^(-T(i))
     t = np.arange(h + count - 1, dtype=np.int64)
-    chirp = pw[t * (t - 1) % n]  # w^T(t)
+    chirp_exp = t * (t - 1) % n  # w^T(t) = g^(t(t-1))
+    chirp = pw[chirp_exp]
+    unchirp = pw[-chirp_exp[:h] % n]  # w^(-T(t)) for t < h; count < h
+    f = pw[:h] * g // p
+    x = (2 * f - g + 1) * pw[:h] % p * unchirp % p  # times w^(-T(i))
     c = middle_product_mod(x, chirp, p)  # c_u = sum_i x_i chirp_(i+u)
-    u = i[:count]
-    s = c * pw[-(u * (u - 1)) % n] % p  # S_(2u+1) = w^(-T(u)) c_u
-    k = 2 * u + 2
+    s = c * unchirp[:count] % p  # S_(2u+1) = w^(-T(u)) c_u
+    k = 2 * t[:count] + 2
     log = np.empty(p, dtype=np.int64)
     log[pw] = np.arange(n, dtype=np.int64)
     inv = pw[-log[pw[k] - 1] % n]  # (g^k - 1)^(-1)

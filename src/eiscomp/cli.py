@@ -16,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from .bernoulli import irregular_indices
 from .companions import companion_report
-from .errors import CheckpointError, NonInvertibleError, NotLocalError, PrecisionError
+from .errors import CheckpointError, NonInvertibleError, NotLocalError, PrecisionError, ShardError
 from .hecke import hecke_report
 from .lambda_eis import build_lambda_eisenstein, specialize_and_compare
 from .localstruct import CSV_HEADER, structure_report
@@ -221,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotLocalError, AssertionError, BrokenProcessPool) as e:
+    except (NotLocalError, AssertionError, ShardError) as e:
         _note(f"error: {e}")
         return ASSERTION_ERROR
     except (PrecisionError, NonInvertibleError, ValueError, CheckpointError) as e:

@@ -65,26 +65,29 @@ def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Row j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta^b
     of it is the unit j^b at q^j and zero at the other q^i, i < dim < p:
     its coordinate is v[j]/j^b.  Theta^b of row 0 vanishes below q^dim and
-    is cleared at its first nonzero coefficient, or skipped if it has none
-    to the bound.  The residue vanishes at those pivots, so it is the
+    is cleared at its first nonzero coefficient n0, or skipped if it has
+    none to the bound.  The residue vanishes at those pivots, so it is the
     forward-reduced residue against any echelon basis of theta^b(M_k')
-    with them.
+    with them.  Theta^b is diagonal, so it is applied to what the residue
+    reads of the basis, row 0, column n0 and the combination coords * basis,
+    not to every row of the basis.
     """
     kp = p + 1 - k
     a, b = (kp, 1) if kp <= k else (1, k)
     bound = _companion_bound(p, k)
-    target = miller_basis(p, kp, bound)
-    d = target.dim
-    rows = _residues(p, target.coeffs * _powers(b, bound, p))
-    v = _residues(p, fs[:, :bound] * _powers(a, bound, p))
-    coords = _residues(p, np.zeros((len(v), d), dtype=np.int64))
+    basis = miller_basis(p, kp, bound).coeffs
+    d = len(basis)
+    theta_b = _powers(b, bound, p)
+    v = fs[:, :bound] * _powers(a, bound, p) % p
+    coords = np.zeros((len(v), d), dtype=v.dtype)
     coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -b, p) for j in range(1, d)]) % p
-    lead = np.flatnonzero(rows[0])
+    lead = np.flatnonzero(basis[0] * theta_b % p)
     if lead.size:
         n0 = int(lead[0])
-        rest = v[:, n0] - _matmul(coords[:, 1:], rows[1:, n0], p)
-        coords[:, 0] = rest * pow(int(rows[0, n0]), -1, p) % p
-    return _residues(p, v - _matmul(coords, rows, p)), coords
+        column = basis[:, n0] * theta_b[n0] % p  # column n0 of theta^b(basis)
+        rest = v[:, n0] - _matmul(coords[:, 1:], column[1:], p)
+        coords[:, 0] = rest * pow(int(column[0]), -1, p) % p
+    return (v - _matmul(coords, basis, p) * theta_b) % p, coords
 
 
 def companion_space(piece: EisLocalPiece) -> tuple[list[list[int]], list[list[int]]]:
@@ -100,7 +103,7 @@ def companion_space(piece: EisLocalPiece) -> tuple[list[list[int]], list[list[in
     p, k = piece.p, piece.k
     basis = piece.series(MatFp.identity(p, piece.dim).a, _companion_bound(p, k))
     resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
-    ker = kernel(MatFp(p, resid).transpose()).a
+    ker = kernel(MatFp._wrap(p, resid).transpose()).a
     return ker.tolist(), _matmul(ker, coords, p).tolist()
 
 

@@ -15,3 +15,7 @@ class NotLocalError(ValueError):
 
 class CheckpointError(RuntimeError):
     """A scan checkpoint file is malformed or fails its content hash."""
+
+
+class ShardError(RuntimeError):
+    """A scan worker process died; the checkpoint keeps every prime finished before it."""

@@ -75,7 +75,7 @@ def hecke_action(f: QSeries, n: int) -> QSeries:
     """
     if n < 1:
         raise ValueError("operator index must be positive")
-    return QSeries(f.p, _hecke_image(f.coeffs, n, f.weight, f.modulus), f.weight, f.digits)
+    return QSeries._wrap(f.p, _hecke_image(f.coeffs, n, f.weight, f.modulus), f.weight, f.digits)
 
 
 def hecke_matrix(space: FormSpace, n: int) -> MatFp:
@@ -104,7 +104,7 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
         raise AssertionError(
             f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
         )
-    mat = MatFp(space.p, coords.T)
+    mat = MatFp._wrap(space.p, coords.T.copy())  # cached: a copy, not a view pinning the images
     space.hecke_matrices[n] = mat
     return mat
 
@@ -129,10 +129,10 @@ def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatF
     """
     if space.prec < 2:
         raise PrecisionError("pairing against a(1) needs at least two coefficients")
-    a1 = MatFp(space.p, space.coeffs[:, 1:2].T)  # a(1) of each basis row
+    a1 = space.coeffs[:, 1:2].T  # a(1) of each basis row
     # columns i*dim .. (i+1)*dim - 1 of the one product hold a1 * algebra[i]
-    pairs = _matmul(a1.a, np.hstack([t.a for t in algebra]), space.p)
-    mat = MatFp(space.p, pairs.reshape(len(algebra), space.dim))
+    pairs = _matmul(a1, np.hstack([t.a for t in algebra]), space.p)
+    mat = MatFp._wrap(space.p, pairs.reshape(len(algebra), space.dim))
     return mat, rank(mat)
 
 
@@ -183,7 +183,7 @@ class EisLocalPiece:
         ambient = MatFp(self.p, coords, self.dim) * self.basis
         high = miller_basis(self.p, self.k, max(prec, self.space.prec))
         rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
-        return [QSeries(self.p, row, self.k) for row in rows]
+        return [QSeries._wrap(self.p, row, self.k) for row in rows]
 
     def cuspidal_subpiece(self) -> "EisLocalPiece":
         """The intersection with the cuspidal subspace (constant term zero).
@@ -193,7 +193,7 @@ class EisLocalPiece:
         etas are restricted to it in one `restrict_operator` call, one
         `solve` for all of them.
         """
-        condition = MatFp(self.p, self.basis.a[:, :1].T)  # wants c . B[:,0] = 0
+        condition = MatFp._wrap(self.p, self.basis.a[:, :1].T)  # wants c . B[:,0] = 0
         ker = kernel(condition)  # rows = piece-coordinates of cuspidal vectors
         return EisLocalPiece(
             space=self.space,

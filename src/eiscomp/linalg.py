@@ -18,6 +18,12 @@ dimension ncols takes the first of three tiers whose bound holds:
   ACM TOMS 35(3), 2008);
 - int64 while ncols * (m-1)^2 < 2^63;
 - Python integers, exact at any size, above.
+
+A residue array is reduced once, where arithmetic can take it out of
+[0, m): a product (`_matmul`), a difference, a scaling or an elimination
+step.  What the library's own arithmetic made is passed on without another
+`%` pass: `MatFp._wrap` takes such an array as it is, while the public
+constructor `MatFp(p, rows)` reduces a copy of whatever it is given.
 """
 
 from __future__ import annotations
@@ -29,13 +35,18 @@ import numpy as np
 from .padic import require_admissible_prime
 
 
+def _storage(modulus: int) -> type:
+    """The dtype of residues mod `modulus`: int64 while (modulus-1)^2 < 2^63, else object."""
+    return np.int64 if (modulus - 1) ** 2 < 2**63 else object
+
+
 def _residues(modulus: int, entries) -> np.ndarray:
     """entries, an integer array or nested sequence, reduced into [0, modulus).
 
-    The array is int64 while (modulus-1)^2 < 2^63 and holds Python integers above.
+    The array is stored as `_storage(modulus)` gives: int64 or Python integers.
     """
     a = entries if isinstance(entries, np.ndarray) else np.array(entries, dtype=object)
-    if (modulus - 1) ** 2 < 2**63:
+    if _storage(modulus) is np.int64:
         return (a % modulus).astype(np.int64, copy=False)
     return a.astype(object) % modulus
 
@@ -55,6 +66,23 @@ def _matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     if bound < 2**63:
         return _residues(modulus, a @ b)
     return _residues(modulus, a.astype(object) @ b.astype(object))
+
+
+def _power(x, e: int):
+    """x^e for e >= 1 by squaring, from the lowest set bit of e on.
+
+    floor(log2 e) + popcount(e) - 1 products: none by the unit.
+    """
+    while not e & 1:
+        x = x * x
+        e >>= 1
+    acc = x
+    while e > 1:
+        e >>= 1
+        x = x * x
+        if e & 1:
+            acc = acc * x
+    return acc
 
 
 class MatFp:
@@ -78,6 +106,18 @@ class MatFp:
         self.p = p
         self.a = a
 
+    @classmethod
+    def _wrap(cls, p: int, a: np.ndarray) -> "MatFp":
+        """The matrix held by a, a 2-D array of residues mod p in storage dtype.
+
+        For arrays the library's own arithmetic made: no reduction, no copy
+        and no check of p, which every operand here has already passed.
+        """
+        m = cls.__new__(cls)
+        m.p = p
+        m.a = a
+        return m
+
     @property
     def nrows(self) -> int:
         return self.a.shape[0]
@@ -97,10 +137,10 @@ class MatFp:
         p, ncols = mats[0].p, mats[0].ncols
         if any(m.p != p or m.ncols != ncols for m in mats):
             raise ValueError("incompatible stack")
-        return cls(p, np.vstack([m.a for m in mats]))
+        return cls._wrap(p, np.vstack([m.a for m in mats]))
 
     def transpose(self) -> "MatFp":
-        return MatFp(self.p, self.a.T)
+        return MatFp._wrap(self.p, self.a.T)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -121,21 +161,16 @@ class MatFp:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        return MatFp(self.p, _matmul(self.a, other.a, self.p))
+        return MatFp._wrap(self.p, _matmul(self.a, other.a, self.p))
 
     def __pow__(self, e: int) -> "MatFp":
         if self.nrows != self.ncols:
             raise ValueError("powers need a square matrix")
         if e < 0:
             raise ValueError("negative powers unsupported")
-        acc = MatFp.identity(self.p, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return acc
+        if e == 0:
+            return MatFp.identity(self.p, self.nrows)
+        return _power(self, e)
 
     def _compat(self, other: "MatFp", same_shape: bool = False) -> None:
         if self.p != other.p:
@@ -167,7 +202,7 @@ def rref(a: MatFp) -> tuple[MatFp, list[int], int]:
         # columns left of c are zero in the pivot row
         m[:, c:] = (m[:, c:] - f[:, None] * m[r, c:]) % p
         pivots.append(c)
-    return MatFp(p, m), pivots, len(pivots)
+    return MatFp._wrap(p, m), pivots, len(pivots)
 
 
 def rank(a: MatFp) -> int:
@@ -181,8 +216,8 @@ def kernel(a: MatFp) -> MatFp:
     free = [c for c in range(a.ncols) if c not in pivot_set]
     basis = np.zeros((len(free), a.ncols), dtype=red.a.dtype)
     basis[range(len(free)), free] = 1
-    basis[:, pivots] = -red.a[:rk, free].T
-    out = MatFp(a.p, basis)
+    basis[:, pivots] = -red.a[:rk, free].T % a.p
+    out = MatFp._wrap(a.p, basis)
     if not (a * out.transpose()).is_zero():
         raise AssertionError("kernel vector not annihilated")
     return out
@@ -194,12 +229,12 @@ def solve(a: MatFp, b: MatFp) -> MatFp | None:
     if b.nrows != a.nrows:
         raise ValueError("right-hand side has the wrong number of rows")
     n = a.ncols
-    red, pivots, rk = rref(MatFp(a.p, np.hstack([a.a, b.a])))
+    red, pivots, rk = rref(MatFp._wrap(a.p, np.hstack([a.a, b.a])))
     if pivots and pivots[-1] >= n:
         return None
     x = np.zeros((n, b.ncols), dtype=red.a.dtype)
     x[pivots] = red.a[:rk, n:]
-    out = MatFp(a.p, x)
+    out = MatFp._wrap(a.p, x)
     if a * out != b:
         raise AssertionError("solution does not satisfy the system")
     return out
@@ -249,10 +284,10 @@ def restrict_operator(ops: Sequence[MatFp], basis_rows: MatFp) -> list[MatFp]:
     bt = basis_rows.transpose()
     # row block i of the product is A_i B^T; side by side they are the right-hand sides
     images = (MatFp.vstack(mats) * bt).a.reshape(len(mats), d, r)
-    coords = solve(bt, MatFp(bt.p, np.hstack(list(images)), len(mats) * r))
+    coords = solve(bt, MatFp._wrap(bt.p, np.hstack(list(images))))
     if coords is None:
         raise ValueError("subspace is not stable under the operator")
-    return [MatFp(bt.p, coords.a[:, i * r : (i + 1) * r], r) for i in range(len(mats))]
+    return [MatFp._wrap(bt.p, coords.a[:, i * r : (i + 1) * r]) for i in range(len(mats))]
 
 
 def generalized_eigenspace(
@@ -313,10 +348,10 @@ def stable_idempotent(u: MatFp) -> MatFp:
         raise ValueError("idempotent of a non-square matrix")
     v = u**u.nrows
     _, pivots, rk = rref(v)
-    im = MatFp(u.p, v.transpose().a[pivots])  # rows: a basis of im(v)
+    im = MatFp._wrap(u.p, v.transpose().a[pivots])  # rows: a basis of im(v)
     cols = MatFp.vstack([im, kernel(v)]).transpose()  # column basis of F^n = im + ker
     # cols * diag(1 on im, 0 on ker) * cols^-1
-    e = im.transpose() * MatFp(u.p, inverse(cols).a[:rk])
+    e = im.transpose() * MatFp._wrap(u.p, inverse(cols).a[:rk])
     if e * e != e or e * u != u * e:
         raise AssertionError("stable idempotent is not a commuting projector")
     return e
@@ -352,8 +387,8 @@ class EchelonSpace:
         self.p = p
         self.width = width
         self.pivots: list[int] = []
-        self._buf = _residues(p, np.zeros((0, width), dtype=np.int64))
-        self._linv = _residues(p, np.zeros((0, 0), dtype=np.int64))
+        self._buf = np.zeros((0, width), dtype=_storage(p))
+        self._linv = np.zeros((0, 0), dtype=_storage(p))
 
     @property
     def dim(self) -> int:
@@ -393,9 +428,9 @@ class EchelonSpace:
             r = self.dim
             if r == len(self._buf):
                 cap = max(4, 2 * r)
-                buf = _residues(p, np.zeros((cap, self.width), dtype=np.int64))
+                buf = np.zeros((cap, self.width), dtype=self._buf.dtype)
                 buf[:r] = self._buf
-                linv = _residues(p, np.zeros((cap, cap), dtype=np.int64))
+                linv = np.zeros((cap, cap), dtype=self._buf.dtype)
                 linv[:r, :r] = self._linv[:r, :r]
                 self._buf, self._linv = buf, linv
             # L^-1 of [[L, x], [0, 1]] is [[L^-1, -L^-1 x], [0, 1]], x the new pivot column
@@ -424,10 +459,10 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
     if dim == 0:
         return []
     ech = EchelonSpace(p, dim * dim)
-    basis = [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(np.eye(dim, dtype=np.int64).ravel())]
+    basis = [MatFp._wrap(p, row.reshape(dim, dim)) for row in ech.insert(np.eye(dim, dtype=np.int64).ravel())]
     i = 0
     while i < len(basis):
         block = _products(basis[i : i + 1], mats)
         i += 1
-        basis += [MatFp(p, row.reshape(dim, dim)) for row in ech.insert(block)]
+        basis += [MatFp._wrap(p, row.reshape(dim, dim)) for row in ech.insert(block)]
     return basis

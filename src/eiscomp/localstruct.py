@@ -42,7 +42,7 @@ class LocalAlgebra:
         # each A*g is already an ideal, so the products b*g span the maximal ideal
         n = self.basis[0].nrows
         rows = EchelonSpace(self.p, n * n).insert(_products(self.basis, self.maxideal_gens))
-        self.maxideal = [MatFp(self.p, row.reshape(n, n)) for row in rows]
+        self.maxideal = [MatFp._wrap(self.p, row.reshape(n, n)) for row in rows]
         if len(self.maxideal) != self.dim - 1:
             raise NotLocalError(
                 f"ideal of generators has dimension {len(self.maxideal)}, "
@@ -86,7 +86,7 @@ def socle_dim(alg: LocalAlgebra) -> int:
         return alg.dim
     # row i holds the products basis[i]*g side by side; the socle is its left kernel
     rows = _products(alg.basis, alg.maxideal_gens).reshape(alg.dim, -1)
-    return alg.dim - rank(MatFp(alg.p, rows))
+    return alg.dim - rank(MatFp._wrap(alg.p, rows))
 
 
 def eis_ideal_min_gens(cusp_alg: LocalAlgebra | None, full_alg: LocalAlgebra) -> int:

@@ -14,12 +14,18 @@ unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
 explicit; nothing rescales silently.
 
 A series is one read-only array of residues, stored like the bases under
-linalg's int64/object storage rule.  Every truncated product of series runs
-on one kernel, `convolve_mod`: float64 FFTs of the residues split into
-base-2^s digits, with s chosen so that Percival's roundoff bound proves each
-integer coefficient recovered by rounding, and a runtime check that raises
-instead of rounding a coefficient that is not within 1/4 of an integer.  The
-basis ladder, whose products all share one factor, keeps that factor's
+linalg's int64/object storage rule and, as there, reduced once, where
+arithmetic can take it out of [0, m): a product's output, a sum, a
+scaling, the divisor sums (at their end).  Product operands must be
+residues: `convolve_mod` and `middle_product_mod` do not reduce them again,
+and an entry outside [0, m) raises ValueError.  `QSeries._wrap` takes a
+product as it comes; the public `QSeries(...)` reduces a copy of its input.
+
+Every truncated product of series runs on one kernel, `convolve_mod`:
+float64 FFTs of the residues split into base-2^s digits, with s chosen so
+that Percival's roundoff bound proves each integer coefficient recovered by
+rounding, and a runtime check that raises instead of rounding a coefficient
+that is not within 1/4 of an integer.  The basis ladder, whose products all share one factor, keeps that factor's
 transform and finishes each product on the same step
 (`_product_from_spectra`), check included.
 
@@ -57,7 +63,7 @@ from math import comb, expm1, gcd, isqrt, log1p, sqrt
 import numpy as np
 
 from .errors import NonInvertibleError, PrecisionError
-from .linalg import _matmul, _residues
+from .linalg import _matmul, _power, _residues, _storage
 from .padic import require_admissible_prime
 
 
@@ -219,11 +225,22 @@ def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, mod
         out %= modulus
         return out
     terms = exact[:, :out_len].astype(np.int64)
-    out = _residues(modulus, np.zeros(out_len, dtype=np.int64))
+    out = np.zeros(out_len, dtype=_storage(modulus))
     head = out[: terms.shape[1]]
     for t, term in enumerate(terms):
         head[...] = (head + _residues(modulus, term) * pow(2, s * t, modulus) % modulus) % modulus
     return out
+
+
+def _operand(c: np.ndarray, modulus: int) -> np.ndarray:
+    """c, checked to hold residues in [0, modulus) and not reduced again.
+
+    With more than one digit piece a negative entry would go through the
+    shift-and-mask into a wrong product, so an entry outside raises ValueError.
+    """
+    if c.size and not (0 <= c.min() and c.max() < modulus):
+        raise ValueError(f"product operand has an entry outside [0, {modulus})")
+    return c
 
 
 def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None = None) -> np.ndarray:
@@ -236,16 +253,18 @@ def convolve_mod(a: np.ndarray, b: np.ndarray, modulus: int, out_len: int | None
     (`a is b`) is transformed once.  _split picks the widest digits that
     Percival's error bound keeps exact (one piece for moduli below 2^12 at
     every length up to 4000); larger moduli, object storage included, take
-    more pieces on the same path.
+    more pieces on the same path.  The operands must be residues in [0,
+    modulus), stored as `_residues` stores them; an entry outside raises
+    ValueError.
     """
     if out_len is None:
         out_len = min(len(a), len(b))
     la, lb = min(len(a), out_len), min(len(b), out_len)
     if la <= 0 or lb <= 0:
-        return _residues(modulus, np.zeros(max(out_len, 0), dtype=np.int64))
+        return np.zeros(max(out_len, 0), dtype=_storage(modulus))
     pieces, s, size = _layout(la, lb, modulus)
-    fa = _spectra(_residues(modulus, a[:la]), pieces, s, size)
-    fb = fa if a is b else _spectra(_residues(modulus, b[:lb]), pieces, s, size)
+    fa = _spectra(_operand(a[:la], modulus), pieces, s, size)
+    fb = fa if a is b else _spectra(_operand(b[:lb], modulus), pieces, s, size)
     return _product_from_spectra(fa, fb, s, size, modulus, out_len)
 
 
@@ -258,7 +277,8 @@ def middle_product_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray
     power of two at least lb, gives them exactly: a term of the full product
     at index S or more wraps onto index at most la + lb - 2 - S < la - 1,
     which is not read.  Digits, exactness bound and check are convolve_mod's,
-    with Percival's bound taken at size S.
+    with Percival's bound taken at size S; so is the rule that the operands
+    be residues in [0, modulus).
     """
     la, lb = len(a), len(b)
     if not 0 < la <= lb:
@@ -266,8 +286,8 @@ def middle_product_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray
     n = (lb - 1).bit_length()  # 2^n >= lb
     size = 1 << n
     pieces, s = _split(la, lb, n, (modulus - 1).bit_length())
-    fa = _spectra(_residues(modulus, a[::-1]), pieces, s, size)
-    fb = _spectra(_residues(modulus, b), pieces, s, size)
+    fa = _spectra(_operand(a[::-1], modulus), pieces, s, size)
+    fb = _spectra(_operand(b, modulus), pieces, s, size)
     return _product_from_spectra(fa, fb, s, size, modulus, lb)[la - 1 :]
 
 
@@ -281,7 +301,7 @@ def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
     """
     n = len(f)
     if n == 0:
-        return _residues(modulus, np.zeros(0, dtype=np.int64))
+        return np.zeros(0, dtype=_storage(modulus))
     c = int(f[0])
     if gcd(c, modulus) != 1:
         raise NonInvertibleError(f"constant term {c} is not a unit mod {modulus}")
@@ -323,6 +343,18 @@ class QSeries:
             raise ValueError("series coefficients must form one row")
         self.coeffs.flags.writeable = False
 
+    @classmethod
+    def _wrap(cls, p: int, coeffs: np.ndarray, weight: int, digits: int = 1) -> "QSeries":
+        """The series with coefficient array coeffs, residues mod p^digits in storage dtype.
+
+        For arrays the library's own arithmetic made: no reduction, no copy
+        and no check of p, digits or weight, which the operands have passed.
+        """
+        f = cls.__new__(cls)
+        f.p, f.digits, f.weight, f.coeffs = p, digits, weight, coeffs
+        coeffs.flags.writeable = False
+        return f
+
     @property
     def prec(self) -> int:
         return len(self.coeffs)
@@ -360,7 +392,7 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         self._compat(other)
         out = convolve_mod(self.coeffs, other.coeffs, self.modulus)
-        return QSeries(self.p, out, self.weight + other.weight, self.digits)
+        return QSeries._wrap(self.p, out, self.weight + other.weight, self.digits)
 
     def pow(self, e: int) -> "QSeries":
         """self^e by squaring: floor(log2 e) + popcount(e) - 1 products for e >= 1."""
@@ -369,17 +401,7 @@ class QSeries:
         if e == 0:
             # the unit series 1 + O(q^prec), at the operand's precision
             return QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        acc = base
-        while e > 1:
-            e >>= 1
-            base = base * base
-            if e & 1:
-                acc = acc * base
-        return acc
+        return _power(self, e)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -398,7 +420,7 @@ class QSeries:
 def _powers(e: int, n: int, modulus: int) -> np.ndarray:
     """i^e mod modulus for i in range(n), with 0^0 = 1, by square-and-multiply on arrays."""
     base = _residues(modulus, np.arange(n))
-    out = _residues(modulus, np.ones(n, dtype=np.int64))
+    out = np.ones(n, dtype=_storage(modulus))
     while e:
         if e & 1:
             out = out * base % modulus
@@ -411,16 +433,21 @@ def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by
     """out[n] = sum of t^power over divisors t of n (optionally p-deprived).
 
     Each n = s*t, s <= t, is reached from s <= sqrt(prec-1) by two strided
-    adds: s^power for every t >= s, and t^power for t > s only.
+    adds: s^power for every t >= s, and t^power for t > s only.  The sums
+    are reduced once, at the end.
     """
     pw = _powers(power, prec, modulus)
     if skip_divisible_by is not None:
         pw[::skip_divisible_by] = 0
     out = np.zeros_like(pw)
+    # out[n] sums one residue below modulus per divisor of n, at most tau(n) <
+    # 2 sqrt(prec) of them: below 2^63 on int64 storage (modulus < 2^32) for
+    # any prec below 2^60, and object storage does not overflow
     for s in range(1, isqrt(max(prec - 1, 0)) + 1):
-        out[s * s :: s] = (out[s * s :: s] + pw[s]) % modulus
+        out[s * s :: s] += pw[s]
         above = out[s * (s + 1) :: s]
-        above[...] = (above + pw[s + 1 : s + 1 + len(above)]) % modulus
+        above += pw[s + 1 : s + 1 + len(above)]
+    out %= modulus
     return out
 
 
@@ -526,7 +553,7 @@ class FormSpace:
         if len(coords) != self.dim:
             raise ValueError("coordinate length disagrees with dimension")
         row = _matmul(_residues(self.modulus, [coords]), self.coeffs, self.modulus)[0]
-        return QSeries(self.p, row, self.k, self.digits)
+        return QSeries._wrap(self.p, row, self.k, self.digits)
 
     def to_json(self) -> dict:
         return {
@@ -609,7 +636,7 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     mono = e4.pow((k - 6 * b) // 4)
     if b:
         mono = mono * _unit_eisenstein(p, 6, prec, digits)
-    rows = _residues(m, np.zeros((d, prec), dtype=np.int64))  # d >= 1 for every even k >= 4
+    rows = np.zeros((d, prec), dtype=_storage(m))  # d >= 1 for every even k >= 4
     rows[0] = mono.coeffs
     if d > 1:
         ratio = ladder.ratio

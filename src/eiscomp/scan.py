@@ -23,7 +23,7 @@ import os
 from collections.abc import Iterable, Iterator
 
 from .bernoulli import SCAN_CSV_HEADER, ScanRecord, pair_scan
-from .errors import CheckpointError
+from .errors import CheckpointError, ShardError
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
@@ -144,8 +144,19 @@ def _scan_in_order(
         except (OSError, ImportError, NotImplementedError):
             pass  # restricted environments: the same primes, in this process
         else:
-            return (ScanRecord.from_dict(d) for d in dicts)
+            return _from_pool(dicts)
     return (pair_scan(p) for p in primes)
+
+
+def _from_pool(dicts: Iterator[dict]) -> Iterator[ScanRecord]:
+    """The records of a pool's results, in order; a dead worker process raises ShardError."""
+    from concurrent.futures.process import BrokenProcessPool  # loaded with the pool, not with the CLI
+
+    try:
+        for d in dicts:
+            yield ScanRecord.from_dict(d)
+    except BrokenProcessPool as e:
+        raise ShardError(f"a scan shard process died: {e}") from e
 
 
 def records_to_csv(records: Iterable[ScanRecord]) -> str:

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from eiscomp.bernoulli import bernoulli_table_mod, irregular_indices
+from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import theta_series
 from eiscomp.hecke import (
     duality_pairing_matrix,

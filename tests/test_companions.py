@@ -17,9 +17,10 @@ from eiscomp.companions import (
 )
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import hecke_action
-from eiscomp.linalg import EchelonSpace, MatFp, kernel, solve
+from eiscomp.linalg import EchelonSpace, MatFp, _matmul, _residues, kernel, solve
 from eiscomp.qexp import (
     QSeries,
+    _powers,
     delta_q,
     eisenstein_q,
     miller_basis,
@@ -75,6 +76,25 @@ def echelon_residues(fs, kp, bound, a, b):
     for row in miller_basis(p, kp, bound).coeffs:
         target.insert(theta_series(QSeries(p, row.tolist(), kp), b).coeffs)
     return target.reduce(np.stack([theta_series(f, a).coeffs[:bound] for f in fs]))
+
+
+def whole_basis_theta_reduce(p, k, fs):
+    """_theta_reduce as it was: theta^b applied to every row of the weight-k' basis."""
+    kp = p + 1 - k
+    a, b = (kp, 1) if kp <= k else (1, k)
+    bound = plan_companion(p, max(k, kp)).bound
+    target = miller_basis(p, kp, bound)
+    d = target.dim
+    rows = _residues(p, target.coeffs * _powers(b, bound, p))
+    v = _residues(p, fs[:, :bound] * _powers(a, bound, p))
+    coords = _residues(p, np.zeros((len(v), d), dtype=np.int64))
+    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -b, p) for j in range(1, d)]) % p
+    lead = np.flatnonzero(rows[0])
+    if lead.size:
+        n0 = int(lead[0])
+        rest = v[:, n0] - _matmul(coords[:, 1:], rows[1:, n0], p)
+        coords[:, 0] = rest * pow(int(rows[0, n0]), -1, p) % p
+    return _residues(p, v - _matmul(coords, rows, p)), coords
 
 
 def smaller_direction(p, k):
@@ -320,6 +340,21 @@ def test_theta_reduce_matches_both_oracles():
         for f_coords, g_coords in rep.witnesses:
             f = piece.series([f_coords], rep.plan.bound)[0]
             assert companion_oracle(f) == (True, g_coords), (p, k)
+
+
+def test_theta_reduce_matches_the_whole_basis_form():
+    # theta^b on the combinations, row 0 and column n0 gives the residues and
+    # coordinates of theta^b on every basis row: on both pieces of the six
+    # acceptance pairs, and on random weight-k rows, which leave residues
+    rng = np.random.default_rng(0)
+    for p, k in IRREGULAR_PAIRS:
+        for pc in localized_pieces(p, k):
+            bound = plan_companion(p, max(pc.k, p + 1 - pc.k)).bound
+            fs = np.stack([f.coeffs for f in pc.series(MatFp.identity(p, pc.dim).a, bound)])
+            for block in (fs, rng.integers(0, p, (3, bound))):
+                got, want = _theta_reduce(p, pc.k, block), whole_basis_theta_reduce(p, pc.k, block)
+                assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, pc.k)
+                assert [x.dtype for x in got] == [x.dtype for x in want]
 
 
 def test_witness_g_by_linearity_matches_the_oracle():

@@ -30,7 +30,6 @@ from eiscomp.qexp import (
     eisenstein_q,
     membership,
     miller_basis,
-    space_dim,
     sturm,
 )
 

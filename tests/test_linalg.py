@@ -261,6 +261,37 @@ def test_matmul_matches_triple_loop_oracle(p):
         assert entries(prod) == matmul_oracle(a, b), (n, m, k)
 
 
+@pytest.mark.parametrize("p", [101, 3037000507])
+def test_power_takes_floor_log2_plus_popcount_minus_one_products(p, monkeypatch):
+    # squaring starts at the lowest set bit of e: no product by the identity
+    from eiscomp import linalg
+
+    rng = np.random.default_rng(p % 1000)
+    a = MatFp(p, rng.integers(0, 2**62, (4, 4)).astype(object))
+    assert a**0 == MatFp.identity(p, 4)
+    for e in (1, 2, 3, 14):
+        calls = []
+        real = linalg._matmul
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_matmul", lambda x, y, m: calls.append(1) or real(x, y, m))
+            got = a**e
+        assert len(calls) == (e.bit_length() - 1) + bin(e).count("1") - 1, e
+        want = a
+        for _ in range(e - 1):
+            want = want * a
+        assert got == want and got.a.dtype == want.a.dtype, e
+
+
+def test_public_constructors_reduce_what_they_are_given():
+    from eiscomp.qexp import QSeries
+
+    p = 7
+    assert MatFp(p, [[-1, 8], [14, -15]]).a.tolist() == [[6, 1], [0, 6]]
+    assert MatFp(p, np.array([[-1, 8]])).a.tolist() == [[6, 1]]
+    assert QSeries(p, [-1, 15, 7, 2**70], 0).coeffs.tolist() == [6, 1, 0, 2**70 % p]
+    assert QSeries(p, np.array([-8, 50]), 0).coeffs.tolist() == [6, 1]
+
+
 def test_matmul_exact_at_the_int64_edge():
     # the largest prime with (p-1)^2 < 2^63: one product fits in int64, two do not
     p = 3037000493

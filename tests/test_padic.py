@@ -10,7 +10,6 @@ from eiscomp.padic import (
     PadicInt,
     a_t_poly,
     eval_lambda,
-    gamma_generator,
     is_admissible_prime,
     plog,
     s_exponent,

@@ -4,9 +4,11 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from eiscomp.errors import NonInvertibleError, PrecisionError
 from eiscomp.linalg import _residues
 from eiscomp.qexp import (
     QSeries,
+    _layout,
     _piece_bits,
     _split,
     _unit_eisenstein,
@@ -267,6 +270,23 @@ def test_convolve_raises_instead_of_rounding(monkeypatch):
         convolve_mod(a, a, 293)
 
 
+@pytest.mark.parametrize("m,pieces", [(293, 1), (3037000493, 2)])
+def test_product_operands_outside_the_residues_raise(m, pieces):
+    # operands are taken as residues, not reduced again: an entry of -1 or m
+    # raises at one piece and at two, where -1 would pass the shift-and-mask
+    good = _residues(m, list(range(1, 41)))
+    assert _layout(40, 40, m)[0] == _split(20, 40, 6, (m - 1).bit_length())[0] == pieces
+    for entry in (-1, m):
+        bad = good.copy()
+        bad[7] = entry
+        for a, b in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="outside"):
+                convolve_mod(a, b, m)
+            with pytest.raises(ValueError, match="outside"):
+                middle_product_mod(a[:20], b, m)
+    assert convolve_mod(good, good, m).tolist() == kronecker_oracle(good, good, m).tolist()
+
+
 def assert_every_product_raises(perturb, monkeypatch):
     """With perturb applied to each irfft output, convolve_mod, the middle
     product and the first ladder row of a cold miller_basis must each raise."""
@@ -407,6 +427,33 @@ def test_divisor_power_sums_match_the_per_divisor_oracle(modulus):
                 got = divisor_power_sums(power, prec, modulus, skip_divisible_by=skip)
                 assert got.tolist() == divisor_power_sums_oracle(power, prec, modulus, skip), (prec, power, skip)
                 assert got.dtype == (np.int64 if (modulus - 1) ** 2 < 2**63 else object)
+
+
+def divisor_power_sums_per_step(power, prec, modulus, skip=None):
+    """The strided loop reducing after every add, as divisor_power_sums did before."""
+    pw = np.array([pow(t, power, modulus) for t in range(prec)], dtype=np.int64)
+    if skip is not None:
+        pw[::skip] = 0
+    out = np.zeros_like(pw)
+    for s in range(1, isqrt(max(prec - 1, 0)) + 1):
+        out[s * s :: s] = (out[s * s :: s] + pw[s]) % modulus
+        above = out[s * (s + 1) :: s]
+        above[...] = (above + pw[s + 1 : s + 1 + len(above)]) % modulus
+    return out
+
+
+@pytest.mark.parametrize("skip", [None, 7])
+def test_divisor_power_sums_reduce_once_at_the_largest_int64_modulus(skip):
+    # each entry sums tau(n) < 2 sqrt(prec) residues below m before its one
+    # reduction; at m = 3037000493, the largest int64-storage prime, and power
+    # (m-1)/2 half of the terms are m - 1
+    m, prec = 3037000493, 20000
+    assert (m - 1) ** 2 < 2**63 <= (sympy.nextprime(m) - 1) ** 2
+    for power in (3, (m - 1) // 2):
+        got = divisor_power_sums(power, prec, m, skip_divisible_by=skip)
+        assert got.dtype == np.int64
+        assert got.tolist() == divisor_power_sums_per_step(power, prec, m, skip).tolist()
+    assert got.tolist() == divisor_power_sums_oracle(power, prec, m, skip)
 
 
 # --- Eisenstein series --------------------------------------------------------
