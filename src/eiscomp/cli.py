@@ -7,8 +7,9 @@ scan found a mirror pair, or a scan shard process died (the run is not
 repeated in-process; its checkpoint keeps every prime below the first one
 left unfinished), 2 a usage error that argparse rejects, a ValueError from
 the library (a weight or exponent out of scope, a precision below its
-bound), a non-invertible denominator, or a corrupt scan checkpoint.  Each scope is checked once, in the
-library, before any work; the commands add no checks of their own.
+bound), a non-invertible denominator, or a corrupt scan checkpoint.  Each
+scope is checked once, in the library, before any work; the commands add
+no checks of their own.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ their residues, and reads each kernel vector's g off the same coordinates.
 `companion_report` is the one pass per mirror pair: it checks the weight's
 scope, localizes both weights, and checks c(m) = c(m').  Gross (Duke Math.
 J. 61, 1990) gives the companion theory.
+
+The pair owns its bases: `localized_pieces` builds each weight once, at
+one precision that covers the companion bound and both localizations,
+each piece keeps its basis as its space, and `companion_space` reads the
+forms off it and reduces them against the mirror piece's space.  Between
+builds only the ladder ratio Delta/E4^3 is held (`qexp._ladder_ratio`),
+so the second weight's build reads the one the first made.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import MatFp, _matmul, _residues, kernel
 from .qexp import (
+    FormSpace,
     PrecisionPlan,
     QSeries,
     _powers,
@@ -54,14 +62,15 @@ def _companion_bound(p: int, k: int) -> int:
     return plan_companion(p, max(k, p + 1 - k)).bound
 
 
-def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _theta_reduce(p: int, k: int, fs: np.ndarray, mirror: FormSpace) -> tuple[np.ndarray, np.ndarray]:
     """Residues theta^a f - theta^b g and the weight-k' coordinates of g.
 
     The direction is the one at the smaller graded weight: (a, b) = (k', 1)
     when k' <= k, else (1, k), and the comparison bound is
-    `_companion_bound(p, k)`, which fs, weight-k series one per row, must
-    reach; longer rows are cut to it.  f has a companion exactly when its
-    residue is zero, and g is then one, the same g in both directions.
+    `_companion_bound(p, k)`, which fs, weight-k series one per row, and
+    `mirror`, the echelon basis of M_k', must reach; longer rows are cut
+    to it.  f has a companion exactly when its residue is zero, and g is
+    then one, the same g in both directions.
     Row j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta^b
     of it is the unit j^b at q^j and zero at the other q^i, i < dim < p:
     its coordinate is v[j]/j^b.  Theta^b of row 0 vanishes below q^dim and
@@ -75,7 +84,7 @@ def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     kp = p + 1 - k
     a, b = (kp, 1) if kp <= k else (1, k)
     bound = _companion_bound(p, k)
-    basis = miller_basis(p, kp, bound).coeffs
+    basis = mirror.coeffs[:, :bound]
     d = len(basis)
     theta_b = _powers(b, bound, p)
     v = fs[:, :bound] * _powers(a, bound, p) % p
@@ -90,19 +99,20 @@ def _theta_reduce(p: int, k: int, fs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (v - _matmul(coords, basis, p) * theta_b) % p, coords
 
 
-def companion_space(piece: EisLocalPiece) -> tuple[list[list[int]], list[list[int]]]:
+def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[list[int]], list[list[int]]]:
     """Basis (piece coordinates) of the companion-admitting subspace, and each one's g.
 
     An element f of the weight-k piece has a companion exactly when
-    `_theta_reduce` leaves it no residue to the bound both weights of the
-    pair share; the subspace is the kernel of the map to the residues.
+    `_theta_reduce` leaves it no residue, against the space of the
+    weight-k' piece `mirror`, to the bound both weights of the pair share;
+    the subspace is the kernel of the map to the residues.
     The reduction is linear in f, so the weight-k' coordinates of the
     companion g of a kernel vector w are w times the coordinates it returns
     for the piece's basis forms: the second list holds them, row for row.
     """
     p, k = piece.p, piece.k
     basis = piece.series(MatFp.identity(p, piece.dim).a, _companion_bound(p, k))
-    resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]))
+    resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]), mirror.space)
     ker = kernel(MatFp._wrap(p, resid).transpose()).a
     return ker.tolist(), _matmul(ker, coords, p).tolist()
 
@@ -172,16 +182,15 @@ def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
 def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
     """The weight-k and weight-(p+1-k) Eisenstein-local pieces.
 
-    Each weight's basis is built once, longer first, at every precision
-    the pair reads: the localization's sturm(w)^2 and the companion bound.
-    Every later request, the localization's included, is a view of it.
+    Each weight's basis is built once, at the one precision that covers
+    all the pair reads: the companion bound and both localizations'
+    sturm(w)^2.  At one precision the second build reads the ladder ratio
+    the first one made.  Each piece keeps its basis as its space.
     """
     kp = p + 1 - k
-    bound = _companion_bound(p, k)
-    for prec, w in sorted(((max(bound, sturm(w) ** 2), w) for w in (k, kp)), reverse=True):
-        miller_basis(p, w, prec)
-    piece = eisenstein_localize(miller_basis(p, k, sturm(k) ** 2))
-    piece_prime = eisenstein_localize(miller_basis(p, kp, sturm(kp) ** 2))
+    prec = max(_companion_bound(p, k), sturm(k) ** 2, sturm(kp) ** 2)
+    piece = eisenstein_localize(miller_basis(p, k, prec))
+    piece_prime = eisenstein_localize(miller_basis(p, kp, prec))
     return piece, piece_prime
 
 
@@ -197,8 +206,8 @@ def companion_report(p: int, k: int) -> CompanionReport:
     if not (4 <= k <= p - 3) or k % 2 == 1:
         raise ValueError(f"weight {k} outside [4, p-3] for p={p}")
     piece, piece_prime = localized_pieces(p, k)
-    wit_coords, g_coords = companion_space(piece)
-    c_m_prime = len(companion_space(piece_prime)[0])
+    wit_coords, g_coords = companion_space(piece, piece_prime)
+    c_m_prime = len(companion_space(piece_prime, piece)[0])
     # the two pieces reduce in opposite directions, so each checks the other
     if not (1 <= len(wit_coords) == c_m_prime):
         raise AssertionError(f"mirror equality c(m) = c(m') fails: {len(wit_coords)} against {c_m_prime}")

@@ -17,7 +17,7 @@ localization at it is their common generalized kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 import numpy as np
@@ -34,7 +34,7 @@ from .linalg import (
     restrict_operator,
     stable_idempotent,
 )
-from .qexp import FormSpace, QSeries, miller_basis, sturm
+from .qexp import FormSpace, QSeries, miller_basis, space_dim, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -143,8 +143,6 @@ def ordinary_projector(space: FormSpace) -> MatFp:
 
 def ordinary_dim(p: int, k: int) -> int:
     """Rank of the ordinary projector on M_k(F_p); 0 for empty weights."""
-    from .qexp import space_dim
-
     if space_dim(k) == 0:
         return 0
     space = miller_basis(p, k, p * sturm(k))
@@ -179,9 +177,13 @@ class EisLocalPiece:
         return self.basis.nrows
 
     def series(self, coords: np.ndarray | list[list[int]], prec: int) -> list[QSeries]:
-        """The q-series, to any precision, of each row of coords, vectors in piece coordinates."""
+        """The q-series, to any precision, of each row of coords, vectors in piece coordinates.
+
+        Read off the piece's space when it holds prec coefficients; a longer
+        request builds the basis at prec.
+        """
         ambient = MatFp(self.p, coords, self.dim) * self.basis
-        high = miller_basis(self.p, self.k, max(prec, self.space.prec))
+        high = self.space if self.space.prec >= prec else miller_basis(self.p, self.k, prec)
         rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
         return [QSeries._wrap(self.p, row, self.k) for row in rows]
 
@@ -210,11 +212,16 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     ambient dimension as the nilpotency exponent.  The Eisenstein series
     itself always lies inside; the piece exceeds its span exactly when a
     congruent cusp form exists.
+
+    The Hecke matrices are read on the first sturm(k)^2 columns of the
+    space, all that the generators need; that view shares the space's
+    `hecke_matrices`, and the piece keeps the whole space.
     """
     p, k = space.p, space.k
+    view = replace(space, coeffs=space.coeffs[:, : sturm(k) ** 2])
     eye = MatFp.identity(p, space.dim)
     etas = [
-        hecke_matrix(space, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
+        hecke_matrix(view, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
     ]
     piece = EisLocalPiece(space, *generalized_eigenspace(etas, space.dim, p=p))
     for eta in piece.etas:

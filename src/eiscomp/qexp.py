@@ -25,9 +25,9 @@ Every truncated product of series runs on one kernel, `convolve_mod`:
 float64 FFTs of the residues split into base-2^s digits, with s chosen so
 that Percival's roundoff bound proves each integer coefficient recovered by
 rounding, and a runtime check that raises instead of rounding a coefficient
-that is not within 1/4 of an integer.  The basis ladder, whose products all share one factor, keeps that factor's
-transform and finishes each product on the same step
-(`_product_from_spectra`), check included.
+that is not within 1/4 of an integer.  The basis ladder, whose products all
+share one factor, keeps that factor's transform and finishes each product on
+the same step (`_product_from_spectra`), check included.
 
 A product makes only the array passes its piece count P needs.  With P = 1
 (every product at the companion bound of an irregular pair below p = 2099)
@@ -37,20 +37,19 @@ cast and one `%` of the first out_len columns.  With P > 1 (two pieces at
 the companion bound from (2099, 1230) on, in the Bernoulli table near
 p = 10^5, and on Z/p^M) one shift-and-mask makes every digit row, the cross
 terms are summed into a zero-filled spectrum, and the digit products are
-recombined with their weights 2^(s t).  Against the former passes (a digit
-buffer, a zero-filled spectrum and output, and three more `%` per product)
-the survey benchmark's norm_wall_s fell from 0.294 s to 0.255 s
-(BENCH_19.json).
+recombined with their weights 2^(s t).
 
 The Bernoulli correlation in `bernoulli` needs only the middle of a product,
 which `middle_product_mod` takes on the same steps from one cyclic product,
 sized by the longer operand alone.  The answer is exact for every modulus;
 floating point is only the means of the convolution.
 
-`miller_basis` caches the bases and the ladder ratio of one (p, digits) at a
-time: every basis a pair's computation reads is at that pair's prime, so a
-call at a new prime or modulus drops the previous one's before it builds,
-and a run over many pairs holds the bases of one prime at a time.
+Every `miller_basis` call builds its basis; the caller owns what it gets.
+The one piece of state kept between builds is the ladder ratio Delta/E4^3,
+which depends only on (p, digits) and the precision: `_ladder_ratio` holds
+the longest one made at the last (p, digits), so the two weights of a
+mirror pair, built at one precision, make it once, and a shorter build at
+that (p, digits) reads its prefix.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ def _product_from_spectra(fa: np.ndarray, fb: np.ndarray, s: int, size: int, mod
     digits are the product's coefficients: one cast and one `%` over the
     first out_len columns give the result.  With P pieces the 2P - 1 output
     digits are summed into a zero-filled spectrum and recombined with their
-    weights 2^(s t) mod `modulus`.  The one-piece passes took the survey,
-    hecke and scan benchmarks' norm_wall_s 9-13% lower (BENCH_19.json).
+    weights 2^(s t) mod `modulus`.
     """
     pieces = len(fa)
     if pieces == 1:
@@ -566,17 +564,28 @@ class FormSpace:
         }
 
 
-@dataclass(eq=False)
-class _Ladder:
-    """What `miller_basis` keeps per (p, digits): the longest ratio Delta/E4^3
-    computed and the longest basis built per weight."""
-
-    ratio: np.ndarray | None = None
-    longest: dict[int, FormSpace] = field(default_factory=dict)
+# ((p, digits), ratio): the longest ladder ratio Delta/E4^3 made at the last (p, digits)
+_RATIO: tuple[tuple[int, int], np.ndarray] | None = None
 
 
-_BASIS_CACHE: dict[tuple[int, int], _Ladder] = {}
-_BASIS_LOCK = threading.Lock()
+def _ladder_ratio(e4: QSeries) -> np.ndarray:
+    """The ladder ratio Delta/E4^3 to e4's precision, e4 the unit-normalized E4.
+
+    A prefix of the held ratio when that is at e4's (p, digits) and long
+    enough; otherwise made from e4 and held in its place.  The holder is
+    replaced by one assignment of an immutable tuple, so it needs no lock.
+    """
+    global _RATIO
+    key, prec = (e4.p, e4.digits), e4.prec
+    held = _RATIO
+    if held is not None and held[0] == key and len(held[1]) >= prec:
+        return held[1][:prec]
+    m = e4.modulus
+    e4_cubed = e4.pow(3)  # shared by Delta and the inverse
+    ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
+    ratio.flags.writeable = False
+    _RATIO = (key, ratio)
+    return ratio
 
 
 def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> FormSpace:
@@ -592,22 +601,10 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     1 + O(q), so its inverse (`inverse_mod`) is exact and the monomials are
     the same truncated series as the direct products.
 
-    One basis is built per (p, k, digits), the longest asked for, and kept.
-    A call at its precision returns that FormSpace; a shorter precision gets
-    a new FormSpace on the read-only column view coeffs[:, :prec], which
-    equals a build at that precision (the ladder products are exact
-    truncated series and U^-1 reads only the first dim columns).  The view
-    shares the kept build's `hecke_matrices` dict: T(n) in echelon
-    coordinates does not depend on the precision, and `hecke.hecke_matrix`
-    checks the space's own precision against n * sturm(k) before it reads
-    the dict.  The ratio Delta/E4^3 depends only on (p, digits) and the
-    precision: the longest one computed is kept and every shorter ladder
-    runs on its prefix.
-
-    The cache holds one (p, digits) at a time: a call at another prime or
-    modulus drops every basis and ratio kept so far before it builds.
-    After an eviction the call builds a new FormSpace with the same
-    coefficients, byte for byte, and empty `hecke_matrices`.
+    Every call builds a new FormSpace with empty `hecke_matrices`; only the
+    ratio is kept between calls (`_ladder_ratio`).  The ladder products are
+    exact truncated series and U^-1 reads only the first dim columns, so a
+    build's first n columns equal a build at precision n.
     """
     require_admissible_prime(p)
     if k < 4 or k % 2 == 1:
@@ -616,19 +613,6 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         prec = sturm(k)
     if prec < sturm(k):
         raise PrecisionError(f"precision {prec} below the weight-{k} bound {sturm(k)}")
-    with _BASIS_LOCK:
-        ladder = _BASIS_CACHE.get((p, digits))
-        if ladder is None:
-            # one (p, digits) at a time: a new prime's build drops every other ladder
-            _BASIS_CACHE.clear()
-            ladder = _BASIS_CACHE[(p, digits)] = _Ladder()
-        full = ladder.longest.get(k)
-    if full is not None and full.prec >= prec:
-        if full.prec == prec:
-            return full
-        view = full.coeffs[:, :prec]
-        return FormSpace(p=p, digits=digits, k=k, coeffs=view, hecke_matrices=full.hecke_matrices)
-
     d = space_dim(k)
     m = p**digits
     e4 = _unit_eisenstein(p, 4, prec, digits)
@@ -639,16 +623,10 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     rows = np.zeros((d, prec), dtype=_storage(m))  # d >= 1 for every even k >= 4
     rows[0] = mono.coeffs
     if d > 1:
-        ratio = ladder.ratio
-        if ratio is None or len(ratio) < prec:
-            e4_cubed = e4.pow(3)  # shared by Delta and the inverse
-            ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
-            with _BASIS_LOCK:
-                if ladder.ratio is None or len(ladder.ratio) < prec:
-                    ladder.ratio = ratio
+        ratio = _ladder_ratio(e4)
         # every ladder product has the same operand lengths: the ratio is transformed once
         pieces, s, size = _layout(prec, prec, m)
-        ratio_spectra = _spectra(ratio[:prec], pieces, s, size)
+        ratio_spectra = _spectra(ratio, pieces, s, size)
         for j in range(1, d):
             row_spectra = _spectra(rows[j - 1], pieces, s, size)
             rows[j] = _product_from_spectra(row_spectra, ratio_spectra, s, size, m, prec)
@@ -665,13 +643,7 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
         aug[:j] = (aug[:j] - aug[:j, j, None] * aug[j]) % m
     rows = _matmul(aug[:, d:], rows, m)
     rows.flags.writeable = False
-
-    space = FormSpace(p=p, digits=digits, k=k, coeffs=rows)
-    with _BASIS_LOCK:
-        full = ladder.longest.get(k)
-        if full is None or full.prec < prec:
-            ladder.longest[k] = space
-    return space
+    return FormSpace(p=p, digits=digits, k=k, coeffs=rows)
 
 
 def membership(f: QSeries, space: FormSpace) -> list[int] | None:

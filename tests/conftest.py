@@ -4,14 +4,8 @@ import pytest
 
 
 @pytest.fixture
-def cold_bases(monkeypatch):
-    """An empty `qexp` basis cache for one test; the process's cache is restored after it.
-
-    Returns the test's cache dict itself: `miller_basis` evicts in place, so the
-    dict stays the one in use, and `cold_bases.clear()` makes the next call cold.
-    """
+def cold_ratio(monkeypatch):
+    """An empty `qexp` ladder-ratio holder for one test; the process's holder is restored after it."""
     from eiscomp import qexp
 
-    cache = {}
-    monkeypatch.setattr(qexp, "_BASIS_CACHE", cache)
-    return cache
+    monkeypatch.setattr(qexp, "_RATIO", None)

@@ -188,9 +188,10 @@ def test_eisenstein_pair_are_companions():
 def test_zero_has_companion_zero():
     p, k = 13, 6
     bound = plan_companion(p, k).bound
-    resid, coords = _theta_reduce(p, k, np.zeros((1, bound), dtype=np.int64))
+    mirror = miller_basis(p, p + 1 - k, bound)
+    resid, coords = _theta_reduce(p, k, np.zeros((1, bound), dtype=np.int64), mirror)
     assert not resid.any() and not coords.any()
-    assert coords.shape == (1, miller_basis(p, p + 1 - k, bound).dim)
+    assert coords.shape == (1, mirror.dim)
 
 
 def test_companion_relation_is_symmetric():
@@ -225,8 +226,8 @@ def test_companion_out_of_range_rejected():
 
 def test_regular_dimension_is_one():
     piece, piece_prime = localized_pieces(37, 4)
-    assert len(companion_space(piece)[0]) == 1
-    assert len(companion_space(piece_prime)[0]) == 1
+    assert len(companion_space(piece, piece_prime)[0]) == 1
+    assert len(companion_space(piece_prime, piece)[0]) == 1
 
 
 def test_37_32_mirror_dimension():
@@ -234,13 +235,13 @@ def test_37_32_mirror_dimension():
     # Eisenstein line and its companion subspace is everything
     piece, piece_prime = localized_pieces(37, 32)
     assert piece_prime.dim == 1
-    assert len(companion_space(piece_prime)[0]) == 1
-    assert len(companion_space(piece)[0]) == 1  # equality away from weight p-1
+    assert len(companion_space(piece_prime, piece)[0]) == 1
+    assert len(companion_space(piece, piece_prime)[0]) == 1  # equality away from weight p-1
 
 
 def test_companion_space_gives_witnesses():
-    piece, _ = localized_pieces(59, 44)
-    vecs, _ = companion_space(piece)
+    piece, piece_prime = localized_pieces(59, 44)
+    vecs, _ = companion_space(piece, piece_prime)
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
     f = piece.series(vecs[:1], bound)[0]
@@ -289,8 +290,8 @@ def test_mirror_check_on_discovered_pairs():
 def test_dimension_stable_under_precision_increase():
     # the companion count is about forms, not the chosen cutoff
     p, k = 37, 32
-    piece, _ = localized_pieces(p, k)
-    base = len(companion_space(piece)[0])
+    piece, piece_prime = localized_pieces(p, k)
+    base = len(companion_space(piece, piece_prime)[0])
     bound = plan_companion(p, k).bound + 20
     fs = piece.series(MatFp.identity(p, piece.dim).a, bound)
     again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
@@ -301,7 +302,7 @@ def test_companion_dimension_against_exhaustive_count():
     # enumerate the entire (37, 32) local piece: the companion-admitting
     # subset must be a subspace of exactly p^c elements
     p, k = 37, 32
-    piece, _ = localized_pieces(p, k)
+    piece, piece_prime = localized_pieces(p, k)
     assert piece.dim == 2
     bound = plan_companion(p, k).bound
     basis = piece.series(MatFp.identity(p, piece.dim).a, bound)
@@ -311,7 +312,7 @@ def test_companion_dimension_against_exhaustive_count():
             f = basis[0].scale(a) + basis[1].scale(b)
             ok, _ = companion_oracle(f)
             count += ok
-    c = len(companion_space(piece)[0])
+    c = len(companion_space(piece, piece_prime)[0])
     assert count == p**c == 37
 
 
@@ -322,16 +323,16 @@ def test_theta_reduce_matches_both_oracles():
     # that bound (g), on the basis rows of both pieces and on every witness
     for p, k in oracle_pairs():
         piece, piece_prime = localized_pieces(p, k)
-        for pc in (piece, piece_prime):
+        for pc, mirror in ((piece, piece_prime), (piece_prime, piece)):
             kp = p + 1 - pc.k
             a, b, bound = smaller_direction(p, pc.k)
             old = plan_companion(p, pc.k).bound
             assert bound == min(old, plan_companion(p, kp).bound)
             fs = pc.series(MatFp.identity(p, pc.dim).a, old)
-            resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]))
+            resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]), mirror.space)
             assert resid.tolist() == echelon_residues(fs, kp, bound, a, b).tolist(), (p, pc.k)
             old_kernel = kernel(MatFp(p, echelon_residues(fs, kp, old, kp, 1)).transpose())
-            assert companion_space(pc)[0] == old_kernel.a.tolist(), (p, pc.k)
+            assert companion_space(pc, mirror)[0] == old_kernel.a.tolist(), (p, pc.k)
             for f, r, c in zip(fs, resid, coords):
                 ok, want = companion_oracle(f)
                 assert ok == (not r.any()), (p, pc.k)
@@ -348,11 +349,12 @@ def test_theta_reduce_matches_the_whole_basis_form():
     # acceptance pairs, and on random weight-k rows, which leave residues
     rng = np.random.default_rng(0)
     for p, k in IRREGULAR_PAIRS:
-        for pc in localized_pieces(p, k):
+        piece, piece_prime = localized_pieces(p, k)
+        for pc, mirror in ((piece, piece_prime), (piece_prime, piece)):
             bound = plan_companion(p, max(pc.k, p + 1 - pc.k)).bound
             fs = np.stack([f.coeffs for f in pc.series(MatFp.identity(p, pc.dim).a, bound)])
             for block in (fs, rng.integers(0, p, (3, bound))):
-                got, want = _theta_reduce(p, pc.k, block), whole_basis_theta_reduce(p, pc.k, block)
+                got, want = _theta_reduce(p, pc.k, block, mirror.space), whole_basis_theta_reduce(p, pc.k, block)
                 assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, pc.k)
                 assert [x.dtype for x in got] == [x.dtype for x in want]
 
@@ -379,7 +381,7 @@ def test_companion_report_reduces_each_piece_once(monkeypatch):
 
     seen = []
     real = companions._theta_reduce
-    monkeypatch.setattr(companions, "_theta_reduce", lambda p, k, fs: seen.append(k) or real(p, k, fs))
+    monkeypatch.setattr(companions, "_theta_reduce", lambda p, k, *rest: seen.append(k) or real(p, k, *rest))
     companion_report(37, 32)
     assert seen == [32, 6]
     structure_report(37, 32)
@@ -431,7 +433,7 @@ def test_theta_reduce_on_random_blocks_matches_the_echelon_build(p, k):
     g = QSeries(p, rng.integers(0, p, target.dim) @ target.coeffs % p, kp)
     # theta^(k') theta^(k-1) g = theta^p g = theta g, so this row has the companion g
     fs.append(QSeries(p, theta_series(g, k - 1).coeffs, k))
-    resid, coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]))
+    resid, coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]), target)
     assert resid.shape == (5, used)
     assert resid.tolist() == echelon_residues(fs, kp, used, a, b).tolist()
     assert resid[:4].any(axis=1).all() and not resid[4].any()

@@ -1,6 +1,7 @@
 """Hecke operators, duality, ordinary projector, Eisenstein localization."""
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -426,18 +427,24 @@ def test_hecke_report_shape():
     assert set(rep) >= {"dim", "eis_local_dim", "ordinary_dim", "duality_rank", "tp_redundant"}
 
 
-def test_a_shorter_view_shares_the_hecke_matrices_of_the_kept_build(cold_bases):
-    # T(5) at weight 32 needs 5 * sturm(32) = 15 coefficients: a view of 14 still
-    # raises while the build of 40 holds T(5), and a view of 15 reads its matrix
+def test_a_shorter_view_shares_the_hecke_matrices_of_the_kept_build(monkeypatch):
+    # T(5) at weight 32 needs 5 * sturm(32) = 15 coefficients: a column view of 14
+    # still raises while the build of 40 holds T(5), and a view of 15 reads its matrix
     p, k, n = 37, 32, 5
     full = miller_basis(p, k, 40)
     t5 = hecke_matrix(full, n)
-    short = miller_basis(p, k, n * sturm(k) - 1)
+    short = replace(full, coeffs=full.coeffs[:, : n * sturm(k) - 1])
     assert short.hecke_matrices is full.hecke_matrices and n in short.hecke_matrices
     with pytest.raises(PrecisionError):
         hecke_matrix(short, n)
-    assert hecke_matrix(miller_basis(p, k, n * sturm(k)), n) is t5
-    cold_bases.clear()
+    assert hecke_matrix(replace(full, coeffs=full.coeffs[:, : n * sturm(k)]), n) is t5
     cold = miller_basis(p, k, n * sturm(k))
     assert cold.hecke_matrices == {}
     assert np.array_equal(hecke_matrix(cold, n).a, t5.a)
+    # the localization reads such a view, so it reuses the generators the algebra built
+    images = []
+    real = hecke._hecke_image
+    monkeypatch.setattr(hecke, "_hecke_image", lambda *args: images.append(args[1]) or real(*args))
+    full_hecke_algebra(full)
+    assert images == generator_primes(k) == [2, 3]
+    assert eisenstein_localize(full).space is full and images == [2, 3]

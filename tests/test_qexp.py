@@ -217,7 +217,7 @@ def test_workload_products_take_one_piece_and_p_near_1e5_two():
         assert _split(la, lb, (lb - 1).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
 
 
-def test_two_pieces_agree_with_one_on_workload_operands(cold_bases, monkeypatch):
+def test_two_pieces_agree_with_one_on_workload_operands(cold_ratio, monkeypatch):
     # the survey's operands at the companion bound of (293, 156) take one piece;
     # forced into two pieces of ceil(bits/2) bits they must give the same products
     from eiscomp import qexp
@@ -239,7 +239,7 @@ def test_two_pieces_agree_with_one_on_workload_operands(cold_bases, monkeypatch)
         return 2, s
 
     monkeypatch.setattr(qexp, "_split", halves)
-    cold_bases.clear()
+    monkeypatch.setattr(qexp, "_RATIO", None)
     two_pieces = [convolve_mod(a, b, p, n) for n in out_lens]
     two_basis = miller_basis(p, k, prec).coeffs
     assert default_pieces and set(default_pieces) == {1}
@@ -326,7 +326,7 @@ def assert_every_product_raises(perturb, monkeypatch):
     assert ladder_rows == [400]
 
 
-def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases, monkeypatch):
+def test_exactness_check_reads_every_column_of_the_inverse_transform(monkeypatch):
     # 0.3 added to the last column of the irfft only, past every coefficient a
     # product returns (out_len 40 of size 128, 40 of 64, 400 of 1024): the
     # check must still raise, at convolve_mod, the middle product and a ladder row
@@ -336,7 +336,7 @@ def test_exactness_check_reads_every_column_of_the_inverse_transform(cold_bases,
     assert_every_product_raises(last_column_off, monkeypatch)
 
 
-def test_exactness_check_raises_on_a_nan_column(cold_bases, monkeypatch):
+def test_exactness_check_raises_on_a_nan_column(monkeypatch):
     # a NaN compares false with everything, so a check written as err > bound
     # would let it through to the int64 cast; one NaN column must raise as well
     def one_column_nan(raw):
@@ -397,7 +397,7 @@ def test_middle_product_needs_a_nonempty_shorter_first_operand():
             middle_product_mod(x, y, 7)
 
 
-def test_cli_exits_1_when_the_product_bound_fails(cold_bases, monkeypatch, capsys):
+def test_cli_exits_1_when_the_product_bound_fails(monkeypatch, capsys):
     from eiscomp.cli import main
 
     real = np.fft.irfft
@@ -831,7 +831,7 @@ def test_ladder_basis_at_the_companion_bound():
     assert miller_basis(293, 156, 3834).coeffs.tolist() == basis_oracle(293, 156, 3834, 1)
 
 
-def test_ladder_basis_makes_one_full_length_product_per_row(cold_bases, monkeypatch):
+def test_ladder_basis_makes_one_full_length_product_per_row(cold_ratio, monkeypatch):
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834)
     # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
@@ -839,7 +839,7 @@ def test_ladder_basis_makes_one_full_length_product_per_row(cold_bases, monkeypa
 
 
 @pytest.mark.parametrize("digits", [1, 2])
-def test_basis_builds_e4_cubed_once(cold_bases, monkeypatch, digits):
+def test_basis_builds_e4_cubed_once(cold_ratio, monkeypatch, digits):
     # Delta and the inverse in the ladder share one E4^3
     powers = []
     real = QSeries.pow
@@ -852,7 +852,7 @@ def test_basis_builds_e4_cubed_once(cold_bases, monkeypatch, digits):
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
-def test_ladder_transforms_the_ratio_once(cold_bases, monkeypatch):
+def test_ladder_transforms_the_ratio_once(cold_ratio, monkeypatch):
     # the 13 ladder products share the ratio Delta/E4^3: a cold build makes one
     # forward transform per row M_0..M_12 and one of the ratio, not two per row
     from eiscomp import qexp
@@ -865,39 +865,15 @@ def test_ladder_transforms_the_ratio_once(cold_bases, monkeypatch):
     real = qexp._spectra
     monkeypatch.setattr(qexp, "_spectra", lambda c, *rest: transformed.append(np.array(c)) or real(c, *rest))
     s = miller_basis(p, k, prec)
-    ratio = cold_bases[(p, 1)].ratio
+    key, ratio = qexp._RATIO
+    assert key == (p, 1) and len(ratio) == prec
     full = [c for c in transformed if len(c) == prec]
     assert sum(np.array_equal(c, ratio) for c in full) == 1
     assert [sum(np.array_equal(c, row) for c in full) for row in ladder_rows] == [1] * (d - 1)
     assert s.coeffs.tolist() == basis_oracle(p, k, prec, 1)
 
 
-@pytest.mark.parametrize("digits", [1, 2])
-def test_shorter_precision_is_a_view_of_the_longest_build(cold_bases, monkeypatch, digits):
-    # a long basis first, then shorter ones: each equals a cold build and the oracle,
-    # repeats read the same coefficients, and the short requests make no product
-    p, k, long = 293, 156, (400 if digits == 1 else 60)
-    full = miller_basis(p, k, long, digits)
-    lengths = count_products(monkeypatch)
-    shorts = [miller_basis(p, k, prec, digits) for prec in (sturm(k), 33, long - 1)]
-    assert lengths == []
-    assert miller_basis(p, k, long, digits) is full
-    for short in shorts:
-        again = miller_basis(p, k, short.prec, digits)
-        assert again.coeffs.tolist() == short.coeffs.tolist()
-        assert np.shares_memory(short.coeffs, full.coeffs)
-        assert not short.coeffs.flags.writeable
-        with pytest.raises(ValueError):
-            short.coeffs[0, 0] = 0
-        assert short.coeffs.tolist() == full.coeffs[:, : short.prec].tolist()
-        assert short.coeffs.tolist() == basis_oracle(p, k, short.prec, digits)
-    cold_bases.clear()
-    for short in shorts:
-        cold = miller_basis(p, k, short.prec, digits)
-        assert cold is not short and cold.coeffs.tolist() == short.coeffs.tolist()
-
-
-def test_ladder_ratio_is_computed_once_per_prime(cold_bases, monkeypatch):
+def test_ladder_ratio_is_computed_once_per_prime(cold_ratio, monkeypatch):
     # the ratio Delta/E4^3 depends on p, digits and the precision only: a second
     # weight at the same or a shorter precision reads a prefix of the first one's
     from eiscomp import qexp
@@ -911,12 +887,14 @@ def test_ladder_ratio_is_computed_once_per_prime(cold_bases, monkeypatch):
         assert s.coeffs.tolist() == basis_oracle(293, s.k, s.prec, 1)
     miller_basis(293, 156, 501)  # longer than the kept ratio: one more inverse
     assert inverses == [500, 501]
-    miller_basis(293, 138, 64, 2)  # another modulus keeps its own ratio
-    assert inverses == [500, 501, 64]
+    miller_basis(293, 138, 64, 2)  # another modulus: its ratio replaces the held one
+    assert inverses == [500, 501, 64] and qexp._RATIO[0] == (293, 2)
+    miller_basis(293, 48, 64)  # back at digits 1 the ratio is made again
+    assert inverses == [500, 501, 64, 64]
 
 
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])
-def test_basis_products_at_the_int64_edge(cold_bases, monkeypatch, k, dtype):
+def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     # at Z/5^13 the products of dim 6 run on int64, those of dim 7 on Python integers;
     # the basis is built before recording, so only its two products are seen
     from eiscomp import linalg
@@ -933,36 +911,11 @@ def test_basis_products_at_the_int64_edge(cold_bases, monkeypatch, k, dtype):
     assert seen == [dtype, dtype]
 
 
-def test_basis_cache_holds_one_prime(cold_bases):
-    # a build at a new prime evicts the last one; a rebuild equals the evicted
-    # basis byte for byte and recomputes the same Hecke matrix
-    from eiscomp.hecke import hecke_matrix
-
-    p1, p2, k, prec = 37, 59, 32, 2 * sturm(32)
-    first = miller_basis(p1, k, prec)
-    t2 = hecke_matrix(first, 2)
-    assert list(cold_bases) == [(p1, 1)]
-    assert miller_basis(p1, k, prec) is first
-    other = miller_basis(p2, k, prec)
-    assert list(cold_bases) == [(p2, 1)]
-    assert miller_basis(p2, k, prec) is other
-    miller_basis(p2, k, prec, 2)  # another modulus at the same prime evicts too
-    assert list(cold_bases) == [(p2, 2)]
-    again = miller_basis(p1, k, prec)
-    assert list(cold_bases) == [(p1, 1)]
-    assert again is not first and again.hecke_matrices == {}
-    assert again.coeffs.dtype == first.coeffs.dtype
-    assert again.coeffs.tobytes() == first.coeffs.tobytes()
-    assert again.coeffs.tolist() == basis_oracle(p1, k, prec, 1)
-    assert hecke_matrix(again, 2) is not t2
-    assert hecke_matrix(again, 2).a.tolist() == t2.a.tolist()
-
-
 # (k, digits): the U^-1 product of a basis has inner dimension d, so it runs
 # on float64 while d * (5^digits - 1)^2 < 2^53 and on int64 above: d = 6 on
 # both sides of the bound at adjacent digits, and d = 3, 4 at digits 11
 @pytest.mark.parametrize("k,digits,below", [(60, 10, True), (60, 11, False), (24, 11, True), (36, 11, False)])
-def test_basis_at_the_float64_edge(cold_bases, k, digits, below):
+def test_basis_at_the_float64_edge(k, digits, below):
     m = 5**digits
     assert (space_dim(k) * (m - 1) ** 2 < 2**53) == below
     prec = sturm(k) + 7

@@ -74,19 +74,6 @@ def _uses(tree: ast.AST, strings: bool) -> set[str]:
     return found
 
 
-def test_every_export_has_a_caller_outside_the_tests():
-    # API that only tests call should go rather than grow back unnoticed
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
-    sources = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += [(p, True) for p in (PACKAGE.parents[1] / "bench").glob("*.py") if not p.name.startswith("test_")]
-    used: set[str] = set()
-    for path, strings in sources:
-        used |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), strings)
-    assert sorted(exported - used - LIBRARY_ONLY) == []
-    assert LIBRARY_ONLY <= exported - used  # a kept name that gains a caller leaves the list
-
-
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -110,7 +97,7 @@ def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
     # code that no command, import-time statement or benchmark reaches is dead
     # unless LIBRARY_ONLY keeps it; dunder methods run implicitly
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
-    roots = set(LIBRARY_ONLY)
+    roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
@@ -125,12 +112,18 @@ def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
         if not path.name.startswith("test_"):
             roots |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), True)
     reached: set[str] = set()
-    todo = list(roots)
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += [n for _, node in defs.get(name, []) for part in _runs(node) for n in _uses(part, False)]
+
+    def reach(names):
+        todo = list(names)
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [n for _, node in defs.get(name, []) for part in _runs(node) for n in _uses(part, False)]
+
+    reach(roots)
+    assert LIBRARY_ONLY.isdisjoint(reached)  # a kept name that gains a caller leaves the list
+    reach(LIBRARY_ONLY)
     unreached = sorted(
         f"{module}.{name}"
         for name, sites in defs.items()

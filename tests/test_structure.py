@@ -229,8 +229,8 @@ def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys
 
     real = companions.companion_space
 
-    def without_the_weight_32_witness(pc):
-        wit, gs = real(pc)
+    def without_the_weight_32_witness(pc, mirror):
+        wit, gs = real(pc, mirror)
         return (wit[1:], gs[1:]) if pc.k == 32 else (wit, gs)
 
     monkeypatch.setattr(companions, "companion_space", without_the_weight_32_witness)
@@ -240,23 +240,40 @@ def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys
     assert "c(m) = c(m')" in capsys.readouterr().err
 
 
+def spy_builds(monkeypatch):
+    """Every FormSpace that `miller_basis` returns to the companion and Hecke code, in order."""
+    from eiscomp import companions, hecke
+
+    built = []
+    real = companions.miller_basis
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    for module in (companions, hecke):
+        monkeypatch.setattr(module, "miller_basis", spy)
+    return built
+
+
 @pytest.mark.parametrize("k", [36, 31, 2])
-def test_structure_report_checks_the_weight_before_any_work(cold_bases, k):
+def test_structure_report_checks_the_weight_before_any_work(monkeypatch, k):
     # k = p-1 would need M_2 on the mirror side, 31 is odd and 2 is below 4: each is
     # rejected before a basis is built
+    built = spy_builds(monkeypatch)
     with pytest.raises(ValueError):
         structure_report(37, k)
-    assert cold_bases == {}
+    assert built == []
 
 
-def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_bases, monkeypatch):
+def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_ratio, monkeypatch):
     # (293, 156): both weights are read at the shared companion bound 3395, above
     # sturm(w)^2, so each is built once there and the second ladder reuses the ratio
     from eiscomp import qexp
 
     builds, inverses = [], []
     real_e4, real_inv = qexp._unit_eisenstein, qexp.inverse_mod
-    # every build starts from one E4 series; a view starts from none
+    # every build starts from one E4 series
     monkeypatch.setattr(
         qexp, "_unit_eisenstein", lambda p, w, prec, d: (w == 4 and builds.append(prec)) or real_e4(p, w, prec, d)
     )
@@ -266,9 +283,10 @@ def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_ba
     assert rep.c_m_prime == 1 and rep.plan.bound == 3395
 
 
-def test_piece_series_after_its_prime_was_evicted(cold_bases):
-    # a piece keeps its space, but its long basis goes with its prime: series at
-    # the companion bound rebuild it, byte for byte
+def test_piece_series_after_its_prime_was_evicted(monkeypatch):
+    # a piece keeps its whole space: series at the companion bound read it, after
+    # another prime's pair as before it, byte for byte and with no build; only a
+    # series longer than the space builds, and agrees with it where both reach
     from eiscomp.companions import _companion_bound
 
     p, k = 37, 32
@@ -277,49 +295,39 @@ def test_piece_series_after_its_prime_was_evicted(cold_bases):
     bound = _companion_bound(p, k)
     before = [f.coeffs.tobytes() for f in piece.series(coords, bound)]
     structure_report(59, 44)
-    assert list(cold_bases) == [(59, 1)]
+    built = spy_builds(monkeypatch)
     after = piece.series(coords, bound)
-    assert list(cold_bases) == [(p, 1)]
+    assert built == []
     assert [f.coeffs.tobytes() for f in after] == before
+    longer = piece.series(coords, piece.space.prec + 5)
+    assert [(s.k, s.prec) for s in built] == [(k, piece.space.prec + 5)]
+    assert [f.coeffs[:bound].tobytes() for f in longer] == before
 
 
-def retained_bytes(cache):
-    """The bytes the one cached ladder holds: its longest bases and its ratio."""
-    (ladder,) = cache.values()
-    return sum(s.coeffs.nbytes for s in ladder.longest.values()) + ladder.ratio.nbytes
+def test_a_pair_owns_its_bases(cold_ratio, monkeypatch):
+    # each pair builds its two weights once, and once its report is dropped no
+    # basis it built is left; between pairs only the ladder ratio is kept, and
+    # (157, 110), at a shorter precision than (157, 62), reads a prefix of it
+    import gc
+    import weakref
 
+    from eiscomp import qexp
 
-def test_structure_reports_in_one_process_hold_one_prime(cold_bases):
-    # after each pair the cache holds that pair's prime only, and as many bytes as
-    # a cold run of the pairs at that prime; (157, 62) and (157, 110) share a ladder
-    pairs = [(37, 32), (59, 44), (101, 68), (157, 62), (157, 110)]
-    held = []
-    for p, k in pairs:
+    built = spy_builds(monkeypatch)
+    inverses = []
+    real_inv = qexp.inverse_mod
+    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real_inv(f, m))
+    kept = []
+    for n, (p, k) in enumerate([(157, 62), (157, 110)], start=1):
         structure_report(p, k)
-        assert list(cold_bases) == [(p, 1)]
-        held.append(retained_bytes(cold_bases))
-    for i, (p, _) in enumerate(pairs):
-        cold_bases.clear()
-        for q, k in pairs[: i + 1]:
-            if q == p:
-                structure_report(q, k)
-        assert retained_bytes(cold_bases) == held[i], pairs[i]
-    assert held[-1] > held[-2]  # the second pair at 157 adds its two weights
-
-
-def test_a_repeated_pair_reuses_its_hecke_matrices(cold_bases, monkeypatch):
-    # the localization reads a shorter view of the kept build, which shares the
-    # build's Hecke matrices, so running the pair again computes no image
-    from eiscomp import hecke
-
-    images = []
-    real = hecke._hecke_image
-    monkeypatch.setattr(hecke, "_hecke_image", lambda *args: images.append(args[1]) or real(*args))
-    first = structure_report(293, 156)
-    assert len(images) == 11
-    again = structure_report(293, 156)
-    assert len(images) == 11
-    assert again.to_json() == first.to_json()
+        assert [s.k for s in built] == [k, p + 1 - k]
+        kept += [weakref.ref(s) for s in built]
+        built.clear()
+        gc.collect()
+        assert [ref() for ref in kept] == [None] * 2 * n
+    assert inverses == [825]
+    key, ratio = qexp._RATIO
+    assert key == (157, 1) and len(ratio) == 825
 
 
 # --- Hida control as an oracle ----------------------------------------------------
@@ -344,7 +352,7 @@ def local_invariants(p, w):
     return piece.dim, piece.cuspidal_subpiece().dim, socle_dim(alg), hilbert_function(alg)
 
 
-def test_hida_control_on_every_irregular_pair_below_600(cold_bases):
+def test_hida_control_on_every_irregular_pair_below_600():
     # T(p) acts as 1 + p^(k-1), which is 1 mod p, on the Eisenstein-local
     # piece, so the piece is ordinary, and by Hida's control theorem (Ann. Sci.
     # ENS 19, 1986; Ohta, Ann. Sci. ENS 36, 2003, for the Eisenstein part) its
