@@ -74,6 +74,19 @@ def _uses(tree: ast.AST, strings: bool) -> set[str]:
     return found
 
 
+def test_every_export_has_a_caller_outside_the_tests():
+    # API that only tests call should go rather than grow back unnoticed
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    sources = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [(p, True) for p in (PACKAGE.parents[1] / "bench").glob("*.py") if not p.name.startswith("test_")]
+    used: set[str] = set()
+    for path, strings in sources:
+        used |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), strings)
+    assert sorted(exported - used - LIBRARY_ONLY) == []
+    assert LIBRARY_ONLY <= exported - used  # a kept name that gains a caller leaves the list
+
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
