@@ -11,22 +11,28 @@ basis at that weight is ever materialized, only coefficient vectors of
 that length.  The bound, plan_companion(p, max(k, k')).bound, is the same
 for both weights of a pair, so c(m) and c(m') share it.
 
-One routine, `_theta_reduce`, decides the relation: it reduces theta^(k')
-f against theta(M_k') when k' <= k, and theta f against theta^k(M_k')
-otherwise, and returns the residue with the coordinates of g, which are
-the same in both directions.  The reduction is linear in f, so
-`companion_space` reduces the piece's basis forms once, takes the kernel of
-their residues, and reads each kernel vector's g off the same coordinates.
-`companion_report` is the one pass per mirror pair: it checks the weight's
-scope, localizes both weights, and checks c(m) = c(m').  Gross (Duke Math.
+One kernel decides the relation on the two Eisenstein-local pieces.  It
+reads theta^a of the weight-k piece's forms and theta^b of the weight-k'
+piece's forms, (a, b) = (k', 1) when k' <= k, else (1, k), and takes the
+kernel of the one matrix they make: each kernel vector pairs an f with
+its companion g.  g lies in the mirror piece, for theta T(l) = l T(l)
+theta on q-expansions, so the relation splits along the local components
+of M_k', and a component of g outside the mirror piece would satisfy
+theta^b g_o = 0; theta is injective on M_w for 4 <= w <= p-3, since a
+nonzero form mod p killed by theta has filtration divisible by p (Katz,
+LNM 601, 1977; Jochnowitz, Trans. AMS 270, 1982).  The same holds with
+the roles of the pieces swapped, so c(m) and c(m') are the ranks of the
+two projections of the one kernel.  `companion_report` is the one pass
+per mirror pair: it checks the weight's scope, localizes both weights,
+and reads the counts and witnesses off that kernel.  Gross (Duke Math.
 J. 61, 1990) gives the companion theory.
 
 The pair owns its bases: `localized_pieces` builds each weight once, at
 one precision that covers the companion bound and both localizations,
-each piece keeps its basis as its space, and `companion_space` reads the
-forms off it and reduces them against the mirror piece's space.  Between
-builds only the ladder ratio Delta/E4^3 is held (`qexp._ladder_ratio`),
-so the second weight's build reads the one the first made.
+and each piece keeps its basis as its space, off which `companion_space`
+reads the piece's forms.  Between builds only the ladder ratio
+Delta/E4^3 is held (`qexp._ladder_ratio`), so the second weight's build
+reads the one the first made.
 """
 
 from __future__ import annotations
@@ -36,9 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hecke import EisLocalPiece, eisenstein_localize
-from .linalg import MatFp, _matmul, _residues, kernel
+from .linalg import MatFp, _matmul, kernel, rank
 from .qexp import (
-    FormSpace,
     PrecisionPlan,
     QSeries,
     _powers,
@@ -62,59 +67,39 @@ def _companion_bound(p: int, k: int) -> int:
     return plan_companion(p, max(k, p + 1 - k)).bound
 
 
-def _theta_reduce(p: int, k: int, fs: np.ndarray, mirror: FormSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Residues theta^a f - theta^b g and the weight-k' coordinates of g.
+def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[list[int]], list[list[int]], int]:
+    """Basis (piece coordinates) of the companion-admitting subspace, each one's g, and c(m').
 
-    The direction is the one at the smaller graded weight: (a, b) = (k', 1)
-    when k' <= k, else (1, k), and the comparison bound is
-    `_companion_bound(p, k)`, which fs, weight-k series one per row, and
-    `mirror`, the echelon basis of M_k', must reach; longer rows are cut
-    to it.  f has a companion exactly when its residue is zero, and g is
-    then one, the same g in both directions.
-    Row j >= 1 of the echelon basis of M_k' is q^j + O(q^dim), so theta^b
-    of it is the unit j^b at q^j and zero at the other q^i, i < dim < p:
-    its coordinate is v[j]/j^b.  Theta^b of row 0 vanishes below q^dim and
-    is cleared at its first nonzero coefficient n0, or skipped if it has
-    none to the bound.  The residue vanishes at those pivots, so it is the
-    forward-reduced residue against any echelon basis of theta^b(M_k')
-    with them.  Theta^b is diagonal, so it is applied to what the residue
-    reads of the basis, row 0, column n0 and the combination coords * basis,
-    not to every row of the basis.
+    The relation theta^a f = theta^b g, (a, b) = (k', 1) when k' <= k else
+    (1, k), is read on the forms of the weight-k piece and of the
+    weight-k' piece `mirror`, to the bound both weights of the pair share,
+    which both pieces' spaces must reach (`localized_pieces` builds them
+    so).  Its solutions are the kernel of the matrix whose columns are
+    -theta^b of the mirror's forms, then theta^a of the piece's forms.
+    The x part of a kernel vector is the piece coordinates of f, and its y
+    part times the mirror's basis the weight-k' coordinates of g, so the
+    second list holds one g per basis vector of the first.  c(m) and c(m')
+    are the ranks of the x and the y parts.  Both must equal the kernel's
+    dimension and be at least one, else AssertionError: that checks that
+    theta^a and theta^b stay injective on the two pieces, which they are
+    for weights in [4, p-3], and that the two Eisenstein series are
+    companions.
     """
+    p, k = piece.p, piece.k
     kp = p + 1 - k
     a, b = (kp, 1) if kp <= k else (1, k)
     bound = _companion_bound(p, k)
-    basis = mirror.coeffs[:, :bound]
-    d = len(basis)
-    theta_b = _powers(b, bound, p)
-    v = fs[:, :bound] * _powers(a, bound, p) % p
-    coords = np.zeros((len(v), d), dtype=v.dtype)
-    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -b, p) for j in range(1, d)]) % p
-    lead = np.flatnonzero(basis[0] * theta_b % p)
-    if lead.size:
-        n0 = int(lead[0])
-        column = basis[:, n0] * theta_b[n0] % p  # column n0 of theta^b(basis)
-        rest = v[:, n0] - _matmul(coords[:, 1:], column[1:], p)
-        coords[:, 0] = rest * pow(int(column[0]), -1, p) % p
-    return (v - _matmul(coords, basis, p) * theta_b) % p, coords
 
+    def theta_forms(pc: EisLocalPiece, j: int) -> np.ndarray:
+        return _matmul(pc.basis.a, pc.space.coeffs[:, :bound], p) * _powers(j, bound, p) % p
 
-def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[list[int]], list[list[int]]]:
-    """Basis (piece coordinates) of the companion-admitting subspace, and each one's g.
-
-    An element f of the weight-k piece has a companion exactly when
-    `_theta_reduce` leaves it no residue, against the space of the
-    weight-k' piece `mirror`, to the bound both weights of the pair share;
-    the subspace is the kernel of the map to the residues.
-    The reduction is linear in f, so the weight-k' coordinates of the
-    companion g of a kernel vector w are w times the coordinates it returns
-    for the piece's basis forms: the second list holds them, row for row.
-    """
-    p, k = piece.p, piece.k
-    basis = piece.series(MatFp.identity(p, piece.dim).a, _companion_bound(p, k))
-    resid, coords = _theta_reduce(p, k, np.stack([s.coeffs for s in basis]), mirror.space)
-    ker = kernel(MatFp._wrap(p, resid).transpose()).a
-    return ker.tolist(), _matmul(ker, coords, p).tolist()
+    # mirror columns first: each is a pivot, so the kernel's free columns are the piece's
+    ker = kernel(MatFp._wrap(p, np.vstack([-theta_forms(mirror, b) % p, theta_forms(piece, a)]).T)).a
+    ys, xs = ker[:, : mirror.dim], ker[:, mirror.dim :]
+    c_m, c_m_prime = rank(MatFp._wrap(p, xs)), rank(MatFp._wrap(p, ys))
+    if not (1 <= c_m == c_m_prime == len(ker)):
+        raise AssertionError(f"mirror equality c(m) = c(m') fails: {c_m} against {c_m_prime}")
+    return xs.tolist(), _matmul(ys, mirror.basis.a, p).tolist(), c_m_prime
 
 
 @dataclass
@@ -167,9 +152,14 @@ class CompanionReport:
 
 
 def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
-    """Witness q-expansions, one row per side of each companion pair."""
+    """Witness q-expansions, one row per side of each companion pair.
+
+    f and g are read off the pair's two spaces when they reach prec, else
+    off bases built at prec.
+    """
     p, k, kp = report.p, report.k, report.k_prime
-    target = miller_basis(p, kp, max(prec, sturm(kp)))
+    space = report.piece_prime.space
+    target = space if space.prec >= prec else miller_basis(p, kp, prec)
     lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(prec))]
     fs = report.piece.series([fc for fc, _ in report.witnesses], prec)
     for idx, ((_, gc), f) in enumerate(zip(report.witnesses, fs)):
@@ -199,16 +189,16 @@ def companion_report(p: int, k: int) -> CompanionReport:
 
     The one pass per mirror pair.  k must be even in [4, p-3], so that both
     mirror weights carry a basis; any other k is a ValueError before any
-    work.  Both counts are at least one, because the two Eisenstein series
-    are companions of each other, and they must be equal, else
-    AssertionError.
+    work.  One `companion_space` call gives the witnesses and c(m').  Both
+    counts are at least one, because the two Eisenstein series are
+    companions of each other, and they must be equal, else AssertionError:
+    `companion_space` checks the kernel's ranks, and the report the counts
+    it keeps.
     """
     if not (4 <= k <= p - 3) or k % 2 == 1:
         raise ValueError(f"weight {k} outside [4, p-3] for p={p}")
     piece, piece_prime = localized_pieces(p, k)
-    wit_coords, g_coords = companion_space(piece, piece_prime)
-    c_m_prime = len(companion_space(piece_prime, piece)[0])
-    # the two pieces reduce in opposite directions, so each checks the other
+    wit_coords, g_coords, c_m_prime = companion_space(piece, piece_prime)
     if not (1 <= len(wit_coords) == c_m_prime):
         raise AssertionError(f"mirror equality c(m) = c(m') fails: {len(wit_coords)} against {c_m_prime}")
     return CompanionReport(

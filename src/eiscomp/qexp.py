@@ -702,7 +702,7 @@ def plan_companion(p: int, k: int) -> PrecisionPlan:
     forces equality.  W is the smaller of the two graded weights of the
     pair exactly when k >= p+1-k, so the companion test reads the shared
     bound plan_companion(p, max(k, p+1-k)).bound at either weight, in the
-    direction that lives there (see `companions._theta_reduce`).
+    direction that lives there (see `companions.companion_space`).
     """
     kp = p + 1 - k
     w = k + kp * (p + 1)

@@ -1,5 +1,6 @@
 """Theta operator, companion detection and dimensions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ import sympy
 
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import (
-    _theta_reduce,
     companion_report,
     companion_space,
     localized_pieces,
@@ -17,10 +17,9 @@ from eiscomp.companions import (
 )
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import hecke_action
-from eiscomp.linalg import EchelonSpace, MatFp, _matmul, _residues, kernel, solve
+from eiscomp.linalg import EchelonSpace, MatFp, kernel, solve
 from eiscomp.qexp import (
     QSeries,
-    _powers,
     delta_q,
     eisenstein_q,
     miller_basis,
@@ -76,25 +75,6 @@ def echelon_residues(fs, kp, bound, a, b):
     for row in miller_basis(p, kp, bound).coeffs:
         target.insert(theta_series(QSeries(p, row.tolist(), kp), b).coeffs)
     return target.reduce(np.stack([theta_series(f, a).coeffs[:bound] for f in fs]))
-
-
-def whole_basis_theta_reduce(p, k, fs):
-    """_theta_reduce as it was: theta^b applied to every row of the weight-k' basis."""
-    kp = p + 1 - k
-    a, b = (kp, 1) if kp <= k else (1, k)
-    bound = plan_companion(p, max(k, kp)).bound
-    target = miller_basis(p, kp, bound)
-    d = target.dim
-    rows = _residues(p, target.coeffs * _powers(b, bound, p))
-    v = _residues(p, fs[:, :bound] * _powers(a, bound, p))
-    coords = _residues(p, np.zeros((len(v), d), dtype=np.int64))
-    coords[:, 1:] = v[:, 1:d] * _residues(p, [pow(j, -b, p) for j in range(1, d)]) % p
-    lead = np.flatnonzero(rows[0])
-    if lead.size:
-        n0 = int(lead[0])
-        rest = v[:, n0] - _matmul(coords[:, 1:], rows[1:, n0], p)
-        coords[:, 0] = rest * pow(int(rows[0, n0]), -1, p) % p
-    return _residues(p, v - _matmul(coords, rows, p)), coords
 
 
 def smaller_direction(p, k):
@@ -185,15 +165,6 @@ def test_eisenstein_pair_are_companions():
         assert np.array_equal(g.coeffs[1:], e_kp.coeffs[1:])
 
 
-def test_zero_has_companion_zero():
-    p, k = 13, 6
-    bound = plan_companion(p, k).bound
-    mirror = miller_basis(p, p + 1 - k, bound)
-    resid, coords = _theta_reduce(p, k, np.zeros((1, bound), dtype=np.int64), mirror)
-    assert not resid.any() and not coords.any()
-    assert coords.shape == (1, mirror.dim)
-
-
 def test_companion_relation_is_symmetric():
     p, k = 37, 32
     kp = p + 1 - k
@@ -241,7 +212,7 @@ def test_37_32_mirror_dimension():
 
 def test_companion_space_gives_witnesses():
     piece, piece_prime = localized_pieces(59, 44)
-    vecs, _ = companion_space(piece, piece_prime)
+    vecs, _, _ = companion_space(piece, piece_prime)
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
     f = piece.series(vecs[:1], bound)[0]
@@ -316,47 +287,45 @@ def test_companion_dimension_against_exhaustive_count():
     assert count == p**c == 37
 
 
-def test_theta_reduce_matches_both_oracles():
-    # the one decider against the EchelonSpace build of the direction it chose
-    # (residues), the companion space against the theta^(k') f = theta g kernel
-    # at the larger bound W = k + k'(p+1), and the forced-coefficient solve at
-    # that bound (g), on the basis rows of both pieces and on every witness
+def test_relation_kernel_matches_both_oracles():
+    # the one kernel, in both directions, against the EchelonSpace reduction on the
+    # whole theta^b(M_k') of the direction it reads and on the whole theta(M_k') at
+    # the larger bound W = k + k'(p+1) (f), and against the forced-coefficient
+    # solve (g, which lies in the mirror piece); c(m') is the dimension of the
+    # mirror-piece forms that the whole other weight's space leaves no residue
     for p, k in oracle_pairs():
-        piece, piece_prime = localized_pieces(p, k)
-        for pc, mirror in ((piece, piece_prime), (piece_prime, piece)):
+        rep = companion_report(p, k)
+        for pc, mirror in ((rep.piece, rep.piece_prime), (rep.piece_prime, rep.piece)):
             kp = p + 1 - pc.k
             a, b, bound = smaller_direction(p, pc.k)
             old = plan_companion(p, pc.k).bound
             assert bound == min(old, plan_companion(p, kp).bound)
+            f_coords, g_coords, c_mirror = companion_space(pc, mirror)
+            if pc is rep.piece:
+                assert rep.witnesses == list(zip(f_coords, g_coords)) and rep.c_m_prime == c_mirror
             fs = pc.series(MatFp.identity(p, pc.dim).a, old)
-            resid, coords = _theta_reduce(p, pc.k, np.stack([f.coeffs for f in fs]), mirror.space)
-            assert resid.tolist() == echelon_residues(fs, kp, bound, a, b).tolist(), (p, pc.k)
-            old_kernel = kernel(MatFp(p, echelon_residues(fs, kp, old, kp, 1)).transpose())
-            assert companion_space(pc, mirror)[0] == old_kernel.a.tolist(), (p, pc.k)
-            for f, r, c in zip(fs, resid, coords):
-                ok, want = companion_oracle(f)
-                assert ok == (not r.any()), (p, pc.k)
-                assert not ok or c.tolist() == want, (p, pc.k)
-        rep = companion_report(p, k)
-        for f_coords, g_coords in rep.witnesses:
-            f = piece.series([f_coords], rep.plan.bound)[0]
-            assert companion_oracle(f) == (True, g_coords), (p, k)
+            for resid in (echelon_residues(fs, kp, bound, a, b), echelon_residues(fs, kp, old, kp, 1)):
+                assert f_coords == kernel(MatFp(p, resid).transpose()).a.tolist(), (p, pc.k)
+            for fc, gc in zip(f_coords, g_coords):
+                assert companion_oracle(pc.series([fc], old)[0]) == (True, gc), (p, pc.k)
+                assert _in_piece(mirror.space.coords_to_series(gc), mirror), (p, pc.k)
+            ma, mb, _ = smaller_direction(p, kp)
+            gs = mirror.series(MatFp.identity(p, mirror.dim).a, bound)
+            assert c_mirror == kernel(MatFp(p, echelon_residues(gs, pc.k, bound, ma, mb)).transpose()).nrows
 
 
-def test_theta_reduce_matches_the_whole_basis_form():
-    # theta^b on the combinations, row 0 and column n0 gives the residues and
-    # coordinates of theta^b on every basis row: on both pieces of the six
-    # acceptance pairs, and on random weight-k rows, which leave residues
-    rng = np.random.default_rng(0)
-    for p, k in IRREGULAR_PAIRS:
-        piece, piece_prime = localized_pieces(p, k)
-        for pc, mirror in ((piece, piece_prime), (piece_prime, piece)):
-            bound = plan_companion(p, max(pc.k, p + 1 - pc.k)).bound
-            fs = np.stack([f.coeffs for f in pc.series(MatFp.identity(p, pc.dim).a, bound)])
-            for block in (fs, rng.integers(0, p, (3, bound))):
-                got, want = _theta_reduce(p, pc.k, block, mirror.space), whole_basis_theta_reduce(p, pc.k, block)
-                assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, pc.k)
-                assert [x.dtype for x in got] == [x.dtype for x in want]
+def test_relation_kernel_rejects_a_repeated_basis_row():
+    # a repeated basis row puts a relation with f = 0 (mirror piece) or g = 0
+    # (weight-k piece) in the kernel, as theta^b or theta^a failing to be
+    # injective on a piece would: the counts disagree and none is returned
+    piece, piece_prime = localized_pieces(37, 32)
+
+    def twice(pc):
+        return dataclasses.replace(pc, basis=MatFp(pc.p, np.vstack([pc.basis.a, pc.basis.a[:1]])))
+
+    for pc, mirror in ((piece, twice(piece_prime)), (twice(piece), piece_prime)):
+        with pytest.raises(AssertionError, match="c\\(m\\) = c\\(m'\\)"):
+            companion_space(pc, mirror)
 
 
 def test_witness_g_by_linearity_matches_the_oracle():
@@ -380,12 +349,36 @@ def test_companion_report_reduces_each_piece_once(monkeypatch):
     from eiscomp.localstruct import structure_report
 
     seen = []
-    real = companions._theta_reduce
-    monkeypatch.setattr(companions, "_theta_reduce", lambda p, k, *rest: seen.append(k) or real(p, k, *rest))
+    real = companions.companion_space
+    monkeypatch.setattr(companions, "companion_space", lambda pc, mirror: seen.append((pc.k, mirror.k)) or real(pc, mirror))
     companion_report(37, 32)
-    assert seen == [32, 6]
+    assert seen == [(32, 6)]
     structure_report(37, 32)
-    assert seen == [32, 6, 32, 6]
+    assert seen == [(32, 6), (32, 6)]
+
+
+def test_witness_csv_builds_no_third_basis(monkeypatch):
+    # the pair's spaces reach 84 coefficients, so 24 are read off them; 100 build
+    # both weights at 100, and the first 24 coefficients agree
+    import eiscomp.companions as companions
+    import eiscomp.hecke as hecke
+
+    calls = []
+    real = companions.miller_basis
+
+    def spy(p, k, prec, *rest):
+        calls.append((p, k, prec))
+        return real(p, k, prec, *rest)
+
+    monkeypatch.setattr(companions, "miller_basis", spy)
+    monkeypatch.setattr(hecke, "miller_basis", spy)
+    rep = companion_report(59, 44)
+    short = witness_csv(rep)
+    assert calls == [(59, 44, 84), (59, 16, 84)]
+    longer = witness_csv(rep, prec=100)
+    assert calls[2:] == [(59, 16, 100), (59, 44, 100)]
+    cut = [[line.split(",")[: 3 + 24] for line in text.splitlines()] for text in (short, longer)]
+    assert cut[0] == cut[1] and len(cut[0]) == 3
 
 
 def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
@@ -417,30 +410,6 @@ def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
         g = target.coords_to_series(w["g_coords"])
         assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.coeffs.tolist()]
         assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.coeffs.tolist()]
-
-
-@pytest.mark.parametrize("p,k", [(13, 2), (13, 6), (37, 8), (37, 32), (101, 50)])
-def test_theta_reduce_on_random_blocks_matches_the_echelon_build(p, k):
-    # k = 2 puts E_(p-1) = 1 mod p first in M_(p-1): theta^2 of row 0 is zero to the
-    # bound and its step is skipped, as EchelonSpace skips a zero row.  (37, 32)
-    # reduces theta^(k') f against theta(M_k'), the others theta f against theta^k(M_k')
-    kp = p + 1 - k
-    bound = plan_companion(p, k).bound
-    a, b, used = smaller_direction(p, k)
-    rng = np.random.default_rng(p * k)
-    target = miller_basis(p, kp, bound)
-    fs = [QSeries(p, row, k) for row in rng.integers(0, p, (4, bound))]
-    g = QSeries(p, rng.integers(0, p, target.dim) @ target.coeffs % p, kp)
-    # theta^(k') theta^(k-1) g = theta^p g = theta g, so this row has the companion g
-    fs.append(QSeries(p, theta_series(g, k - 1).coeffs, k))
-    resid, coords = _theta_reduce(p, k, np.stack([f.coeffs for f in fs]), target)
-    assert resid.shape == (5, used)
-    assert resid.tolist() == echelon_residues(fs, kp, used, a, b).tolist()
-    assert resid[:4].any(axis=1).all() and not resid[4].any()
-    for f, r, c in zip(fs, resid, coords):
-        lhs = theta_series(f, a).coeffs[:used]
-        rhs = theta_series(target.coords_to_series(c.tolist()), b).coeffs[:used]
-        assert ((lhs - rhs) % p).tolist() == r.tolist()
 
 
 def test_witness_csv_shape():

@@ -222,16 +222,16 @@ def test_csv_row_shape():
 
 
 def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys):
-    # c(m) and c(m') reduce in opposite directions at k != k'; a disagreement raises,
-    # which the CLI turns into exit code 1
+    # c(m) is the witness count the report keeps and c(m') the count the kernel
+    # gives; a disagreement raises, which the CLI turns into exit code 1
     import eiscomp.companions as companions
     from eiscomp.cli import main
 
     real = companions.companion_space
 
     def without_the_weight_32_witness(pc, mirror):
-        wit, gs = real(pc, mirror)
-        return (wit[1:], gs[1:]) if pc.k == 32 else (wit, gs)
+        wit, gs, c_prime = real(pc, mirror)
+        return (wit[1:], gs[1:], c_prime) if pc.k == 32 else (wit, gs, c_prime)
 
     monkeypatch.setattr(companions, "companion_space", without_the_weight_32_witness)
     with pytest.raises(AssertionError, match="c\\(m\\) = c\\(m'\\)"):
