@@ -15,7 +15,6 @@ from .bernoulli import (
 from .companions import (
     CompanionReport,
     companion_report,
-    theta_series,
 )
 from .hecke import (
     EisLocalPiece,
@@ -25,7 +24,6 @@ from .hecke import (
     hecke_action,
     hecke_matrix,
     hecke_report,
-    ordinary_dim,
     ordinary_projector,
     t_p_redundancy_check,
 )
@@ -67,7 +65,6 @@ from .qexp import (
     PrecisionPlan,
     QSeries,
     delta_q,
-    eisenstein_q,
     membership,
     miller_basis,
     p_deprived_eisenstein_q,

@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 
-from .bernoulli import irregular_indices
 from .companions import companion_report
 from .errors import CheckpointError, NonInvertibleError, NotLocalError, PrecisionError, ShardError
 from .hecke import hecke_report
@@ -121,44 +120,6 @@ def cmd_specialize(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    from .companions import theta_series
-    from .hecke import hecke_action
-    from .padic import PadicInt, a_t_poly, eval_lambda, teichmuller
-    from .qexp import eisenstein_q
-
-    t = teichmuller(2, 5, 2)
-    checks.append(("teichmuller(2, 5, 2) = 7", t.value == 7))
-
-    at = a_t_poly(3, 7, 5, 4)
-    x = PadicInt(pow(8, 2, 7**4) - 1, 7, 4)
-    lhs = eval_lambda(at, x).value
-    om = teichmuller(3, 7, 4)
-    rhs = pow(3, 3, 7**4) * pow(om.unit_inverse().value, 2, 7**4) % 7**4
-    checks.append(("A_t specialization closed form", lhs == rhs % 7 ** min(4, 5)))
-
-    e = eisenstein_q(11, 16, 48)
-    te = hecke_action(e, 3)
-    lam = sum(d**15 for d in (1, 3)) % 11
-    checks.append(
-        ("E_16 | T(3) = sigma_15(3) E_16 over F_11", (te - e.scale(lam)).is_zero())
-    )
-
-    f = eisenstein_q(13, 6, 60)
-    lhs_series = hecke_action(theta_series(f), 5)
-    rhs_series = theta_series(hecke_action(f, 5)).scale(5)
-    checks.append(("T(5) theta = 5 theta T(5)", (lhs_series - rhs_series).is_zero()))
-
-    checks.append(("irregular indices of 37 are [32]", irregular_indices(37) == [32]))
-
-    failures = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        _note(("PASS " if ok else "FAIL ") + name)
-    return ASSERTION_ERROR if failures else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eiscomp",
@@ -209,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--qprec", type=int, default=30, help="q-coefficients to compare")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_specialize)
-
-    sp = sub.add_parser("selftest", help="quick internal consistency battery")
-    sp.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -45,21 +45,11 @@ from .hecke import EisLocalPiece, eisenstein_localize
 from .linalg import MatFp, _matmul, kernel, rank
 from .qexp import (
     PrecisionPlan,
-    QSeries,
     _powers,
     miller_basis,
     plan_companion,
     sturm,
 )
-
-
-def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
-    """Apply theta^j: a(n) -> n^j a(n), weight tag + j(p+1)."""
-    if iterates < 0:
-        raise ValueError("negative theta iterate")
-    # 0^0 = 1 keeps a(0) at zero iterates; any iterate kills it
-    powers = _powers(iterates, f.prec, f.modulus)
-    return QSeries(f.p, powers * f.coeffs, f.weight + iterates * (f.p + 1), f.digits)
 
 
 def _companion_bound(p: int, k: int) -> int:

@@ -34,7 +34,7 @@ from .linalg import (
     restrict_operator,
     stable_idempotent,
 )
-from .qexp import FormSpace, QSeries, miller_basis, space_dim, sturm
+from .qexp import FormSpace, QSeries, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -45,10 +45,9 @@ def generator_primes(k: int) -> list[int]:
     ]
 
 
-def sigma_eigenvalue(p: int, k: int, n: int, digits: int = 1) -> int:
-    """sigma_(k-1)(n) mod p^digits: the Eisenstein eigenvalue of T(n); 0 at n = 0."""
-    m = p**digits
-    return sum(pow(d, k - 1, m) for d in range(1, n + 1) if n % d == 0) % m
+def sigma_eigenvalue(p: int, k: int, n: int) -> int:
+    """sigma_(k-1)(n) mod p: the Eisenstein eigenvalue of T(n); 0 at n = 0."""
+    return sum(pow(d, k - 1, p) for d in range(1, n + 1) if n % d == 0) % p
 
 
 def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
@@ -141,14 +140,6 @@ def ordinary_projector(space: FormSpace) -> MatFp:
     return stable_idempotent(hecke_matrix(space, space.p))
 
 
-def ordinary_dim(p: int, k: int) -> int:
-    """Rank of the ordinary projector on M_k(F_p); 0 for empty weights."""
-    if space_dim(k) == 0:
-        return 0
-    space = miller_basis(p, k, p * sturm(k))
-    return rank(ordinary_projector(space))
-
-
 @dataclass
 class EisLocalPiece:
     """The generalized eigenspace at the Eisenstein maximal ideal.
@@ -236,7 +227,6 @@ class TpRedundancy:
 
     checked: bool
     redundant: bool | None
-    reason: str
 
 
 def t_p_redundancy_check(space: FormSpace, algebra: list[MatFp]) -> TpRedundancy:
@@ -251,16 +241,12 @@ def t_p_redundancy_check(space: FormSpace, algebra: list[MatFp]) -> TpRedundancy
     """
     p, k = space.p, space.k
     if not (2 <= k <= p - 2):
-        return TpRedundancy(checked=False, redundant=None, reason=f"weight {k} outside [2, {p - 2}]")
+        return TpRedundancy(checked=False, redundant=None)
     if space.dim == 0:
-        return TpRedundancy(checked=True, redundant=True, reason="zero space")
+        return TpRedundancy(checked=True, redundant=True)
     span = EchelonSpace(p, space.dim**2)
     span.insert(np.array([t.a.ravel() for t in algebra]))
-    return TpRedundancy(
-        checked=True,
-        redundant=not span.reduce(hecke_matrix(space, p).a.ravel()).any(),
-        reason="reduced T(p) against the closure of the prime-to-p T(l)",
-    )
+    return TpRedundancy(checked=True, redundant=not span.reduce(hecke_matrix(space, p).a.ravel()).any())
 
 
 def hecke_report(p: int, k: int) -> dict:

@@ -56,10 +56,10 @@ def vp(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PadicInt:
-    """An integer known modulo p^prec.
+    """An integer known modulo p^prec, stored as its residue in [0, p^prec).
 
-    Arithmetic carries the minimum of the operand precisions, so a result
-    never pretends to more digits than its inputs support.
+    Each function here returns one at the precision its inputs support, so
+    a result never pretends to more digits than it has.
     """
 
     value: int
@@ -75,30 +75,6 @@ class PadicInt:
     @property
     def modulus(self) -> int:
         return self.p**self.prec
-
-    def reduce(self, prec: int) -> "PadicInt":
-        if prec > self.prec:
-            raise PrecisionError(
-                f"cannot raise precision from {self.prec} to {prec} digits"
-            )
-        return PadicInt(self.value, self.p, prec)
-
-    def _join(self, other: "PadicInt") -> int:
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        return min(self.prec, other.prec)
-
-    def __add__(self, other: "PadicInt") -> "PadicInt":
-        m = self._join(other)
-        return PadicInt(self.value + other.value, self.p, m)
-
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        m = self._join(other)
-        return PadicInt(self.value - other.value, self.p, m)
-
-    def __mul__(self, other: "PadicInt") -> "PadicInt":
-        m = self._join(other)
-        return PadicInt(self.value * other.value, self.p, m)
 
     def is_unit(self) -> bool:
         return self.value % self.p != 0

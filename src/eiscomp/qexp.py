@@ -8,11 +8,6 @@ Eisenstein series and the discriminant) are built as a ladder, one product
 per row: each row is the one before times Delta/E4^3, where the inverse of
 E4^3 = 1 + O(q) is exact over Z/p^M by Newton iteration (`inverse_mod`).
 
-Two normalizations coexist deliberately: `eisenstein_q` carries the
-arithmetic constant term -B_k/(2k), while the echelon basis uses the
-unit-constant-term series 1 + 240*sum(...) and friends.  Conversions are
-explicit; nothing rescales silently.
-
 A series is one read-only array of residues, stored like the bases under
 linalg's int64/object storage rule and, as there, reduced once, where
 arithmetic can take it out of [0, m): a product's output, a sum, a
@@ -401,9 +396,6 @@ class QSeries:
             return QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
         return _power(self, e)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return (
@@ -447,23 +439,6 @@ def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by
         above += pw[s + 1 : s + 1 + len(above)]
     out %= modulus
     return out
-
-
-def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
-    """The weight-k Eisenstein series with constant term -B_k/(2k).
-
-    a(n) = sigma_(k-1)(n) for n >= 1.  The constant term is carried as a
-    modular inverse; a non-invertible denominator (k divisible by p-1)
-    raises rather than silently degrading.
-    """
-    require_admissible_prime(p)
-    if k < 4 or k % 2 == 1:
-        raise ValueError("classical Eisenstein series need even weight >= 4")
-    m = p**digits
-    coeffs = divisor_power_sums(k - 1, prec, m)
-    if prec > 0:
-        coeffs[0] = reduce_fraction(-bernoulli_fraction(k) / (2 * k), m)
-    return QSeries(p, coeffs, k, digits)
 
 
 def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:

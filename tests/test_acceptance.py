@@ -12,25 +12,24 @@ import numpy as np
 import pytest
 
 from eiscomp.bernoulli import irregular_indices
-from eiscomp.companions import theta_series
 from eiscomp.hecke import (
     duality_pairing_matrix,
     full_hecke_algebra,
     hecke_matrix,
-    ordinary_dim,
     t_p_redundancy_check,
 )
 from eiscomp.lambda_eis import build_lambda_eisenstein, specialize_and_compare
 from eiscomp.linalg import MatFp
 from eiscomp.localstruct import structure_report
 from eiscomp.qexp import (
-    eisenstein_q,
     miller_basis,
     plan_companion,
     space_dim,
     sturm,
 )
 from eiscomp.scan import records_to_csv, scan_range, total_pair_hits
+
+from oracles import eisenstein_q, ordinary_dim, theta_series
 
 SCAN_MAX = 4001
 COMPANION_PRIMES = (11, 13, 37, 59, 67, 101, 103, 131)

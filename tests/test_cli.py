@@ -125,10 +125,11 @@ def test_specialize_odd_d_rejected(capsys):
     assert code == 2
 
 
-def test_selftest(capsys):
-    code, _, err = run(capsys, "selftest")
-    assert code == 0
-    assert "PASS" in err and "FAIL " not in err
+def test_selftest_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_structure_fault_exits_one(capsys, monkeypatch):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from eiscomp.errors import PrecisionError
 from eiscomp.padic import (
     LambdaPoly,
     PadicInt,
@@ -230,23 +229,10 @@ def test_precision_monotonicity():
     assert tuple(c % 5**2 for c in hi.coeffs[:5]) == lo.coeffs
 
 
-def test_arithmetic_carries_min_precision():
-    a = PadicInt(12, 5, 4)
-    b = PadicInt(3, 5, 2)
-    assert (a * b).prec == 2
-    assert (a + b).prec == 2
-
-
 def test_small_primes_rejected_at_construction():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):
             PadicInt(1, p, 2)
-
-
-def test_padic_reduce_cannot_invent_digits():
-    x = PadicInt(7, 5, 2)
-    with pytest.raises(PrecisionError):
-        x.reduce(5)
 
 
 def test_prime_check_is_memoized():

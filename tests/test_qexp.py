@@ -24,7 +24,6 @@ from eiscomp.qexp import (
     convolve_mod,
     delta_q,
     divisor_power_sums,
-    eisenstein_q,
     inverse_mod,
     membership,
     middle_product_mod,
@@ -33,6 +32,8 @@ from eiscomp.qexp import (
     space_dim,
     sturm,
 )
+
+from oracles import eisenstein_q
 
 PREC = 16
 

@@ -40,13 +40,6 @@ def test_benchmark_tracer_still_wraps_every_traced_layer(monkeypatch):
         assert vars(target)[key] is orig
 
 
-# Exported for readers of the library although nothing in the package, the CLI
-# or bench/ calls them.
-LIBRARY_ONLY = {
-    "ordinary_dim",  # acceptance criterion 8, ordinary-rank weight stability
-}
-
-
 def _uses(tree: ast.AST, strings: bool) -> set[str]:
     """Names that `tree` reads outside the def or class that binds them.
 
@@ -83,8 +76,7 @@ def test_every_export_has_a_caller_outside_the_tests():
     used: set[str] = set()
     for path, strings in sources:
         used |= _uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), strings)
-    assert sorted(exported - used - LIBRARY_ONLY) == []
-    assert LIBRARY_ONLY <= exported - used  # a kept name that gains a caller leaves the list
+    assert sorted(exported - used) == []
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -107,8 +99,8 @@ def _runs(node: ast.AST) -> list[ast.AST]:
 
 
 def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
-    # code that no command, import-time statement or benchmark reaches is dead
-    # unless LIBRARY_ONLY keeps it; dunder methods run implicitly
+    # code that no command, import-time statement or benchmark reaches is dead;
+    # dunder methods run implicitly
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
     roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -135,8 +127,6 @@ def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
                 todo += [n for _, node in defs.get(name, []) for part in _runs(node) for n in _uses(part, False)]
 
     reach(roots)
-    assert LIBRARY_ONLY.isdisjoint(reached)  # a kept name that gains a caller leaves the list
-    reach(LIBRARY_ONLY)
     unreached = sorted(
         f"{module}.{name}"
         for name, sites in defs.items()
