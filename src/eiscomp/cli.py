@@ -7,9 +7,10 @@ scan found a mirror pair, or a scan shard process died (the run is not
 repeated in-process; its checkpoint keeps every prime below the first one
 left unfinished), 2 a usage error that argparse rejects, a ValueError from
 the library (a weight or exponent out of scope, a precision below its
-bound), a non-invertible denominator, or a corrupt scan checkpoint.  Each
-scope is checked once, in the library, before any work; the commands add
-no checks of their own.
+bound), a non-invertible denominator, a corrupt scan checkpoint, or an
+output or checkpoint file that cannot be opened.  Each scope is checked
+once, in the library, before any work; the commands add no checks of
+their own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .companions import companion_report
+from .companions import companion_report, witness_csv
 from .errors import CheckpointError, NonInvertibleError, NotLocalError, PrecisionError, ShardError
 from .hecke import hecke_report
 from .lambda_eis import build_lambda_eisenstein, specialize_and_compare
@@ -66,8 +67,6 @@ def cmd_companion(args) -> int:
     report = companion_report(p, k)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     if args.witness_csv:
-        from .companions import witness_csv
-
         with open(args.witness_csv, "w", encoding="utf-8") as fh:
             fh.write(witness_csv(report))
         _note(f"witness expansions written to {args.witness_csv}")
@@ -182,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotLocalError, AssertionError, ShardError) as e:
         _note(f"error: {e}")
         return ASSERTION_ERROR
-    except (PrecisionError, NonInvertibleError, ValueError, CheckpointError) as e:
+    except (PrecisionError, NonInvertibleError, ValueError, CheckpointError, OSError) as e:
         _note(f"error: {e}")
         return USAGE_ERROR
 

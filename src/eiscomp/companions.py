@@ -30,9 +30,9 @@ J. 61, 1990) gives the companion theory.
 The pair owns its bases: `localized_pieces` builds each weight once, at
 one precision that covers the companion bound and both localizations,
 and each piece keeps its basis as its space, off which `companion_space`
-reads the piece's forms.  Between builds only the ladder ratio
-Delta/E4^3 is held (`qexp._ladder_ratio`), so the second weight's build
-reads the one the first made.
+reads the piece's forms.  The pair makes the ladder ratio Delta/E4^3
+once at that precision (`qexp.ladder_ratio`) and passes it to both
+builds; nothing outlives the pair.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .linalg import MatFp, _matmul, kernel, rank
 from .qexp import (
     PrecisionPlan,
     _powers,
+    ladder_ratio,
     miller_basis,
     plan_companion,
     sturm,
@@ -164,13 +165,14 @@ def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
 
     Each weight's basis is built once, at the one precision that covers
     all the pair reads: the companion bound and both localizations'
-    sturm(w)^2.  At one precision the second build reads the ladder ratio
-    the first one made.  Each piece keeps its basis as its space.
+    sturm(w)^2.  The ladder ratio is made once at that precision and
+    given to both builds.  Each piece keeps its basis as its space.
     """
     kp = p + 1 - k
     prec = max(_companion_bound(p, k), sturm(k) ** 2, sturm(kp) ** 2)
-    piece = eisenstein_localize(miller_basis(p, k, prec))
-    piece_prime = eisenstein_localize(miller_basis(p, kp, prec))
+    ratio = ladder_ratio(p, prec)
+    piece = eisenstein_localize(miller_basis(p, k, prec, ratio=ratio))
+    piece_prime = eisenstein_localize(miller_basis(p, kp, prec, ratio=ratio))
     return piece, piece_prime
 
 

@@ -39,12 +39,11 @@ which `middle_product_mod` takes on the same steps from one cyclic product,
 sized by the longer operand alone.  The answer is exact for every modulus;
 floating point is only the means of the convolution.
 
-Every `miller_basis` call builds its basis; the caller owns what it gets.
-The one piece of state kept between builds is the ladder ratio Delta/E4^3,
-which depends only on (p, digits) and the precision: `_ladder_ratio` holds
-the longest one made at the last (p, digits), so the two weights of a
-mirror pair, built at one precision, make it once, and a shorter build at
-that (p, digits) reads its prefix.
+Every `miller_basis` call builds its basis, the caller owns what it gets,
+and nothing is kept between calls.  The ladder ratio Delta/E4^3 depends
+only on (p, digits) and the precision, so a mirror pair makes it once
+(`ladder_ratio`) and passes it to both of its builds; a build given no
+ratio makes its own.
 """
 
 from __future__ import annotations
@@ -539,31 +538,21 @@ class FormSpace:
         }
 
 
-# ((p, digits), ratio): the longest ladder ratio Delta/E4^3 made at the last (p, digits)
-_RATIO: tuple[tuple[int, int], np.ndarray] | None = None
+def ladder_ratio(p: int, prec: int, digits: int = 1) -> np.ndarray:
+    """The ladder ratio Delta/E4^3 mod p^digits to prec coefficients, as a read-only array.
 
-
-def _ladder_ratio(e4: QSeries) -> np.ndarray:
-    """The ladder ratio Delta/E4^3 to e4's precision, e4 the unit-normalized E4.
-
-    A prefix of the held ratio when that is at e4's (p, digits) and long
-    enough; otherwise made from e4 and held in its place.  The holder is
-    replaced by one assignment of an immutable tuple, so it needs no lock.
+    E4^3 = 1 + O(q), so its inverse (`inverse_mod`) is exact over Z/p^digits;
+    one E4^3 serves Delta and the inverse.
     """
-    global _RATIO
-    key, prec = (e4.p, e4.digits), e4.prec
-    held = _RATIO
-    if held is not None and held[0] == key and len(held[1]) >= prec:
-        return held[1][:prec]
-    m = e4.modulus
-    e4_cubed = e4.pow(3)  # shared by Delta and the inverse
+    require_admissible_prime(p)
+    m = p**digits
+    e4_cubed = _unit_eisenstein(p, 4, prec, digits).pow(3)
     ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
     ratio.flags.writeable = False
-    _RATIO = (key, ratio)
     return ratio
 
 
-def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> FormSpace:
+def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarray | None = None) -> FormSpace:
     """Reduced echelon basis of M_k(level 1) over Z/p^digits.
 
     Built from the monomials M_j = E4^a E6^b Delta^j of weight k (j < dim,
@@ -573,21 +562,25 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     Row j has weight k - 12j, so b is the same on every row and a drops by
     3 per row: M_0 = E4^a E6^b and M_(j+1) = M_j * Delta/E4^3, one product
     per row, with the ratio's spectrum computed once per build.  E4^3 =
-    1 + O(q), so its inverse (`inverse_mod`) is exact and the monomials are
-    the same truncated series as the direct products.
+    1 + O(q), so its inverse is exact and the monomials are the same
+    truncated series as the direct products.
 
-    Every call builds a new FormSpace with empty `hecke_matrices`; only the
-    ratio is kept between calls (`_ladder_ratio`).  The ladder products are
-    exact truncated series and U^-1 reads only the first dim columns, so a
-    build's first n columns equal a build at precision n.
+    `ratio` is the ladder ratio `ladder_ratio(p, P, digits)` for some P >=
+    prec, of which the build reads the first prec coefficients; given
+    None, the build makes its own.  A shorter ratio raises ValueError, and
+    so does one with an entry outside the residues mod p^digits.  Every
+    call builds a new FormSpace with empty `hecke_matrices`, and nothing is
+    kept between calls.  The ladder products are exact truncated series
+    and U^-1 reads only the first dim columns, so a build's first n
+    columns equal a build at precision n.
     """
     require_admissible_prime(p)
     if k < 4 or k % 2 == 1:
         raise ValueError(f"no echelon basis for weight {k}")
-    if prec is None:
-        prec = sturm(k)
     if prec < sturm(k):
         raise PrecisionError(f"precision {prec} below the weight-{k} bound {sturm(k)}")
+    if ratio is not None and len(ratio) < prec:
+        raise ValueError(f"ladder ratio has {len(ratio)} coefficients, the build needs {prec}")
     d = space_dim(k)
     m = p**digits
     e4 = _unit_eisenstein(p, 4, prec, digits)
@@ -598,10 +591,11 @@ def miller_basis(p: int, k: int, prec: int | None = None, digits: int = 1) -> Fo
     rows = np.zeros((d, prec), dtype=_storage(m))  # d >= 1 for every even k >= 4
     rows[0] = mono.coeffs
     if d > 1:
-        ratio = _ladder_ratio(e4)
+        if ratio is None:
+            ratio = ladder_ratio(p, prec, digits)
         # every ladder product has the same operand lengths: the ratio is transformed once
         pieces, s, size = _layout(prec, prec, m)
-        ratio_spectra = _spectra(ratio, pieces, s, size)
+        ratio_spectra = _spectra(_operand(ratio[:prec], m), pieces, s, size)
         for j in range(1, d):
             row_spectra = _spectra(rows[j - 1], pieces, s, size)
             rows[j] = _product_from_spectra(row_spectra, ratio_spectra, s, size, m, prec)

@@ -6,9 +6,11 @@ to a pool of at most `shards` worker processes (and no more than the
 usable cores), and their records come back in the same order, so the
 CSV/JSON output is byte-identical for any shard count.  The checkpoint
 file holds one line per completed prime,
-`<sha256-of-payload> <payload-json>`, sorted by p, and each record is
-appended and flushed as it arrives, so a killed run or a dead worker
-keeps every prime finished before it.  A resumed run recomputes nothing
+`<sha256-of-payload> <payload-json>`, and each record is appended and
+flushed as it arrives, so a killed run or a dead worker keeps every prime
+finished before it.  The lines are in ascending p within one run, not
+across runs: a resumed run appends its primes after those already there,
+smaller ones included, and `load_checkpoint` reads the lines in any order.  A resumed run recomputes nothing
 that already checkpointed; any hash mismatch aborts loudly.  A final line
 without its newline is what a run killed mid-append leaves behind: it is
 ignored, and cut off before the next append.

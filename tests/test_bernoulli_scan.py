@@ -451,6 +451,19 @@ def test_checkpoint_resume_matches_fresh(tmp_path):
     assert records_to_csv(first) == records_to_csv(scan_range(5, 120))
 
 
+def test_checkpoint_resume_below_its_range(tmp_path):
+    # lines are in ascending p within a run only: resuming 5..140 over a checkpoint
+    # of 100..130 appends the primes below and above it after those already there
+    ck = tmp_path / "scan.ck"
+    scan_range(100, 130, checkpoint=str(ck))
+    resumed = scan_range(5, 140, checkpoint=str(ck))
+    assert records_to_csv(resumed) == records_to_csv(scan_range(5, 140))
+    order = [json.loads(line.split(" ", 1)[1])["p"] for line in ck.read_text().splitlines()]
+    assert order == primes_in(100, 130) + primes_in(5, 99) + primes_in(131, 140)
+    assert sorted(order) == primes_in(5, 140)
+    assert load_checkpoint(str(ck)) == {r.p: r for r in resumed}
+
+
 def test_resume_from_wider_checkpoint_keeps_only_requested_primes(tmp_path):
     ck = tmp_path / "scan.ck"
     scan_range(5, 200, checkpoint=str(ck))

@@ -222,6 +222,38 @@ def test_scan_corrupt_checkpoint_is_usage_error(capsys, tmp_path):
     assert "content hash mismatch" in err and "Traceback" not in err
 
 
+def assert_unopenable_path_is_usage_error(capsys, path, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+    assert not path.parent.exists()
+    return out
+
+
+def test_basis_out_path_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    out = assert_unopenable_path_is_usage_error(capsys, path, "basis", "--p", "7", "--k", "4", "--out", str(path))
+    assert out == ""
+
+
+def test_scan_checkpoint_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "c"
+    out = assert_unopenable_path_is_usage_error(
+        capsys, path, "scan", "--min", "5", "--max", "60", "--checkpoint", str(path)
+    )
+    assert out == ""
+
+
+def test_witness_csv_path_that_cannot_be_opened_exits_2(capsys, tmp_path):
+    # the report itself is written before the witness file is opened
+    path = tmp_path / "missing" / "w.csv"
+    out = assert_unopenable_path_is_usage_error(
+        capsys, path, "companion", "--p", "37", "--k", "32", "--witness-csv", str(path)
+    )
+    assert json.loads(out)["c_m"] == 1
+
+
 def test_scan_pair_hit_exits_one(capsys, monkeypatch):
     import eiscomp.cli as cli
     from eiscomp.bernoulli import ScanRecord

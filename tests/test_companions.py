@@ -366,9 +366,9 @@ def test_witness_csv_builds_no_third_basis(monkeypatch):
     calls = []
     real = companions.miller_basis
 
-    def spy(p, k, prec, *rest):
+    def spy(p, k, prec, *rest, **kwargs):
         calls.append((p, k, prec))
-        return real(p, k, prec, *rest)
+        return real(p, k, prec, *rest, **kwargs)
 
     monkeypatch.setattr(companions, "miller_basis", spy)
     monkeypatch.setattr(hecke, "miller_basis", spy)

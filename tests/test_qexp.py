@@ -25,6 +25,7 @@ from eiscomp.qexp import (
     delta_q,
     divisor_power_sums,
     inverse_mod,
+    ladder_ratio,
     membership,
     middle_product_mod,
     miller_basis,
@@ -218,7 +219,7 @@ def test_workload_products_take_one_piece_and_p_near_1e5_two():
         assert _split(la, lb, (lb - 1).bit_length(), (m - 1).bit_length())[0] == pieces, (la, lb, m)
 
 
-def test_two_pieces_agree_with_one_on_workload_operands(cold_ratio, monkeypatch):
+def test_two_pieces_agree_with_one_on_workload_operands(monkeypatch):
     # the survey's operands at the companion bound of (293, 156) take one piece;
     # forced into two pieces of ceil(bits/2) bits they must give the same products
     from eiscomp import qexp
@@ -240,7 +241,6 @@ def test_two_pieces_agree_with_one_on_workload_operands(cold_ratio, monkeypatch)
         return 2, s
 
     monkeypatch.setattr(qexp, "_split", halves)
-    monkeypatch.setattr(qexp, "_RATIO", None)
     two_pieces = [convolve_mod(a, b, p, n) for n in out_lens]
     two_basis = miller_basis(p, k, prec).coeffs
     assert default_pieces and set(default_pieces) == {1}
@@ -832,7 +832,7 @@ def test_ladder_basis_at_the_companion_bound():
     assert miller_basis(293, 156, 3834).coeffs.tolist() == basis_oracle(293, 156, 3834, 1)
 
 
-def test_ladder_basis_makes_one_full_length_product_per_row(cold_ratio, monkeypatch):
+def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834)
     # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
@@ -840,7 +840,7 @@ def test_ladder_basis_makes_one_full_length_product_per_row(cold_ratio, monkeypa
 
 
 @pytest.mark.parametrize("digits", [1, 2])
-def test_basis_builds_e4_cubed_once(cold_ratio, monkeypatch, digits):
+def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     # Delta and the inverse in the ladder share one E4^3
     powers = []
     real = QSeries.pow
@@ -853,8 +853,8 @@ def test_basis_builds_e4_cubed_once(cold_ratio, monkeypatch, digits):
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
 
 
-def test_ladder_transforms_the_ratio_once(cold_ratio, monkeypatch):
-    # the 13 ladder products share the ratio Delta/E4^3: a cold build makes one
+def test_ladder_transforms_the_ratio_once(monkeypatch):
+    # the 13 ladder products share the ratio Delta/E4^3: a build makes one
     # forward transform per row M_0..M_12 and one of the ratio, not two per row
     from eiscomp import qexp
 
@@ -862,36 +862,42 @@ def test_ladder_transforms_the_ratio_once(cold_ratio, monkeypatch):
     e4, delta = _unit_eisenstein(p, 4, prec, 1), delta_q(p, prec)
     d = space_dim(k)
     ladder_rows = [(e4.pow(39 - 3 * j) * delta.pow(j)).coeffs for j in range(d - 1)]
+    ratio = ladder_ratio(p, prec)
+    assert len(ratio) == prec and not ratio.flags.writeable
     transformed = []
     real = qexp._spectra
     monkeypatch.setattr(qexp, "_spectra", lambda c, *rest: transformed.append(np.array(c)) or real(c, *rest))
     s = miller_basis(p, k, prec)
-    key, ratio = qexp._RATIO
-    assert key == (p, 1) and len(ratio) == prec
     full = [c for c in transformed if len(c) == prec]
     assert sum(np.array_equal(c, ratio) for c in full) == 1
     assert [sum(np.array_equal(c, row) for c in full) for row in ladder_rows] == [1] * (d - 1)
     assert s.coeffs.tolist() == basis_oracle(p, k, prec, 1)
 
 
-def test_ladder_ratio_is_computed_once_per_prime(cold_ratio, monkeypatch):
-    # the ratio Delta/E4^3 depends on p, digits and the precision only: a second
-    # weight at the same or a shorter precision reads a prefix of the first one's
+def test_a_build_given_the_ladder_ratio_makes_none(monkeypatch):
+    # the ratio Delta/E4^3 depends on p, digits and the precision only: a build
+    # given ladder_ratio(p, P, digits), P >= prec, makes no inverse and reads its
+    # first prec coefficients, byte for byte what a build making its own gives
     from eiscomp import qexp
 
-    inverses = []
-    real = qexp.inverse_mod
-    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
-    spaces = [miller_basis(293, k, prec) for k, prec in ((156, 500), (138, 500), (100, 120), (48, 64))]
-    assert inverses == [500]
-    for s in spaces:
-        assert s.coeffs.tolist() == basis_oracle(293, s.k, s.prec, 1)
-    miller_basis(293, 156, 501)  # longer than the kept ratio: one more inverse
-    assert inverses == [500, 501]
-    miller_basis(293, 138, 64, 2)  # another modulus: its ratio replaces the held one
-    assert inverses == [500, 501, 64] and qexp._RATIO[0] == (293, 2)
-    miller_basis(293, 48, 64)  # back at digits 1 the ratio is made again
-    assert inverses == [500, 501, 64, 64]
+    cases = [(156, 500, 500, 1), (138, 500, 501, 1), (48, 64, 120, 1), (138, 64, 64, 2), (48, 40, 64, 2)]
+    for k, prec, longer, digits in cases:
+        ratio = ladder_ratio(293, longer, digits)
+        own = miller_basis(293, k, prec, digits)
+        inverses = []
+        real = qexp.inverse_mod
+        with monkeypatch.context() as mp:
+            mp.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
+            given = miller_basis(293, k, prec, digits, ratio=ratio)
+        assert inverses == [], (k, prec, longer, digits)
+        assert given.coeffs.dtype == own.coeffs.dtype
+        assert given.coeffs.tobytes() == own.coeffs.tobytes(), (k, prec, longer, digits)
+    assert own.coeffs.tolist() == basis_oracle(293, 48, 40, 2)
+    with pytest.raises(ValueError, match="ladder ratio"):
+        miller_basis(293, 156, 501, ratio=ladder_ratio(293, 500))
+    # a ratio mod 293^2 holds entries that are no residues mod 293
+    with pytest.raises(ValueError, match="outside"):
+        miller_basis(293, 156, 500, ratio=ladder_ratio(293, 500, 2))
 
 
 @pytest.mark.parametrize("k,dtype", [(60, np.int64), (72, object)])

@@ -247,8 +247,8 @@ def spy_builds(monkeypatch):
     built = []
     real = companions.miller_basis
 
-    def spy(*args):
-        built.append(real(*args))
+    def spy(*args, **kwargs):
+        built.append(real(*args, **kwargs))
         return built[-1]
 
     for module in (companions, hecke):
@@ -266,20 +266,19 @@ def test_structure_report_checks_the_weight_before_any_work(monkeypatch, k):
     assert built == []
 
 
-def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(cold_ratio, monkeypatch):
+def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeypatch):
     # (293, 156): both weights are read at the shared companion bound 3395, above
-    # sturm(w)^2, so each is built once there and the second ladder reuses the ratio
+    # sturm(w)^2, so each is built once there, and the pair makes the one ratio
+    # both ladders read, whatever ran before it in the process
     from eiscomp import qexp
 
-    builds, inverses = [], []
-    real_e4, real_inv = qexp._unit_eisenstein, qexp.inverse_mod
-    # every build starts from one E4 series
-    monkeypatch.setattr(
-        qexp, "_unit_eisenstein", lambda p, w, prec, d: (w == 4 and builds.append(prec)) or real_e4(p, w, prec, d)
-    )
+    structure_report(293, 156)
+    built = spy_builds(monkeypatch)
+    inverses = []
+    real_inv = qexp.inverse_mod
     monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real_inv(f, m))
     rep = structure_report(293, 156)
-    assert builds == [3395, 3395] and inverses == [3395]
+    assert [(s.k, s.prec) for s in built] == [(156, 3395), (138, 3395)] and inverses == [3395]
     assert rep.c_m_prime == 1 and rep.plan.bound == 3395
 
 
@@ -304,30 +303,31 @@ def test_piece_series_after_its_prime_was_evicted(monkeypatch):
     assert [f.coeffs[:bound].tobytes() for f in longer] == before
 
 
-def test_a_pair_owns_its_bases(cold_ratio, monkeypatch):
-    # each pair builds its two weights once, and once its report is dropped no
-    # basis it built is left; between pairs only the ladder ratio is kept, and
-    # (157, 110), at a shorter precision than (157, 62), reads a prefix of it
+def test_a_pair_owns_its_bases(monkeypatch):
+    # each pair builds its two weights once on the one ladder ratio it makes, and
+    # once its report is dropped neither a basis it built nor its ratio is left;
+    # nothing is kept between pairs, so (157, 110) makes its own ratio
     import gc
     import weakref
 
-    from eiscomp import qexp
+    from eiscomp import companions, qexp
 
-    built = spy_builds(monkeypatch)
+    built, ratios = spy_builds(monkeypatch), []
+    real_ratio = companions.ladder_ratio
+    monkeypatch.setattr(companions, "ladder_ratio", lambda *args: ratios.append(real_ratio(*args)) or ratios[-1])
     inverses = []
     real_inv = qexp.inverse_mod
     monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real_inv(f, m))
     kept = []
     for n, (p, k) in enumerate([(157, 62), (157, 110)], start=1):
         structure_report(p, k)
-        assert [s.k for s in built] == [k, p + 1 - k]
-        kept += [weakref.ref(s) for s in built]
+        assert [s.k for s in built] == [k, p + 1 - k] and [len(r) for r in ratios] == [built[0].prec]
+        kept += [weakref.ref(x) for x in built + ratios]
         built.clear()
+        ratios.clear()
         gc.collect()
-        assert [ref() for ref in kept] == [None] * 2 * n
-    assert inverses == [825]
-    key, ratio = qexp._RATIO
-    assert key == (157, 1) and len(ratio) == 825
+        assert [ref() for ref in kept] == [None] * 3 * n
+    assert inverses == [825, 642]
 
 
 # --- Hida control as an oracle ----------------------------------------------------
