@@ -67,7 +67,6 @@ from .qexp import (
     delta_q,
     membership,
     miller_basis,
-    p_deprived_eisenstein_q,
     plan_companion,
     space_dim,
     sturm,

@@ -9,14 +9,15 @@ left unfinished), 2 a usage error that argparse rejects, a ValueError from
 the library (a weight or exponent out of scope, a precision below its
 bound), a non-invertible denominator, a corrupt scan checkpoint, or an
 output or checkpoint file that cannot be opened.  Each scope is checked
-once, in the library, before any work; the commands add no checks of
-their own.
+once, in the library, and the --out and --witness-csv paths once, in
+`main`, all before any work; the commands add no checks of their own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .companions import companion_report, witness_csv
@@ -173,10 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Fail before any work if --out or --witness-csv cannot be opened for writing.
+
+    Appending leaves an existing file's contents as they are; a file that
+    the check itself creates is removed again.
+    """
+    for path in (args.out, getattr(args, "witness_csv", None)):
+        if path:
+            existed = os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (NotLocalError, AssertionError, ShardError) as e:
         _note(f"error: {e}")

@@ -5,8 +5,14 @@ sum over divisors t of n prime to p of omega^d(t) * A_t(T), an element of
 Z_p[[T]] handled modulo (p^M, T^D).  Specializing T -> gamma^d - 1 must
 reproduce the p-deprived Eisenstein series of weight d+2 coefficient by
 coefficient.  That series' constant term, the interpolation value
--(1 - p^(d+2-1)) B_(d+2) / (2(d+2)), is checked mod p against B_(d+2) from
-the Voronoi table of the bernoulli module.
+-(1 - p^(d+2-1)) B_(d+2) / (2(d+2)), is checked mod p, where the Euler
+factor is 1: B_k mod p, k = d+2, is read from one power sum by Faulhaber's
+congruence
+
+    sum_(a=1..p-1) a^k = p B_k  (mod p^2),   k even in [2, p-3]
+
+(Ireland-Rosen, GTM 84, ch. 15), and compared with B_k from the Voronoi
+table of the bernoulli module.  The two routes share no code.
 
 The pair with d = p-3 (character omega^(-2)) is the excluded one: its
 constant-term value is not p-integral, so only positive coefficients are
@@ -26,7 +32,7 @@ from .padic import (
     require_admissible_prime,
     teichmuller,
 )
-from .qexp import divisor_power_sums, p_deprived_eisenstein_q
+from .qexp import _powers, divisor_power_sums
 
 
 @dataclass
@@ -106,14 +112,22 @@ class SpecializationReport:
         }
 
 
+def _bernoulli_mod_p(p: int, k: int) -> int:
+    """B_k mod p for even k in [2, p-3], as (sum_(a<p) a^k mod p^2) // p."""
+    m = p * p
+    # _powers stores residues mod p^2 as int64 up to p = 55103, where the p - 1
+    # nonzero terms sum below p^3 < 2^48 < 2^63, and as Python ints from 55109 on
+    return int(_powers(k, p, m).sum()) % m // p
+
+
 def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     """Specialize at T = gamma^d - 1 and compare with the weight-(d+2) series.
 
     Every stored coefficient is evaluated and compared modulo
     p^min(digits, t_trunc).  The constant term is checked mod p only: the
-    target's a(0) against -B_k/(2k) from the Voronoi table, whenever
-    d < p-3 (the excluded character pair sits at d = p-3, where that value
-    is not p-integral).
+    target's a(0), -B_k/(2k) with B_k from the power sum, against the same
+    value from the Voronoi table, whenever d < p-3 (the excluded character
+    pair sits at d = p-3, where that value is not p-integral).
     """
     p, d = family.p, family.d
     k = d + 2
@@ -131,9 +145,11 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     const_match: bool | None = None
     if const_checked:
         # a(0) = -(1 - p^(k-1)) B_k/(2k) = -B_k/(2k) mod p, with B_k from the
-        # Voronoi table, which shares no code with the exact-rational B_k
-        voronoi = -int(bernoulli_table_mod(p)[k]) * pow(2 * k, -1, p) % p
-        const_match = p_deprived_eisenstein_q(p, k, 1)[0] == voronoi
+        # power sum, against B_k from the Voronoi table: the table runs on
+        # middle_product_mod, the power sum does not
+        inverse = pow(2 * k, -1, p)
+        voronoi = -int(bernoulli_table_mod(p)[k]) * inverse % p
+        const_match = -_bernoulli_mod_p(p, k) * inverse % p == voronoi
     return SpecializationReport(
         p=p,
         d=d,

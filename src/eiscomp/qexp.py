@@ -1,7 +1,7 @@
 """q-expansions of level-one modular forms over F_p and Z/p^M.
 
 Provides truncated q-series with explicit precision and weight tags,
-classical and p-deprived Eisenstein series, the discriminant series, the
+divisor power sums, the discriminant series, the
 echelonized monomial basis of M_k, and membership solving against such a
 basis.  The basis monomials E4^a E6^b Delta^j (weight-4/6 unit-normalized
 Eisenstein series and the discriminant) are built as a ladder, one product
@@ -48,10 +48,8 @@ ratio makes its own.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, expm1, gcd, isqrt, log1p, sqrt
+from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
 
@@ -80,34 +78,6 @@ def space_dim(k: int) -> int:
     if k == 2:
         return 0
     return k // 12 if k % 12 == 2 else k // 12 + 1
-
-
-# ---------------------------------------------------------------------------
-# exact Bernoulli numbers
-
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
-def bernoulli_fraction(n: int) -> Fraction:
-    """B_n as an exact rational, via sum_j binom(m+1, j) B_j = 0."""
-    if n < 0:
-        raise ValueError("negative index")
-    with _BERNOULLI_LOCK:
-        while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            s = sum(Fraction(comb(m + 1, j)) * _BERNOULLI[j] for j in range(m))
-            _BERNOULLI.append(-s / (m + 1))
-        return _BERNOULLI[n]
-
-
-def reduce_fraction(x: Fraction, modulus: int) -> int:
-    """x mod `modulus`; explicit error when the denominator is not a unit."""
-    if gcd(x.denominator, modulus) != 1:
-        raise NonInvertibleError(
-            f"denominator {x.denominator} is not invertible mod {modulus}"
-        )
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
 # ---------------------------------------------------------------------------
@@ -438,27 +408,6 @@ def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by
         above += pw[s + 1 : s + 1 + len(above)]
     out %= modulus
     return out
-
-
-def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
-    """The p-stabilized Eisenstein series: divisor sums over t prime to p.
-
-    a(0) = -(1 - p^(k-1)) B_k/(2k); a(n) = sum of t^(k-1) over t | n with
-    p not dividing t.  Weight 2 is allowed here: the stabilized series
-    exists there even though the classical one does not.  For k divisible
-    by p-1 the constant term is not p-integral and the call raises; the
-    positive coefficients alone are `divisor_power_sums(k - 1, prec, p**digits,
-    skip_divisible_by=p)`.
-    """
-    require_admissible_prime(p)
-    if k < 2 or k % 2 == 1:
-        raise ValueError("need even weight >= 2")
-    m = p**digits
-    coeffs = divisor_power_sums(k - 1, prec, m, skip_divisible_by=p)
-    if prec > 0:
-        euler = Fraction(1 - p ** (k - 1))
-        coeffs[0] = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), m)
-    return QSeries(p, coeffs, k, digits)
 
 
 def _unit_eisenstein(p: int, k: int, prec: int, digits: int) -> QSeries:

@@ -6,16 +6,19 @@ arithmetic constant term -B_k/(2k), while the echelon basis in
 friends.  Conversions are explicit; nothing rescales silently.
 """
 
+from fractions import Fraction
+from functools import cache
+from math import comb, gcd
+
+from eiscomp.errors import NonInvertibleError
 from eiscomp.hecke import ordinary_projector
 from eiscomp.linalg import rank
 from eiscomp.padic import require_admissible_prime
 from eiscomp.qexp import (
     QSeries,
     _powers,
-    bernoulli_fraction,
     divisor_power_sums,
     miller_basis,
-    reduce_fraction,
     space_dim,
     sturm,
 )
@@ -28,6 +31,29 @@ def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
     # 0^0 = 1 keeps a(0) at zero iterates; any iterate kills it
     powers = _powers(iterates, f.prec, f.modulus)
     return QSeries(f.p, powers * f.coeffs, f.weight + iterates * (f.p + 1), f.digits)
+
+
+@cache
+def bernoulli_fraction(n: int) -> Fraction:
+    """B_n as an exact rational, via sum_j binom(n+1, j) B_j = 0.
+
+    Each B_j, j < n, is cached before B_n asks for it, so the recursion is
+    never deeper than two calls.
+    """
+    if n < 0:
+        raise ValueError("negative index")
+    if n == 0:
+        return Fraction(1)
+    return -sum(comb(n + 1, j) * bernoulli_fraction(j) for j in range(n)) / (n + 1)
+
+
+def reduce_fraction(x: Fraction, modulus: int) -> int:
+    """x mod `modulus`; explicit error when the denominator is not a unit."""
+    if gcd(x.denominator, modulus) != 1:
+        raise NonInvertibleError(
+            f"denominator {x.denominator} is not invertible mod {modulus}"
+        )
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
 def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
@@ -44,6 +70,27 @@ def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
     coeffs = divisor_power_sums(k - 1, prec, m)
     if prec > 0:
         coeffs[0] = reduce_fraction(-bernoulli_fraction(k) / (2 * k), m)
+    return QSeries(p, coeffs, k, digits)
+
+
+def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
+    """The p-stabilized Eisenstein series: divisor sums over t prime to p.
+
+    a(0) = -(1 - p^(k-1)) B_k/(2k); a(n) = sum of t^(k-1) over t | n with
+    p not dividing t.  Weight 2 is allowed here: the stabilized series
+    exists there even though the classical one does not.  For k divisible
+    by p-1 the constant term is not p-integral and the call raises; the
+    positive coefficients alone are `divisor_power_sums(k - 1, prec, p**digits,
+    skip_divisible_by=p)`.
+    """
+    require_admissible_prime(p)
+    if k < 2 or k % 2 == 1:
+        raise ValueError("need even weight >= 2")
+    m = p**digits
+    coeffs = divisor_power_sums(k - 1, prec, m, skip_divisible_by=p)
+    if prec > 0:
+        euler = Fraction(1 - p ** (k - 1))
+        coeffs[0] = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), m)
     return QSeries(p, coeffs, k, digits)
 
 

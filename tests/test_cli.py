@@ -246,12 +246,42 @@ def test_scan_checkpoint_that_cannot_be_opened_exits_2(capsys, tmp_path):
 
 
 def test_witness_csv_path_that_cannot_be_opened_exits_2(capsys, tmp_path):
-    # the report itself is written before the witness file is opened
+    # the witness path is checked before the report is written
     path = tmp_path / "missing" / "w.csv"
     out = assert_unopenable_path_is_usage_error(
         capsys, path, "companion", "--p", "37", "--k", "32", "--witness-csv", str(path)
     )
-    assert json.loads(out)["c_m"] == 1
+    assert out == ""
+
+
+def test_unopenable_out_fails_before_the_report_runs(capsys, monkeypatch, tmp_path):
+    import eiscomp.cli as cli
+
+    monkeypatch.setattr(cli, "structure_report", lambda p, k: pytest.fail("the report ran"))
+    path = tmp_path / "missing" / "x.json"
+    out = assert_unopenable_path_is_usage_error(
+        capsys, path, "structure", "--p", "491", "--k", "292", "--out", str(path)
+    )
+    assert out == ""
+
+
+def test_unopenable_witness_csv_fails_before_the_report_runs(capsys, monkeypatch, tmp_path):
+    import eiscomp.cli as cli
+
+    monkeypatch.setattr(cli, "companion_report", lambda p, k: pytest.fail("the report ran"))
+    path = tmp_path / "missing" / "w.csv"
+    out = assert_unopenable_path_is_usage_error(
+        capsys, path, "companion", "--p", "37", "--k", "32", "--witness-csv", str(path)
+    )
+    assert out == ""
+
+
+def test_output_check_leaves_the_files_as_they_were_when_the_command_fails(capsys, tmp_path):
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.csv"
+    kept.write_text("keep")
+    code, _, _ = run(capsys, "companion", "--p", "7", "--k", "8", "--out", str(kept), "--witness-csv", str(fresh))
+    assert code == 2
+    assert kept.read_text() == "keep" and not fresh.exists()
 
 
 def test_scan_pair_hit_exits_one(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 """Truncated Iwasawa-algebra Eisenstein coefficients and specialization."""
 
 import json
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from eiscomp import lambda_eis, qexp
+from eiscomp import lambda_eis
+from eiscomp.bernoulli import bernoulli_table_mod
 from eiscomp.cli import main
 from eiscomp.lambda_eis import (
     LambdaEisenstein,
@@ -13,6 +14,8 @@ from eiscomp.lambda_eis import (
     specialize_and_compare,
 )
 from eiscomp.padic import LambdaPoly, PadicInt, a_t_poly, eval_lambda, teichmuller
+from eiscomp.qexp import _powers
+from eiscomp.scan import primes_in
 
 
 def test_coefficient_at_one_is_constant_one():
@@ -114,16 +117,31 @@ def test_sieve_matches_the_divisor_sum_at_each_n():
             assert fam.coeffs[n].coeffs == tuple(c % p**m for c in want), (p, d, n)
 
 
+def test_power_sum_bernoulli_matches_the_voronoi_table():
+    # sum_(a<p) a^k = p B_k (mod p^2) for every even k in [2, p-3]
+    for p in primes_in(5, 399):
+        table = bernoulli_table_mod(p)
+        assert [lambda_eis._bernoulli_mod_p(p, k) for k in range(2, p - 2, 2)] == table[2 : p - 2 : 2].tolist(), p
+
+
+@pytest.mark.parametrize("p, dtype", [(55103, np.int64), (55109, object)])
+def test_power_sum_bernoulli_on_both_sides_of_the_storage_edge(p, dtype):
+    # residues mod p^2 are int64 up to p = 55103 and Python ints from 55109 on
+    assert _powers(2, p, p * p).dtype == dtype
+    table = bernoulli_table_mod(p)
+    for k in (2, 4, p - 5, p - 3):
+        assert lambda_eis._bernoulli_mod_p(p, k) == table[k], k
+
+
 def test_wrong_bernoulli_value_fails_the_constant_term(monkeypatch, capsys):
-    # B_k + 1 wherever the exact-rational B_k is bound must not pass: the check
-    # reads B_k mod p from the Voronoi table, which does not use that path
-    true_b = qexp.bernoulli_fraction
+    # B_k + 1 from the power sum must not pass: the check compares it with
+    # B_k mod p from the Voronoi table, which does not use that path
+    true_b = lambda_eis._bernoulli_mod_p
 
-    def shifted(n):
-        return true_b(n) + Fraction(1)
+    def shifted(p, k):
+        return (true_b(p, k) + 1) % p
 
-    monkeypatch.setattr(qexp, "bernoulli_fraction", shifted)
-    monkeypatch.setattr(lambda_eis, "bernoulli_fraction", shifted, raising=False)
+    monkeypatch.setattr(lambda_eis, "_bernoulli_mod_p", shifted)
     rep = specialize_and_compare(build_lambda_eisenstein(7, 2, 30, 8, 3))
     assert rep.coefficients_match and rep.constant_term_checked
     assert rep.constant_term_match is False

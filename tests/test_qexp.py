@@ -20,7 +20,6 @@ from eiscomp.qexp import (
     _piece_bits,
     _split,
     _unit_eisenstein,
-    bernoulli_fraction,
     convolve_mod,
     delta_q,
     divisor_power_sums,
@@ -29,12 +28,11 @@ from eiscomp.qexp import (
     membership,
     middle_product_mod,
     miller_basis,
-    p_deprived_eisenstein_q,
     space_dim,
     sturm,
 )
 
-from oracles import eisenstein_q
+from oracles import bernoulli_fraction, eisenstein_q, p_deprived_eisenstein_q
 
 PREC = 16
 

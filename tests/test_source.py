@@ -18,6 +18,36 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_keeps_no_module_state():
+    # a module-level name binds an int, float or str constant, so no call leaves
+    # state behind for the next.  Two memo caches are decorators, not bindings,
+    # and stay: bernoulli_table_mod's, whose cache_info the benchmark's tracer
+    # reads, and is_admissible_prime's, which spares every construction a
+    # trial division
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        todo = list(tree.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            todo += ast.iter_child_nodes(node)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                value = node.value
+                constant = isinstance(value, ast.Constant) and type(value.value) in (int, float, str)
+                if isinstance(node, ast.AugAssign) or not constant:
+                    found.append(f"{path.name}:{node.lineno} binds state")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global")
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            modules += [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+            if any(m.split(".")[0] == "threading" for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports threading")
+    assert found == []
+
+
 def test_benchmark_tracer_still_wraps_every_traced_layer(monkeypatch):
     # the benchmark's --trace 1 mode wraps functions and methods by name; a rename
     # in the package must fail here, not only in a traced benchmark run
