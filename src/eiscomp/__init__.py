@@ -24,7 +24,6 @@ from .hecke import (
     hecke_action,
     hecke_matrix,
     hecke_report,
-    ordinary_projector,
     t_p_redundancy_check,
 )
 from .lambda_eis import (
@@ -51,11 +50,7 @@ from .localstruct import (
     structure_report,
 )
 from .padic import (
-    LambdaPoly,
-    PadicInt,
     a_t_poly,
-    eval_lambda,
-    gamma_generator,
     plog,
     s_exponent,
     teichmuller,

@@ -32,7 +32,6 @@ from .linalg import (
     kernel,
     rank,
     restrict_operator,
-    stable_idempotent,
 )
 from .qexp import FormSpace, QSeries, miller_basis, sturm
 
@@ -133,11 +132,6 @@ def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatF
     pairs = _matmul(a1, np.hstack([t.a for t in algebra]), space.p)
     mat = MatFp._wrap(space.p, pairs.reshape(len(algebra), space.dim))
     return mat, rank(mat)
-
-
-def ordinary_projector(space: FormSpace) -> MatFp:
-    """The idempotent attached to T(p): projector onto its invertible part."""
-    return stable_idempotent(hecke_matrix(space, space.p))
 
 
 @dataclass
@@ -262,7 +256,8 @@ def hecke_report(p: int, k: int) -> dict:
         "k": k,
         "dim": space.dim,
         "eis_local_dim": piece.dim,
-        "ordinary_dim": rank(ordinary_projector(space)),
+        # the rank of T(p)'s Fitting idempotent: the rank of T(p)^dim
+        "ordinary_dim": rank(hecke_matrix(space, p) ** space.dim),
         "duality_rank": dual_rank,
         "algebra_dim": len(algebra),
         "tp_redundant": tp.redundant,

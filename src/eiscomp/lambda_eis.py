@@ -2,7 +2,9 @@
 
 The n-th coefficient of the family attached to the character omega^d is
 sum over divisors t of n prime to p of omega^d(t) * A_t(T), an element of
-Z_p[[T]] handled modulo (p^M, T^D).  Specializing T -> gamma^d - 1 must
+Z_p[[T]] handled modulo (p^M, T^D).  The whole family is one array of
+residues mod p^M: row n holds the D coefficients of a(n) in T.
+Specializing T -> gamma^d - 1 evaluates every row at once and must
 reproduce the p-deprived Eisenstein series of weight d+2 coefficient by
 coefficient.  That series' constant term, the interpolation value
 -(1 - p^(d+2-1)) B_(d+2) / (2(d+2)), is checked mod p, where the Euler
@@ -23,25 +25,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bernoulli import bernoulli_table_mod
-from .padic import (
-    LambdaPoly,
-    PadicInt,
-    a_t_poly,
-    eval_lambda,
-    require_admissible_prime,
-    teichmuller,
-)
+from .linalg import _residues, _storage
+from .padic import _require_digits, a_t_poly, teichmuller
 from .qexp import _powers, divisor_power_sums
 
 
 @dataclass
 class LambdaEisenstein:
-    """Coefficients n -> LambdaPoly of one Eisenstein family, truncated.
+    """One Eisenstein family, truncated modulo (p^digits, T^t_trunc, q^q_prec).
 
-    d is the even character exponent (theta = omega^d); q-coefficients are
-    stored for 1 <= n < q_prec.  The constant term is not stored: only its
-    interpolation values are ever used.
+    d is the even character exponent (theta = omega^d).  coeffs is a
+    read-only q_prec x t_trunc array of residues mod p^digits, stored as
+    linalg's `_storage` gives; row n holds the T-coefficients of a(n) for
+    1 <= n < q_prec.  Row 0 stays zero: the constant term is not stored,
+    only its interpolation values are ever used.
     """
 
     p: int
@@ -49,7 +49,7 @@ class LambdaEisenstein:
     q_prec: int
     t_trunc: int
     digits: int
-    coeffs: dict[int, LambdaPoly]
+    coeffs: np.ndarray
 
 
 def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: int) -> LambdaEisenstein:
@@ -58,20 +58,26 @@ def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: i
     The n-th coefficient is the sum of omega^d(t) A_t over t | n prime to p,
     with A_t(T) = t (1+T)^(s(t)); the Teichmuller factor makes the
     specialization at T = gamma^d - 1 collapse to t^(d+1).  Each term
-    omega^d(t) A_t is formed once and added into every multiple of t.
+    omega^d(t) A_t is formed once and added into every multiple of t by one
+    strided add.
     """
-    require_admissible_prime(p)
+    _require_digits(p, digits)
     if d < 0 or d % 2 == 1 or d > p - 3:
         raise ValueError(f"character exponent {d} outside the even range [0, {p - 3}]")
+    if t_trunc < 1:
+        raise ValueError("need at least the constant coefficient")
+    if q_prec < 0:
+        raise ValueError(f"need a non-negative number of q-coefficients, got {q_prec}")
     q = p**digits
-    coeffs = {n: LambdaPoly.constant(0, p, t_trunc, digits) for n in range(1, q_prec)}
+    coeffs = np.zeros((q_prec, t_trunc), dtype=_storage(q))
     for t in range(1, q_prec):
         if t % p == 0:
             continue
-        omega_d = pow(teichmuller(t, p, digits).value, d, q)
-        term = a_t_poly(t, p, t_trunc, digits).scale(omega_d)
-        for n in range(t, q_prec, t):
-            coeffs[n] = coeffs[n] + term
+        omega_d = pow(teichmuller(t, p, digits), d, q)
+        term = _residues(q, [omega_d * c for c in a_t_poly(t, p, t_trunc, digits)])
+        # two residues below q < 2^32 (int64 storage) add without overflow
+        coeffs[t::t] = (coeffs[t::t] + term) % q
+    coeffs.flags.writeable = False
     return LambdaEisenstein(
         p=p, d=d, q_prec=q_prec, t_trunc=t_trunc, digits=digits, coeffs=coeffs
     )
@@ -131,17 +137,18 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     """
     p, d = family.p, family.d
     k = d + 2
-    digits = family.digits
-    checked = min(digits, family.t_trunc)
+    q = p**family.digits
+    checked = min(family.digits, family.t_trunc)
     qc = p**checked
-    x = PadicInt(pow(1 + p, d, p**digits) - 1, p, digits)
+    x = pow(1 + p, d, q) - 1  # divisible by p: dropped terms c_j x^j have j >= t_trunc
     const_checked = d < p - 3  # d = p-3 is the excluded pair: value not p-integral
-    target = divisor_power_sums(k - 1, family.q_prec, p**digits, skip_divisible_by=p)
-    mismatches = []
-    for n in range(1, family.q_prec):
-        lhs = eval_lambda(family.coeffs[n], x)
-        if lhs.value % qc != target[n] % qc:
-            mismatches.append(n)
+    # Horner's rule over the T-coefficients, every row at once; values * x is
+    # a product of two residues, exact under the storage rule
+    values = np.zeros(family.q_prec, dtype=family.coeffs.dtype)
+    for column in family.coeffs.T[::-1]:
+        values = (values * x % q + column) % q
+    target = divisor_power_sums(k - 1, family.q_prec, q, skip_divisible_by=p)
+    mismatches = (np.flatnonzero(values[1:] % qc != target[1:] % qc) + 1).tolist()
     const_match: bool | None = None
     if const_checked:
         # a(0) = -(1 - p^(k-1)) B_k/(2k) = -B_k/(2k) mod p, with B_k from the

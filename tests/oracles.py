@@ -11,8 +11,8 @@ from functools import cache
 from math import comb, gcd
 
 from eiscomp.errors import NonInvertibleError
-from eiscomp.hecke import ordinary_projector
-from eiscomp.linalg import rank
+from eiscomp.hecke import hecke_matrix
+from eiscomp.linalg import rank, stable_idempotent
 from eiscomp.padic import require_admissible_prime
 from eiscomp.qexp import (
     QSeries,
@@ -94,9 +94,17 @@ def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeri
     return QSeries(p, coeffs, k, digits)
 
 
+def horner(coeffs, x: int, q: int) -> int:
+    """sum c_j x^j mod q: one element of Z_p[[T]], truncated, evaluated at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
 def ordinary_dim(p: int, k: int) -> int:
-    """Rank of the ordinary projector on M_k(F_p); 0 for empty weights."""
+    """Rank of T(p)'s stable idempotent on M_k(F_p); 0 for empty weights."""
     if space_dim(k) == 0:
         return 0
     space = miller_basis(p, k, p * sturm(k))
-    return rank(ordinary_projector(space))
+    return rank(stable_idempotent(hecke_matrix(space, space.p)))

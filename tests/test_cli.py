@@ -125,6 +125,24 @@ def test_specialize_odd_d_rejected(capsys):
     assert code == 2
 
 
+SPECIALIZE_PRECISION_ERRORS = {
+    "--digits -1": "precision must be at least one digit",
+    "--qprec -3": "need a non-negative number of q-coefficients, got -3",
+    "--trunc 0 --qprec 1": "need at least the constant coefficient",
+    "--digits 0": "precision must be at least one digit",
+    "--trunc 0": "need at least the constant coefficient",
+}
+
+
+@pytest.mark.parametrize("flags", SPECIALIZE_PRECISION_ERRORS)
+def test_specialize_precision_out_of_scope_exits_2(capsys, flags):
+    # checked when the family is built, before any work: one error line, no traceback
+    message = SPECIALIZE_PRECISION_ERRORS[flags]
+    code, out, err = run(capsys, "specialize", "--p", "7", "--d", "2", *flags.split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_selftest_is_not_a_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest"])

@@ -1,4 +1,4 @@
-"""Hecke operators, duality, ordinary projector, Eisenstein localization."""
+"""Hecke operators, duality, T(p)'s stable idempotent, Eisenstein localization."""
 
 import random
 from dataclasses import replace
@@ -17,11 +17,10 @@ from eiscomp.hecke import (
     hecke_action,
     hecke_matrix,
     hecke_report,
-    ordinary_projector,
     sigma_eigenvalue,
     t_p_redundancy_check,
 )
-from eiscomp.linalg import MatFp, algebra_closure, generalized_eigenspace, rank, rref, solve
+from eiscomp.linalg import MatFp, algebra_closure, generalized_eigenspace, rank, rref, solve, stable_idempotent
 from eiscomp.qexp import (
     FormSpace,
     QSeries,
@@ -256,7 +255,7 @@ def test_ordinary_projector_fixes_eisenstein():
     s = working_space(p, k, with_tp=True)
     e = eisenstein_q(p, k, s.prec)
     coords = membership(e, s)
-    proj = ordinary_projector(s)
+    proj = stable_idempotent(hecke_matrix(s, p))
     col = MatFp(p, [coords]).transpose()
     assert proj * col == col  # unit T(p)-eigenvalue 1 + p^(k-1)
 
@@ -264,7 +263,7 @@ def test_ordinary_projector_fixes_eisenstein():
 def test_ordinary_projector_commutes_with_hecke():
     p, k = 13, 24
     s = working_space(p, k, with_tp=True)
-    proj = ordinary_projector(s)
+    proj = stable_idempotent(hecke_matrix(s, p))
     for n in (2, 3):
         assert proj * hecke_matrix(s, n) == hecke_matrix(s, n) * proj
 
@@ -273,6 +272,8 @@ def test_ordinary_dims_weight_stability_sample():
     for p in (11, 13):
         for k in (4, 8, 12, 16):
             assert ordinary_dim(p, k) == ordinary_dim(p, k + p - 1)
+            # the report's rank of T(p)^dim against the oracle's stable idempotent
+            assert hecke_report(p, k)["ordinary_dim"] == ordinary_dim(p, k), (p, k)
 
 
 # --- localization ----------------------------------------------------------------------

@@ -13,19 +13,19 @@ from eiscomp.lambda_eis import (
     build_lambda_eisenstein,
     specialize_and_compare,
 )
-from eiscomp.padic import LambdaPoly, PadicInt, a_t_poly, eval_lambda, teichmuller
+from eiscomp.padic import a_t_poly, teichmuller
 from eiscomp.qexp import _powers
 from eiscomp.scan import primes_in
 
+from oracles import horner
+
 
 def test_coefficient_at_one_is_constant_one():
-    f = build_lambda_eisenstein(5, 0, 2, 4, 3).coeffs[1]
-    assert f.coeffs == (1, 0, 0, 0)
+    assert build_lambda_eisenstein(5, 0, 2, 4, 3).coeffs[1].tolist() == [1, 0, 0, 0]
 
 
 def test_coefficient_at_p_only_t_one_survives():
-    f = build_lambda_eisenstein(7, 2, 8, 5, 3).coeffs[7]
-    assert f.coeffs == (1, 0, 0, 0, 0)
+    assert build_lambda_eisenstein(7, 2, 8, 5, 3).coeffs[7].tolist() == [1, 0, 0, 0, 0]
 
 
 def test_coefficient_at_two_matches_a2():
@@ -33,22 +33,21 @@ def test_coefficient_at_two_matches_a2():
     p, m, d_t = 5, 2, 3
     f = build_lambda_eisenstein(p, 0, 3, d_t, m).coeffs[2]
     a2 = a_t_poly(2, p, d_t, m)
-    want = tuple((1 if j == 0 else 0) + c for j, c in enumerate(a2.coeffs))
-    assert f.coeffs == tuple(c % p**m for c in want)
+    want = [(1 if j == 0 else 0) + c for j, c in enumerate(a2)]
+    assert f.tolist() == [c % p**m for c in want]
 
 
 def test_unit_times_a_t_specializes_to_power():
     # omega^d(t) * A_t(gamma^d - 1) = t^(d+1)
     p, m, d_t = 7, 3, 6
     for d in (0, 2, 4):
-        x = PadicInt(pow(1 + p, d, p**m) - 1, p, m)
+        x = pow(1 + p, d, p**m) - 1
         for t in (2, 3, 4, 5, 6, 8):
             if t % p == 0:
                 continue
             at = a_t_poly(t, p, d_t, m)
-            om_d = pow(teichmuller(t, p, m).value, d, p**m)
-            val = eval_lambda(at.scale(om_d), x)
-            assert val.value == pow(t, d + 1, p**val.prec)
+            om_d = pow(teichmuller(t, p, m), d, p**m)
+            assert horner([om_d * c for c in at], x, p**m) == pow(t, d + 1, p**m)
 
 
 def test_specialization_battery():
@@ -68,23 +67,18 @@ def test_specializations_at_congruent_weights_agree_mod_p():
     # evaluating the same family at d and d + (p-1) agrees mod p
     p, d, m, d_t = 7, 2, 3, 6
     fam = build_lambda_eisenstein(p, d, 15, d_t, m)
-    x1 = PadicInt(pow(1 + p, d, p**m) - 1, p, m)
-    x2 = PadicInt(pow(1 + p, d + p - 1, p**m) - 1, p, m)
+    x1 = pow(1 + p, d, p**m) - 1
+    x2 = pow(1 + p, d + p - 1, p**m) - 1
     for n in range(1, 15):
-        v1 = eval_lambda(fam.coeffs[n], x1)
-        v2 = eval_lambda(fam.coeffs[n], x2)
-        assert v1.value % p == v2.value % p
+        v1 = horner(fam.coeffs[n].tolist(), x1, p**m)
+        v2 = horner(fam.coeffs[n].tolist(), x2, p**m)
+        assert v1 % p == v2 % p
 
 
 def test_fault_injection_detected():
     fam = build_lambda_eisenstein(5, 2, 12, 5, 2)
-    bad = dict(fam.coeffs)
-    victim = bad[6]
-    bad[6] = LambdaPoly(
-        tuple(c + 1 if j == 0 else c for j, c in enumerate(victim.coeffs)),
-        victim.p,
-        victim.prec,
-    )
+    bad = fam.coeffs.copy()
+    bad[6, 0] += 1
     doctored = LambdaEisenstein(
         p=fam.p, d=fam.d, q_prec=fam.q_prec, t_trunc=fam.t_trunc,
         digits=fam.digits, coeffs=bad,
@@ -93,6 +87,34 @@ def test_fault_injection_detected():
     assert not rep.coefficients_match
     assert rep.mismatches == [6]
     assert not rep.ok
+
+
+@pytest.mark.parametrize("p, dtype", [(1447, np.int64), (1451, object)])
+def test_family_storage_on_both_sides_of_the_int64_edge(p, dtype):
+    # residues mod p^3 are int64 while (p^3 - 1)^2 < 2^63: up to p = 1447, object from 1451
+    fam = build_lambda_eisenstein(p, 12, 40, 6, 3)
+    assert fam.coeffs.dtype == dtype and fam.coeffs.shape == (40, 6)
+    assert not fam.coeffs.flags.writeable
+    q = p**3
+    for n in (1, 12, 30, 36):
+        want = [0] * 6
+        for t in range(1, n + 1):
+            if n % t == 0:
+                om_d = pow(teichmuller(t, p, 3), 12, q)
+                want = [w + om_d * c for w, c in zip(want, a_t_poly(t, p, 6, 3))]
+        assert fam.coeffs[n].tolist() == [w % q for w in want], n
+    assert specialize_and_compare(fam).ok
+
+
+def test_truncation_caps_the_digits_checked():
+    # the dropped terms c_j x^j, j >= t_trunc, have valuation >= t_trunc
+    fam = build_lambda_eisenstein(7, 2, 20, 2, 5)
+    assert specialize_and_compare(fam).digits_checked == 2
+    for shift, seen in ((7**2, False), (7, True)):
+        bad = fam.coeffs.copy()
+        bad[9, 0] = (bad[9, 0] + shift) % 7**5
+        rep = specialize_and_compare(LambdaEisenstein(7, 2, 20, 2, 5, bad))
+        assert rep.mismatches == ([9] if seen else []), shift
 
 
 def test_exponent_range_enforced():
@@ -106,15 +128,15 @@ def test_sieve_matches_the_divisor_sum_at_each_n():
     # the n-th coefficient summed directly over the divisors t of n prime to p
     for p, d, q_prec, d_t, m in ((5, 2, 30, 4, 3), (7, 4, 26, 5, 2)):
         fam = build_lambda_eisenstein(p, d, q_prec, d_t, m)
-        assert sorted(fam.coeffs) == list(range(1, q_prec))
+        assert fam.coeffs.shape == (q_prec, d_t) and not fam.coeffs[0].any()
         for n in range(1, q_prec):
             want = [0] * d_t
             for t in range(1, n + 1):
                 if n % t == 0 and t % p != 0:
-                    om_d = pow(teichmuller(t, p, m).value, d, p**m)
-                    for j, c in enumerate(a_t_poly(t, p, d_t, m).coeffs):
+                    om_d = pow(teichmuller(t, p, m), d, p**m)
+                    for j, c in enumerate(a_t_poly(t, p, d_t, m)):
                         want[j] += om_d * c
-            assert fam.coeffs[n].coeffs == tuple(c % p**m for c in want), (p, d, n)
+            assert fam.coeffs[n].tolist() == [c % p**m for c in want], (p, d, n)
 
 
 def test_power_sum_bernoulli_matches_the_voronoi_table():

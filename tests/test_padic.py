@@ -4,16 +4,16 @@ import random
 
 import pytest
 
+from eiscomp.errors import PrecisionError
 from eiscomp.padic import (
-    LambdaPoly,
-    PadicInt,
     a_t_poly,
-    eval_lambda,
     is_admissible_prime,
     plog,
     s_exponent,
     teichmuller,
 )
+
+from oracles import horner
 
 
 # --- independent oracles -------------------------------------------------
@@ -55,21 +55,20 @@ def discrete_log_oracle(target, p, M):
 
 def test_teichmuller_fixed_point_at_one():
     for p in (5, 7, 37):
-        assert teichmuller(1, p, 6).value == 1
+        assert teichmuller(1, p, 6) == 1
 
 
 def test_teichmuller_frozen_example():
     # oracle value for (t=2, p=5, M=2), hand-checkable
     assert teich_oracle(2, 5, 2) == 7
-    w = teichmuller(2, 5, 2)
-    assert w.value == 7
+    assert teichmuller(2, 5, 2) == 7
     assert pow(7, 4, 25) == 1
 
 
 def test_teichmuller_single_digit_is_identity():
     for p in (5, 11):
         for t in range(1, p):
-            assert teichmuller(t, p, 1).value == t % p
+            assert teichmuller(t, p, 1) == t % p
 
 
 def test_teichmuller_root_of_unity_and_congruence():
@@ -81,9 +80,9 @@ def test_teichmuller_root_of_unity_and_congruence():
                 continue
             for M in (1, 3, 5):
                 w = teichmuller(t, p, M)
-                assert pow(w.value, p - 1, p**M) == 1
-                assert w.value % p == t % p
-                assert w.value == teich_oracle(t, p, M)
+                assert pow(w, p - 1, p**M) == 1
+                assert w % p == t % p
+                assert w == teich_oracle(t, p, M)
 
 
 def test_teichmuller_rejects_multiples_of_p():
@@ -94,13 +93,13 @@ def test_teichmuller_rejects_multiples_of_p():
 # --- plog -----------------------------------------------------------------
 
 def test_plog_of_one_is_zero():
-    assert plog(PadicInt(1, 7, 5)).value == 0
+    assert plog(1, 7, 5) == 0
 
 
 def test_plog_frozen_example():
     # p=5, M=2, x=6: 5 - 25/2 + ... = 5 mod 25
     assert plog_series_oracle(6, 5, 2) == 5
-    assert plog(PadicInt(6, 5, 2)).value == 5
+    assert plog(6, 5, 2) == 5
 
 
 def test_plog_matches_series_oracle():
@@ -108,7 +107,7 @@ def test_plog_matches_series_oracle():
         for M in (2, 3, 4):
             for z in (1, 2, p - 1, p + 3):
                 x = (1 + p * z) % p**M
-                got = plog(PadicInt(x, p, M)).value
+                got = plog(x, p, M)
                 assert got == plog_series_oracle(x, p, M)
 
 
@@ -120,26 +119,26 @@ def test_plog_homomorphism():
         for _ in range(10):
             x = 1 + p * rng.randrange(p ** (M - 1))
             y = 1 + p * rng.randrange(p ** (M - 1))
-            lx = plog(PadicInt(x, p, M)).value
-            ly = plog(PadicInt(y, p, M)).value
-            lxy = plog(PadicInt(x * y, p, M)).value
+            lx = plog(x, p, M)
+            ly = plog(y, p, M)
+            lxy = plog(x * y % q, p, M)
             assert lxy == (lx + ly) % q
 
 
 def test_plog_rejects_non_units_of_the_right_shape():
     with pytest.raises(ValueError):
-        plog(PadicInt(2, 5, 3))
+        plog(2, 5, 3)
 
 
 # --- s_exponent -----------------------------------------------------------
 
 def test_s_exponent_gamma_itself():
     for p in (5, 7):
-        assert s_exponent(1 + p, p, 4).value == 1
+        assert s_exponent(1 + p, p, 4) == 1
 
 
 def test_s_exponent_at_one():
-    assert s_exponent(1, 11, 3).value == 0
+    assert s_exponent(1, 11, 3) == 0
 
 
 def test_s_exponent_frozen_discrete_log():
@@ -150,8 +149,8 @@ def test_s_exponent_frozen_discrete_log():
     v = discrete_log_oracle(target, p, M)
     assert v == 33
     s = s_exponent(2, p, M)
-    assert s.value % p ** (M - 1) == v
-    assert pow(1 + p, s.value, q) == target
+    assert s % p ** (M - 1) == v
+    assert pow(1 + p, s, q) == target
 
 
 def test_s_exponent_defining_relation_sampled():
@@ -163,21 +162,20 @@ def test_s_exponent_defining_relation_sampled():
             t = rng.randrange(2, 100)
             if t % p == 0:
                 continue
-            s = s_exponent(t, p, M).value
+            s = s_exponent(t, p, M)
             target = t * pow(teich_oracle(t, p, M), -1, q) % q
             assert pow(1 + p, s, q) == target
 
 
-# --- a_t_poly and eval_lambda ----------------------------------------------
+# --- a_t_poly ----------------------------------------------------------------
 
 def test_a_t_poly_at_one_is_constant_one():
-    f = a_t_poly(1, 7, 6, 4)
-    assert f.coeffs == (1, 0, 0, 0, 0, 0)
+    assert a_t_poly(1, 7, 6, 4) == [1, 0, 0, 0, 0, 0]
 
 
 def test_a_t_poly_constant_term_is_t():
     for p, t in ((5, 2), (7, 3), (13, 12)):
-        assert a_t_poly(t, p, 4, 3).coeffs[0] == t % p**3
+        assert a_t_poly(t, p, 4, 3)[0] == t % p**3
 
 
 def test_a_t_specialization_closed_form():
@@ -189,31 +187,11 @@ def test_a_t_specialization_closed_form():
             for d in (0, 1, 2, 7, 10):
                 M, D = 4, 12
                 f = a_t_poly(t, p, D, M)
-                x = PadicInt(pow(1 + p, d, p ** (M + 2)) - 1, p, M)
-                got = eval_lambda(f, x)
-                om_inv = teichmuller(t, p, M).unit_inverse().value
+                # x = 0 mod p: the dropped terms have valuation >= D > M
+                got = horner(f, pow(1 + p, d, p ** (M + 2)) - 1, p**M)
+                om_inv = pow(teichmuller(t, p, M), -1, p**M)
                 want = pow(t, d + 1, p**M) * pow(om_inv, d, p**M)
-                assert got.value == want % p**got.prec
-
-
-def test_eval_lambda_trivial_cases():
-    one = LambdaPoly.constant(1, 5, 4, 3)
-    x = PadicInt(5, 5, 3)
-    assert eval_lambda(one, x).value == 1
-    tpoly = LambdaPoly((0, 1, 0, 0), 5, 3)
-    assert eval_lambda(tpoly, x).value == 5
-
-
-def test_eval_lambda_rejects_units():
-    f = LambdaPoly((1, 1), 5, 3)
-    with pytest.raises(ValueError):
-        eval_lambda(f, PadicInt(2, 5, 3))
-
-
-def test_eval_lambda_truncation_caps_precision():
-    f = LambdaPoly((1, 1), 7, 6)  # trunc degree 2
-    out = eval_lambda(f, PadicInt(7, 7, 6))
-    assert out.prec == 2
+                assert got == want % p**M
 
 
 # --- precision discipline ---------------------------------------------------
@@ -221,18 +199,32 @@ def test_eval_lambda_truncation_caps_precision():
 def test_precision_monotonicity():
     # recomputing with more digits never changes already-reported digits
     for t in (2, 3, 8):
-        lo = s_exponent(t, 7, 3).value
-        hi = s_exponent(t, 7, 6).value
+        lo = s_exponent(t, 7, 3)
+        hi = s_exponent(t, 7, 6)
         assert hi % 7**3 == lo
     lo = a_t_poly(2, 5, 5, 2)
     hi = a_t_poly(2, 5, 9, 5)
-    assert tuple(c % 5**2 for c in hi.coeffs[:5]) == lo.coeffs
+    assert [c % 5**2 for c in hi[:5]] == lo
 
 
 def test_small_primes_rejected_at_construction():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):
-            PadicInt(1, p, 2)
+            teichmuller(1, p, 2)
+
+
+@pytest.mark.parametrize("prec", [0, -1])
+def test_precision_below_one_digit_rejected_on_entry(prec):
+    # each public function checks its precision before any arithmetic
+    calls = (
+        lambda: teichmuller(2, 5, prec),
+        lambda: plog(6, 5, prec),
+        lambda: s_exponent(2, 5, prec),
+        lambda: a_t_poly(2, 5, 3, prec),
+    )
+    for call in calls:
+        with pytest.raises(PrecisionError, match="precision must be at least one digit"):
+            call()
 
 
 def test_prime_check_is_memoized():

@@ -216,5 +216,13 @@ def test_every_method_runs_under_some_command(capsys, tmp_path):
         sys.setprofile(None)
     capsys.readouterr()
     assert codes == [0] * len(commands)
-    assert len(methods) > 50
+    # a named sample guards against an empty walk
+    assert {
+        "MatFp.transpose",
+        "EchelonSpace.insert",
+        "QSeries.pow",
+        "EisLocalPiece.cuspidal_subpiece",
+        "ScanRecord.from_dict",
+        "StructureReport.csv_row",
+    } <= methods
     assert sorted(methods - ran) == []
