@@ -58,7 +58,6 @@ from .padic import (
 from .qexp import (
     FormSpace,
     PrecisionPlan,
-    QSeries,
     delta_q,
     membership,
     miller_basis,

@@ -37,7 +37,7 @@ builds; nothing outlives the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,18 +145,23 @@ class CompanionReport:
 def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
     """Witness q-expansions, one row per side of each companion pair.
 
-    f and g are read off the pair's two spaces when they reach prec, else
-    off bases built at prec.
+    f and g are read off the pair's two spaces.  A prec beyond the pair's
+    precision builds both weights again at prec, on one ladder ratio; a
+    build's first columns equal the pair's build, so the pieces' bases
+    hold in it.
     """
     p, k, kp = report.p, report.k, report.k_prime
-    space = report.piece_prime.space
-    target = space if space.prec >= prec else miller_basis(p, kp, prec)
+    piece, target = report.piece, report.piece_prime.space
+    if target.prec < prec:
+        ratio = ladder_ratio(p, prec)
+        piece = replace(piece, space=miller_basis(p, k, prec, ratio=ratio))
+        target = miller_basis(p, kp, prec, ratio=ratio)
     lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(prec))]
-    fs = report.piece.series([fc for fc, _ in report.witnesses], prec)
+    fs = piece.series([fc for fc, _ in report.witnesses], prec)
     for idx, ((_, gc), f) in enumerate(zip(report.witnesses, fs)):
-        g = target.coords_to_series(gc).truncate(prec)
-        lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.coeffs.tolist()))
-        lines.append(f"{idx},g,{kp}," + ",".join(str(c) for c in g.coeffs.tolist()))
+        g = target.coords_to_series(gc)[:prec]
+        lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.tolist()))
+        lines.append(f"{idx},g,{kp}," + ",".join(str(c) for c in g.tolist()))
     return "\n".join(lines) + "\n"
 
 

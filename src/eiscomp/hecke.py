@@ -33,7 +33,7 @@ from .linalg import (
     rank,
     restrict_operator,
 )
-from .qexp import FormSpace, QSeries, miller_basis, sturm
+from .qexp import FormSpace, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -49,13 +49,17 @@ def sigma_eigenvalue(p: int, k: int, n: int) -> int:
     return sum(pow(d, k - 1, p) for d in range(1, n + 1) if n % d == 0) % p
 
 
-def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
-    """T(n) on each row of a, an array of weight-k residues, as in hecke_action.
+def hecke_action(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
+    """f | T(n) for each row f of a, an array of weight-k residues mod `modulus`.
 
     a(i; f|T(n)) sums d^(k-1) a(in/d^2) over d | gcd(i, n), so each divisor
     d of n adds d^(k-1) a(jn/d) at i = dj: one strided slice per divisor.
+    The image keeps floor((prec-1)/n) + 1 coefficients: coefficient i of
+    the image needs coefficient i*n of the input.
     """
-    out = np.zeros_like(a[..., ::n])  # floor((prec-1)/n) + 1 coefficients
+    if n < 1:
+        raise ValueError("operator index must be positive")
+    out = np.zeros_like(a[..., ::n])
     for d in range(1, n + 1):
         if n % d == 0:
             hits = out[..., ::d]
@@ -63,17 +67,6 @@ def _hecke_image(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
             # (m-1) + (m-1)^2 < 2^63 wherever residues mod m are stored as int64
             hits[...] = (hits + pow(d, k - 1, modulus) * terms) % modulus
     return out
-
-
-def hecke_action(f: QSeries, n: int) -> QSeries:
-    """f | T(n) on q-expansions, using f's weight tag.
-
-    The output keeps floor((prec-1)/n) + 1 coefficients: coefficient m of
-    the image needs coefficient m*n of the input.
-    """
-    if n < 1:
-        raise ValueError("operator index must be positive")
-    return QSeries._wrap(f.p, _hecke_image(f.coeffs, n, f.weight, f.modulus), f.weight, f.digits)
 
 
 def hecke_matrix(space: FormSpace, n: int) -> MatFp:
@@ -95,7 +88,7 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
     cached = space.hecke_matrices.get(n)
     if cached is not None:
         return cached
-    images = _hecke_image(space.coeffs, n, space.k, space.p)
+    images = hecke_action(space.coeffs, n, space.k, space.p)
     # as in membership: the first dim coefficients are the coordinates
     coords = images[:, : space.dim]
     if not np.array_equal(_matmul(coords, space.coeffs[:, : images.shape[1]], space.p), images):
@@ -161,16 +154,16 @@ class EisLocalPiece:
     def dim(self) -> int:
         return self.basis.nrows
 
-    def series(self, coords: np.ndarray | list[list[int]], prec: int) -> list[QSeries]:
-        """The q-series, to any precision, of each row of coords, vectors in piece coordinates.
+    def series(self, coords: np.ndarray | list[list[int]], prec: int) -> np.ndarray:
+        """The q-series to prec coefficients of each row of coords, vectors in piece coordinates.
 
-        Read off the piece's space when it holds prec coefficients; a longer
-        request builds the basis at prec.
+        One array, a row per series, read off the piece's space; a prec
+        beyond the space's precision raises PrecisionError.
         """
+        if prec > self.space.prec:
+            raise PrecisionError(f"the piece's space holds {self.space.prec} coefficients, not {prec}")
         ambient = MatFp(self.p, coords, self.dim) * self.basis
-        high = self.space if self.space.prec >= prec else miller_basis(self.p, self.k, prec)
-        rows = _matmul(ambient.a, high.coeffs[:, :prec], self.p)
-        return [QSeries._wrap(self.p, row, self.k) for row in rows]
+        return _matmul(ambient.a, self.space.coeffs[:, :prec], self.p)
 
     def cuspidal_subpiece(self) -> "EisLocalPiece":
         """The intersection with the cuspidal subspace (constant term zero).

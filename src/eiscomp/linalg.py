@@ -28,6 +28,7 @@ constructor `MatFp(p, rows)` reduces a copy of whatever it is given.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -68,20 +69,21 @@ def _matmul(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return _residues(modulus, a.astype(object) @ b.astype(object))
 
 
-def _power(x, e: int):
-    """x^e for e >= 1 by squaring, from the lowest set bit of e on.
+def _power(x, e: int, mul):
+    """x^e for e >= 1 by squaring, from the lowest set bit of e on; mul(a, b) is the product.
 
-    floor(log2 e) + popcount(e) - 1 products: none by the unit.
+    floor(log2 e) + popcount(e) - 1 products: none by the unit.  A square
+    passes one operand twice, mul(x, x).
     """
     while not e & 1:
-        x = x * x
+        x = mul(x, x)
         e >>= 1
     acc = x
     while e > 1:
         e >>= 1
-        x = x * x
+        x = mul(x, x)
         if e & 1:
-            acc = acc * x
+            acc = mul(acc, x)
     return acc
 
 
@@ -170,7 +172,7 @@ class MatFp:
             raise ValueError("negative powers unsupported")
         if e == 0:
             return MatFp.identity(self.p, self.nrows)
-        return _power(self, e)
+        return _power(self, e, operator.mul)  # looked up per product, as `*` is
 
     def _compat(self, other: "MatFp", same_shape: bool = False) -> None:
         if self.p != other.p:

@@ -1,20 +1,21 @@
 """q-expansions of level-one modular forms over F_p and Z/p^M.
 
-Provides truncated q-series with explicit precision and weight tags,
-divisor power sums, the discriminant series, the
-echelonized monomial basis of M_k, and membership solving against such a
-basis.  The basis monomials E4^a E6^b Delta^j (weight-4/6 unit-normalized
-Eisenstein series and the discriminant) are built as a ladder, one product
-per row: each row is the one before times Delta/E4^3, where the inverse of
-E4^3 = 1 + O(q) is exact over Z/p^M by Newton iteration (`inverse_mod`).
+Provides divisor power sums, the discriminant series, the echelonized
+monomial basis of M_k, and membership solving against such a basis.  The
+basis monomials E4^a E6^b Delta^j (weight-4/6 unit-normalized Eisenstein
+series and the discriminant) are built as a ladder, one product per row:
+each row is the one before times Delta/E4^3, where the inverse of E4^3 =
+1 + O(q) is exact over Z/p^M by Newton iteration (`inverse_mod`).
 
-A series is one read-only array of residues, stored like the bases under
-linalg's int64/object storage rule and, as there, reduced once, where
-arithmetic can take it out of [0, m): a product's output, a sum, a
-scaling, the divisor sums (at their end).  Product operands must be
-residues: `convolve_mod` and `middle_product_mod` do not reduce them again,
-and an entry outside [0, m) raises ValueError.  `QSeries._wrap` takes a
-product as it comes; the public `QSeries(...)` reduces a copy of its input.
+A truncated q-series is one 1-D array of residues mod m = p^M, stored like
+the bases under linalg's int64/object storage rule; `delta_q`,
+`ladder_ratio` and `FormSpace.coords_to_series` return read-only arrays,
+as a basis row is.  A series is reduced once, where arithmetic can take it
+out of [0, m): a product's output, a difference, a scaling, the divisor
+sums (at their end).  Product operands must be residues: `convolve_mod`
+and `middle_product_mod` do not reduce them again, and an entry outside
+[0, m) raises ValueError.  A power of a series is linalg's
+square-and-multiply with `convolve_mod` as its product.
 
 Every truncated product of series runs on one kernel, `convolve_mod`:
 float64 FFTs of the residues split into base-2^s digits, with s chosen so
@@ -276,103 +277,6 @@ def inverse_mod(f: np.ndarray, modulus: int) -> np.ndarray:
     return g
 
 
-class QSeries:
-    """A q-expansion truncated to `prec` coefficients over Z/p^digits.
-
-    `coeffs` is one read-only 1-D array of residues mod p^digits, stored as
-    FormSpace.coeffs is; the constructor reduces a copy of its input, and
-    `f[n]` is a Python int.
-
-    `weight` is a graded-ring tag: products add it, and mod p the tag may
-    be shifted by multiples of p-1 without changing coefficients (that is
-    multiplication by the weight-(p-1) Eisenstein series, which reduces
-    to 1).  Arithmetic requires matching p and digits.
-    """
-
-    __slots__ = ("p", "digits", "weight", "coeffs")
-
-    def __init__(self, p: int, coeffs: np.ndarray | list[int], weight: int, digits: int = 1):
-        require_admissible_prime(p)
-        if digits < 1:
-            raise ValueError("digits must be positive")
-        if weight < 0:
-            raise ValueError("negative weight tag")
-        self.p = p
-        self.digits = digits
-        self.weight = weight
-        self.coeffs = _residues(p**digits, coeffs)
-        if self.coeffs.ndim != 1:
-            raise ValueError("series coefficients must form one row")
-        self.coeffs.flags.writeable = False
-
-    @classmethod
-    def _wrap(cls, p: int, coeffs: np.ndarray, weight: int, digits: int = 1) -> "QSeries":
-        """The series with coefficient array coeffs, residues mod p^digits in storage dtype.
-
-        For arrays the library's own arithmetic made: no reduction, no copy
-        and no check of p, digits or weight, which the operands have passed.
-        """
-        f = cls.__new__(cls)
-        f.p, f.digits, f.weight, f.coeffs = p, digits, weight, coeffs
-        coeffs.flags.writeable = False
-        return f
-
-    @property
-    def prec(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.digits
-
-    def __getitem__(self, n: int) -> int:
-        return int(self.coeffs[n])
-
-    def truncate(self, prec: int) -> "QSeries":
-        if prec > self.prec:
-            raise PrecisionError(f"only {self.prec} coefficients known, need {prec}")
-        return QSeries(self.p, self.coeffs[:prec], self.weight, self.digits)
-
-    def _compat(self, other: "QSeries") -> None:
-        if self.p != other.p or self.digits != other.digits:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        self._compat(other)
-        if self.weight != other.weight:
-            raise ValueError("adding forms of different weights")
-        n = min(self.prec, other.prec)
-        return QSeries(self.p, self.coeffs[:n] + other.coeffs[:n], self.weight, self.digits)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "QSeries":
-        # a residue times a residue stays below (m-1)^2, exact on int64 storage
-        return QSeries(self.p, c % self.modulus * self.coeffs, self.weight, self.digits)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        self._compat(other)
-        out = convolve_mod(self.coeffs, other.coeffs, self.modulus)
-        return QSeries._wrap(self.p, out, self.weight + other.weight, self.digits)
-
-    def pow(self, e: int) -> "QSeries":
-        """self^e by squaring: floor(log2 e) + popcount(e) - 1 products for e >= 1."""
-        if e < 0:
-            raise ValueError("negative series power")
-        if e == 0:
-            # the unit series 1 + O(q^prec), at the operand's precision
-            return QSeries(self.p, np.eye(1, self.prec, dtype=np.int64)[0], 0, self.digits)
-        return _power(self, e)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        return (
-            f"QSeries(p={self.p}^{self.digits}, wt={self.weight}, "
-            f"prec={self.prec}, [{head}, ...])"
-        )
-
-
 # ---------------------------------------------------------------------------
 # classical series
 
@@ -410,15 +314,15 @@ def divisor_power_sums(power: int, prec: int, modulus: int, *, skip_divisible_by
     return out
 
 
-def _unit_eisenstein(p: int, k: int, prec: int, digits: int) -> QSeries:
-    # weight 4 and 6 series normalized to constant term 1; exact over Z
-    coeffs = {4: 240, 6: -504}[k] * divisor_power_sums(k - 1, prec, p**digits)
+def _unit_eisenstein(k: int, prec: int, m: int) -> np.ndarray:
+    """E4 or E6 normalized to a(0) = 1, mod m: exact over Z, reduced once."""
+    coeffs = {4: 240, 6: -504}[k] * divisor_power_sums(k - 1, prec, m) % m
     coeffs[:1] = 1
-    return QSeries(p, coeffs, k, digits)
+    return coeffs
 
 
-def delta_q(p: int, prec: int, digits: int = 1) -> QSeries:
-    """The discriminant series, a(1) = 1, via (E4^3 - E6^2)/1728.
+def delta_q(p: int, prec: int, digits: int = 1) -> np.ndarray:
+    """The discriminant series mod p^digits, a(1) = 1, via (E4^3 - E6^2)/1728.
 
     The defining identity holds over Z, so computing it modulo p^digits
     gives the reduction of the integral series.
@@ -426,14 +330,17 @@ def delta_q(p: int, prec: int, digits: int = 1) -> QSeries:
     require_admissible_prime(p)
     if prec < 1:
         raise ValueError("need at least one coefficient")
-    return _delta(_unit_eisenstein(p, 4, prec, digits).pow(3))
+    m = p**digits
+    out = _delta(_power(_unit_eisenstein(4, prec, m), 3, lambda a, b: convolve_mod(a, b, m)), m)
+    out.flags.writeable = False
+    return out
 
 
-def _delta(e4_cubed: QSeries) -> QSeries:
-    """(E4^3 - E6^2)/1728 from E4^3, at its precision and modulus."""
-    p, prec, digits = e4_cubed.p, e4_cubed.prec, e4_cubed.digits
-    e6 = _unit_eisenstein(p, 6, prec, digits)
-    return (e4_cubed - e6.pow(2)).scale(pow(1728, -1, p**digits))
+def _delta(e4_cubed: np.ndarray, m: int) -> np.ndarray:
+    """(E4^3 - E6^2)/1728 mod m from E4^3, at its precision."""
+    e6 = _unit_eisenstein(6, len(e4_cubed), m)
+    # |E4^3 - E6^2| < m, times a residue: below (m-1)^2 on int64 storage
+    return (e4_cubed - convolve_mod(e6, e6, m)) * pow(1728, -1, m) % m
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +377,13 @@ class FormSpace:
     def modulus(self) -> int:
         return self.p**self.digits
 
-    def coords_to_series(self, coords: list[int]) -> QSeries:
+    def coords_to_series(self, coords: list[int]) -> np.ndarray:
+        """The form with these coordinates, one read-only row of residues as the basis rows are."""
         if len(coords) != self.dim:
             raise ValueError("coordinate length disagrees with dimension")
         row = _matmul(_residues(self.modulus, [coords]), self.coeffs, self.modulus)[0]
-        return QSeries._wrap(self.p, row, self.k, self.digits)
+        row.flags.writeable = False
+        return row
 
     def to_json(self) -> dict:
         return {
@@ -495,8 +404,8 @@ def ladder_ratio(p: int, prec: int, digits: int = 1) -> np.ndarray:
     """
     require_admissible_prime(p)
     m = p**digits
-    e4_cubed = _unit_eisenstein(p, 4, prec, digits).pow(3)
-    ratio = convolve_mod(_delta(e4_cubed).coeffs, inverse_mod(e4_cubed.coeffs, m), m)
+    e4_cubed = _power(_unit_eisenstein(4, prec, m), 3, lambda a, b: convolve_mod(a, b, m))
+    ratio = convolve_mod(_delta(e4_cubed, m), inverse_mod(e4_cubed, m), m)
     ratio.flags.writeable = False
     return ratio
 
@@ -532,13 +441,14 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
         raise ValueError(f"ladder ratio has {len(ratio)} coefficients, the build needs {prec}")
     d = space_dim(k)
     m = p**digits
-    e4 = _unit_eisenstein(p, 4, prec, digits)
     b = k % 4 // 2
-    mono = e4.pow((k - 6 * b) // 4)
-    if b:
-        mono = mono * _unit_eisenstein(p, 6, prec, digits)
+    a = (k - 6 * b) // 4
     rows = np.zeros((d, prec), dtype=_storage(m))  # d >= 1 for every even k >= 4
-    rows[0] = mono.coeffs
+    if a:
+        rows[0] = _power(_unit_eisenstein(4, prec, m), a, lambda x, y: convolve_mod(x, y, m))
+    if b:
+        e6 = _unit_eisenstein(6, prec, m)
+        rows[0] = convolve_mod(rows[0], e6, m) if a else e6
     if d > 1:
         if ratio is None:
             ratio = ladder_ratio(p, prec, digits)
@@ -564,30 +474,21 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
     return FormSpace(p=p, digits=digits, k=k, coeffs=rows)
 
 
-def membership(f: QSeries, space: FormSpace) -> list[int] | None:
-    """Coordinates of f in the space's basis, or None if f lies outside.
+def membership(f: np.ndarray, space: FormSpace) -> list[int] | None:
+    """Coordinates of f, residues mod the space's modulus, in its basis, or None if f lies outside.
 
     Every coefficient available to both sides must agree exactly; too few
-    shared coefficients is an error, never a silent pass.  Over F_p the
-    weight tags may differ by a multiple of p-1 (graded identification);
-    over Z/p^M they must match.
+    shared coefficients is an error, never a silent pass.
     """
-    if f.p != space.p or f.digits != space.digits:
-        raise ValueError("mixed moduli")
-    if space.digits == 1:
-        if (f.weight - space.k) % (space.p - 1) != 0:
-            raise ValueError("incomparable weights")
-    elif f.weight != space.k:
-        raise ValueError("incomparable weights over Z/p^M")
     need = max(sturm(space.k), space.dim)
-    usable = min(f.prec, space.prec)
+    usable = min(len(f), space.prec)
     if usable < need:
         raise PrecisionError(f"have {usable} coefficients, need {need}")
     m = space.modulus
     # the basis is the identity on q^0..q^(dim-1), so those are the coordinates
-    coords = f.coeffs[: space.dim]
+    coords = f[: space.dim]
     span = _matmul(coords[None], space.coeffs[:, :usable], m)[0]
-    if not np.array_equal(span, f.coeffs[:usable]):
+    if not np.array_equal(span, f[:usable]):
         return None
     return coords.tolist()
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 from functools import cache
 from math import comb, gcd
 
+import numpy as np
+
 from eiscomp.errors import NonInvertibleError
 from eiscomp.hecke import hecke_matrix
 from eiscomp.linalg import rank, stable_idempotent
 from eiscomp.padic import require_admissible_prime
 from eiscomp.qexp import (
-    QSeries,
     _powers,
     divisor_power_sums,
     miller_basis,
@@ -24,13 +25,12 @@ from eiscomp.qexp import (
 )
 
 
-def theta_series(f: QSeries, iterates: int = 1) -> QSeries:
-    """Apply theta^j: a(n) -> n^j a(n), weight tag + j(p+1)."""
+def theta_series(f: np.ndarray, m: int, iterates: int = 1) -> np.ndarray:
+    """Apply theta^j to residues mod m: a(n) -> n^j a(n); the weight grows by j(p+1)."""
     if iterates < 0:
         raise ValueError("negative theta iterate")
     # 0^0 = 1 keeps a(0) at zero iterates; any iterate kills it
-    powers = _powers(iterates, f.prec, f.modulus)
-    return QSeries(f.p, powers * f.coeffs, f.weight + iterates * (f.p + 1), f.digits)
+    return _powers(iterates, len(f), m) * f % m
 
 
 @cache
@@ -56,7 +56,7 @@ def reduce_fraction(x: Fraction, modulus: int) -> int:
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
-def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
+def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> np.ndarray:
     """The weight-k Eisenstein series with constant term -B_k/(2k).
 
     a(n) = sigma_(k-1)(n) for n >= 1.  The constant term is carried as a
@@ -70,10 +70,10 @@ def eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
     coeffs = divisor_power_sums(k - 1, prec, m)
     if prec > 0:
         coeffs[0] = reduce_fraction(-bernoulli_fraction(k) / (2 * k), m)
-    return QSeries(p, coeffs, k, digits)
+    return coeffs
 
 
-def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeries:
+def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> np.ndarray:
     """The p-stabilized Eisenstein series: divisor sums over t prime to p.
 
     a(0) = -(1 - p^(k-1)) B_k/(2k); a(n) = sum of t^(k-1) over t | n with
@@ -91,7 +91,7 @@ def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> QSeri
     if prec > 0:
         euler = Fraction(1 - p ** (k - 1))
         coeffs[0] = reduce_fraction(-euler * bernoulli_fraction(k) / (2 * k), m)
-    return QSeries(p, coeffs, k, digits)
+    return coeffs
 
 
 def horner(coeffs, x: int, q: int) -> int:

@@ -16,9 +16,8 @@ from eiscomp.companions import (
 )
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import hecke_action
-from eiscomp.linalg import EchelonSpace, MatFp, kernel, solve
+from eiscomp.linalg import EchelonSpace, MatFp, _residues, kernel, solve
 from eiscomp.qexp import (
-    QSeries,
     delta_q,
     miller_basis,
     plan_companion,
@@ -33,8 +32,8 @@ IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)
 
 # --- oracles -----------------------------------------------------------------
 
-def companion_oracle(f):
-    """Decide whether f (weight k, 4 <= k <= p-1) has a companion: (ok, g coordinates).
+def companion_oracle(f, p, k):
+    """Decide whether f, residues mod p of weight k, 4 <= k <= p-1, has a companion: (ok, g coordinates).
 
     A companion g of weight k' = p+1-k must satisfy n^(k') a(n; f) =
     n a(n; g) for every n up to the graded comparison bound.  For n prime
@@ -43,17 +42,14 @@ def companion_oracle(f):
     weight-k' basis.  At k = p-1 that space M_2 is zero, so g = 0 is the
     only candidate and the coordinate list is empty.
     """
-    p, k = f.p, f.weight
-    if f.digits != 1:
-        raise ValueError("companions are a mod-p notion")
     if not (4 <= k <= p - 1) or k % 2 == 1:
         raise ValueError(f"weight {k} outside the companion range for p={p}")
     bound = plan_companion(p, k).bound
-    if f.prec < bound:
-        raise PrecisionError(f"need {bound} coefficients, have {f.prec}")
+    if len(f) < bound:
+        raise PrecisionError(f"need {bound} coefficients, have {len(f)}")
     kp = p + 1 - k
     forced = np.flatnonzero(np.arange(bound) % p)  # 0 < n < bound, n prime to p
-    rhs = MatFp(p, theta_series(f, kp - 1).coeffs[forced, None])
+    rhs = MatFp(p, theta_series(f, p, kp - 1)[forced, None])
     if space_dim(kp) == 0:
         return (True, []) if rhs.is_zero() else (False, None)
     target = miller_basis(p, kp, bound)
@@ -63,18 +59,22 @@ def companion_oracle(f):
         return False, None
     coords = solution.a[:, 0].tolist()
     g = target.coords_to_series(coords)
-    if not np.array_equal(theta_series(f, kp).coeffs[:bound], theta_series(g).coeffs[:bound]):
+    if not np.array_equal(theta_series(f, p, kp)[:bound], theta_series(g, p)[:bound]):
         raise AssertionError("solved companion fails theta^(k') f = theta g")
     return True, coords
 
 
-def echelon_residues(fs, kp, bound, a, b):
-    """theta^a of each series reduced against an EchelonSpace built from theta^b(M_k'), row by row."""
-    p = fs[0].p
+def echelon_residues(fs, p, kp, bound, a, b):
+    """theta^a of each series mod p reduced against an EchelonSpace built from theta^b(M_k'), row by row."""
     target = EchelonSpace(p, bound)
     for row in miller_basis(p, kp, bound).coeffs:
-        target.insert(theta_series(QSeries(p, row.tolist(), kp), b).coeffs)
-    return target.reduce(np.stack([theta_series(f, a).coeffs[:bound] for f in fs]))
+        target.insert(theta_series(row, p, b))
+    return target.reduce(np.stack([theta_series(f, p, a)[:bound] for f in fs]))
+
+
+def at_precision(piece, prec):
+    """The piece on its weight's basis built at prec, whose first columns are the piece's space."""
+    return dataclasses.replace(piece, space=miller_basis(piece.p, piece.k, prec))
 
 
 def smaller_direction(p, k):
@@ -98,43 +98,34 @@ def oracle_pairs():
 # --- theta -----------------------------------------------------------------
 
 def test_theta_kills_constants():
-    c = QSeries(7, [3, 0, 0, 0], 0)
-    assert not theta_series(c).coeffs.any()
+    assert not theta_series(np.array([3, 0, 0, 0]), 7).any()
 
 
 def test_theta_zero_iterates_is_identity():
     f = delta_q(11, 10)
-    out = theta_series(f, 0)
-    assert np.array_equal(out.coeffs, f.coeffs) and out.weight == f.weight
+    assert np.array_equal(theta_series(f, 11, 0), f)
 
 
 @pytest.mark.parametrize("p,digits", [(11, 1), (3037000493, 1), (3037000507, 1), (5, 13), (5, 14)])
 def test_theta_keeps_a0_only_at_zero_iterates(p, digits):
     # int64 storage at 11, 3037000493 and 5^13; Python integers at 3037000507 and 5^14
     m = p**digits
-    f = QSeries(p, [m - 1, 3, m - 2, 7, m - 1, 1], 12, digits)
+    f = _residues(m, [m - 1, 3, m - 2, 7, m - 1, 1])
     for j in (0, 1, 2, 5, p + 1):
-        out = theta_series(f, j)
+        out = theta_series(f, m, j)
         assert out[0] == (m - 1 if j == 0 else 0)
-        assert out.coeffs.tolist() == [pow(n, j, m) * c % m for n, c in enumerate(f.coeffs.tolist())]
-
-
-def test_theta_weight_shift():
-    f = delta_q(11, 10)
-    out = theta_series(f, 3)
-    assert out.weight == 12 + 3 * 12
+        assert out.tolist() == [pow(n, j, m) * c % m for n, c in enumerate(f.tolist())]
 
 
 def test_theta_commutation_with_hecke():
     # T(n) theta = n theta T(n), sampled coefficientwise
-    samples = [eisenstein_q(11, 16, 200), eisenstein_q(13, 26, 200),
-               delta_q(11, 200), delta_q(13, 200)]
-    for f in samples:
+    samples = [(11, 16, eisenstein_q(11, 16, 200)), (13, 26, eisenstein_q(13, 26, 200)),
+               (11, 12, delta_q(11, 200)), (13, 12, delta_q(13, 200))]
+    for p, k, f in samples:
         for n in range(2, 11):
-            lhs = hecke_action(theta_series(f), n)
-            rhs = theta_series(hecke_action(f, n)).scale(n)
-            m = min(lhs.prec, rhs.prec)
-            assert np.array_equal(lhs.coeffs[:m], rhs.coeffs[:m]), (f.p, f.weight, n)
+            lhs = hecke_action(theta_series(f, p), n, k + p + 1, p)
+            rhs = theta_series(hecke_action(f, n, k, p), p) * n % p
+            assert np.array_equal(lhs, rhs), (p, k, n)
 
 
 def test_theta_kernel_trivial_in_low_weights():
@@ -145,7 +136,7 @@ def test_theta_kernel_trivial_in_low_weights():
         space = miller_basis(p, kp, bound)
         ech = EchelonSpace(p, bound)
         for row in space.coeffs:
-            assert len(ech.insert(theta_series(QSeries(p, row.tolist(), kp)).coeffs)) == 1
+            assert len(ech.insert(theta_series(row, p))) == 1
         assert ech.dim == space.dim
 
 
@@ -156,13 +147,13 @@ def test_eisenstein_pair_are_companions():
         kp = p + 1 - k
         bound = plan_companion(p, k).bound
         f = eisenstein_q(p, k, bound)
-        ok, g_coords = companion_oracle(f)
+        ok, g_coords = companion_oracle(f, p, k)
         assert ok
         g = miller_basis(p, kp, bound).coords_to_series(g_coords)
         e_kp = eisenstein_q(p, kp, bound)
         # the companion is unique here and must be the mirror Eisenstein series:
         # both sides scale so that a(1) agree
-        assert np.array_equal(g.coeffs[1:], e_kp.coeffs[1:])
+        assert np.array_equal(g[1:], e_kp[1:])
 
 
 def test_companion_relation_is_symmetric():
@@ -170,20 +161,20 @@ def test_companion_relation_is_symmetric():
     kp = p + 1 - k
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
-    _, g_coords = companion_oracle(f)
+    _, g_coords = companion_oracle(f, p, k)
     g = miller_basis(p, kp, bound).coords_to_series(g_coords)
-    assert np.array_equal(theta_series(g, k).coeffs[:bound], theta_series(f).coeffs[:bound])
+    assert np.array_equal(theta_series(g, p, k)[:bound], theta_series(f, p)[:bound])
 
 
 def test_weight_p_minus_1_companion_lives_in_the_zero_space():
     # k = p-1 puts the companion in M_2 = 0, so only g = 0 can serve
     p, k = 13, 12
     bound = plan_companion(p, k).bound
-    one = QSeries(p, miller_basis(p, k, max(bound, sturm(k))).coeffs[0, :bound].tolist(), k)
-    assert one.coeffs.tolist() == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
-    assert companion_oracle(one) == (True, [])
+    one = miller_basis(p, k, max(bound, sturm(k))).coeffs[0, :bound]
+    assert one.tolist() == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
+    assert companion_oracle(one, p, k) == (True, [])
     delta = delta_q(p, bound)
-    assert companion_oracle(delta) == (False, None)
+    assert companion_oracle(delta, p, k) == (False, None)
 
 
 def test_companion_out_of_range_rejected():
@@ -216,7 +207,7 @@ def test_companion_space_gives_witnesses():
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
     f = piece.series(vecs[:1], bound)[0]
-    ok, _ = companion_oracle(f)
+    ok, _ = companion_oracle(f, 59, 44)
     assert ok
 
 
@@ -231,7 +222,7 @@ def test_reports_on_irregular_pairs():
 def _in_piece(series, piece):
     """Whether series lies in piece: the first dim coefficients of a form are
     its coordinates, which must solve against the piece's basis at that weight."""
-    coords = MatFp(piece.p, [series.coeffs[: piece.space.dim]]).transpose()
+    coords = MatFp(piece.p, [series[: piece.space.dim]]).transpose()
     return solve(piece.basis.transpose(), coords) is not None
 
 
@@ -241,7 +232,7 @@ def test_mirror_check_eisenstein_pair():
     piece, piece_prime = localized_pieces(p, k)
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
-    ok, gc = companion_oracle(f)
+    ok, gc = companion_oracle(f, p, k)
     g = miller_basis(p, p + 1 - k, bound).coords_to_series(gc)
     assert ok and _in_piece(f, piece) and _in_piece(g, piece_prime)
 
@@ -251,8 +242,8 @@ def test_mirror_check_on_discovered_pairs():
         rep = companion_report(p, k)
         bound = rep.plan.bound
         for f_coords, g_coords in rep.witnesses:
-            f = rep.piece.series([f_coords], bound)[0]
-            ok, oracle_g = companion_oracle(f)
+            f = at_precision(rep.piece, bound).series([f_coords], bound)[0]
+            ok, oracle_g = companion_oracle(f, p, k)
             assert ok and oracle_g == g_coords, (p, k)
             g = miller_basis(p, rep.k_prime, bound).coords_to_series(oracle_g)
             assert _in_piece(f, rep.piece) and _in_piece(g, rep.piece_prime), (p, k)
@@ -264,8 +255,8 @@ def test_dimension_stable_under_precision_increase():
     piece, piece_prime = localized_pieces(p, k)
     base = len(companion_space(piece, piece_prime)[0])
     bound = plan_companion(p, k).bound + 20
-    fs = piece.series(MatFp.identity(p, piece.dim).a, bound)
-    again = kernel(MatFp(p, echelon_residues(fs, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
+    fs = at_precision(piece, bound).series(MatFp.identity(p, piece.dim).a, bound)
+    again = kernel(MatFp(p, echelon_residues(fs, p, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
     assert again == base
 
 
@@ -280,8 +271,8 @@ def test_companion_dimension_against_exhaustive_count():
     count = 0
     for a in range(p):
         for b in range(p):
-            f = basis[0].scale(a) + basis[1].scale(b)
-            ok, _ = companion_oracle(f)
+            f = (a * basis[0] + b * basis[1]) % p
+            ok, _ = companion_oracle(f, p, k)
             count += ok
     c = len(companion_space(piece, piece_prime)[0])
     assert count == p**c == 37
@@ -303,15 +294,16 @@ def test_relation_kernel_matches_both_oracles():
             f_coords, g_coords, c_mirror = companion_space(pc, mirror)
             if pc is rep.piece:
                 assert rep.witnesses == list(zip(f_coords, g_coords)) and rep.c_m_prime == c_mirror
-            fs = pc.series(MatFp.identity(p, pc.dim).a, old)
-            for resid in (echelon_residues(fs, kp, bound, a, b), echelon_residues(fs, kp, old, kp, 1)):
+            longer = at_precision(pc, old)
+            fs = longer.series(MatFp.identity(p, pc.dim).a, old)
+            for resid in (echelon_residues(fs, p, kp, bound, a, b), echelon_residues(fs, p, kp, old, kp, 1)):
                 assert f_coords == kernel(MatFp(p, resid).transpose()).a.tolist(), (p, pc.k)
             for fc, gc in zip(f_coords, g_coords):
-                assert companion_oracle(pc.series([fc], old)[0]) == (True, gc), (p, pc.k)
+                assert companion_oracle(longer.series([fc], old)[0], p, pc.k) == (True, gc), (p, pc.k)
                 assert _in_piece(mirror.space.coords_to_series(gc), mirror), (p, pc.k)
             ma, mb, _ = smaller_direction(p, kp)
             gs = mirror.series(MatFp.identity(p, mirror.dim).a, bound)
-            assert c_mirror == kernel(MatFp(p, echelon_residues(gs, pc.k, bound, ma, mb)).transpose()).nrows
+            assert c_mirror == kernel(MatFp(p, echelon_residues(gs, p, pc.k, bound, ma, mb)).transpose()).nrows
 
 
 def test_relation_kernel_rejects_a_repeated_basis_row():
@@ -337,11 +329,12 @@ def test_witness_g_by_linearity_matches_the_oracle():
         bound = plan_companion(p, k).bound
         a, b, shared = smaller_direction(p, k)
         target = miller_basis(p, rep.k_prime, bound)
+        piece = at_precision(rep.piece, bound)
         for f_coords, g_coords in rep.witnesses:
-            f = rep.piece.series([f_coords], bound)[0]
-            assert companion_oracle(f) == (True, g_coords), (p, k)
+            f = piece.series([f_coords], bound)[0]
+            assert companion_oracle(f, p, k) == (True, g_coords), (p, k)
             g = target.coords_to_series(g_coords)
-            assert theta_series(f, a).coeffs[:shared].tolist() == theta_series(g, b).coeffs[:shared].tolist()
+            assert theta_series(f, p, a)[:shared].tolist() == theta_series(g, p, b)[:shared].tolist()
 
 
 def test_companion_report_reduces_each_piece_once(monkeypatch):
@@ -376,9 +369,22 @@ def test_witness_csv_builds_no_third_basis(monkeypatch):
     short = witness_csv(rep)
     assert calls == [(59, 44, 84), (59, 16, 84)]
     longer = witness_csv(rep, prec=100)
-    assert calls[2:] == [(59, 16, 100), (59, 44, 100)]
+    assert calls[2:] == [(59, 44, 100), (59, 16, 100)]
     cut = [[line.split(",")[: 3 + 24] for line in text.splitlines()] for text in (short, longer)]
     assert cut[0] == cut[1] and len(cut[0]) == 3
+
+
+def test_witness_csv_makes_one_ladder_ratio_beyond_the_pair(monkeypatch):
+    # prec 100 is beyond the pair's 84: both weights are built at 100 on one
+    # ladder ratio, so one Newton inverse of length 100 is made
+    from eiscomp import qexp
+
+    rep = companion_report(59, 44)
+    inverses = []
+    real = qexp.inverse_mod
+    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
+    witness_csv(rep, prec=100)
+    assert inverses == [100]
 
 
 def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
@@ -401,15 +407,15 @@ def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
     assert main(["companion", "--p", str(p), "--k", str(k), "--witness-csv", str(path)]) == 0
     assert calls == [k, kp]
     witnesses = json.loads(capsys.readouterr().out)["witnesses"]
-    piece = real(miller_basis(p, k, sturm(k) ** 2))
+    piece = real(miller_basis(p, k, prec))
     target = miller_basis(p, kp, prec)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert len(rows) == 2 * len(witnesses) > 0
     for idx, w in enumerate(witnesses):
         f = piece.series([w["f_coords"]], prec)[0]
         g = target.coords_to_series(w["g_coords"])
-        assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.coeffs.tolist()]
-        assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.coeffs.tolist()]
+        assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.tolist()]
+        assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.tolist()]
 
 
 def test_witness_csv_shape():

@@ -230,13 +230,11 @@ def test_precision_below_one_digit_rejected_on_entry(prec):
 def test_prime_check_is_memoized():
     # trial division near 3 * 10^9 takes milliseconds; each construction asks again
     from eiscomp.linalg import EchelonSpace, MatFp
-    from eiscomp.qexp import QSeries
 
     p = 3037000493
     MatFp(p, [[1]])
     misses = is_admissible_prime.cache_info().misses
     MatFp(p, [[2]])
     EchelonSpace(p, 3)
-    QSeries(p, [1, 2], 0)
     assert is_admissible_prime.cache_info().misses == misses
     assert is_admissible_prime(p) and not is_admissible_prime(p + 2)

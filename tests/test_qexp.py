@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eiscomp.errors import NonInvertibleError, PrecisionError
-from eiscomp.linalg import _residues
+from eiscomp.linalg import _power, _residues
 from eiscomp.qexp import (
-    QSeries,
     _layout,
     _piece_bits,
     _split,
@@ -460,15 +459,15 @@ def test_divisor_power_sums_reduce_once_at_the_largest_int64_modulus(skip):
 def test_eisenstein_weight4_frozen():
     # a(0) = 1/240, a(1) = 1, a(2) = 9, from B_4 = -1/30 and divisor sums
     e = eisenstein_q(7, 4, 6)
-    assert e.coeffs[0] == pow(240, -1, 7)
-    assert e.coeffs[1] == 1
-    assert e.coeffs[2] == 9 % 7
-    assert e.coeffs[5] == sigma_oracle(5, 3) % 7
+    assert e[0] == pow(240, -1, 7)
+    assert e[1] == 1
+    assert e[2] == 9 % 7
+    assert e[5] == sigma_oracle(5, 3) % 7
 
 
 def test_eisenstein_a1_is_one_for_every_weight():
     for k in (4, 6, 16, 26):
-        assert eisenstein_q(11, k, 4).coeffs[1] == 1
+        assert eisenstein_q(11, k, 4)[1] == 1
 
 
 def test_eisenstein_rejects_weight_multiple_of_p_minus_1():
@@ -481,8 +480,8 @@ def test_eisenstein_rejects_weight_multiple_of_p_minus_1():
 def test_eisenstein_mod_p_squared():
     e = eisenstein_q(7, 4, 8, digits=2)
     b4 = Fraction(-1, 30) / 8
-    assert e.coeffs[0] == b4.numerator * pow(b4.denominator, -1, 49) % 49 * (-1) % 49
-    assert e.coeffs[3] == sigma_oracle(3, 3) % 49
+    assert e[0] == b4.numerator * pow(b4.denominator, -1, 49) % 49 * (-1) % 49
+    assert e[3] == sigma_oracle(3, 3) % 49
 
 
 def test_p_deprived_series():
@@ -496,13 +495,13 @@ def test_p_deprived_series():
     # away from the excluded weights the constant is -(1 - p^(k-1)) B_k / (2k)
     e = p_deprived_eisenstein_q(7, 4, 12)
     want = Fraction(-(1 - 7**3), 1) * Fraction(-1, 30) / 8
-    assert e.coeffs[0] == want.numerator * pow(want.denominator, -1, 7) % 7
+    assert e[0] == want.numerator * pow(want.denominator, -1, 7) % 7
 
 
 def test_p_deprived_allows_weight_two():
     e = p_deprived_eisenstein_q(7, 2, 10)
-    assert e.coeffs[7] == 1
-    assert e.coeffs[2] == 1 + 2
+    assert e[7] == 1
+    assert e[2] == 1 + 2
 
 
 # --- discriminant ---------------------------------------------------------------
@@ -512,13 +511,13 @@ def test_delta_against_integer_oracle():
     assert tau[1] == 1 and tau[2] == -24 and tau[3] == 252
     for p in (5, 11, 101):
         d = delta_q(p, PREC)
-        assert d.coeffs.tolist() == [t % p for t in tau]
+        assert d.tolist() == [t % p for t in tau]
 
 
 def test_delta_mod_p_squared_matches_oracle():
     tau = delta_integer_oracle(10)
     d = delta_q(5, 10, digits=3)
-    assert d.coeffs.tolist() == [t % 125 for t in tau]
+    assert d.tolist() == [t % 125 for t in tau]
 
 
 # --- echelon bases ----------------------------------------------------------------
@@ -534,7 +533,7 @@ def test_miller_dimensions_match_formula():
 def test_miller_weight12_second_row_is_delta():
     s = miller_basis(11, 12, 12)
     d = delta_q(11, 12)
-    assert np.array_equal(s.coeffs[1], d.coeffs)
+    assert np.array_equal(s.coeffs[1], d)
     assert s.coeffs[0][0] == 1 and s.coeffs[0][1] == 0
 
 
@@ -586,7 +585,7 @@ def test_base_change_mod_p_consistency():
 def test_membership_basis_elements():
     s = miller_basis(11, 24, 10)
     for i, row in enumerate(s.coeffs):
-        coords = membership(QSeries(11, row.tolist(), 24), s)
+        coords = membership(row, s)
         want = [0] * s.dim
         want[i] = 1
         assert coords == want
@@ -594,8 +593,7 @@ def test_membership_basis_elements():
 
 def test_membership_zero():
     s = miller_basis(11, 24, 10)
-    z = QSeries(11, [0] * 10, 24)
-    assert membership(z, s) == [0] * s.dim
+    assert membership(np.zeros(10, dtype=np.int64), s) == [0] * s.dim
 
 
 def test_membership_eisenstein_in_miller():
@@ -604,47 +602,29 @@ def test_membership_eisenstein_in_miller():
         e = eisenstein_q(p, k, 10)
         coords = membership(e, s)
         assert coords is not None
-        assert np.array_equal(s.coords_to_series(coords).coeffs, e.coeffs)
+        assert np.array_equal(s.coords_to_series(coords), e)
 
 
 def test_membership_rejects_outsiders():
     s = miller_basis(11, 12, 10)
-    f = QSeries(11, [0, 1, 1] + [0] * 7, 12)
-    assert membership(f, s) is None
+    assert membership(np.array([0, 1, 1] + [0] * 7), s) is None
 
 
 def test_membership_insufficient_precision_is_an_error():
     s = miller_basis(11, 48, 5)
-    short = QSeries(11, [1, 0], 48)
     with pytest.raises(PrecisionError):
-        membership(short, s)
+        membership(np.array([1, 0]), s)
 
 
 def test_series_is_one_read_only_residue_array():
-    src = np.array([3, -1, 15, 2**40], dtype=np.int64)
-    f = QSeries(7, src, 4)
-    assert f.coeffs.dtype == np.int64 and not f.coeffs.flags.writeable
-    with pytest.raises(ValueError):
-        f.coeffs[0] = 1
-    reduced = np.array([1, 2, 3], dtype=np.int64)
-    g = QSeries(7, reduced, 4)
-    src[0] = reduced[0] = 5  # the caller's arrays stay the caller's
-    assert f.coeffs.tolist() == [3, 6, 1, 2**40 % 7] and g.coeffs.tolist() == [1, 2, 3]
-    with pytest.raises(ValueError):
-        QSeries(7, [[1, 2], [3, 4]], 4)
-    with pytest.raises(ValueError):
-        QSeries(7, np.zeros((2, 3), dtype=np.int64), 4)
-    big = QSeries(5, [5**14 + 2, -1], 4, 14)
-    assert big.coeffs.dtype == object and not big.coeffs.flags.writeable
-    for x, want in ((f[1], 6), (g[0], 1), (big[0], 2), (big[1], 5**14 - 1)):
-        assert type(x) is int and x == want
-
-
-@pytest.mark.parametrize("prec", [0, 1, 5])
-def test_pow_zero_is_the_unit_at_the_operand_precision(prec):
-    one = QSeries(7, list(range(3, 3 + prec)), 4).pow(0)
-    assert one.prec == prec and one.weight == 0
-    assert one.coeffs.tolist() == [1, 0, 0, 0, 0][:prec]
+    # the series the library returns are single rows, read-only as a basis row
+    # is, stored under the basis rule: int64 at 5^13, Python integers at 5^14
+    for digits, dtype in ((13, np.int64), (14, object)):
+        s = miller_basis(5, 24, 12, digits)
+        for f in (delta_q(5, 12, digits), ladder_ratio(5, 12, digits), s.coords_to_series([1] * s.dim)):
+            assert f.shape == (12,) and f.dtype == dtype and not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[0] = 1
 
 
 def count_products(monkeypatch):
@@ -668,20 +648,28 @@ def count_products(monkeypatch):
 
 
 @pytest.mark.parametrize("digits", [1, 14])
-def test_pow_squares_from_the_first_set_bit(monkeypatch, digits):
-    # pow(e) costs floor(log2 e) squarings and popcount(e) - 1 multiplications
-    f = QSeries(5, [1, 3, 4, 2, 0, 1, 3, 2, 4], 4, digits)
-    lengths = count_products(monkeypatch)
+def test_pow_squares_from_the_first_set_bit(digits):
+    # x^e costs floor(log2 e) squarings, each passing one operand twice, and
+    # popcount(e) - 1 multiplications
+    m = 5**digits
+    f = _residues(m, [1, 3, 4, 2, 0, 1, 3, 2, 4])
+    squares = []
+
+    def mul(a, b):
+        squares.append(a is b)
+        return convolve_mod(a, b, m)
+
     for e in list(range(1, 40)) + [64, 127, 1000]:
-        lengths.clear()
-        got = f.pow(e)
-        assert len(lengths) == e.bit_length() - 1 + bin(e).count("1") - 1
-        assert got.weight == 4 * e and got.prec == f.prec
+        squares.clear()
+        got = _power(f, e, mul)
+        assert len(squares) == e.bit_length() - 1 + bin(e).count("1") - 1
+        assert sum(squares) == e.bit_length() - 1
+        assert len(got) == len(f)
         if e <= 12:
             want = f
             for _ in range(e - 1):
-                want = want * f
-            assert got.coeffs.tolist() == want.coeffs.tolist()
+                want = convolve_mod(want, f, m)
+            assert got.tolist() == want.tolist()
 
 
 # --- Newton inverse -------------------------------------------------------------
@@ -706,25 +694,34 @@ def test_inverse_needs_a_unit_constant_term(p, digits, head):
         inverse_mod(_residues(m, [head, 1, 2, 3]), m)
 
 
-def test_series_weight_rules():
-    a = QSeries(7, [1, 2, 3], 4)
-    b = QSeries(7, [1, 1, 1], 6)
-    assert (a * b).weight == 10
-    with pytest.raises(ValueError):
-        _ = a + b
-
-
 # --- the array basis against the former list implementations -----------------
+
+def direct_product(m, prec, *powers):
+    """The product of f^e over the (f, e) in powers, mod m to prec coefficients.
+
+    The unit series times each power in turn, every power by square-and-multiply
+    on convolve_mod; e = 0 leaves the factor out.
+    """
+
+    def mul(a, b):
+        return convolve_mod(a, b, m)
+
+    out = _residues(m, np.eye(1, prec, dtype=np.int64)[0])
+    for f, e in powers:
+        if e:
+            out = mul(out, _power(f, e, mul))
+    return out
+
 
 def basis_oracle(p, k, prec, digits):
     """Rows E4^a E6^b Delta^j, cleared above each unit pivot one (row, pivot) pair at a time."""
     m = p**digits
-    e4, e6 = (_unit_eisenstein(p, w, prec, digits) for w in (4, 6))
+    e4, e6 = (_unit_eisenstein(w, prec, m) for w in (4, 6))
     delta = delta_q(p, prec, digits)
     rows = []
     for j in range(space_dim(k)):
         b = (k - 12 * j) % 4 // 2
-        rows.append((e4.pow((k - 12 * j - 6 * b) // 4) * e6.pow(b) * delta.pow(j)).coeffs.tolist())
+        rows.append(direct_product(m, prec, (e4, (k - 12 * j - 6 * b) // 4), (e6, b), (delta, j)).tolist())
     return clear_above_pivots(rows, m)
 
 
@@ -740,7 +737,7 @@ def kronecker_basis_oracle(p, k, prec):
             out.append(mul(out[-1], x))
         return out
 
-    e4, e6 = (_unit_eisenstein(p, w, prec, 1).coeffs for w in (4, 6))
+    e4, e6 = (_unit_eisenstein(w, prec, p) for w in (4, 6))
     delta = (mul(mul(e4, e4), e4) - mul(e6, e6)) * pow(1728, -1, p) % p
     d = space_dim(k)
     e4_powers, delta_powers = powers(e4, k // 4), powers(delta, d - 1)
@@ -772,8 +769,9 @@ def coords_to_series_oracle(rows, coords, m):
 
 
 def membership_oracle(f, rows, m):
-    coords = f.coeffs[: len(rows)].tolist()
-    for n in range(min(f.prec, len(rows[0]))):
+    """f, a list of residues mod m: its first len(rows) entries, if they span it, else None."""
+    coords = f[: len(rows)]
+    for n in range(min(len(f), len(rows[0]))):
         if sum(c * row[n] for c, row in zip(coords, rows)) % m != f[n]:
             return None
     return coords
@@ -801,14 +799,14 @@ def test_array_basis_matches_the_list_oracles(p, digits, k):
     for trial in range(12):
         coords = [m - 1] * s.dim if trial == 0 else [rng.randrange(m) for _ in range(s.dim)]
         inside = coords_to_series_oracle(rows, coords, m)
-        assert s.coords_to_series(coords).coeffs.tolist() == inside
+        assert s.coords_to_series(coords).tolist() == inside
         outside = list(inside)
         outside[rng.randrange(s.dim, prec)] += rng.randrange(1, m)
         noise = [rng.randrange(m) for _ in range(prec)]
         for coeffs in (inside, outside, noise):
-            f = QSeries(p, coeffs, k, digits)
-            assert membership(f, s) == membership_oracle(f, rows, m)
-        assert membership(QSeries(p, inside, k, digits), s) == coords
+            f = _residues(m, coeffs)
+            assert membership(f, s) == membership_oracle(f.tolist(), rows, m)
+        assert membership(_residues(m, inside), s) == coords
 
 
 # one weight per class k mod 12: b = 0 (k = 0, 4, 8 mod 12) and b = 1 (2, 6, 10),
@@ -840,12 +838,15 @@ def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
 @pytest.mark.parametrize("digits", [1, 2])
 def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     # Delta and the inverse in the ladder share one E4^3
+    from eiscomp import qexp
+
     powers = []
-    real = QSeries.pow
-    monkeypatch.setattr(QSeries, "pow", lambda f, e: powers.append((f.weight, e)) or real(f, e))
+    real = qexp._power
+    monkeypatch.setattr(qexp, "_power", lambda f, e, mul: powers.append((f, e)) or real(f, e, mul))
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834 if digits == 1 else 60, digits)
-    assert powers.count((4, 3)) == 1
+    e4 = _unit_eisenstein(4, s.prec, 293**digits)
+    assert sum(e == 3 and np.array_equal(f, e4) for f, e in powers) == 1
     # 13 ladder rows, 8 products for E4^39, 2 for E4^3, 1 for E6^2, the last Newton step and R
     assert sum(n == s.prec for n in lengths) == 26
     assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
@@ -857,9 +858,9 @@ def test_ladder_transforms_the_ratio_once(monkeypatch):
     from eiscomp import qexp
 
     p, k, prec = 293, 156, 3834
-    e4, delta = _unit_eisenstein(p, 4, prec, 1), delta_q(p, prec)
+    e4, delta = _unit_eisenstein(4, prec, p), delta_q(p, prec)
     d = space_dim(k)
-    ladder_rows = [(e4.pow(39 - 3 * j) * delta.pow(j)).coeffs for j in range(d - 1)]
+    ladder_rows = [direct_product(p, prec, (e4, 39 - 3 * j), (delta, j)) for j in range(d - 1)]
     ratio = ladder_ratio(p, prec)
     assert len(ratio) == prec and not ratio.flags.writeable
     transformed = []
@@ -911,8 +912,8 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     m = 5**13
     coords = [m - 1] * s.dim
     want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
-    assert s.coords_to_series(coords).coeffs.tolist() == want
-    assert membership(QSeries(5, want, k, 13), s) == coords
+    assert s.coords_to_series(coords).tolist() == want
+    assert membership(_residues(m, want), s) == coords
     assert seen == [dtype, dtype]
 
 
@@ -928,7 +929,7 @@ def test_basis_at_the_float64_edge(k, digits, below):
     assert s.coeffs.dtype == np.int64
     assert s.coeffs.tolist() == basis_oracle(5, k, prec, digits)
     coords = [m - 1] * s.dim
-    assert s.coords_to_series(coords).coeffs.tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
+    assert s.coords_to_series(coords).tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
 
 
 def test_cli_basis_at_fourteen_digits_matches_the_oracle(capsys):

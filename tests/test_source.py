@@ -63,7 +63,7 @@ def test_benchmark_tracer_still_wraps_every_traced_layer(monkeypatch):
         assert len({id(orig) for _, _, orig in patched}) == len(tracer.names)
         hecke_report(37, 32)
         stats = tracer.layer_stats()
-        for name in ("linalg.matmul", "linalg.rref", "linalg.echelon_reduce", "hecke.hecke_matrix"):
+        for name in ("linalg.matmul", "linalg.rref", "linalg.echelon_reduce", "hecke.hecke_matrix", "hecke.hecke_action"):
             assert stats[f"{name}.calls"] > 0, name
     finally:
         tracer.uninstall()
@@ -220,7 +220,7 @@ def test_every_method_runs_under_some_command(capsys, tmp_path):
     assert {
         "MatFp.transpose",
         "EchelonSpace.insert",
-        "QSeries.pow",
+        "FormSpace.coords_to_series",
         "EisLocalPiece.cuspidal_subpiece",
         "ScanRecord.from_dict",
         "StructureReport.csv_row",

@@ -7,7 +7,7 @@ import sympy
 
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import localized_pieces
-from eiscomp.errors import NotLocalError
+from eiscomp.errors import NotLocalError, PrecisionError
 from eiscomp.hecke import EisLocalPiece, eisenstein_localize
 from eiscomp.linalg import EchelonSpace, MatFp, _products
 from eiscomp.localstruct import (
@@ -284,23 +284,23 @@ def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeyp
 
 def test_piece_series_after_its_prime_was_evicted(monkeypatch):
     # a piece keeps its whole space: series at the companion bound read it, after
-    # another prime's pair as before it, byte for byte and with no build; only a
-    # series longer than the space builds, and agrees with it where both reach
+    # another prime's pair as before it, byte for byte and with no build; a series
+    # longer than the space is a PrecisionError, and builds nothing either
     from eiscomp.companions import _companion_bound
 
     p, k = 37, 32
     piece, _ = localized_pieces(p, k)
     coords = [[int(i == j) for j in range(piece.dim)] for i in range(piece.dim)]
     bound = _companion_bound(p, k)
-    before = [f.coeffs.tobytes() for f in piece.series(coords, bound)]
+    before = piece.series(coords, bound).tobytes()
     structure_report(59, 44)
     built = spy_builds(monkeypatch)
     after = piece.series(coords, bound)
     assert built == []
-    assert [f.coeffs.tobytes() for f in after] == before
-    longer = piece.series(coords, piece.space.prec + 5)
-    assert [(s.k, s.prec) for s in built] == [(k, piece.space.prec + 5)]
-    assert [f.coeffs[:bound].tobytes() for f in longer] == before
+    assert after.shape == (piece.dim, bound) and after.tobytes() == before
+    with pytest.raises(PrecisionError):
+        piece.series(coords, piece.space.prec + 5)
+    assert built == []
 
 
 def test_a_pair_owns_its_bases(monkeypatch):
