@@ -45,8 +45,7 @@ def _note(msg: str) -> None:
 
 
 def cmd_basis(args) -> int:
-    prec = args.prec if args.prec else sturm(args.k)
-    prec = max(prec, sturm(args.k))  # cannot opt into unsoundness
+    prec = sturm(args.k) if args.prec is None else args.prec
     space = miller_basis(args.p, args.k, prec, args.digits)
     _emit(json.dumps(space.to_json(), indent=2) + "\n", args.out)
     _note(f"M_{args.k} over Z/{args.p}^{args.digits}: dim {space.dim}, precision {prec}")

@@ -27,30 +27,35 @@ per mirror pair: it checks the weight's scope, localizes both weights,
 and reads the counts and witnesses off that kernel.  Gross (Duke Math.
 J. 61, 1990) gives the companion theory.
 
-The pair owns its bases: `localized_pieces` builds each weight once, at
-one precision that covers the companion bound and both localizations,
-and each piece keeps its basis as its space, off which `companion_space`
-reads the piece's forms.  The pair makes the ladder ratio Delta/E4^3
-once at that precision (`qexp.ladder_ratio`) and passes it to both
-builds; nothing outlives the pair.
+The pair keeps no basis: `localized_pieces` builds each weight once, at
+one precision that covers the companion bound, both localizations and
+the witness CSV, and cuts its piece from it; each piece keeps its forms,
+off which `companion_space` and `witness_csv` read, and the basis is
+freed before the other weight is built.  The pair makes the ladder ratio
+Delta/E4^3 once at that precision (`qexp.ladder_ratio`) and passes it to
+both builds; nothing outlives the pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hecke import EisLocalPiece, eisenstein_localize
-from .linalg import MatFp, _matmul, kernel, rank
+from .linalg import MatFp, _matmul, _residues, kernel, rank
 from .qexp import (
     PrecisionPlan,
     _powers,
     ladder_ratio,
     miller_basis,
     plan_companion,
+    space_dim,
     sturm,
 )
+
+# coefficients of each witness series in the witness CSV
+WITNESS_PREC = 24
 
 
 def _companion_bound(p: int, k: int) -> int:
@@ -64,17 +69,16 @@ def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[l
     The relation theta^a f = theta^b g, (a, b) = (k', 1) when k' <= k else
     (1, k), is read on the forms of the weight-k piece and of the
     weight-k' piece `mirror`, to the bound both weights of the pair share,
-    which both pieces' spaces must reach (`localized_pieces` builds them
+    which both pieces' forms must reach (`localized_pieces` builds them
     so).  Its solutions are the kernel of the matrix whose columns are
     -theta^b of the mirror's forms, then theta^a of the piece's forms.
     The x part of a kernel vector is the piece coordinates of f, and its y
-    part times the mirror's basis the weight-k' coordinates of g, so the
-    second list holds one g per basis vector of the first.  c(m) and c(m')
-    are the ranks of the x and the y parts.  Both must equal the kernel's
-    dimension and be at least one, else AssertionError: that checks that
-    theta^a and theta^b stay injective on the two pieces, which they are
-    for weights in [4, p-3], and that the two Eisenstein series are
-    companions.
+    part the mirror-piece coordinates of g, so the second list holds one g
+    per basis vector of the first.  c(m) and c(m') are the ranks of the x
+    and the y parts.  Both must equal the kernel's dimension and be at
+    least one, else AssertionError: that checks that theta^a and theta^b
+    stay injective on the two pieces, which they are for weights in
+    [4, p-3], and that the two Eisenstein series are companions.
     """
     p, k = piece.p, piece.k
     kp = p + 1 - k
@@ -82,7 +86,7 @@ def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[l
     bound = _companion_bound(p, k)
 
     def theta_forms(pc: EisLocalPiece, j: int) -> np.ndarray:
-        return _matmul(pc.basis.a, pc.space.coeffs[:, :bound], p) * _powers(j, bound, p) % p
+        return pc.forms[:, :bound] * _powers(j, bound, p) % p
 
     # mirror columns first: each is a pivot, so the kernel's free columns are the piece's
     ker = kernel(MatFp._wrap(p, np.vstack([-theta_forms(mirror, b) % p, theta_forms(piece, a)]).T)).a
@@ -90,7 +94,7 @@ def companion_space(piece: EisLocalPiece, mirror: EisLocalPiece) -> tuple[list[l
     c_m, c_m_prime = rank(MatFp._wrap(p, xs)), rank(MatFp._wrap(p, ys))
     if not (1 <= c_m == c_m_prime == len(ker)):
         raise AssertionError(f"mirror equality c(m) = c(m') fails: {c_m} against {c_m_prime}")
-    return xs.tolist(), _matmul(ys, mirror.basis.a, p).tolist(), c_m_prime
+    return xs.tolist(), ys.tolist(), c_m_prime
 
 
 @dataclass
@@ -98,8 +102,10 @@ class CompanionReport:
     """Companion dimensions for the mirror pair of Eisenstein pieces.
 
     `witnesses` pairs each basis vector of the weight-k companion space
-    (piece coordinates) with its companion's weight-k' coordinates;
+    (piece coordinates) with its companion's mirror-piece coordinates;
     `piece` and `piece_prime` are the two pieces the counts were read on.
+    The JSON gives each g by its weight-k' echelon coordinates, the first
+    dim M_k' coefficients of its form.
     """
 
     p: int
@@ -126,7 +132,19 @@ class CompanionReport:
     def dim_piece_prime(self) -> int:
         return self.piece_prime.dim
 
+    def witness_series(self, prec: int) -> tuple[np.ndarray, np.ndarray]:
+        """The f and the g of every witness to prec coefficients, read off the two pieces' forms.
+
+        One array per side, a row per witness.
+        """
+        fs, gs = zip(*self.witnesses)
+        return (
+            _matmul(_residues(self.p, fs), self.piece.forms[:, :prec], self.p),
+            _matmul(_residues(self.p, gs), self.piece_prime.forms[:, :prec], self.p),
+        )
+
     def to_json(self) -> dict:
+        _, g_coords = self.witness_series(space_dim(self.k_prime))
         return {
             "p": self.p,
             "k": self.k,
@@ -136,32 +154,23 @@ class CompanionReport:
             "dim_piece": self.dim_piece,
             "dim_piece_prime": self.dim_piece_prime,
             "witnesses": [
-                {"f_coords": list(fc), "g_coords": list(gc)} for fc, gc in self.witnesses
+                {"f_coords": list(fc), "g_coords": gc} for (fc, _), gc in zip(self.witnesses, g_coords.tolist())
             ],
             "plan": self.plan.to_json(),
         }
 
 
-def witness_csv(report: "CompanionReport", prec: int = 24) -> str:
+def witness_csv(report: "CompanionReport") -> str:
     """Witness q-expansions, one row per side of each companion pair.
 
-    f and g are read off the pair's two spaces.  A prec beyond the pair's
-    precision builds both weights again at prec, on one ladder ratio; a
-    build's first columns equal the pair's build, so the pieces' bases
-    hold in it.
+    f and g are read off the pair's two pieces, WITNESS_PREC coefficients
+    each; `localized_pieces` builds the pieces' forms that far.
     """
-    p, k, kp = report.p, report.k, report.k_prime
-    piece, target = report.piece, report.piece_prime.space
-    if target.prec < prec:
-        ratio = ladder_ratio(p, prec)
-        piece = replace(piece, space=miller_basis(p, k, prec, ratio=ratio))
-        target = miller_basis(p, kp, prec, ratio=ratio)
-    lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(prec))]
-    fs = piece.series([fc for fc, _ in report.witnesses], prec)
-    for idx, ((_, gc), f) in enumerate(zip(report.witnesses, fs)):
-        g = target.coords_to_series(gc)[:prec]
-        lines.append(f"{idx},f,{k}," + ",".join(str(c) for c in f.tolist()))
-        lines.append(f"{idx},g,{kp}," + ",".join(str(c) for c in g.tolist()))
+    lines = ["pair,side,weight," + ",".join(f"a{n}" for n in range(WITNESS_PREC))]
+    fs, gs = report.witness_series(WITNESS_PREC)
+    for idx, (f, g) in enumerate(zip(fs.tolist(), gs.tolist())):
+        lines.append(f"{idx},f,{report.k}," + ",".join(map(str, f)))
+        lines.append(f"{idx},g,{report.k_prime}," + ",".join(map(str, g)))
     return "\n".join(lines) + "\n"
 
 
@@ -169,12 +178,13 @@ def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
     """The weight-k and weight-(p+1-k) Eisenstein-local pieces.
 
     Each weight's basis is built once, at the one precision that covers
-    all the pair reads: the companion bound and both localizations'
-    sturm(w)^2.  The ladder ratio is made once at that precision and
-    given to both builds.  Each piece keeps its basis as its space.
+    all the pair reads: the companion bound, both localizations'
+    sturm(w)^2 and the witness CSV's WITNESS_PREC.  The ladder ratio is
+    made once at that precision and given to both builds.  Each piece
+    keeps its forms, so a weight's basis is freed once its piece is cut.
     """
     kp = p + 1 - k
-    prec = max(_companion_bound(p, k), sturm(k) ** 2, sturm(kp) ** 2)
+    prec = max(_companion_bound(p, k), sturm(k) ** 2, sturm(kp) ** 2, WITNESS_PREC)
     ratio = ladder_ratio(p, prec)
     piece = eisenstein_localize(miller_basis(p, k, prec, ratio=ratio))
     piece_prime = eisenstein_localize(miller_basis(p, kp, prec, ratio=ratio))

@@ -12,7 +12,9 @@ by T(n) for n <= sturm(k), and each such T(n) is a polynomial in the T(l)
 with l | n, since T(mn) = T(m) T(n) for coprime m, n and
 T(l^(r+1)) = T(l) T(l^r) - l^(k-1) T(l^(r-1)).  For the same reason the
 Eisenstein maximal ideal is generated by the T(l) - sigma_(k-1)(l), and the
-localization at it is their common generalized kernel.
+localization at it is their common generalized kernel.  A localized piece
+keeps its forms, the q-series of its basis, and no basis of M_k: what
+reads a piece afterwards reads those r <= dim rows alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .linalg import (
     rank,
     restrict_operator,
 )
-from .qexp import FormSpace, miller_basis, sturm
+from .qexp import FormSpace, membership, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -89,13 +91,12 @@ def hecke_matrix(space: FormSpace, n: int) -> MatFp:
     if cached is not None:
         return cached
     images = hecke_action(space.coeffs, n, space.k, space.p)
-    # as in membership: the first dim coefficients are the coordinates
-    coords = images[:, : space.dim]
-    if not np.array_equal(_matmul(coords, space.coeffs[:, : images.shape[1]], space.p), images):
+    if membership(images, space) is None:
         raise AssertionError(
             f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
         )
-    mat = MatFp._wrap(space.p, coords.T.copy())  # cached: a copy, not a view pinning the images
+    # the coordinates membership found: the first dim coefficients of each image
+    mat = MatFp._wrap(space.p, images[:, : space.dim].T.copy())  # cached: a copy, not a view pinning the images
     space.hecke_matrices[n] = mat
     return mat
 
@@ -131,55 +132,38 @@ def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatF
 class EisLocalPiece:
     """The generalized eigenspace at the Eisenstein maximal ideal.
 
-    `basis` rows are vectors in the ambient FormSpace's coordinates;
-    `etas` holds the matrix on the piece of each T(l) - sigma_(k-1)(l),
-    l prime up to sturm(k), in generator_primes(k) order.  Every one is
-    nilpotent; they generate the maximal ideal of the local algebra, and
-    with the identity the algebra itself.
+    `forms` is one read-only r x N array of residues mod p, the piece's
+    basis as q-series to the precision N of the space it was cut from; the
+    piece keeps its forms and no basis of M_k.  A form's first dim M_k
+    coefficients are its echelon coordinates, and column 0 is its constant
+    term.  `etas` holds the matrix on the piece, in its basis, of each
+    T(l) - sigma_(k-1)(l), l prime up to sturm(k), in generator_primes(k)
+    order.  Every one is nilpotent; they generate the maximal ideal of the
+    local algebra, and with the identity the algebra itself.
     """
 
-    space: FormSpace
-    basis: MatFp  # rows = piece basis vectors, in space coordinates
+    p: int
+    k: int
+    forms: np.ndarray
     etas: list[MatFp]
 
     @property
-    def p(self) -> int:
-        return self.space.p
-
-    @property
-    def k(self) -> int:
-        return self.space.k
-
-    @property
     def dim(self) -> int:
-        return self.basis.nrows
-
-    def series(self, coords: np.ndarray | list[list[int]], prec: int) -> np.ndarray:
-        """The q-series to prec coefficients of each row of coords, vectors in piece coordinates.
-
-        One array, a row per series, read off the piece's space; a prec
-        beyond the space's precision raises PrecisionError.
-        """
-        if prec > self.space.prec:
-            raise PrecisionError(f"the piece's space holds {self.space.prec} coefficients, not {prec}")
-        ambient = MatFp(self.p, coords, self.dim) * self.basis
-        return _matmul(ambient.a, self.space.coeffs[:, :prec], self.p)
+        return self.forms.shape[0]
 
     def cuspidal_subpiece(self) -> "EisLocalPiece":
         """The intersection with the cuspidal subspace (constant term zero).
 
-        In echelon coordinates the constant term of a vector is its
-        pivot-0 entry, so one linear condition cuts the subspace out.  The
-        etas are restricted to it in one `restrict_operator` call, one
-        `solve` for all of them.
+        The constant term of a form is its column 0, so one linear condition
+        cuts the subspace out, and its forms are the kernel vectors times
+        the piece's.  The etas are restricted to it in one
+        `restrict_operator` call, one `solve` for all of them.
         """
-        condition = MatFp._wrap(self.p, self.basis.a[:, :1].T)  # wants c . B[:,0] = 0
-        ker = kernel(condition)  # rows = piece-coordinates of cuspidal vectors
-        return EisLocalPiece(
-            space=self.space,
-            basis=ker * self.basis,  # back to ambient coordinates
-            etas=restrict_operator(self.etas, ker),
-        )
+        condition = MatFp._wrap(self.p, self.forms[:, :1].T)  # wants c . f(0) = 0
+        ker = kernel(condition)  # rows = piece-coordinates of cuspidal forms
+        forms = _matmul(ker.a, self.forms, self.p)
+        forms.flags.writeable = False
+        return EisLocalPiece(self.p, self.k, forms, restrict_operator(self.etas, ker))
 
 
 def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
@@ -193,7 +177,9 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
 
     The Hecke matrices are read on the first sturm(k)^2 columns of the
     space, all that the generators need; that view shares the space's
-    `hecke_matrices`, and the piece keeps the whole space.
+    `hecke_matrices`.  The piece's forms are one product of its basis rows,
+    in the space's coordinates, with the space's coefficients; the piece
+    keeps no reference to the space.
     """
     p, k = space.p, space.k
     view = replace(space, coeffs=space.coeffs[:, : sturm(k) ** 2])
@@ -201,7 +187,10 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     etas = [
         hecke_matrix(view, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
     ]
-    piece = EisLocalPiece(space, *generalized_eigenspace(etas, space.dim, p=p))
+    basis, etas = generalized_eigenspace(etas, space.dim, p=p)
+    forms = _matmul(basis.a, space.coeffs, p)
+    forms.flags.writeable = False
+    piece = EisLocalPiece(p, k, forms, etas)
     for eta in piece.etas:
         if not (eta**piece.dim).is_zero():
             raise AssertionError("localization generator fails to be nilpotent")

@@ -8,12 +8,12 @@ each row is the one before times Delta/E4^3, where the inverse of E4^3 =
 1 + O(q) is exact over Z/p^M by Newton iteration (`inverse_mod`).
 
 A truncated q-series is one 1-D array of residues mod m = p^M, stored like
-the bases under linalg's int64/object storage rule; `delta_q`,
-`ladder_ratio` and `FormSpace.coords_to_series` return read-only arrays,
-as a basis row is.  A series is reduced once, where arithmetic can take it
-out of [0, m): a product's output, a difference, a scaling, the divisor
-sums (at their end).  Product operands must be residues: `convolve_mod`
-and `middle_product_mod` do not reduce them again, and an entry outside
+the bases under linalg's int64/object storage rule; `delta_q` and
+`ladder_ratio` return read-only arrays, as a basis row is.  A series is
+reduced once, where arithmetic can take it out of [0, m): a product's
+output, a difference, a scaling, the divisor sums (at their end).
+Product operands must be residues: `convolve_mod` and
+`middle_product_mod` do not reduce them again, and an entry outside
 [0, m) raises ValueError.  A power of a series is linalg's
 square-and-multiply with `convolve_mod` as its product.
 
@@ -377,14 +377,6 @@ class FormSpace:
     def modulus(self) -> int:
         return self.p**self.digits
 
-    def coords_to_series(self, coords: list[int]) -> np.ndarray:
-        """The form with these coordinates, one read-only row of residues as the basis rows are."""
-        if len(coords) != self.dim:
-            raise ValueError("coordinate length disagrees with dimension")
-        row = _matmul(_residues(self.modulus, [coords]), self.coeffs, self.modulus)[0]
-        row.flags.writeable = False
-        return row
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -474,21 +466,22 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
     return FormSpace(p=p, digits=digits, k=k, coeffs=rows)
 
 
-def membership(f: np.ndarray, space: FormSpace) -> list[int] | None:
-    """Coordinates of f, residues mod the space's modulus, in its basis, or None if f lies outside.
+def membership(f: np.ndarray, space: FormSpace) -> list | None:
+    """Coordinates, residues mod the space's modulus, of f in the space's basis, or None if f lies outside.
 
+    f is one series or a block of rows, one series each; a block's
+    coordinates are one list per row, and one row outside gives None.
     Every coefficient available to both sides must agree exactly; too few
     shared coefficients is an error, never a silent pass.
     """
     need = max(sturm(space.k), space.dim)
-    usable = min(len(f), space.prec)
+    usable = min(f.shape[-1], space.prec)
     if usable < need:
         raise PrecisionError(f"have {usable} coefficients, need {need}")
-    m = space.modulus
     # the basis is the identity on q^0..q^(dim-1), so those are the coordinates
-    coords = f[: space.dim]
-    span = _matmul(coords[None], space.coeffs[:, :usable], m)[0]
-    if not np.array_equal(span, f[:usable]):
+    coords = f[..., : space.dim]
+    span = _matmul(coords, space.coeffs[:, :usable], space.modulus)
+    if not np.array_equal(span, f[..., :usable]):
         return None
     return coords.tolist()
 

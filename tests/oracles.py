@@ -14,7 +14,7 @@ import numpy as np
 
 from eiscomp.errors import NonInvertibleError
 from eiscomp.hecke import hecke_matrix
-from eiscomp.linalg import rank, stable_idempotent
+from eiscomp.linalg import _matmul, _residues, rank, stable_idempotent
 from eiscomp.padic import require_admissible_prime
 from eiscomp.qexp import (
     _powers,
@@ -23,6 +23,13 @@ from eiscomp.qexp import (
     space_dim,
     sturm,
 )
+
+
+def form_of(space, coords) -> np.ndarray:
+    """The form with these echelon coordinates in `space`: coords times its basis, one row of residues."""
+    if len(coords) != space.dim:
+        raise ValueError("coordinate length disagrees with dimension")
+    return _matmul(_residues(space.modulus, [coords]), space.coeffs, space.modulus)[0]
 
 
 def theta_series(f: np.ndarray, m: int, iterates: int = 1) -> np.ndarray:

@@ -41,9 +41,14 @@ def test_basis_odd_weight_is_usage_error(capsys):
 
 
 def test_basis_cannot_opt_into_unsoundness(capsys):
-    code, out, _ = run(capsys, "basis", "--p", "11", "--k", "48", "--prec", "1")
-    assert code == 0
-    assert json.loads(out)["precision"] >= 5  # floored at the weight bound
+    # a precision below the weight bound sturm(48) = 5 is the library's PrecisionError,
+    # exit 2 with its one error line; 0 is such a precision, not the default
+    for prec in ("1", "0"):
+        code, out, err = run(capsys, "basis", "--p", "11", "--k", "48", "--prec", prec)
+        assert code == 2 and out == ""
+        assert err == f"error: precision {prec} below the weight-48 bound 5\n"
+    code, out, _ = run(capsys, "basis", "--p", "11", "--k", "48")
+    assert code == 0 and json.loads(out)["precision"] == 5
 
 
 def test_companion_37_32(capsys):

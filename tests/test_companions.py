@@ -1,6 +1,7 @@
 """Theta operator, companion detection and dimensions."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from eiscomp.companions import (
 )
 from eiscomp.errors import PrecisionError
 from eiscomp.hecke import hecke_action
-from eiscomp.linalg import EchelonSpace, MatFp, _residues, kernel, solve
+from eiscomp.linalg import EchelonSpace, MatFp, _matmul, _residues, kernel, solve
 from eiscomp.qexp import (
     delta_q,
     miller_basis,
@@ -25,7 +26,7 @@ from eiscomp.qexp import (
     sturm,
 )
 
-from oracles import eisenstein_q, theta_series
+from oracles import eisenstein_q, form_of, theta_series
 
 IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)]
 
@@ -58,7 +59,7 @@ def companion_oracle(f, p, k):
     if solution is None:
         return False, None
     coords = solution.a[:, 0].tolist()
-    g = target.coords_to_series(coords)
+    g = form_of(target, coords)
     if not np.array_equal(theta_series(f, p, kp)[:bound], theta_series(g, p)[:bound]):
         raise AssertionError("solved companion fails theta^(k') f = theta g")
     return True, coords
@@ -72,9 +73,21 @@ def echelon_residues(fs, p, kp, bound, a, b):
     return target.reduce(np.stack([theta_series(f, p, a)[:bound] for f in fs]))
 
 
-def at_precision(piece, prec):
-    """The piece on its weight's basis built at prec, whose first columns are the piece's space."""
-    return dataclasses.replace(piece, space=miller_basis(piece.p, piece.k, prec))
+def piece_series(pc, coords, prec):
+    """The series to prec coefficients of each row of coords, vectors in the piece's coordinates.
+
+    Read off the piece's forms, or beyond their precision off its forms'
+    echelon coordinates times the weight's basis built at prec.
+    """
+    forms = pc.forms
+    if prec > forms.shape[1]:
+        forms = _matmul(forms[:, : space_dim(pc.k)], miller_basis(pc.p, pc.k, prec).coeffs, pc.p)
+    return _matmul(_residues(pc.p, coords), forms[:, :prec], pc.p)
+
+
+def json_witnesses(rep):
+    """(f piece coordinates, g weight-k' echelon coordinates) of each witness, as the JSON gives them."""
+    return [(w["f_coords"], w["g_coords"]) for w in rep.to_json()["witnesses"]]
 
 
 def smaller_direction(p, k):
@@ -149,7 +162,7 @@ def test_eisenstein_pair_are_companions():
         f = eisenstein_q(p, k, bound)
         ok, g_coords = companion_oracle(f, p, k)
         assert ok
-        g = miller_basis(p, kp, bound).coords_to_series(g_coords)
+        g = form_of(miller_basis(p, kp, bound), g_coords)
         e_kp = eisenstein_q(p, kp, bound)
         # the companion is unique here and must be the mirror Eisenstein series:
         # both sides scale so that a(1) agree
@@ -162,7 +175,7 @@ def test_companion_relation_is_symmetric():
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
     _, g_coords = companion_oracle(f, p, k)
-    g = miller_basis(p, kp, bound).coords_to_series(g_coords)
+    g = form_of(miller_basis(p, kp, bound), g_coords)
     assert np.array_equal(theta_series(g, p, k)[:bound], theta_series(f, p)[:bound])
 
 
@@ -206,7 +219,7 @@ def test_companion_space_gives_witnesses():
     vecs, _, _ = companion_space(piece, piece_prime)
     assert len(vecs) == 1
     bound = plan_companion(59, 44).bound
-    f = piece.series(vecs[:1], bound)[0]
+    f = piece_series(piece, vecs[:1], bound)[0]
     ok, _ = companion_oracle(f, 59, 44)
     assert ok
 
@@ -220,10 +233,9 @@ def test_reports_on_irregular_pairs():
 
 
 def _in_piece(series, piece):
-    """Whether series lies in piece: the first dim coefficients of a form are
-    its coordinates, which must solve against the piece's basis at that weight."""
-    coords = MatFp(piece.p, [series[: piece.space.dim]]).transpose()
-    return solve(piece.basis.transpose(), coords) is not None
+    """Whether series lies in piece: on every coefficient both hold, it is a combination of the piece's forms."""
+    n = min(len(series), piece.forms.shape[1])
+    return solve(MatFp(piece.p, piece.forms[:, :n]).transpose(), MatFp(piece.p, [series[:n]]).transpose()) is not None
 
 
 def test_mirror_check_eisenstein_pair():
@@ -233,7 +245,7 @@ def test_mirror_check_eisenstein_pair():
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
     ok, gc = companion_oracle(f, p, k)
-    g = miller_basis(p, p + 1 - k, bound).coords_to_series(gc)
+    g = form_of(miller_basis(p, p + 1 - k, bound), gc)
     assert ok and _in_piece(f, piece) and _in_piece(g, piece_prime)
 
 
@@ -241,11 +253,11 @@ def test_mirror_check_on_discovered_pairs():
     for p, k in IRREGULAR_PAIRS:
         rep = companion_report(p, k)
         bound = rep.plan.bound
-        for f_coords, g_coords in rep.witnesses:
-            f = at_precision(rep.piece, bound).series([f_coords], bound)[0]
+        for f_coords, g_coords in json_witnesses(rep):
+            f = piece_series(rep.piece, [f_coords], bound)[0]
             ok, oracle_g = companion_oracle(f, p, k)
             assert ok and oracle_g == g_coords, (p, k)
-            g = miller_basis(p, rep.k_prime, bound).coords_to_series(oracle_g)
+            g = form_of(miller_basis(p, rep.k_prime, bound), oracle_g)
             assert _in_piece(f, rep.piece) and _in_piece(g, rep.piece_prime), (p, k)
 
 
@@ -255,7 +267,7 @@ def test_dimension_stable_under_precision_increase():
     piece, piece_prime = localized_pieces(p, k)
     base = len(companion_space(piece, piece_prime)[0])
     bound = plan_companion(p, k).bound + 20
-    fs = at_precision(piece, bound).series(MatFp.identity(p, piece.dim).a, bound)
+    fs = piece_series(piece, MatFp.identity(p, piece.dim).a, bound)
     again = kernel(MatFp(p, echelon_residues(fs, p, p + 1 - k, bound, p + 1 - k, 1)).transpose()).nrows
     assert again == base
 
@@ -267,7 +279,7 @@ def test_companion_dimension_against_exhaustive_count():
     piece, piece_prime = localized_pieces(p, k)
     assert piece.dim == 2
     bound = plan_companion(p, k).bound
-    basis = piece.series(MatFp.identity(p, piece.dim).a, bound)
+    basis = piece.forms[:, :bound]
     count = 0
     for a in range(p):
         for b in range(p):
@@ -291,18 +303,19 @@ def test_relation_kernel_matches_both_oracles():
             a, b, bound = smaller_direction(p, pc.k)
             old = plan_companion(p, pc.k).bound
             assert bound == min(old, plan_companion(p, kp).bound)
-            f_coords, g_coords, c_mirror = companion_space(pc, mirror)
+            f_coords, g_piece_coords, c_mirror = companion_space(pc, mirror)
             if pc is rep.piece:
-                assert rep.witnesses == list(zip(f_coords, g_coords)) and rep.c_m_prime == c_mirror
-            longer = at_precision(pc, old)
-            fs = longer.series(MatFp.identity(p, pc.dim).a, old)
+                assert rep.witnesses == list(zip(f_coords, g_piece_coords)) and rep.c_m_prime == c_mirror
+            # g's weight-k' echelon coordinates are the first dim M_k' coefficients of its form
+            g_coords = piece_series(mirror, g_piece_coords, space_dim(kp)).tolist()
+            fs = piece_series(pc, MatFp.identity(p, pc.dim).a, old)
             for resid in (echelon_residues(fs, p, kp, bound, a, b), echelon_residues(fs, p, kp, old, kp, 1)):
                 assert f_coords == kernel(MatFp(p, resid).transpose()).a.tolist(), (p, pc.k)
             for fc, gc in zip(f_coords, g_coords):
-                assert companion_oracle(longer.series([fc], old)[0], p, pc.k) == (True, gc), (p, pc.k)
-                assert _in_piece(mirror.space.coords_to_series(gc), mirror), (p, pc.k)
+                assert companion_oracle(piece_series(pc, [fc], old)[0], p, pc.k) == (True, gc), (p, pc.k)
+                assert _in_piece(form_of(miller_basis(p, kp, old), gc), mirror), (p, pc.k)
             ma, mb, _ = smaller_direction(p, kp)
-            gs = mirror.series(MatFp.identity(p, mirror.dim).a, bound)
+            gs = mirror.forms[:, :bound]
             assert c_mirror == kernel(MatFp(p, echelon_residues(gs, p, pc.k, bound, ma, mb)).transpose()).nrows
 
 
@@ -313,7 +326,7 @@ def test_relation_kernel_rejects_a_repeated_basis_row():
     piece, piece_prime = localized_pieces(37, 32)
 
     def twice(pc):
-        return dataclasses.replace(pc, basis=MatFp(pc.p, np.vstack([pc.basis.a, pc.basis.a[:1]])))
+        return dataclasses.replace(pc, forms=np.vstack([pc.forms, pc.forms[:1]]))
 
     for pc, mirror in ((piece, twice(piece_prime)), (twice(piece), piece_prime)):
         with pytest.raises(AssertionError, match="c\\(m\\) = c\\(m'\\)"):
@@ -329,11 +342,10 @@ def test_witness_g_by_linearity_matches_the_oracle():
         bound = plan_companion(p, k).bound
         a, b, shared = smaller_direction(p, k)
         target = miller_basis(p, rep.k_prime, bound)
-        piece = at_precision(rep.piece, bound)
-        for f_coords, g_coords in rep.witnesses:
-            f = piece.series([f_coords], bound)[0]
+        for f_coords, g_coords in json_witnesses(rep):
+            f = piece_series(rep.piece, [f_coords], bound)[0]
             assert companion_oracle(f, p, k) == (True, g_coords), (p, k)
-            g = target.coords_to_series(g_coords)
+            g = form_of(target, g_coords)
             assert theta_series(f, p, a)[:shared].tolist() == theta_series(g, p, b)[:shared].tolist()
 
 
@@ -351,40 +363,41 @@ def test_companion_report_reduces_each_piece_once(monkeypatch):
 
 
 def test_witness_csv_builds_no_third_basis(monkeypatch):
-    # the pair's spaces reach 84 coefficients, so 24 are read off them; 100 build
-    # both weights at 100, and the first 24 coefficients agree
+    # each pair builds its two weights once, at 24 coefficients at (37,32), whose
+    # companion bound is 22, and at 84 at (59,44); the CSV reads its 24 columns
+    # off the two pieces, with no basis, ladder ratio or inverse made.  Each f
+    # and g is the start of a series on which the companion relation holds at
+    # 100 and at 400 coefficients, by the test-side oracles
     import eiscomp.companions as companions
     import eiscomp.hecke as hecke
-
-    calls = []
-    real = companions.miller_basis
-
-    def spy(p, k, prec, *rest, **kwargs):
-        calls.append((p, k, prec))
-        return real(p, k, prec, *rest, **kwargs)
-
-    monkeypatch.setattr(companions, "miller_basis", spy)
-    monkeypatch.setattr(hecke, "miller_basis", spy)
-    rep = companion_report(59, 44)
-    short = witness_csv(rep)
-    assert calls == [(59, 44, 84), (59, 16, 84)]
-    longer = witness_csv(rep, prec=100)
-    assert calls[2:] == [(59, 44, 100), (59, 16, 100)]
-    cut = [[line.split(",")[: 3 + 24] for line in text.splitlines()] for text in (short, longer)]
-    assert cut[0] == cut[1] and len(cut[0]) == 3
-
-
-def test_witness_csv_makes_one_ladder_ratio_beyond_the_pair(monkeypatch):
-    # prec 100 is beyond the pair's 84: both weights are built at 100 on one
-    # ladder ratio, so one Newton inverse of length 100 is made
     from eiscomp import qexp
 
-    rep = companion_report(59, 44)
-    inverses = []
-    real = qexp.inverse_mod
-    monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
-    witness_csv(rep, prec=100)
-    assert inverses == [100]
+    real, real_ratio, real_inv = companions.miller_basis, companions.ladder_ratio, qexp.inverse_mod
+    for p, k, prec in [(37, 32, 24), (59, 44, 84)]:
+        calls, made = [], []
+
+        def spy(p, k, prec, *rest, **kwargs):
+            calls.append((p, k, prec))
+            return real(p, k, prec, *rest, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(companions, "miller_basis", spy)
+            mp.setattr(hecke, "miller_basis", spy)
+            mp.setattr(companions, "ladder_ratio", lambda *args: made.append("ratio") or real_ratio(*args))
+            mp.setattr(qexp, "inverse_mod", lambda f, m: made.append("inverse") or real_inv(f, m))
+            rep = companion_report(p, k)
+            assert calls == [(p, k, prec), (p, p + 1 - k, prec)] and made == ["ratio", "inverse"]
+            rows = [line.split(",") for line in witness_csv(rep).splitlines()[1:]]
+            assert calls == [(p, k, prec), (p, p + 1 - k, prec)] and made == ["ratio", "inverse"]
+        assert len(rows) == 2 * rep.c_m == 2
+        a, b, _ = smaller_direction(p, k)
+        for n in (100, 400):
+            for idx, (f_coords, g_coords) in enumerate(json_witnesses(rep)):
+                f = piece_series(rep.piece, [f_coords], n)[0]
+                g = form_of(miller_basis(p, rep.k_prime, n), g_coords)
+                assert theta_series(f, p, a).tolist() == theta_series(g, p, b).tolist(), (p, k, n)
+                assert rows[2 * idx][3:] == [str(c) for c in f[:24].tolist()]
+                assert rows[2 * idx + 1][3:] == [str(c) for c in g[:24].tolist()]
 
 
 def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
@@ -412,15 +425,61 @@ def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert len(rows) == 2 * len(witnesses) > 0
     for idx, w in enumerate(witnesses):
-        f = piece.series([w["f_coords"]], prec)[0]
-        g = target.coords_to_series(w["g_coords"])
+        f = piece_series(piece, [w["f_coords"]], prec)[0]
+        g = form_of(target, w["g_coords"])
         assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.tolist()]
         assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.tolist()]
 
 
 def test_witness_csv_shape():
     rep = companion_report(37, 32)
-    text = witness_csv(rep, prec=12)
+    text = witness_csv(rep)
     lines = text.strip().split("\n")
-    assert lines[0].startswith("pair,side,weight,a0")
+    assert lines[0] == "pair,side,weight," + ",".join(f"a{n}" for n in range(24))
     assert len(lines) == 1 + 2 * len(rep.witnesses)
+    assert all(len(line.split(",")) == 3 + 24 for line in lines)
+
+
+@pytest.mark.parametrize(
+    "p,k,digest",
+    [
+        (37, 32, "78bfa292069f94fc"),
+        (59, 44, "d5ef92368aa21af9"),
+        (103, 24, "18ed8cf0736d12ae"),
+        (157, 62, "7ca482e8c8b6cabe"),
+        (293, 156, "f9dc28af31b0325c"),
+    ],
+)
+def test_witness_csv_digest_is_pinned(p, k, digest):
+    # the SHA-256 prefix of the default witness CSV, as the echelon-basis route wrote it
+    assert hashlib.sha256(witness_csv(companion_report(p, k)).encode()).hexdigest()[:16] == digest
+
+
+# --- the pieces' forms ----------------------------------------------------------
+
+def assert_forms_match_the_basis(piece, cols):
+    """The piece's forms to cols coefficients are their echelon coordinates times miller_basis at cols."""
+    p, k = piece.p, piece.k
+    want = _matmul(piece.forms[:, : space_dim(k)], miller_basis(p, k, cols).coeffs, p)
+    got = piece.forms[:, :cols]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, k)
+    assert not piece.forms.flags.writeable, (p, k)
+    with pytest.raises(ValueError):
+        piece.forms[0, 0] = 1
+
+
+def test_piece_forms_are_coordinates_times_the_basis():
+    # both weights of every irregular pair below 600, (547,486) with its piece of dimension 3 among them
+    dims = {}
+    for p in sympy.primerange(11, 600):
+        for k in irregular_indices(p):
+            for piece in localized_pieces(p, k):
+                assert_forms_match_the_basis(piece, piece.forms.shape[1])
+                dims[(p, piece.k)] = piece.dim
+    assert dims[(547, 486)] == 3 and len(dims) > 80
+
+
+def test_piece_forms_at_1847_954_match_the_basis_on_20000_columns():
+    for piece in localized_pieces(1847, 954):
+        assert piece.forms.shape[1] == 137756
+        assert_forms_match_the_basis(piece, 20000)

@@ -382,8 +382,9 @@ def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
         got, subs = generalized_eigenspace(etas, s.dim, p=s.p)
         assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
         assert subs == [restriction_oracle(eta, got) for eta in etas], (s.p, s.k)
-        cusp = EisLocalPiece(s, got, subs).cuspidal_subpiece()
-        assert cusp.etas == [restriction_oracle(eta, cusp.basis) for eta in etas], (s.p, s.k)
+        cusp = EisLocalPiece(s.p, s.k, _matmul(got.a, s.coeffs, s.p), subs).cuspidal_subpiece()
+        cusp_basis = MatFp(s.p, cusp.forms[:, : s.dim], s.dim)
+        assert cusp.etas == [restriction_oracle(eta, cusp_basis) for eta in etas], (s.p, s.k)
 
 
 def test_gen_eigenspace_zero_op_gives_whole_space():

@@ -31,7 +31,7 @@ from eiscomp.qexp import (
     sturm,
 )
 
-from oracles import bernoulli_fraction, eisenstein_q, p_deprived_eisenstein_q
+from oracles import bernoulli_fraction, eisenstein_q, form_of, p_deprived_eisenstein_q
 
 PREC = 16
 
@@ -589,6 +589,8 @@ def test_membership_basis_elements():
         want = [0] * s.dim
         want[i] = 1
         assert coords == want
+    # a block of rows gets one coordinate list per row
+    assert membership(s.coeffs, s) == np.eye(s.dim, dtype=np.int64).tolist()
 
 
 def test_membership_zero():
@@ -602,26 +604,30 @@ def test_membership_eisenstein_in_miller():
         e = eisenstein_q(p, k, 10)
         coords = membership(e, s)
         assert coords is not None
-        assert np.array_equal(s.coords_to_series(coords), e)
+        assert np.array_equal(form_of(s, coords), e)
 
 
 def test_membership_rejects_outsiders():
     s = miller_basis(11, 12, 10)
-    assert membership(np.array([0, 1, 1] + [0] * 7), s) is None
+    outsider = np.array([0, 1, 1] + [0] * 7)
+    assert membership(outsider, s) is None
+    # one row outside a block puts the block outside
+    assert membership(np.vstack([s.coeffs, outsider]), s) is None
 
 
 def test_membership_insufficient_precision_is_an_error():
     s = miller_basis(11, 48, 5)
     with pytest.raises(PrecisionError):
         membership(np.array([1, 0]), s)
+    with pytest.raises(PrecisionError):
+        membership(s.coeffs[:, :2], s)
 
 
 def test_series_is_one_read_only_residue_array():
     # the series the library returns are single rows, read-only as a basis row
     # is, stored under the basis rule: int64 at 5^13, Python integers at 5^14
     for digits, dtype in ((13, np.int64), (14, object)):
-        s = miller_basis(5, 24, 12, digits)
-        for f in (delta_q(5, 12, digits), ladder_ratio(5, 12, digits), s.coords_to_series([1] * s.dim)):
+        for f in (delta_q(5, 12, digits), ladder_ratio(5, 12, digits)):
             assert f.shape == (12,) and f.dtype == dtype and not f.flags.writeable
             with pytest.raises(ValueError):
                 f[0] = 1
@@ -799,7 +805,7 @@ def test_array_basis_matches_the_list_oracles(p, digits, k):
     for trial in range(12):
         coords = [m - 1] * s.dim if trial == 0 else [rng.randrange(m) for _ in range(s.dim)]
         inside = coords_to_series_oracle(rows, coords, m)
-        assert s.coords_to_series(coords).tolist() == inside
+        assert form_of(s, coords).tolist() == inside
         outside = list(inside)
         outside[rng.randrange(s.dim, prec)] += rng.randrange(1, m)
         noise = [rng.randrange(m) for _ in range(prec)]
@@ -912,7 +918,7 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     m = 5**13
     coords = [m - 1] * s.dim
     want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
-    assert s.coords_to_series(coords).tolist() == want
+    assert form_of(s, coords).tolist() == want
     assert membership(_residues(m, want), s) == coords
     assert seen == [dtype, dtype]
 
@@ -929,7 +935,7 @@ def test_basis_at_the_float64_edge(k, digits, below):
     assert s.coeffs.dtype == np.int64
     assert s.coeffs.tolist() == basis_oracle(5, k, prec, digits)
     coords = [m - 1] * s.dim
-    assert s.coords_to_series(coords).tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
+    assert form_of(s, coords).tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
 
 
 def test_cli_basis_at_fourteen_digits_matches_the_oracle(capsys):

@@ -220,7 +220,7 @@ def test_every_method_runs_under_some_command(capsys, tmp_path):
     assert {
         "MatFp.transpose",
         "EchelonSpace.insert",
-        "FormSpace.coords_to_series",
+        "CompanionReport.witness_series",
         "EisLocalPiece.cuspidal_subpiece",
         "ScanRecord.from_dict",
         "StructureReport.csv_row",

@@ -7,7 +7,7 @@ import sympy
 
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import localized_pieces
-from eiscomp.errors import NotLocalError, PrecisionError
+from eiscomp.errors import NotLocalError
 from eiscomp.hecke import EisLocalPiece, eisenstein_localize
 from eiscomp.linalg import EchelonSpace, MatFp, _products
 from eiscomp.localstruct import (
@@ -149,11 +149,7 @@ def test_restrict_37_32_full_piece():
 
 def test_restrict_rejects_semisimple_double():
     space = miller_basis(5, 12, sturm(12) ** 2)
-    fake = EisLocalPiece(
-        space=space,
-        basis=MatFp.identity(5, 2),
-        etas=[MatFp(5, [[1, 0], [0, 2]])],
-    )
+    fake = EisLocalPiece(p=5, k=12, forms=space.coeffs, etas=[MatFp(5, [[1, 0], [0, 2]])])
     with pytest.raises(NotLocalError):
         restrict_algebra(fake)
 
@@ -283,24 +279,22 @@ def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeyp
 
 
 def test_piece_series_after_its_prime_was_evicted(monkeypatch):
-    # a piece keeps its whole space: series at the companion bound read it, after
-    # another prime's pair as before it, byte for byte and with no build; a series
-    # longer than the space is a PrecisionError, and builds nothing either
+    # a piece keeps its forms to the pair's precision: at the companion bound they
+    # are, after another prime's pair as before it, byte for byte the same, and
+    # reading them builds nothing; they cannot be written
     from eiscomp.companions import _companion_bound
 
     p, k = 37, 32
     piece, _ = localized_pieces(p, k)
-    coords = [[int(i == j) for j in range(piece.dim)] for i in range(piece.dim)]
     bound = _companion_bound(p, k)
-    before = piece.series(coords, bound).tobytes()
+    before = piece.forms[:, :bound].tobytes()
     structure_report(59, 44)
     built = spy_builds(monkeypatch)
-    after = piece.series(coords, bound)
+    after = piece.forms[:, :bound]
     assert built == []
     assert after.shape == (piece.dim, bound) and after.tobytes() == before
-    with pytest.raises(PrecisionError):
-        piece.series(coords, piece.space.prec + 5)
-    assert built == []
+    with pytest.raises(ValueError):
+        piece.forms[0, 0] = 1
 
 
 def test_a_pair_owns_its_bases(monkeypatch):
@@ -311,6 +305,23 @@ def test_a_pair_owns_its_bases(monkeypatch):
     import weakref
 
     from eiscomp import companions, qexp
+
+    # each piece keeps its forms alone: the first weight's basis is gone before the
+    # second is built, and once localized_pieces returns neither basis is alive
+    spaces = []
+    real_build = companions.miller_basis
+
+    def build(*args, **kwargs):
+        assert [ref() for ref in spaces] == [None] * len(spaces)
+        space = real_build(*args, **kwargs)
+        spaces.append(weakref.ref(space))
+        return space
+
+    with monkeypatch.context() as mp:
+        mp.setattr(companions, "miller_basis", build)
+        pieces = localized_pieces(157, 62)
+    assert len(spaces) == 2 and [ref() for ref in spaces] == [None, None]
+    assert [pc.dim for pc in pieces] == [2, 1]
 
     built, ratios = spy_builds(monkeypatch), []
     real_ratio = companions.ladder_ratio
