@@ -126,10 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, weight=True):
+    def add_common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime >= 5")
-        if weight:
-            sp.add_argument("--k", type=int, required=True, help="even weight")
+        sp.add_argument("--k", type=int, required=True, help="even weight")
         sp.add_argument("--out", type=str, default=None, help="write output here")
 
     sp = sub.add_parser("basis", help="echelon basis of M_k as JSON")

@@ -35,7 +35,7 @@ from .linalg import (
     rank,
     restrict_operator,
 )
-from .qexp import FormSpace, membership, miller_basis, sturm
+from .qexp import FormSpace, divisor_power_sums, membership, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -44,11 +44,6 @@ def generator_primes(k: int) -> list[int]:
         n for n in range(2, sturm(k) + 1)
         if all(n % d for d in range(2, isqrt(n) + 1))
     ]
-
-
-def sigma_eigenvalue(p: int, k: int, n: int) -> int:
-    """sigma_(k-1)(n) mod p: the Eisenstein eigenvalue of T(n); 0 at n = 0."""
-    return sum(pow(d, k - 1, p) for d in range(1, n + 1) if n % d == 0) % p
 
 
 def hecke_action(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
@@ -179,14 +174,14 @@ def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
     space, all that the generators need; that view shares the space's
     `hecke_matrices`.  The piece's forms are one product of its basis rows,
     in the space's coordinates, with the space's coefficients; the piece
-    keeps no reference to the space.
+    keeps no reference to the space.  The eigenvalues sigma_(k-1)(l) are
+    read off one table of divisor power sums up to sturm(k).
     """
     p, k = space.p, space.k
     view = replace(space, coeffs=space.coeffs[:, : sturm(k) ** 2])
     eye = MatFp.identity(p, space.dim)
-    etas = [
-        hecke_matrix(view, ell) - eye.scaled(sigma_eigenvalue(p, k, ell)) for ell in generator_primes(k)
-    ]
+    sigma = divisor_power_sums(k - 1, sturm(k) + 1, p)
+    etas = [hecke_matrix(view, ell) - eye.scaled(int(sigma[ell])) for ell in generator_primes(k)]
     basis, etas = generalized_eigenspace(etas, space.dim, p=p)
     forms = _matmul(basis.a, space.coeffs, p)
     forms.flags.writeable = False

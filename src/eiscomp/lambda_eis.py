@@ -35,19 +35,18 @@ from .qexp import _powers, divisor_power_sums
 
 @dataclass
 class LambdaEisenstein:
-    """One Eisenstein family, truncated modulo (p^digits, T^t_trunc, q^q_prec).
+    """One Eisenstein family, truncated modulo (p^digits, T^D, q^N).
 
     d is the even character exponent (theta = omega^d).  coeffs is a
-    read-only q_prec x t_trunc array of residues mod p^digits, stored as
-    linalg's `_storage` gives; row n holds the T-coefficients of a(n) for
-    1 <= n < q_prec.  Row 0 stays zero: the constant term is not stored,
-    only its interpolation values are ever used.
+    read-only N x D array of residues mod p^digits, stored as linalg's
+    `_storage` gives; row n holds the T-coefficients of a(n) for
+    1 <= n < N; the array's shape is the truncation.  Row 0 stays zero:
+    the constant term is not stored, only its interpolation values are
+    ever used.
     """
 
     p: int
     d: int
-    q_prec: int
-    t_trunc: int
     digits: int
     coeffs: np.ndarray
 
@@ -78,9 +77,7 @@ def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: i
         # two residues below q < 2^32 (int64 storage) add without overflow
         coeffs[t::t] = (coeffs[t::t] + term) % q
     coeffs.flags.writeable = False
-    return LambdaEisenstein(
-        p=p, d=d, q_prec=q_prec, t_trunc=t_trunc, digits=digits, coeffs=coeffs
-    )
+    return LambdaEisenstein(p=p, d=d, digits=digits, coeffs=coeffs)
 
 
 @dataclass
@@ -130,24 +127,26 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
     """Specialize at T = gamma^d - 1 and compare with the weight-(d+2) series.
 
     Every stored coefficient is evaluated and compared modulo
-    p^min(digits, t_trunc).  The constant term is checked mod p only: the
-    target's a(0), -B_k/(2k) with B_k from the power sum, against the same
-    value from the Voronoi table, whenever d < p-3 (the excluded character
-    pair sits at d = p-3, where that value is not p-integral).
+    p^min(digits, D), D the T-truncation.  The constant term is checked mod
+    p only: the target's a(0), -B_k/(2k) with B_k from the power sum,
+    against the same value from the Voronoi table, whenever d < p-3 (the
+    excluded character pair sits at d = p-3, where that value is not
+    p-integral).
     """
     p, d = family.p, family.d
+    q_prec, t_trunc = family.coeffs.shape
     k = d + 2
     q = p**family.digits
-    checked = min(family.digits, family.t_trunc)
+    checked = min(family.digits, t_trunc)
     qc = p**checked
     x = pow(1 + p, d, q) - 1  # divisible by p: dropped terms c_j x^j have j >= t_trunc
     const_checked = d < p - 3  # d = p-3 is the excluded pair: value not p-integral
     # Horner's rule over the T-coefficients, every row at once; values * x is
     # a product of two residues, exact under the storage rule
-    values = np.zeros(family.q_prec, dtype=family.coeffs.dtype)
+    values = np.zeros(q_prec, dtype=family.coeffs.dtype)
     for column in family.coeffs.T[::-1]:
         values = (values * x % q + column) % q
-    target = divisor_power_sums(k - 1, family.q_prec, q, skip_divisible_by=p)
+    target = divisor_power_sums(k - 1, q_prec, q, skip_divisible_by=p)
     mismatches = (np.flatnonzero(values[1:] % qc != target[1:] % qc) + 1).tolist()
     const_match: bool | None = None
     if const_checked:
@@ -162,7 +161,7 @@ def specialize_and_compare(family: LambdaEisenstein) -> SpecializationReport:
         d=d,
         weight=k,
         digits_checked=checked,
-        q_prec=family.q_prec,
+        q_prec=q_prec,
         coefficients_match=not mismatches,
         mismatches=mismatches,
         constant_term_checked=const_checked,

@@ -88,23 +88,19 @@ def _power(x, e: int, mul):
 
 
 class MatFp:
-    """A matrix over F_p, held as one 2-D array `a` of residues in [0, p)."""
+    """A matrix over F_p, held as one 2-D array `a` of residues in [0, p).
+
+    An empty matrix is given as a 2-D array of shape (0, n); an empty
+    nested list has no column count and is rejected.
+    """
 
     __slots__ = ("p", "a")
 
-    def __init__(
-        self, p: int, rows: Sequence[Sequence[int]] | np.ndarray, ncols: int | None = None
-    ):
+    def __init__(self, p: int, rows: Sequence[Sequence[int]] | np.ndarray):
         require_admissible_prime(p)
         a = _residues(p, rows)
-        if a.ndim == 1 and a.size == 0:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            a = a.reshape(0, ncols)
         if a.ndim != 2:
             raise ValueError("entries do not form a matrix")
-        if ncols is not None and ncols != a.shape[1]:
-            raise ValueError("ncols disagrees with row length")
         self.p = p
         self.a = a
 
@@ -292,9 +288,7 @@ def restrict_operator(ops: Sequence[MatFp], basis_rows: MatFp) -> list[MatFp]:
     return [MatFp._wrap(bt.p, coords.a[:, i * r : (i + 1) * r]) for i in range(len(mats))]
 
 
-def generalized_eigenspace(
-    ops: Sequence[MatFp], dim: int, *, p: int | None = None
-) -> tuple[MatFp, list[MatFp]]:
+def generalized_eigenspace(ops: Sequence[MatFp], dim: int, *, p: int) -> tuple[MatFp, list[MatFp]]:
     """Canonical basis of the common generalized kernel V of commuting operators,
     and the matrix of each operator on V, in the order given.
 
@@ -313,16 +307,14 @@ def generalized_eigenspace(
     not kept or a clash raises ValueError.  The rows equal
     kernel(kernel(V)): `kernel`'s coordinates times a basis in `kernel`'s
     reduced form is again in that form.  An empty operator list cuts
-    nothing out, so the whole space comes back (p must then be given).
+    nothing out, so the whole space comes back.  An op that is not a
+    dim x dim matrix over F_p raises ValueError.
     """
     mats = list(ops)
+    if any(m.p != p or m.a.shape != (dim, dim) for m in mats):
+        raise ValueError("operator does not act on the given space")
     if not mats:
-        if p is None:
-            raise ValueError("empty operator list needs an explicit p")
         return MatFp.identity(p, dim), []
-    for m in mats:
-        if m.nrows != dim or m.ncols != dim:
-            raise ValueError("operator does not act on the given space")
     basis = kernel(mats[0] ** dim)
     subs = restrict_operator(mats, basis)
     for i in range(1, len(mats)):
@@ -443,7 +435,7 @@ class EchelonSpace:
         return self._buf[start : self.dim].copy()
 
 
-def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | None = None) -> list[MatFp]:
+def algebra_closure(gens: Sequence[MatFp], *, p: int, dim: int) -> list[MatFp]:
     """Linear basis of the unital algebra generated by commuting matrices.
 
     Breadth-first product-and-insert until the dimension stabilizes: each
@@ -451,15 +443,13 @@ def algebra_closure(gens: Sequence[MatFp], *, p: int | None = None, dim: int | N
     block of products, in generator order, is inserted in one call, so one
     `reduce` per block.  The returned list starts with the identity;
     members are reduced representatives, so the list is deterministic for
-    a fixed generator order.
+    a fixed generator order.  At dim 0 the identity is empty and inserts
+    no row, so the basis is [].  A generator that is not a dim x dim matrix
+    over F_p raises ValueError.
     """
     mats = list(gens)
-    if mats:
-        p, dim = mats[0].p, mats[0].nrows
-    if p is None or dim is None:
-        raise ValueError("empty generator list needs explicit p and dim")
-    if dim == 0:
-        return []
+    if any(m.p != p or m.a.shape != (dim, dim) for m in mats):
+        raise ValueError("generator does not act on the given space")
     ech = EchelonSpace(p, dim * dim)
     basis = [MatFp._wrap(p, row.reshape(dim, dim)) for row in ech.insert(np.eye(dim, dtype=np.int64).ravel())]
     i = 0

@@ -148,9 +148,9 @@ class StructureReport:
     cyclic_cusp: bool | None
     dim_identity_ok: bool
     zero_cuspidal: bool
-    equivalence_failures: list[str] = field(default_factory=list)
+    equivalence_failures: list[str]
+    plan: PrecisionPlan
     complete_intersection: str = "not evaluated"
-    plan: PrecisionPlan | None = None
 
     @property
     def all_asserted_hold(self) -> bool:
@@ -177,7 +177,7 @@ class StructureReport:
             "equivalence_failures": self.equivalence_failures,
             "complete_intersection": self.complete_intersection,
             "all_asserted_hold": self.all_asserted_hold,
-            "plan": self.plan.to_json() if self.plan else None,
+            "plan": self.plan.to_json(),
         }
 
     def csv_row(self) -> str:

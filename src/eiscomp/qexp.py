@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NonInvertibleError, PrecisionError
 from .linalg import _matmul, _power, _residues, _storage
-from .padic import require_admissible_prime
+from .padic import _require_digits
 
 
 def sturm(k: int) -> int:
@@ -327,7 +327,7 @@ def delta_q(p: int, prec: int, digits: int = 1) -> np.ndarray:
     The defining identity holds over Z, so computing it modulo p^digits
     gives the reduction of the integral series.
     """
-    require_admissible_prime(p)
+    _require_digits(p, digits)
     if prec < 1:
         raise ValueError("need at least one coefficient")
     m = p**digits
@@ -394,7 +394,7 @@ def ladder_ratio(p: int, prec: int, digits: int = 1) -> np.ndarray:
     E4^3 = 1 + O(q), so its inverse (`inverse_mod`) is exact over Z/p^digits;
     one E4^3 serves Delta and the inverse.
     """
-    require_admissible_prime(p)
+    _require_digits(p, digits)
     m = p**digits
     e4_cubed = _power(_unit_eisenstein(4, prec, m), 3, lambda a, b: convolve_mod(a, b, m))
     ratio = convolve_mod(_delta(e4_cubed, m), inverse_mod(e4_cubed, m), m)
@@ -424,7 +424,7 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
     and U^-1 reads only the first dim columns, so a build's first n
     columns equal a build at precision n.
     """
-    require_admissible_prime(p)
+    _require_digits(p, digits)
     if k < 4 or k % 2 == 1:
         raise ValueError(f"no echelon basis for weight {k}")
     if prec < sturm(k):

@@ -101,6 +101,14 @@ def p_deprived_eisenstein_q(p: int, k: int, prec: int, digits: int = 1) -> np.nd
     return coeffs
 
 
+def eisenstein_eigenvalue(p: int, k: int, n: int) -> int:
+    """sigma_(k-1)(n) mod p, the eigenvalue of T(n) on weight-k Eisenstein series.
+
+    Read off `divisor_power_sums`, as `hecke.eisenstein_localize` reads it.
+    """
+    return int(divisor_power_sums(k - 1, n + 1, p)[n])
+
+
 def horner(coeffs, x: int, q: int) -> int:
     """sum c_j x^j mod q: one element of Z_p[[T]], truncated, evaluated at x."""
     acc = 0

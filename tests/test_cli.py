@@ -194,6 +194,8 @@ def test_structure_internal_errors_exit_codes(capsys, monkeypatch, error, code):
 
 SCOPE_ERRORS = [
     ["basis", "--p", "5", "--k", "3"],
+    ["basis", "--p", "5", "--k", "12", "--digits", "0"],
+    ["basis", "--p", "5", "--k", "12", "--digits", "-1"],
     ["hecke", "--p", "37", "--k", "2"],
     *[
         [cmd, "--p", str(p), "--k", str(k)]

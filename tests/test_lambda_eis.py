@@ -79,10 +79,7 @@ def test_fault_injection_detected():
     fam = build_lambda_eisenstein(5, 2, 12, 5, 2)
     bad = fam.coeffs.copy()
     bad[6, 0] += 1
-    doctored = LambdaEisenstein(
-        p=fam.p, d=fam.d, q_prec=fam.q_prec, t_trunc=fam.t_trunc,
-        digits=fam.digits, coeffs=bad,
-    )
+    doctored = LambdaEisenstein(p=fam.p, d=fam.d, digits=fam.digits, coeffs=bad)
     rep = specialize_and_compare(doctored)
     assert not rep.coefficients_match
     assert rep.mismatches == [6]
@@ -113,7 +110,7 @@ def test_truncation_caps_the_digits_checked():
     for shift, seen in ((7**2, False), (7, True)):
         bad = fam.coeffs.copy()
         bad[9, 0] = (bad[9, 0] + shift) % 7**5
-        rep = specialize_and_compare(LambdaEisenstein(7, 2, 20, 2, 5, bad))
+        rep = specialize_and_compare(LambdaEisenstein(7, 2, 5, bad))
         assert rep.mismatches == ([9] if seen else []), shift
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy import prevprime
 
 from eiscomp.bernoulli import irregular_indices
-from eiscomp.hecke import EisLocalPiece, generator_primes, hecke_matrix, sigma_eigenvalue
+from eiscomp.hecke import EisLocalPiece, generator_primes, hecke_matrix
 from eiscomp.linalg import (
     EchelonSpace,
     MatFp,
@@ -28,6 +28,8 @@ from eiscomp.linalg import (
 )
 from eiscomp.qexp import miller_basis, sturm
 from eiscomp.scan import primes_in
+
+from oracles import eisenstein_eigenvalue
 
 
 # --- oracles ---------------------------------------------------------------
@@ -138,8 +140,13 @@ def closure_oracle(gens, p, dim):
     return [entries(b) for b in basis]
 
 
+def mat(p, rows, ncols):
+    """The matrix of these row lists, nrows x ncols also when there are no rows."""
+    return MatFp(p, np.array(rows, dtype=object).reshape(len(rows), ncols))
+
+
 def random_mat(rng, p, nrows, ncols):
-    return MatFp(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
+    return mat(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def zeros(p, nrows, ncols):
@@ -288,13 +295,23 @@ def test_public_constructors_reduce_what_they_are_given():
     assert MatFp(p, np.array([[-1, 8]])).a.tolist() == [[6, 1]]
 
 
+def test_an_empty_matrix_is_a_two_dimensional_array():
+    # a (0, n) array keeps its column count; an empty nested list has none
+    empty = MatFp(7, np.zeros((0, 3), dtype=np.int64))
+    assert (empty.nrows, empty.ncols) == (0, 3)
+    assert (empty * MatFp.identity(7, 3)) == empty
+    for rows in ([], [1, 2], [[[1]]]):
+        with pytest.raises(ValueError, match="entries do not form a matrix"):
+            MatFp(7, rows)
+
+
 def test_matmul_exact_at_the_int64_edge():
     # the largest prime with (p-1)^2 < 2^63: one product fits in int64, two do not
     p = 3037000493
     assert (p - 1) ** 2 < 2**63 <= 2 * (p - 1) ** 2
     rng = random.Random(7)
     for n in (1, 2):
-        top = MatFp(p, [[p - 1] * n for _ in range(3)], n)
+        top = MatFp(p, [[p - 1] * n for _ in range(3)])
         assert entries(top * top.transpose()) == matmul_oracle(top, top.transpose())
         a, b = random_mat(rng, p, 3, n), random_mat(rng, p, n, 4)
         assert entries(a * b) == matmul_oracle(a, b)
@@ -316,7 +333,7 @@ def test_matmul_exact_at_the_float64_edge():
     assert n * (p - 1) ** 2 < 2**53 <= (n + 1) * (p - 1) ** 2
     rng = random.Random(11)
     for w in (n, n + 1):
-        top = MatFp(p, [[p - 1] * w for _ in range(3)], w)
+        top = MatFp(p, [[p - 1] * w for _ in range(3)])
         assert entries(top * top.transpose()) == matmul_oracle(top, top.transpose())
         # one p - 2 in each operand makes entry (0, 0) odd, so at n + 1 terms,
         # where it exceeds 2^53, no double holds it
@@ -360,7 +377,7 @@ def hecke_etas(space):
     """The generators T(l) - sigma_(k-1)(l), l in generator_primes(k), on a whole space."""
     eye = MatFp.identity(space.p, space.dim)
     return [
-        hecke_matrix(space, ell) - eye.scaled(sigma_eigenvalue(space.p, space.k, ell))
+        hecke_matrix(space, ell) - eye.scaled(eisenstein_eigenvalue(space.p, space.k, ell))
         for ell in generator_primes(space.k)
     ]
 
@@ -383,23 +400,23 @@ def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
         assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
         assert subs == [restriction_oracle(eta, got) for eta in etas], (s.p, s.k)
         cusp = EisLocalPiece(s.p, s.k, _matmul(got.a, s.coeffs, s.p), subs).cuspidal_subpiece()
-        cusp_basis = MatFp(s.p, cusp.forms[:, : s.dim], s.dim)
+        cusp_basis = MatFp(s.p, cusp.forms[:, : s.dim])
         assert cusp.etas == [restriction_oracle(eta, cusp_basis) for eta in etas], (s.p, s.k)
 
 
 def test_gen_eigenspace_zero_op_gives_whole_space():
     z = zeros(7, 3, 3)
-    assert generalized_eigenspace([z], 3)[0].nrows == 3
+    assert generalized_eigenspace([z], 3, p=7)[0].nrows == 3
 
 
 def test_gen_eigenspace_identity_gives_zero():
     eye = MatFp.identity(7, 3)
-    assert generalized_eigenspace([eye], 3)[0].nrows == 0
+    assert generalized_eigenspace([eye], 3, p=7)[0].nrows == 0
 
 
 def test_gen_eigenspace_jordan_block():
     j = MatFp(7, [[0, 1], [1 * 0, 0]])  # J^2 = 0
-    space, _ = generalized_eigenspace([j], 2)
+    space, _ = generalized_eigenspace([j], 2, p=7)
     assert space.nrows == 2  # whole space, while ker(J) is 1-dim
     assert kernel(j).nrows == 1
 
@@ -408,7 +425,7 @@ def test_gen_eigenspace_rejects_non_commuting():
     a = MatFp(5, [[0, 1], [0, 0]])
     b = MatFp(5, [[0, 0], [1, 0]])
     with pytest.raises(ValueError):
-        generalized_eigenspace([a, b], 2)
+        generalized_eigenspace([a, b], 2, p=5)
 
 
 def test_gen_eigenspace_rejects_a_non_commuting_later_pair():
@@ -419,14 +436,14 @@ def test_gen_eigenspace_rejects_a_non_commuting_later_pair():
     third = MatFp(5, [[0, 0], [1, 0]])
     assert first * second == second * first and first * third == third * first
     with pytest.raises(ValueError):
-        generalized_eigenspace([first, second, third], 2)
+        generalized_eigenspace([first, second, third], 2, p=5)
 
 
 def test_gen_eigenspace_ignores_a_clash_off_the_piece():
     # 3I has generalized kernel {0}, so the common one is the zero space; the
     # clash of the other two lies off it, where only the whole-space check saw it
     ops = [MatFp.identity(5, 2).scaled(3), MatFp(5, [[0, 1], [0, 0]]), MatFp(5, [[0, 0], [1, 0]])]
-    got, _ = generalized_eigenspace(ops, 2)
+    got, _ = generalized_eigenspace(ops, 2, p=5)
     assert got.nrows == 0 and got == generalized_kernel_oracle(ops[:1], 2)
     with pytest.raises(ValueError):
         generalized_kernel_oracle(ops, 2)
@@ -437,7 +454,7 @@ def test_gen_eigenspace_rejects_an_operator_that_leaves_the_first_kernel():
     a = MatFp(5, [[0, 0], [0, 1]])
     b = MatFp(5, [[0, 0], [1, 0]])
     with pytest.raises(ValueError, match="not stable"):
-        generalized_eigenspace([a, b], 2)
+        generalized_eigenspace([a, b], 2, p=5)
 
 
 def test_gen_eigenspace_rejects_an_operator_that_leaves_a_later_kernel():
@@ -445,7 +462,7 @@ def test_gen_eigenspace_rejects_an_operator_that_leaves_a_later_kernel():
     # the plane of e0 and e1, which the third leaves by mapping e0 to e2
     ops = [zeros(5, 3, 3), MatFp(5, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]), MatFp(5, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])]
     with pytest.raises(ValueError, match="not stable"):
-        generalized_eigenspace(ops, 3)
+        generalized_eigenspace(ops, 3, p=5)
 
 
 def test_gen_eigenspace_rejects_a_clash_of_the_first_and_last_of_five():
@@ -457,8 +474,8 @@ def test_gen_eigenspace_rejects_a_clash_of_the_first_and_last_of_five():
     clashes = [(i, j) for i in range(5) for j in range(i + 1, 5) if ops[i] * ops[j] != ops[j] * ops[i]]
     assert clashes == [(0, 4)]
     with pytest.raises(ValueError, match="commuting"):
-        generalized_eigenspace(ops, 2)
-    assert generalized_eigenspace([a, z, z, z, a], 2)[1] == [a, z, z, z, a]
+        generalized_eigenspace(ops, 2, p=5)
+    assert generalized_eigenspace([a, z, z, z, a], 2, p=5)[1] == [a, z, z, z, a]
 
 
 def test_block_restriction_matches_one_solve_per_op():
@@ -536,15 +553,24 @@ def test_closure_of_nothing_is_scalars():
     assert len(basis) == 1 and basis[0] == MatFp.identity(7, 3)
 
 
+def test_closure_rejects_a_generator_off_the_given_space():
+    # the wrong size, the wrong field, or a non-square matrix
+    for gen in (MatFp.identity(7, 2), MatFp.identity(5, 3), MatFp(7, [[1, 0, 0]])):
+        with pytest.raises(ValueError, match="does not act on the given space"):
+            algebra_closure([MatFp.identity(7, 3), gen], p=7, dim=3)
+    with pytest.raises(ValueError, match="does not act on the given space"):
+        generalized_eigenspace([zeros(7, 3, 3), MatFp.identity(5, 3)], 3, p=7)
+
+
 def test_closure_of_identity_is_scalars():
-    basis = algebra_closure([MatFp.identity(7, 2)])
+    basis = algebra_closure([MatFp.identity(7, 2)], p=7, dim=2)
     assert len(basis) == 1
 
 
 def test_closure_matches_krylov_minimal_polynomial():
     # companion matrix of x^3 - x - 1 over F_7: minimal polynomial degree 3
     a = MatFp(7, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
-    basis = algebra_closure([a])
+    basis = algebra_closure([a], p=7, dim=3)
     # Krylov oracle: echelon dimension of {I, A, A^2, ...} flattened
     ech = EchelonSpace(7, 9)
     power = MatFp.identity(7, 3)
@@ -562,7 +588,7 @@ def test_closure_reduces_each_block_once(monkeypatch):
     reduce = EchelonSpace.reduce
     monkeypatch.setattr(EchelonSpace, "reduce", lambda self, v: calls.append(len(v)) or reduce(self, v))
     a = MatFp(7, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
-    basis = algebra_closure([a, a * a, a])
+    basis = algebra_closure([a, a * a, a], p=7, dim=3)
     assert calls == [9] + [3] * len(basis)
 
 
@@ -571,7 +597,7 @@ def test_closure_is_multiplicatively_closed():
     p = 5
     d = MatFp(p, [[rng.randrange(p) if i == j else 0 for j in range(3)] for i in range(3)])
     gens = [d * d, d.scaled(3)]  # commuting pair
-    basis = algebra_closure(gens)
+    basis = algebra_closure(gens, p=p, dim=3)
     ech = EchelonSpace(p, 9)
     for b in basis:
         ech.insert(b.a.ravel())
@@ -612,13 +638,13 @@ def row_lists(draw, p, nrows=None, ncols=None):
 
 
 def check_rref(p, rows, ncols):
-    red, piv, rk = rref(MatFp(p, rows, ncols))
+    red, piv, rk = rref(mat(p, rows, ncols))
     want_rows, want_piv, want_rk = rref_oracle(rows, p, ncols)
     assert (entries(red), piv, rk) == (want_rows, want_piv, want_rk)
 
 
 def check_arithmetic(p, a_rows, b_rows, c_rows, n, m, k, scale):
-    a, b, c = MatFp(p, a_rows, m), MatFp(p, b_rows, k), MatFp(p, c_rows, m)
+    a, b, c = mat(p, a_rows, m), mat(p, b_rows, k), mat(p, c_rows, m)
     want_dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
     assert a.a.dtype == want_dtype
     assert entries(a * b) == matmul_oracle(a, b)
@@ -729,7 +755,7 @@ def commuting_gens(draw, p):
     if kind == "none":
         return dim, []
     if kind == "poly":
-        a = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+        a = mat(p, draw(row_lists(p, dim, dim)), dim)
         powers = [MatFp.identity(p, dim), a, a * a, a * a * a]
         gens = []
         for _ in range(draw(st.integers(1, 3))):
@@ -740,7 +766,7 @@ def commuting_gens(draw, p):
         gens = []
         for _ in range(2):
             diag = draw(st.lists(entry, min_size=dim, max_size=dim))
-            gens.append(MatFp(p, [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)], dim))
+            gens.append(mat(p, [[diag[i] if i == j else 0 for j in range(dim)] for i in range(dim)], dim))
     if draw(st.booleans()):
         gens.append(gens[0])
     return dim, gens
@@ -756,7 +782,7 @@ def commuting_family(draw, p):
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     if draw(st.booleans()):
         dim = draw(st.integers(1, 5))
-        a = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+        a = mat(p, draw(row_lists(p, dim, dim)), dim)
         powers = [MatFp.identity(p, dim), a, a * a]
         ops = []
         for _ in range(draw(st.integers(1, 3))):
@@ -776,7 +802,7 @@ def commuting_family(draw, p):
                 op[at + i, at + i : at + size] = c[: size - i]
             at += size
         ops.append(MatFp(p, op))
-    change = MatFp(p, draw(row_lists(p, dim, dim)), dim)
+    change = mat(p, draw(row_lists(p, dim, dim)), dim)
     if rank(change) == dim:
         ops = [inverse(change) * op * change for op in ops]
     return dim, ops
@@ -787,7 +813,7 @@ def commuting_family(draw, p):
 @given(data=st.data())
 def test_gen_eigenspace_matches_the_oracle_on_commuting_families(p, data):
     dim, ops = data.draw(commuting_family(p))
-    assert generalized_eigenspace(ops, dim)[0] == generalized_kernel_oracle(ops, dim)
+    assert generalized_eigenspace(ops, dim, p=p)[0] == generalized_kernel_oracle(ops, dim)
 
 
 @pytest.mark.parametrize("p", ORACLE_PRIMES)
@@ -804,6 +830,8 @@ def test_block_closure_edge_cases_match_the_oracle(p):
     a = MatFp(p, [[0, 1, 0], [0, 0, 1], [1, p - 1, 0]])
     cases = [
         (3, []),  # no generators: the scalars
+        (0, []),  # dim 0: the empty identity inserts no row
+        (0, [zeros(p, 0, 0)]),
         (1, [MatFp(p, [[p - 1]]), MatFp(p, [[2]])]),  # dim 1
         (3, [a, a * a, a, MatFp.identity(p, 3)]),  # repeated generators
     ]

@@ -12,6 +12,7 @@ from eiscomp.padic import (
     s_exponent,
     teichmuller,
 )
+from eiscomp.qexp import delta_q, ladder_ratio, miller_basis, sturm
 
 from oracles import horner
 
@@ -215,12 +216,16 @@ def test_small_primes_rejected_at_construction():
 
 @pytest.mark.parametrize("prec", [0, -1])
 def test_precision_below_one_digit_rejected_on_entry(prec):
-    # each public function checks its precision before any arithmetic
+    # each public function checks its precision before any arithmetic, the
+    # series builds too, with their prime
     calls = (
         lambda: teichmuller(2, 5, prec),
         lambda: plog(6, 5, prec),
         lambda: s_exponent(2, 5, prec),
         lambda: a_t_poly(2, 5, 3, prec),
+        lambda: miller_basis(5, 12, sturm(12), prec),
+        lambda: ladder_ratio(5, 12, prec),
+        lambda: delta_q(5, 12, prec),
     )
     for call in calls:
         with pytest.raises(PrecisionError, match="precision must be at least one digit"):

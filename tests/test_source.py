@@ -226,3 +226,62 @@ def test_every_method_runs_under_some_command(capsys, tmp_path):
         "StructureReport.csv_row",
     } <= methods
     assert sorted(methods - ran) == []
+
+
+# delta_q's digits leaves with delta_q itself, which only the tests and the
+# benchmark's tracer reach
+UNSET_OPTIONS_KEPT = {"delta_q.digits"}
+
+
+def _optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(call name, parameter, position in a call or None) of every parameter with a default.
+
+    A method is called without its first parameter, and `__init__` by its
+    class's name.  A keyword-only parameter has no position.
+    """
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args][1 if owner else 0 :]
+                name = owner if owner and node.name == "__init__" else node.name
+                defaulted = positional[len(positional) - len(args.defaults) :] if args.defaults else []
+                found.extend((name, a, positional.index(a)) for a in defaulted)
+                found.extend((name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def test_every_optional_parameter_has_a_caller():
+    # an option that no library caller, command or benchmark sets is dead
+    # weight; calls are matched by bare name, as above
+    paths = sorted(PACKAGE.glob("*.py"))
+    sources = paths + [p for p in (PACKAGE.parents[1] / "bench").glob("*.py") if not p.name.startswith("test_")]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, param: str, position: int | None) -> bool:
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return position is not None
+        return position is not None and len(call.args) > position
+
+    unset = {
+        f"{name}.{param}"
+        for path in paths
+        for name, param, position in _optional_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(sets(call, param, position) for call in calls.get(name, []))
+    }
+    assert unset == UNSET_OPTIONS_KEPT

@@ -1,6 +1,8 @@
 """Local-algebra structure: socles, Gorenstein tests, ideal generators."""
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 import sympy
@@ -234,6 +236,26 @@ def test_structure_report_cross_checks_c_m_against_c_m_prime(monkeypatch, capsys
         structure_report(37, 32)
     assert main(["structure", "--p", "37", "--k", "32"]) == 1
     assert "c(m) = c(m')" in capsys.readouterr().err
+
+
+def test_structure_report_skips_the_equivalences_off_c_m_prime_one(monkeypatch, capsys):
+    # every real pair has c(m') = 1, so c(m') = 2 is injected at (37,32): the
+    # equivalences are not checked, the JSON carries the count, and exit is 0
+    import eiscomp.localstruct as localstruct
+    from eiscomp.cli import main
+
+    real = localstruct.companion_report
+    checked = []
+    monkeypatch.setattr(localstruct, "companion_report", lambda p, k: dataclasses.replace(real(p, k), c_m_prime=2))
+    monkeypatch.setattr(localstruct, "check_equivalences", lambda *args: checked.append(args) or ["checked"])
+    rep = structure_report(37, 32)
+    assert (rep.c_m_prime, rep.equivalence_failures, checked) == (2, [], [])
+    assert main(["structure", "--p", "37", "--k", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["c_m_prime"] == 2
+    # gorenstein_full is asserted only under c(m') = 1
+    assert dataclasses.replace(rep, gorenstein_full=False).all_asserted_hold
+    assert not dataclasses.replace(rep, c_m_prime=1, gorenstein_full=False).all_asserted_hold
+    assert dataclasses.replace(rep, c_m_prime=1).all_asserted_hold
 
 
 def spy_builds(monkeypatch):
