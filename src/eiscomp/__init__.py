@@ -51,12 +51,10 @@ from .localstruct import (
 )
 from .padic import (
     a_t_poly,
-    plog,
     s_exponent,
     teichmuller,
 )
 from .qexp import (
-    FormSpace,
     PrecisionPlan,
     delta_q,
     membership,

@@ -46,9 +46,10 @@ def _note(msg: str) -> None:
 
 def cmd_basis(args) -> int:
     prec = sturm(args.k) if args.prec is None else args.prec
-    space = miller_basis(args.p, args.k, prec, args.digits)
-    _emit(json.dumps(space.to_json(), indent=2) + "\n", args.out)
-    _note(f"M_{args.k} over Z/{args.p}^{args.digits}: dim {space.dim}, precision {prec}")
+    basis = miller_basis(args.p, args.k, prec, args.digits)
+    header = {"p": args.p, "digits": args.digits, "k": args.k, "precision": prec, "dim": len(basis)}
+    _emit(json.dumps({**header, "rows": basis.tolist()}, indent=2) + "\n", args.out)
+    _note(f"M_{args.k} over Z/{args.p}^{args.digits}: dim {len(basis)}, precision {prec}")
     return 0
 
 

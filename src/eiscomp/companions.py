@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hecke import EisLocalPiece, eisenstein_localize
+from .hecke import EisLocalPiece, eisenstein_localize, generator_primes, hecke_matrix
 from .linalg import MatFp, _matmul, _residues, kernel, rank
 from .qexp import (
     PrecisionPlan,
@@ -180,15 +180,20 @@ def localized_pieces(p: int, k: int) -> tuple[EisLocalPiece, EisLocalPiece]:
     Each weight's basis is built once, at the one precision that covers
     all the pair reads: the companion bound, both localizations'
     sturm(w)^2 and the witness CSV's WITNESS_PREC.  The ladder ratio is
-    made once at that precision and given to both builds.  Each piece
-    keeps its forms, so a weight's basis is freed once its piece is cut.
+    made once at that precision and given to both builds, and each T(l) is
+    read on the sturm(w)^2 columns it needs.  Each piece keeps its forms,
+    so a weight's basis is freed once its piece is cut.
     """
     kp = p + 1 - k
     prec = max(_companion_bound(p, k), sturm(k) ** 2, sturm(kp) ** 2, WITNESS_PREC)
     ratio = ladder_ratio(p, prec)
-    piece = eisenstein_localize(miller_basis(p, k, prec, ratio=ratio))
-    piece_prime = eisenstein_localize(miller_basis(p, kp, prec, ratio=ratio))
-    return piece, piece_prime
+
+    def localize(w: int) -> EisLocalPiece:
+        basis = miller_basis(p, w, prec, ratio=ratio)
+        gens = [hecke_matrix(basis[:, : sturm(w) ** 2], ell, w, p) for ell in generator_primes(w)]
+        return eisenstein_localize(basis, gens, w, p)
+
+    return localize(k), localize(kp)
 
 
 def companion_report(p: int, k: int) -> CompanionReport:

@@ -3,8 +3,9 @@
 Operators act on coefficients through the divisor-sum rule
 a(m; f|T(n)) = sum over d | gcd(m, n) of d^(k-1) a(mn/d^2; f); at level one
 the diamond action is trivial and T(m, m) is the scalar m^(k-2).  Matrices
-are taken in the echelon basis of a FormSpace, whose first dim
-coefficients are coordinates, once per space and index.
+are taken in the echelon basis that `qexp.miller_basis` returns, a d x N
+array whose first d coefficients are coordinates.  The caller builds each
+T(n) once and passes it to every routine that reads it.
 
 The Hecke algebra is the linear closure of T(l) for the primes l up to the
 weight's coefficient bound sturm(k).  That suffices: the algebra is spanned
@@ -12,14 +13,16 @@ by T(n) for n <= sturm(k), and each such T(n) is a polynomial in the T(l)
 with l | n, since T(mn) = T(m) T(n) for coprime m, n and
 T(l^(r+1)) = T(l) T(l^r) - l^(k-1) T(l^(r-1)).  For the same reason the
 Eisenstein maximal ideal is generated by the T(l) - sigma_(k-1)(l), and the
-localization at it is their common generalized kernel.  A localized piece
-keeps its forms, the q-series of its basis, and no basis of M_k: what
-reads a piece afterwards reads those r <= dim rows alone.
+localization at it is their common generalized kernel.  T(l) reads
+l * sturm(k) <= sturm(k)^2 coefficients, and `companions.localized_pieces`
+builds the generators on that many columns.  A localized piece keeps its
+forms, the q-series of its basis, and no basis of M_k: what reads a piece
+afterwards reads those r <= dim rows alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -35,7 +38,7 @@ from .linalg import (
     rank,
     restrict_operator,
 )
-from .qexp import FormSpace, divisor_power_sums, membership, miller_basis, sturm
+from .qexp import divisor_power_sums, membership, miller_basis, sturm
 
 
 def generator_primes(k: int) -> list[int]:
@@ -66,60 +69,47 @@ def hecke_action(a: np.ndarray, n: int, k: int, modulus: int) -> np.ndarray:
     return out
 
 
-def hecke_matrix(space: FormSpace, n: int) -> MatFp:
-    """Matrix of T(n): column j holds the coordinates of T(n) row_j.
+def hecke_matrix(basis: np.ndarray, n: int, k: int, p: int) -> MatFp:
+    """Matrix of T(n) on the weight-k echelon basis over F_p: column j holds the coordinates of T(n) row_j.
 
-    Requires space.prec >= n * sturm(k) so the images keep enough
-    coefficients for sound membership solving.  Non-membership of an image
-    would mean the basis is not Hecke-stable, i.e. an internal bug, and is
-    surfaced loudly.  Each matrix is built once per space and shared
-    afterwards, so callers must not modify it in place.
+    Requires a basis precision of at least n * sturm(k), so the images keep
+    enough coefficients for sound membership solving.  Non-membership of an
+    image would mean the basis is not Hecke-stable, i.e. an internal bug,
+    and is surfaced loudly.
     """
-    if space.digits != 1:
-        raise ValueError("operator matrices are computed over F_p")
-    if space.prec < n * sturm(space.k):
-        raise PrecisionError(
-            f"T({n}) at weight {space.k} needs precision {n * sturm(space.k)}, "
-            f"space has {space.prec}"
-        )
-    cached = space.hecke_matrices.get(n)
-    if cached is not None:
-        return cached
-    images = hecke_action(space.coeffs, n, space.k, space.p)
-    if membership(images, space) is None:
-        raise AssertionError(
-            f"T({n}) image of a basis row left M_{space.k}; basis corrupt"
-        )
+    dim, prec = basis.shape
+    if prec < n * sturm(k):
+        raise PrecisionError(f"T({n}) at weight {k} needs precision {n * sturm(k)}, basis has {prec}")
+    images = hecke_action(basis, n, k, p)
+    if membership(images, basis, k, p) is None:
+        raise AssertionError(f"T({n}) image of a basis row left M_{k}; basis corrupt")
     # the coordinates membership found: the first dim coefficients of each image
-    mat = MatFp._wrap(space.p, images[:, : space.dim].T.copy())  # cached: a copy, not a view pinning the images
-    space.hecke_matrices[n] = mat
-    return mat
+    return MatFp._wrap(p, images[:, :dim].T.copy())  # a copy, not a view pinning the images
 
 
-def full_hecke_algebra(space: FormSpace) -> list[MatFp]:
-    """Linear basis, identity first, of the closure of {T(l) : l prime, l <= sturm(k)}.
+def full_hecke_algebra(gens: list[MatFp], p: int, dim: int) -> list[MatFp]:
+    """Linear basis, identity first, of the closure of gens, the T(l) for l in generator_primes(k).
 
     The closure contains every T(n) with n <= sturm(k).  By duality the
     functionals f -> a(1; f|t) realize a(n; f) for these n, which pin forms
     down, so it spans the algebra's dual.
     """
-    gens = [hecke_matrix(space, ell) for ell in generator_primes(space.k)]
-    return algebra_closure(gens, p=space.p, dim=space.dim)
+    return algebra_closure(gens, p=p, dim=dim)
 
 
-def duality_pairing_matrix(space: FormSpace, algebra: list[MatFp]) -> tuple[MatFp, int]:
+def duality_pairing_matrix(basis: np.ndarray, algebra: list[MatFp], p: int) -> tuple[MatFp, int]:
     """The pairing matrix [a(1; f_j | t_i)] over an algebra basis t_i, and its rank.
 
-    Full rank is the perfect-duality statement, valid for 2 <= k not
-    divisible by p-1; outside that range the rank is reported, not
-    asserted.
+    f_j are the rows of the echelon basis over F_p.  Full rank is the
+    perfect-duality statement, valid for 2 <= k not divisible by p-1;
+    outside that range the rank is reported, not asserted.
     """
-    if space.prec < 2:
+    if basis.shape[1] < 2:
         raise PrecisionError("pairing against a(1) needs at least two coefficients")
-    a1 = space.coeffs[:, 1:2].T  # a(1) of each basis row
+    a1 = basis[:, 1:2].T  # a(1) of each basis row
     # columns i*dim .. (i+1)*dim - 1 of the one product hold a1 * algebra[i]
-    pairs = _matmul(a1, np.hstack([t.a for t in algebra]), space.p)
-    mat = MatFp._wrap(space.p, pairs.reshape(len(algebra), space.dim))
+    pairs = _matmul(a1, np.hstack([t.a for t in algebra]), p)
+    mat = MatFp._wrap(p, pairs.reshape(len(algebra), len(basis)))
     return mat, rank(mat)
 
 
@@ -128,7 +118,7 @@ class EisLocalPiece:
     """The generalized eigenspace at the Eisenstein maximal ideal.
 
     `forms` is one read-only r x N array of residues mod p, the piece's
-    basis as q-series to the precision N of the space it was cut from; the
+    basis as q-series to the precision N of the basis it was cut from; the
     piece keeps its forms and no basis of M_k.  A form's first dim M_k
     coefficients are its echelon coordinates, and column 0 is its constant
     term.  `etas` holds the matrix on the piece, in its basis, of each
@@ -161,29 +151,26 @@ class EisLocalPiece:
         return EisLocalPiece(self.p, self.k, forms, restrict_operator(self.etas, ker))
 
 
-def eisenstein_localize(space: FormSpace) -> EisLocalPiece:
-    """Localize M_k at the Eisenstein maximal ideal.
+def eisenstein_localize(basis: np.ndarray, gens: list[MatFp], k: int, p: int) -> EisLocalPiece:
+    """Localize M_k, given by its echelon basis over F_p, at the Eisenstein maximal ideal.
 
-    The piece is the common generalized kernel of the generators
-    T(l) - sigma_(k-1)(l), l prime up to the coefficient bound, with the
-    ambient dimension as the nilpotency exponent.  The Eisenstein series
-    itself always lies inside; the piece exceeds its span exactly when a
-    congruent cusp form exists.
+    `gens` are the matrices T(l) on the basis, l in generator_primes(k) and
+    in that order.  The piece is the common generalized kernel of the
+    generators T(l) - sigma_(k-1)(l), with the ambient dimension as the
+    nilpotency exponent.  The Eisenstein series itself always lies inside;
+    the piece exceeds its span exactly when a congruent cusp form exists.
 
-    The Hecke matrices are read on the first sturm(k)^2 columns of the
-    space, all that the generators need; that view shares the space's
-    `hecke_matrices`.  The piece's forms are one product of its basis rows,
-    in the space's coordinates, with the space's coefficients; the piece
-    keeps no reference to the space.  The eigenvalues sigma_(k-1)(l) are
-    read off one table of divisor power sums up to sturm(k).
+    The piece's forms are one product of its basis rows, in the echelon
+    coordinates, with the whole basis; the piece keeps no reference to the
+    basis.  The eigenvalues sigma_(k-1)(l) are read off one table of
+    divisor power sums up to sturm(k).
     """
-    p, k = space.p, space.k
-    view = replace(space, coeffs=space.coeffs[:, : sturm(k) ** 2])
-    eye = MatFp.identity(p, space.dim)
+    dim = len(basis)
+    eye = MatFp.identity(p, dim)
     sigma = divisor_power_sums(k - 1, sturm(k) + 1, p)
-    etas = [hecke_matrix(view, ell) - eye.scaled(int(sigma[ell])) for ell in generator_primes(k)]
-    basis, etas = generalized_eigenspace(etas, space.dim, p=p)
-    forms = _matmul(basis.a, space.coeffs, p)
+    etas = [t - eye.scaled(int(sigma[ell])) for t, ell in zip(gens, generator_primes(k), strict=True)]
+    coords, etas = generalized_eigenspace(etas, dim, p=p)
+    forms = _matmul(coords.a, basis, p)
     forms.flags.writeable = False
     piece = EisLocalPiece(p, k, forms, etas)
     for eta in piece.etas:
@@ -200,41 +187,45 @@ class TpRedundancy:
     redundant: bool | None
 
 
-def t_p_redundancy_check(space: FormSpace, algebra: list[MatFp]) -> TpRedundancy:
+def t_p_redundancy_check(algebra: list[MatFp], t_p: MatFp, k: int, p: int) -> TpRedundancy:
     """Does dropping T(p) lose anything from the Hecke algebra?
 
-    `algebra` is `full_hecke_algebra(space)`, which the caller has built.
-    The check runs only when 2 <= k <= p-2; weights outside that window
-    are reported as skipped.  There sturm(k) < p, so the generators of
-    that algebra are exactly the prime-to-p T(l), and T(p) is redundant
+    `algebra` is `full_hecke_algebra` at weight k, and `t_p` the matrix of
+    T(p).  The check runs only when 2 <= k <= p-2; weights outside that
+    window are reported as skipped.  There sturm(k) < p, so the generators
+    of that algebra are exactly the prime-to-p T(l), and T(p) is redundant
     when it reduces to zero against the algebra's span.  The prime-to-p
     operators are expected to generate everything.
     """
-    p, k = space.p, space.k
     if not (2 <= k <= p - 2):
         return TpRedundancy(checked=False, redundant=None)
-    if space.dim == 0:
-        return TpRedundancy(checked=True, redundant=True)
-    span = EchelonSpace(p, space.dim**2)
+    span = EchelonSpace(p, t_p.nrows**2)
     span.insert(np.array([t.a.ravel() for t in algebra]))
-    return TpRedundancy(checked=True, redundant=not span.reduce(hecke_matrix(space, p).a.ravel()).any())
+    return TpRedundancy(checked=True, redundant=not span.reduce(t_p.a.ravel()).any())
 
 
 def hecke_report(p: int, k: int) -> dict:
-    """Summary of the weight-k picture at p, as a plain dict."""
+    """Summary of the weight-k picture at p, as a plain dict.
+
+    Each T(n) is built once, on the whole basis, and passed to every step that reads it.
+    """
     prec = max(sturm(k) ** 2, p * sturm(k))
-    space = miller_basis(p, k, prec)
-    algebra = full_hecke_algebra(space)
-    _, dual_rank = duality_pairing_matrix(space, algebra)
-    piece = eisenstein_localize(space)
-    tp = t_p_redundancy_check(space, algebra)
+    basis = miller_basis(p, k, prec)
+    dim = len(basis)
+    primes = generator_primes(k)
+    gens = [hecke_matrix(basis, ell, k, p) for ell in primes]
+    t_p = gens[primes.index(p)] if p in primes else hecke_matrix(basis, p, k, p)
+    algebra = full_hecke_algebra(gens, p, dim)
+    _, dual_rank = duality_pairing_matrix(basis, algebra, p)
+    piece = eisenstein_localize(basis, gens, k, p)
+    tp = t_p_redundancy_check(algebra, t_p, k, p)
     return {
         "p": p,
         "k": k,
-        "dim": space.dim,
+        "dim": dim,
         "eis_local_dim": piece.dim,
         # the rank of T(p)'s Fitting idempotent: the rank of T(p)^dim
-        "ordinary_dim": rank(hecke_matrix(space, p) ** space.dim),
+        "ordinary_dim": rank(t_p**dim),
         "duality_rank": dual_rank,
         "algebra_dim": len(algebra),
         "tp_redundant": tp.redundant,

@@ -58,15 +58,16 @@ def build_lambda_eisenstein(p: int, d: int, q_prec: int, t_trunc: int, digits: i
     with A_t(T) = t (1+T)^(s(t)); the Teichmuller factor makes the
     specialization at T = gamma^d - 1 collapse to t^(d+1).  Each term
     omega^d(t) A_t is formed once and added into every multiple of t by one
-    strided add.
+    strided add.  q_prec must be at least 2: the specialization compares
+    a(1) onwards, so a shorter family would compare no coefficient.
     """
     _require_digits(p, digits)
     if d < 0 or d % 2 == 1 or d > p - 3:
         raise ValueError(f"character exponent {d} outside the even range [0, {p - 3}]")
     if t_trunc < 1:
         raise ValueError("need at least the constant coefficient")
-    if q_prec < 0:
-        raise ValueError(f"need a non-negative number of q-coefficients, got {q_prec}")
+    if q_prec < 2:
+        raise ValueError(f"need at least two q-coefficients, so that a(1) is compared, got {q_prec}")
     q = p**digits
     coeffs = np.zeros((q_prec, t_trunc), dtype=_storage(q))
     for t in range(1, q_prec):

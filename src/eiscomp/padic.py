@@ -1,8 +1,8 @@
 """Exact arithmetic in Z/p^M on Python integers.
 
-Teichmuller lifts, the p-adic logarithm with explicit working-precision
-inflation, the exponent s(t) defined by t*omega(t)^-1 = gamma^(s(t)) for the
-generator gamma = 1 + p, and the coefficients of t*(1+T)^(s(t)) in Z_p[[T]]
+Teichmuller lifts, the exponent s(t) defined by t*omega(t)^-1 = gamma^(s(t))
+for the generator gamma = 1 + p, read off as a discrete log in 1 + pZ_p one
+p-adic digit at a time, and the coefficients of t*(1+T)^(s(t)) in Z_p[[T]]
 modulo (p^M, T^D).
 
 A value mod p^M is a Python int in [0, p^M); an element of Z_p[[T]] modulo
@@ -81,58 +81,32 @@ def teichmuller(t: int, p: int, prec: int) -> int:
         x = y
 
 
-def plog(x: int, p: int, prec: int) -> int:
-    """p-adic logarithm of x = 1 mod p, correct modulo p^prec.
-
-    Sums the alternating series in u = x - 1 up to the index past which
-    every term has valuation >= prec.  Divisions by series indices lose
-    floor(log_p(n_max)) digits, so the summation runs at an inflated
-    working precision; the returned digits are all trustworthy.
-    """
-    _require_digits(p, prec)
-    if x % p != 1:
-        raise ValueError("plog requires x = 1 mod p")
-    # smallest bound past which n - v_p(n) >= prec for every later index
-    nmax = prec
-    while nmax - _ilog(nmax, p) < prec:
-        nmax += 1
-    loss = _ilog(nmax, p)
-    q = p ** (prec + loss)
-    u = (x - 1) % q
-    upow = 1
-    acc = 0
-    for n in range(1, nmax + 1):
-        upow = upow * u % q
-        if upow == 0:
-            break
-        v = vp(n, p)
-        # u^n mod q is divisible by p^v because v <= n <= v_p(u^n)
-        term = (upow // p**v) * pow(n // p**v, -1, q) % q
-        acc = (acc - term if n % 2 == 0 else acc + term) % q
-    return acc % p**prec
-
-
 def s_exponent(t: int, p: int, prec: int) -> int:
     """The exponent s(t) with gamma^(s(t)) = t * omega(t)^(-1), mod p^prec.
 
-    Computed as plog(t * omega(t)^(-1)) / plog(gamma).  Both logarithms lie
-    in pZ_p and the denominator has valuation exactly one, so the quotient
-    is integral; one guard digit absorbs the division by p.
+    A discrete log in 1 + pZ_p, one digit s_i of s(t) = sum s_i p^i at a
+    time.  x starts at <t> = t * omega(t)^(-1) mod p^(prec+1), which is 1
+    mod p, and gamma^(p^i) = 1 + p^(i+1) u with u = 1 mod p.  So while x = 1
+    mod p^(i+1), the digit s_i = ((x - 1)/p^(i+1)) mod p makes
+    x * gamma^(-s_i p^i) = 1 mod p^(i+2).  After prec digits x must be 1,
+    and that is checked; gamma^s mod p^(prec+1) depends on s mod p^prec
+    alone, so the digits need no guard precision.
     """
     _require_digits(p, prec)
     if t % p == 0:
         raise ValueError(f"{t} is divisible by {p}")
-    work = prec + 1
-    q = p**work
-    unit = t * pow(teichmuller(t, p, work), -1, q) % q
-    num = plog(unit, p, work)
-    den = plog(1 + p, p, work)
-    if num % p != 0 or den % p != 0:
-        raise PrecisionError("logarithm landed outside pZ_p")
-    den_unit = den // p
-    if den_unit % p == 0:
-        raise PrecisionError("log(gamma) should have valuation exactly 1")
-    return (num // p) * pow(den_unit, -1, p**prec) % p**prec
+    q = p ** (prec + 1)
+    x = t * pow(teichmuller(t, p, prec + 1), -1, q) % q
+    step = 1 + p  # gamma^(p^i)
+    s = 0
+    for i in range(prec):
+        digit = (x - 1) // p ** (i + 1) % p
+        x = x * pow(step, -digit, q) % q
+        s += digit * p**i
+        step = pow(step, p, q)
+    if x != 1:
+        raise AssertionError(f"discrete log of <{t}> left {x} mod {p}^{prec + 1}, not 1")
+    return s
 
 
 def a_t_poly(t: int, p: int, trunc: int, prec: int) -> list[int]:
@@ -163,14 +137,6 @@ def a_t_poly(t: int, p: int, trunc: int, prec: int) -> list[int]:
         binom = (prod // p**fact_v) * pow(fact_unit, -1, q) % q
         out[j] = t * binom % qout
     return out
-
-
-def _ilog(n: int, p: int) -> int:
-    """floor(log_p(n)) for n >= 1."""
-    e = 0
-    while p**(e + 1) <= n:
-        e += 1
-    return e
 
 
 def _factorial_valuation(n: int, p: int) -> int:

@@ -40,16 +40,17 @@ which `middle_product_mod` takes on the same steps from one cyclic product,
 sized by the longer operand alone.  The answer is exact for every modulus;
 floating point is only the means of the convolution.
 
-Every `miller_basis` call builds its basis, the caller owns what it gets,
-and nothing is kept between calls.  The ladder ratio Delta/E4^3 depends
-only on (p, digits) and the precision, so a mirror pair makes it once
+Every `miller_basis` call builds its basis, one read-only d x prec array
+that the caller owns beside the p, k and digits it asked for, and nothing
+is kept between calls.  The ladder ratio Delta/E4^3 depends only on
+(p, digits) and the precision, so a mirror pair makes it once
 (`ladder_ratio`) and passes it to both of its builds; a build given no
 ratio makes its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import expm1, gcd, isqrt, log1p, sqrt
 
 import numpy as np
@@ -346,48 +347,6 @@ def _delta(e4_cubed: np.ndarray, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # echelon bases
 
-@dataclass(eq=False)
-class FormSpace:
-    """Echelonized q-expansion basis of M_k at level one, fixed precision.
-
-    `coeffs` is one read-only dim x prec array of residues mod p^digits,
-    stored and multiplied under linalg's rules (`_residues`, `_matmul`).
-    Row j starts at q^j and vanishes at every other q^i, i < dim, so the
-    first dim coefficients of a form are its coordinates; row 0 is the only
-    one with a nonzero constant term, so rows 1.. span the cuspidal subspace.
-    `hecke_matrices` holds the matrix of each T(n) once
-    `hecke.hecke_matrix` has built it.
-    """
-
-    p: int
-    digits: int
-    k: int
-    coeffs: np.ndarray
-    hecke_matrices: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def prec(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.digits
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "digits": self.digits,
-            "k": self.k,
-            "precision": self.prec,
-            "dim": self.dim,
-            "rows": self.coeffs.tolist(),
-        }
-
-
 def ladder_ratio(p: int, prec: int, digits: int = 1) -> np.ndarray:
     """The ladder ratio Delta/E4^3 mod p^digits to prec coefficients, as a read-only array.
 
@@ -402,8 +361,13 @@ def ladder_ratio(p: int, prec: int, digits: int = 1) -> np.ndarray:
     return ratio
 
 
-def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarray | None = None) -> FormSpace:
-    """Reduced echelon basis of M_k(level 1) over Z/p^digits.
+def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarray | None = None) -> np.ndarray:
+    """Reduced echelon basis of M_k(level 1) over Z/p^digits: one read-only d x prec residue array.
+
+    Stored and multiplied under linalg's rules (`_residues`, `_matmul`).
+    Row j starts at q^j and vanishes at every other q^i, i < d, so the
+    first d coefficients of a form are its coordinates; only row 0 has a
+    nonzero constant term, so rows 1.. span the cuspidal subspace.
 
     Built from the monomials M_j = E4^a E6^b Delta^j of weight k (j < dim,
     b in {0,1}); the j-th monomial starts q^j + ..., so the leading dim x dim
@@ -419,10 +383,10 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
     prec, of which the build reads the first prec coefficients; given
     None, the build makes its own.  A shorter ratio raises ValueError, and
     so does one with an entry outside the residues mod p^digits.  Every
-    call builds a new FormSpace with empty `hecke_matrices`, and nothing is
-    kept between calls.  The ladder products are exact truncated series
-    and U^-1 reads only the first dim columns, so a build's first n
-    columns equal a build at precision n.
+    call builds a new array, and nothing is kept between calls.  The
+    ladder products are exact truncated series and U^-1 reads only the
+    first dim columns, so a build's first n columns equal a build at
+    precision n.
     """
     _require_digits(p, digits)
     if k < 4 or k % 2 == 1:
@@ -463,24 +427,25 @@ def miller_basis(p: int, k: int, prec: int, digits: int = 1, *, ratio: np.ndarra
         aug[:j] = (aug[:j] - aug[:j, j, None] * aug[j]) % m
     rows = _matmul(aug[:, d:], rows, m)
     rows.flags.writeable = False
-    return FormSpace(p=p, digits=digits, k=k, coeffs=rows)
+    return rows
 
 
-def membership(f: np.ndarray, space: FormSpace) -> list | None:
-    """Coordinates, residues mod the space's modulus, of f in the space's basis, or None if f lies outside.
+def membership(f: np.ndarray, basis: np.ndarray, k: int, modulus: int) -> list | None:
+    """Coordinates, residues mod `modulus`, of f in the weight-k echelon basis, or None if f lies outside.
 
     f is one series or a block of rows, one series each; a block's
     coordinates are one list per row, and one row outside gives None.
     Every coefficient available to both sides must agree exactly; too few
     shared coefficients is an error, never a silent pass.
     """
-    need = max(sturm(space.k), space.dim)
-    usable = min(f.shape[-1], space.prec)
+    dim, prec = basis.shape
+    need = max(sturm(k), dim)
+    usable = min(f.shape[-1], prec)
     if usable < need:
         raise PrecisionError(f"have {usable} coefficients, need {need}")
     # the basis is the identity on q^0..q^(dim-1), so those are the coordinates
-    coords = f[..., : space.dim]
-    span = _matmul(coords, space.coeffs[:, :usable], space.modulus)
+    coords = f[..., :dim]
+    span = _matmul(coords, basis[:, :usable], modulus)
     if not np.array_equal(span, f[..., :usable]):
         return None
     return coords.tolist()

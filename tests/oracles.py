@@ -13,7 +13,7 @@ from math import comb, gcd
 import numpy as np
 
 from eiscomp.errors import NonInvertibleError
-from eiscomp.hecke import hecke_matrix
+from eiscomp.hecke import eisenstein_localize, generator_primes, hecke_matrix
 from eiscomp.linalg import _matmul, _residues, rank, stable_idempotent
 from eiscomp.padic import require_admissible_prime
 from eiscomp.qexp import (
@@ -25,11 +25,21 @@ from eiscomp.qexp import (
 )
 
 
-def form_of(space, coords) -> np.ndarray:
-    """The form with these echelon coordinates in `space`: coords times its basis, one row of residues."""
-    if len(coords) != space.dim:
+def form_of(basis, coords, m) -> np.ndarray:
+    """The form with these echelon coordinates: coords times the basis mod m, one row of residues."""
+    if len(coords) != len(basis):
         raise ValueError("coordinate length disagrees with dimension")
-    return _matmul(_residues(space.modulus, [coords]), space.coeffs, space.modulus)[0]
+    return _matmul(_residues(m, [coords]), basis, m)[0]
+
+
+def generators(basis, k, p) -> list:
+    """T(l) on the weight-k basis over F_p, l in generator_primes(k), read on all of its columns."""
+    return [hecke_matrix(basis, ell, k, p) for ell in generator_primes(k)]
+
+
+def localize(basis, k, p):
+    """The Eisenstein-local piece of the weight-k basis over F_p, on `generators` of it."""
+    return eisenstein_localize(basis, generators(basis, k, p), k, p)
 
 
 def theta_series(f: np.ndarray, m: int, iterates: int = 1) -> np.ndarray:
@@ -121,5 +131,5 @@ def ordinary_dim(p: int, k: int) -> int:
     """Rank of T(p)'s stable idempotent on M_k(F_p); 0 for empty weights."""
     if space_dim(k) == 0:
         return 0
-    space = miller_basis(p, k, p * sturm(k))
-    return rank(stable_idempotent(hecke_matrix(space, space.p)))
+    basis = miller_basis(p, k, p * sturm(k))
+    return rank(stable_idempotent(hecke_matrix(basis, p, k, p)))

@@ -132,7 +132,11 @@ def test_specialize_odd_d_rejected(capsys):
 
 SPECIALIZE_PRECISION_ERRORS = {
     "--digits -1": "precision must be at least one digit",
-    "--qprec -3": "need a non-negative number of q-coefficients, got -3",
+    "--qprec -3": "need at least two q-coefficients, so that a(1) is compared, got -3",
+    "--qprec 0": "need at least two q-coefficients, so that a(1) is compared, got 0",
+    "--qprec 1": "need at least two q-coefficients, so that a(1) is compared, got 1",
+    # d = p - 3 checks no constant term either: with one q-coefficient nothing is compared
+    "--d 4 --qprec 1": "need at least two q-coefficients, so that a(1) is compared, got 1",
     "--trunc 0 --qprec 1": "need at least the constant coefficient",
     "--digits 0": "precision must be at least one digit",
     "--trunc 0": "need at least the constant coefficient",

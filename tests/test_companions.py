@@ -26,7 +26,7 @@ from eiscomp.qexp import (
     sturm,
 )
 
-from oracles import eisenstein_q, form_of, theta_series
+from oracles import eisenstein_q, form_of, localize, theta_series
 
 IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)]
 
@@ -55,11 +55,11 @@ def companion_oracle(f, p, k):
         return (True, []) if rhs.is_zero() else (False, None)
     target = miller_basis(p, kp, bound)
     # linear system: coords c of g must hit the forced coefficients
-    solution = solve(MatFp(p, target.coeffs[:, forced].T), rhs)
+    solution = solve(MatFp(p, target[:, forced].T), rhs)
     if solution is None:
         return False, None
     coords = solution.a[:, 0].tolist()
-    g = form_of(target, coords)
+    g = form_of(target, coords, p)
     if not np.array_equal(theta_series(f, p, kp)[:bound], theta_series(g, p)[:bound]):
         raise AssertionError("solved companion fails theta^(k') f = theta g")
     return True, coords
@@ -68,7 +68,7 @@ def companion_oracle(f, p, k):
 def echelon_residues(fs, p, kp, bound, a, b):
     """theta^a of each series mod p reduced against an EchelonSpace built from theta^b(M_k'), row by row."""
     target = EchelonSpace(p, bound)
-    for row in miller_basis(p, kp, bound).coeffs:
+    for row in miller_basis(p, kp, bound):
         target.insert(theta_series(row, p, b))
     return target.reduce(np.stack([theta_series(f, p, a)[:bound] for f in fs]))
 
@@ -81,7 +81,7 @@ def piece_series(pc, coords, prec):
     """
     forms = pc.forms
     if prec > forms.shape[1]:
-        forms = _matmul(forms[:, : space_dim(pc.k)], miller_basis(pc.p, pc.k, prec).coeffs, pc.p)
+        forms = _matmul(forms[:, : space_dim(pc.k)], miller_basis(pc.p, pc.k, prec), pc.p)
     return _matmul(_residues(pc.p, coords), forms[:, :prec], pc.p)
 
 
@@ -148,9 +148,9 @@ def test_theta_kernel_trivial_in_low_weights():
         bound = (kp + p + 1) // 12 + 1
         space = miller_basis(p, kp, bound)
         ech = EchelonSpace(p, bound)
-        for row in space.coeffs:
+        for row in space:
             assert len(ech.insert(theta_series(row, p))) == 1
-        assert ech.dim == space.dim
+        assert ech.dim == len(space)
 
 
 # --- companions -----------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_eisenstein_pair_are_companions():
         f = eisenstein_q(p, k, bound)
         ok, g_coords = companion_oracle(f, p, k)
         assert ok
-        g = form_of(miller_basis(p, kp, bound), g_coords)
+        g = form_of(miller_basis(p, kp, bound), g_coords, p)
         e_kp = eisenstein_q(p, kp, bound)
         # the companion is unique here and must be the mirror Eisenstein series:
         # both sides scale so that a(1) agree
@@ -175,7 +175,7 @@ def test_companion_relation_is_symmetric():
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
     _, g_coords = companion_oracle(f, p, k)
-    g = form_of(miller_basis(p, kp, bound), g_coords)
+    g = form_of(miller_basis(p, kp, bound), g_coords, p)
     assert np.array_equal(theta_series(g, p, k)[:bound], theta_series(f, p)[:bound])
 
 
@@ -183,7 +183,7 @@ def test_weight_p_minus_1_companion_lives_in_the_zero_space():
     # k = p-1 puts the companion in M_2 = 0, so only g = 0 can serve
     p, k = 13, 12
     bound = plan_companion(p, k).bound
-    one = miller_basis(p, k, max(bound, sturm(k))).coeffs[0, :bound]
+    one = miller_basis(p, k, max(bound, sturm(k)))[0, :bound]
     assert one.tolist() == [1] + [0] * (bound - 1)  # E_(p-1) = 1 mod p
     assert companion_oracle(one, p, k) == (True, [])
     delta = delta_q(p, bound)
@@ -245,7 +245,7 @@ def test_mirror_check_eisenstein_pair():
     bound = plan_companion(p, k).bound
     f = eisenstein_q(p, k, bound)
     ok, gc = companion_oracle(f, p, k)
-    g = form_of(miller_basis(p, p + 1 - k, bound), gc)
+    g = form_of(miller_basis(p, p + 1 - k, bound), gc, p)
     assert ok and _in_piece(f, piece) and _in_piece(g, piece_prime)
 
 
@@ -257,7 +257,7 @@ def test_mirror_check_on_discovered_pairs():
             f = piece_series(rep.piece, [f_coords], bound)[0]
             ok, oracle_g = companion_oracle(f, p, k)
             assert ok and oracle_g == g_coords, (p, k)
-            g = form_of(miller_basis(p, rep.k_prime, bound), oracle_g)
+            g = form_of(miller_basis(p, rep.k_prime, bound), oracle_g, p)
             assert _in_piece(f, rep.piece) and _in_piece(g, rep.piece_prime), (p, k)
 
 
@@ -313,7 +313,7 @@ def test_relation_kernel_matches_both_oracles():
                 assert f_coords == kernel(MatFp(p, resid).transpose()).a.tolist(), (p, pc.k)
             for fc, gc in zip(f_coords, g_coords):
                 assert companion_oracle(piece_series(pc, [fc], old)[0], p, pc.k) == (True, gc), (p, pc.k)
-                assert _in_piece(form_of(miller_basis(p, kp, old), gc), mirror), (p, pc.k)
+                assert _in_piece(form_of(miller_basis(p, kp, old), gc, p), mirror), (p, pc.k)
             ma, mb, _ = smaller_direction(p, kp)
             gs = mirror.forms[:, :bound]
             assert c_mirror == kernel(MatFp(p, echelon_residues(gs, p, pc.k, bound, ma, mb)).transpose()).nrows
@@ -345,7 +345,7 @@ def test_witness_g_by_linearity_matches_the_oracle():
         for f_coords, g_coords in json_witnesses(rep):
             f = piece_series(rep.piece, [f_coords], bound)[0]
             assert companion_oracle(f, p, k) == (True, g_coords), (p, k)
-            g = form_of(target, g_coords)
+            g = form_of(target, g_coords, p)
             assert theta_series(f, p, a)[:shared].tolist() == theta_series(g, p, b)[:shared].tolist()
 
 
@@ -394,7 +394,7 @@ def test_witness_csv_builds_no_third_basis(monkeypatch):
         for n in (100, 400):
             for idx, (f_coords, g_coords) in enumerate(json_witnesses(rep)):
                 f = piece_series(rep.piece, [f_coords], n)[0]
-                g = form_of(miller_basis(p, rep.k_prime, n), g_coords)
+                g = form_of(miller_basis(p, rep.k_prime, n), g_coords, p)
                 assert theta_series(f, p, a).tolist() == theta_series(g, p, b).tolist(), (p, k, n)
                 assert rows[2 * idx][3:] == [str(c) for c in f[:24].tolist()]
                 assert rows[2 * idx + 1][3:] == [str(c) for c in g[:24].tolist()]
@@ -409,9 +409,9 @@ def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
     calls = []
     real = hecke.eisenstein_localize
 
-    def counted(space):
-        calls.append(space.k)
-        return real(space)
+    def counted(basis, gens, k, p):
+        calls.append(k)
+        return real(basis, gens, k, p)
 
     monkeypatch.setattr(hecke, "eisenstein_localize", counted)
     monkeypatch.setattr(companions, "eisenstein_localize", counted)
@@ -420,13 +420,13 @@ def test_witness_csv_reads_the_report_pieces(capsys, monkeypatch, tmp_path):
     assert main(["companion", "--p", str(p), "--k", str(k), "--witness-csv", str(path)]) == 0
     assert calls == [k, kp]
     witnesses = json.loads(capsys.readouterr().out)["witnesses"]
-    piece = real(miller_basis(p, k, prec))
+    piece = localize(miller_basis(p, k, prec), k, p)
     target = miller_basis(p, kp, prec)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert len(rows) == 2 * len(witnesses) > 0
     for idx, w in enumerate(witnesses):
         f = piece_series(piece, [w["f_coords"]], prec)[0]
-        g = form_of(target, w["g_coords"])
+        g = form_of(target, w["g_coords"], p)
         assert rows[2 * idx] == [str(idx), "f", str(k)] + [str(c) for c in f.tolist()]
         assert rows[2 * idx + 1] == [str(idx), "g", str(kp)] + [str(c) for c in g.tolist()]
 
@@ -460,7 +460,7 @@ def test_witness_csv_digest_is_pinned(p, k, digest):
 def assert_forms_match_the_basis(piece, cols):
     """The piece's forms to cols coefficients are their echelon coordinates times miller_basis at cols."""
     p, k = piece.p, piece.k
-    want = _matmul(piece.forms[:, : space_dim(k)], miller_basis(p, k, cols).coeffs, p)
+    want = _matmul(piece.forms[:, : space_dim(k)], miller_basis(p, k, cols), p)
     got = piece.forms[:, :cols]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, k)
     assert not piece.forms.flags.writeable, (p, k)

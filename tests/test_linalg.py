@@ -373,12 +373,12 @@ def restriction_oracle(op, basis):
     return x
 
 
-def hecke_etas(space):
-    """The generators T(l) - sigma_(k-1)(l), l in generator_primes(k), on a whole space."""
-    eye = MatFp.identity(space.p, space.dim)
+def hecke_etas(basis, k, p):
+    """The generators T(l) - sigma_(k-1)(l), l in generator_primes(k), on a whole basis."""
+    eye = MatFp.identity(p, len(basis))
     return [
-        hecke_matrix(space, ell) - eye.scaled(eisenstein_eigenvalue(space.p, space.k, ell))
-        for ell in generator_primes(space.k)
+        hecke_matrix(basis, ell, k, p) - eye.scaled(eisenstein_eigenvalue(p, k, ell))
+        for ell in generator_primes(k)
     ]
 
 
@@ -387,21 +387,21 @@ def test_gen_eigenspace_matches_the_oracle_on_hecke_generators():
     # weights of every irregular pair p < 400 at the localization's; the
     # cuspidal sub-piece's etas against the whole-space etas restricted to it
     spaces = [
-        miller_basis(p, k, max(sturm(k) ** 2, p * sturm(k)))
+        (p, k, miller_basis(p, k, max(sturm(k) ** 2, p * sturm(k))))
         for p, k in [(7, 300), (11, 240), (13, 180), (37, 180), (101, 96)]
     ]
     for p in primes_in(5, 399):
         for k in irregular_indices(p):
-            spaces += [miller_basis(p, w, sturm(w) ** 2) for w in (k, p + 1 - k)]
+            spaces += [(p, w, miller_basis(p, w, sturm(w) ** 2)) for w in (k, p + 1 - k)]
     assert len(spaces) == 5 + 2 * 23
-    for s in spaces:
-        etas = hecke_etas(s)
-        got, subs = generalized_eigenspace(etas, s.dim, p=s.p)
-        assert got == generalized_kernel_oracle(etas, s.dim, p=s.p), (s.p, s.k)
-        assert subs == [restriction_oracle(eta, got) for eta in etas], (s.p, s.k)
-        cusp = EisLocalPiece(s.p, s.k, _matmul(got.a, s.coeffs, s.p), subs).cuspidal_subpiece()
-        cusp_basis = MatFp(s.p, cusp.forms[:, : s.dim])
-        assert cusp.etas == [restriction_oracle(eta, cusp_basis) for eta in etas], (s.p, s.k)
+    for p, k, s in spaces:
+        etas = hecke_etas(s, k, p)
+        got, subs = generalized_eigenspace(etas, len(s), p=p)
+        assert got == generalized_kernel_oracle(etas, len(s), p=p), (p, k)
+        assert subs == [restriction_oracle(eta, got) for eta in etas], (p, k)
+        cusp = EisLocalPiece(p, k, _matmul(got.a, s, p), subs).cuspidal_subpiece()
+        cusp_basis = MatFp(p, cusp.forms[:, : len(s)])
+        assert cusp.etas == [restriction_oracle(eta, cusp_basis) for eta in etas], (p, k)
 
 
 def test_gen_eigenspace_zero_op_gives_whole_space():

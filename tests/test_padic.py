@@ -1,4 +1,4 @@
-"""Exact p-adic arithmetic: lifts, logarithms, exponents, truncated series."""
+"""Exact p-adic arithmetic: lifts, discrete-log exponents, truncated series."""
 
 import random
 
@@ -8,7 +8,6 @@ from eiscomp.errors import PrecisionError
 from eiscomp.padic import (
     a_t_poly,
     is_admissible_prime,
-    plog,
     s_exponent,
     teichmuller,
 )
@@ -26,19 +25,6 @@ def teich_oracle(t, p, M):
     for _ in range(M + 2):
         x = pow(x, p, q)
     return x
-
-
-def plog_series_oracle(xval, p, M):
-    """Direct alternating-series summation with exact rational bookkeeping."""
-    from fractions import Fraction
-
-    u = xval - 1
-    total = Fraction(0)
-    for n in range(1, 4 * M + 8):
-        total += Fraction((-1) ** (n + 1) * u**n, n)
-    # total = a/b with b prime to p for the inputs used below
-    q = p**M
-    return total.numerator * pow(total.denominator, -1, q) % q
 
 
 def discrete_log_oracle(target, p, M):
@@ -91,46 +77,6 @@ def test_teichmuller_rejects_multiples_of_p():
         teichmuller(10, 5, 3)
 
 
-# --- plog -----------------------------------------------------------------
-
-def test_plog_of_one_is_zero():
-    assert plog(1, 7, 5) == 0
-
-
-def test_plog_frozen_example():
-    # p=5, M=2, x=6: 5 - 25/2 + ... = 5 mod 25
-    assert plog_series_oracle(6, 5, 2) == 5
-    assert plog(6, 5, 2) == 5
-
-
-def test_plog_matches_series_oracle():
-    for p in (5, 7, 11):
-        for M in (2, 3, 4):
-            for z in (1, 2, p - 1, p + 3):
-                x = (1 + p * z) % p**M
-                got = plog(x, p, M)
-                assert got == plog_series_oracle(x, p, M)
-
-
-def test_plog_homomorphism():
-    rng = random.Random(11)
-    for p in (5, 13):
-        M = 4
-        q = p**M
-        for _ in range(10):
-            x = 1 + p * rng.randrange(p ** (M - 1))
-            y = 1 + p * rng.randrange(p ** (M - 1))
-            lx = plog(x, p, M)
-            ly = plog(y, p, M)
-            lxy = plog(x * y % q, p, M)
-            assert lxy == (lx + ly) % q
-
-
-def test_plog_rejects_non_units_of_the_right_shape():
-    with pytest.raises(ValueError):
-        plog(2, 5, 3)
-
-
 # --- s_exponent -----------------------------------------------------------
 
 def test_s_exponent_gamma_itself():
@@ -166,6 +112,25 @@ def test_s_exponent_defining_relation_sampled():
             s = s_exponent(t, p, M)
             target = t * pow(teich_oracle(t, p, M), -1, q) % q
             assert pow(1 + p, s, q) == target
+
+
+def test_s_exponent_matches_the_discrete_log_oracle():
+    # gamma^s mod p^(M+1) fixes s mod p^M: the brute-force log at M+1 digits is s(t)
+    for p, M in ((5, 1), (5, 3), (7, 2), (7, 3), (13, 2), (37, 1)):
+        q = p ** (M + 1)
+        for t in range(1, 60):
+            if t % p:
+                target = t * pow(teich_oracle(t, p, M + 1), -1, q) % q
+                assert s_exponent(t, p, M) == discrete_log_oracle(target, p, M + 1), (p, M, t)
+
+
+def test_s_exponent_raises_when_the_discrete_log_does_not_close(monkeypatch):
+    # a lift off t mod p leaves <t> outside 1 + pZ_p: the final check raises, with no assert
+    from eiscomp import padic
+
+    monkeypatch.setattr(padic, "teichmuller", lambda t, p, prec: 1)
+    with pytest.raises(AssertionError, match="discrete log of <2>"):
+        s_exponent(2, 7, 3)
 
 
 # --- a_t_poly ----------------------------------------------------------------
@@ -220,7 +185,6 @@ def test_precision_below_one_digit_rejected_on_entry(prec):
     # series builds too, with their prime
     calls = (
         lambda: teichmuller(2, 5, prec),
-        lambda: plog(6, 5, prec),
         lambda: s_exponent(2, 5, prec),
         lambda: a_t_poly(2, 5, 3, prec),
         lambda: miller_basis(5, 12, sturm(12), prec),

@@ -226,7 +226,7 @@ def test_two_pieces_agree_with_one_on_workload_operands(monkeypatch):
     a, b = rng.integers(0, p, prec), rng.integers(0, p, prec)
     out_lens = (None, 2 * prec - 1)
     one_piece = [convolve_mod(a, b, p, n) for n in out_lens]
-    one_basis = miller_basis(p, k, prec).coeffs
+    one_basis = miller_basis(p, k, prec)
 
     real = qexp._split
     default_pieces = []
@@ -239,7 +239,7 @@ def test_two_pieces_agree_with_one_on_workload_operands(monkeypatch):
 
     monkeypatch.setattr(qexp, "_split", halves)
     two_pieces = [convolve_mod(a, b, p, n) for n in out_lens]
-    two_basis = miller_basis(p, k, prec).coeffs
+    two_basis = miller_basis(p, k, prec)
     assert default_pieces and set(default_pieces) == {1}
     for n, one, two in zip(out_lens, one_piece, two_pieces):
         assert two.tolist() == one.tolist() == kronecker_oracle(a, b, p, n).tolist()
@@ -526,33 +526,33 @@ def test_miller_dimensions_match_formula():
     for p in (5, 7, 37, 157):
         for k in range(4, 201, 2):
             s = miller_basis(p, k, sturm(k))
-            assert s.dim == space_dim(k), (p, k)
-            assert (s.coeffs[:, : s.dim] == np.eye(s.dim, dtype=np.int64)).all()
+            assert len(s) == space_dim(k), (p, k)
+            assert (s[:, : len(s)] == np.eye(len(s), dtype=np.int64)).all()
 
 
 def test_miller_weight12_second_row_is_delta():
     s = miller_basis(11, 12, 12)
     d = delta_q(11, 12)
-    assert np.array_equal(s.coeffs[1], d)
-    assert s.coeffs[0][0] == 1 and s.coeffs[0][1] == 0
+    assert np.array_equal(s[1], d)
+    assert s[0][0] == 1 and s[0][1] == 0
 
 
 def test_miller_weight4_is_unit_eisenstein():
     s = miller_basis(7, 4, 8)
-    assert s.dim == 1
-    assert s.coeffs[0].tolist() == [(240 * sigma_oracle(n, 3)) % 7 if n else 1 for n in range(8)]
+    assert len(s) == 1
+    assert s[0].tolist() == [(240 * sigma_oracle(n, 3)) % 7 if n else 1 for n in range(8)]
 
 
 def test_miller_weight14_dim1():
-    assert miller_basis(37, 14, 4).dim == 1
+    assert len(miller_basis(37, 14, 4)) == 1
 
 
 def test_miller_stable_under_precision_increase():
     for (p, k) in ((11, 36), (13, 48)):
         lo = miller_basis(p, k, sturm(k) + 2)
         hi = miller_basis(p, k, sturm(k) + 12)
-        for r1, r2 in zip(lo.coeffs, hi.coeffs):
-            assert r2[: lo.prec].tolist() == r1.tolist()
+        for r1, r2 in zip(lo, hi):
+            assert r2[: lo.shape[1]].tolist() == r1.tolist()
 
 
 def test_weight_p_minus_1_contains_the_constant():
@@ -560,7 +560,7 @@ def test_weight_p_minus_1_contains_the_constant():
     # multiplication by this series is the sanctioned weight shift mod p
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         s = miller_basis(p, p - 1, sturm(p - 1) + 10)
-        assert s.coeffs[0].tolist() == [1] + [0] * (s.prec - 1)
+        assert s[0].tolist() == [1] + [0] * (s.shape[1] - 1)
 
 
 def test_unit_weight_p_minus_1_eisenstein_scaling_vanishes():
@@ -576,7 +576,7 @@ def test_base_change_mod_p_consistency():
     p, k = 7, 24
     hi = miller_basis(p, k, 8, digits=2)
     lo = miller_basis(p, k, 8, digits=1)
-    for r2, r1 in zip(hi.coeffs, lo.coeffs):
+    for r2, r1 in zip(hi, lo):
         assert [c % p for c in r2.tolist()] == r1.tolist()
 
 
@@ -584,43 +584,43 @@ def test_base_change_mod_p_consistency():
 
 def test_membership_basis_elements():
     s = miller_basis(11, 24, 10)
-    for i, row in enumerate(s.coeffs):
-        coords = membership(row, s)
-        want = [0] * s.dim
+    for i, row in enumerate(s):
+        coords = membership(row, s, 24, 11)
+        want = [0] * len(s)
         want[i] = 1
         assert coords == want
     # a block of rows gets one coordinate list per row
-    assert membership(s.coeffs, s) == np.eye(s.dim, dtype=np.int64).tolist()
+    assert membership(s, s, 24, 11) == np.eye(len(s), dtype=np.int64).tolist()
 
 
 def test_membership_zero():
     s = miller_basis(11, 24, 10)
-    assert membership(np.zeros(10, dtype=np.int64), s) == [0] * s.dim
+    assert membership(np.zeros(10, dtype=np.int64), s, 24, 11) == [0] * len(s)
 
 
 def test_membership_eisenstein_in_miller():
     for (p, k) in ((11, 16), (37, 32)):
         s = miller_basis(p, k, 10)
         e = eisenstein_q(p, k, 10)
-        coords = membership(e, s)
+        coords = membership(e, s, k, p)
         assert coords is not None
-        assert np.array_equal(form_of(s, coords), e)
+        assert np.array_equal(form_of(s, coords, p), e)
 
 
 def test_membership_rejects_outsiders():
     s = miller_basis(11, 12, 10)
     outsider = np.array([0, 1, 1] + [0] * 7)
-    assert membership(outsider, s) is None
+    assert membership(outsider, s, 12, 11) is None
     # one row outside a block puts the block outside
-    assert membership(np.vstack([s.coeffs, outsider]), s) is None
+    assert membership(np.vstack([s, outsider]), s, 12, 11) is None
 
 
 def test_membership_insufficient_precision_is_an_error():
     s = miller_basis(11, 48, 5)
     with pytest.raises(PrecisionError):
-        membership(np.array([1, 0]), s)
+        membership(np.array([1, 0]), s, 48, 11)
     with pytest.raises(PrecisionError):
-        membership(s.coeffs[:, :2], s)
+        membership(s[:, :2], s, 48, 11)
 
 
 def test_series_is_one_read_only_residue_array():
@@ -799,20 +799,20 @@ def test_array_basis_matches_the_list_oracles(p, digits, k):
     prec = sturm(k) + 7
     s = miller_basis(p, k, prec, digits)
     rows = basis_oracle(p, k, prec, digits)
-    assert s.coeffs.tolist() == rows
-    assert s.coeffs.dtype == (np.int64 if (m - 1) ** 2 < 2**63 else object)
-    assert not s.coeffs.flags.writeable
+    assert s.tolist() == rows
+    assert s.dtype == (np.int64 if (m - 1) ** 2 < 2**63 else object)
+    assert not s.flags.writeable
     for trial in range(12):
-        coords = [m - 1] * s.dim if trial == 0 else [rng.randrange(m) for _ in range(s.dim)]
+        coords = [m - 1] * len(s) if trial == 0 else [rng.randrange(m) for _ in range(len(s))]
         inside = coords_to_series_oracle(rows, coords, m)
-        assert form_of(s, coords).tolist() == inside
+        assert form_of(s, coords, m).tolist() == inside
         outside = list(inside)
-        outside[rng.randrange(s.dim, prec)] += rng.randrange(1, m)
+        outside[rng.randrange(len(s), prec)] += rng.randrange(1, m)
         noise = [rng.randrange(m) for _ in range(prec)]
         for coeffs in (inside, outside, noise):
             f = _residues(m, coeffs)
-            assert membership(f, s) == membership_oracle(f.tolist(), rows, m)
-        assert membership(_residues(m, inside), s) == coords
+            assert membership(f, s, k, m) == membership_oracle(f.tolist(), rows, m)
+        assert membership(_residues(m, inside), s, k, m) == coords
 
 
 # one weight per class k mod 12: b = 0 (k = 0, 4, 8 mod 12) and b = 1 (2, 6, 10),
@@ -826,19 +826,19 @@ def test_ladder_basis_matches_the_direct_monomials(p, digits):
     for k in LADDER_WEIGHTS:
         for prec in sorted({sturm(k), 32, 33, 64, 65}):
             if prec >= sturm(k):
-                assert miller_basis(p, k, prec, digits).coeffs.tolist() == basis_oracle(p, k, prec, digits), (k, prec)
+                assert miller_basis(p, k, prec, digits).tolist() == basis_oracle(p, k, prec, digits), (k, prec)
 
 
 def test_ladder_basis_at_the_companion_bound():
     # plan_companion(293, 156) compares 3834 coefficients
-    assert miller_basis(293, 156, 3834).coeffs.tolist() == basis_oracle(293, 156, 3834, 1)
+    assert miller_basis(293, 156, 3834).tolist() == basis_oracle(293, 156, 3834, 1)
 
 
 def test_ladder_basis_makes_one_full_length_product_per_row(monkeypatch):
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834)
     # dim + 2 ceil(log2 k) + 8; building E4^a one product at a time needs 71
-    assert sum(n == 3834 for n in lengths) <= s.dim + 2 * (156 - 1).bit_length() + 8 == 38
+    assert sum(n == 3834 for n in lengths) <= len(s) + 2 * (156 - 1).bit_length() + 8 == 38
 
 
 @pytest.mark.parametrize("digits", [1, 2])
@@ -851,11 +851,11 @@ def test_basis_builds_e4_cubed_once(monkeypatch, digits):
     monkeypatch.setattr(qexp, "_power", lambda f, e, mul: powers.append((f, e)) or real(f, e, mul))
     lengths = count_products(monkeypatch)
     s = miller_basis(293, 156, 3834 if digits == 1 else 60, digits)
-    e4 = _unit_eisenstein(4, s.prec, 293**digits)
+    e4 = _unit_eisenstein(4, s.shape[1], 293**digits)
     assert sum(e == 3 and np.array_equal(f, e4) for f, e in powers) == 1
     # 13 ladder rows, 8 products for E4^39, 2 for E4^3, 1 for E6^2, the last Newton step and R
-    assert sum(n == s.prec for n in lengths) == 26
-    assert s.coeffs.tolist() == basis_oracle(293, 156, s.prec, digits)
+    assert sum(n == s.shape[1] for n in lengths) == 26
+    assert s.tolist() == basis_oracle(293, 156, s.shape[1], digits)
 
 
 def test_ladder_transforms_the_ratio_once(monkeypatch):
@@ -876,7 +876,7 @@ def test_ladder_transforms_the_ratio_once(monkeypatch):
     full = [c for c in transformed if len(c) == prec]
     assert sum(np.array_equal(c, ratio) for c in full) == 1
     assert [sum(np.array_equal(c, row) for c in full) for row in ladder_rows] == [1] * (d - 1)
-    assert s.coeffs.tolist() == basis_oracle(p, k, prec, 1)
+    assert s.tolist() == basis_oracle(p, k, prec, 1)
 
 
 def test_a_build_given_the_ladder_ratio_makes_none(monkeypatch):
@@ -895,9 +895,9 @@ def test_a_build_given_the_ladder_ratio_makes_none(monkeypatch):
             mp.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real(f, m))
             given = miller_basis(293, k, prec, digits, ratio=ratio)
         assert inverses == [], (k, prec, longer, digits)
-        assert given.coeffs.dtype == own.coeffs.dtype
-        assert given.coeffs.tobytes() == own.coeffs.tobytes(), (k, prec, longer, digits)
-    assert own.coeffs.tolist() == basis_oracle(293, 48, 40, 2)
+        assert given.dtype == own.dtype
+        assert given.tobytes() == own.tobytes(), (k, prec, longer, digits)
+    assert own.tolist() == basis_oracle(293, 48, 40, 2)
     with pytest.raises(ValueError, match="ladder ratio"):
         miller_basis(293, 156, 501, ratio=ladder_ratio(293, 500))
     # a ratio mod 293^2 holds entries that are no residues mod 293
@@ -916,10 +916,10 @@ def test_basis_products_at_the_int64_edge(monkeypatch, k, dtype):
     real = linalg._residues
     monkeypatch.setattr(linalg, "_residues", lambda m, a: seen.append(a.dtype) or real(m, a))
     m = 5**13
-    coords = [m - 1] * s.dim
-    want = coords_to_series_oracle(s.coeffs.tolist(), coords, m)
-    assert form_of(s, coords).tolist() == want
-    assert membership(_residues(m, want), s) == coords
+    coords = [m - 1] * len(s)
+    want = coords_to_series_oracle(s.tolist(), coords, m)
+    assert form_of(s, coords, m).tolist() == want
+    assert membership(_residues(m, want), s, k, m) == coords
     assert seen == [dtype, dtype]
 
 
@@ -932,10 +932,10 @@ def test_basis_at_the_float64_edge(k, digits, below):
     assert (space_dim(k) * (m - 1) ** 2 < 2**53) == below
     prec = sturm(k) + 7
     s = miller_basis(5, k, prec, digits)
-    assert s.coeffs.dtype == np.int64
-    assert s.coeffs.tolist() == basis_oracle(5, k, prec, digits)
-    coords = [m - 1] * s.dim
-    assert form_of(s, coords).tolist() == coords_to_series_oracle(s.coeffs.tolist(), coords, m)
+    assert s.dtype == np.int64
+    assert s.tolist() == basis_oracle(5, k, prec, digits)
+    coords = [m - 1] * len(s)
+    assert form_of(s, coords, m).tolist() == coords_to_series_oracle(s.tolist(), coords, m)
 
 
 def test_cli_basis_at_fourteen_digits_matches_the_oracle(capsys):

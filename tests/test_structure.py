@@ -10,7 +10,7 @@ import sympy
 from eiscomp.bernoulli import irregular_indices
 from eiscomp.companions import localized_pieces
 from eiscomp.errors import NotLocalError
-from eiscomp.hecke import EisLocalPiece, eisenstein_localize
+from eiscomp.hecke import EisLocalPiece
 from eiscomp.linalg import EchelonSpace, MatFp, _products
 from eiscomp.localstruct import (
     LocalAlgebra,
@@ -23,6 +23,8 @@ from eiscomp.localstruct import (
     structure_report,
 )
 from eiscomp.qexp import miller_basis, sturm
+
+from oracles import localize
 
 IRREGULAR_PAIRS = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22)]
 
@@ -151,7 +153,7 @@ def test_restrict_37_32_full_piece():
 
 def test_restrict_rejects_semisimple_double():
     space = miller_basis(5, 12, sturm(12) ** 2)
-    fake = EisLocalPiece(p=5, k=12, forms=space.coeffs, etas=[MatFp(5, [[1, 0], [0, 2]])])
+    fake = EisLocalPiece(p=5, k=12, forms=space, etas=[MatFp(5, [[1, 0], [0, 2]])])
     with pytest.raises(NotLocalError):
         restrict_algebra(fake)
 
@@ -199,7 +201,7 @@ def test_structure_report_irregular_pairs():
 def test_dim_identity_from_pieces():
     for p, k in ((37, 32), (131, 22)):
         space = miller_basis(p, k, sturm(k) ** 2)
-        piece = eisenstein_localize(space)
+        piece = localize(space, k, p)
         assert dim_identity_holds(piece, piece.cuspidal_subpiece())
 
 
@@ -259,26 +261,27 @@ def test_structure_report_skips_the_equivalences_off_c_m_prime_one(monkeypatch, 
 
 
 def spy_builds(monkeypatch):
-    """Every FormSpace that `miller_basis` returns to the companion and Hecke code, in order."""
+    """Every basis that `miller_basis` returns to the companion and Hecke code, and its weight, in order."""
     from eiscomp import companions, hecke
 
-    built = []
+    built, weights = [], []
     real = companions.miller_basis
 
-    def spy(*args, **kwargs):
-        built.append(real(*args, **kwargs))
+    def spy(p, k, *args, **kwargs):
+        built.append(real(p, k, *args, **kwargs))
+        weights.append(k)
         return built[-1]
 
     for module in (companions, hecke):
         monkeypatch.setattr(module, "miller_basis", spy)
-    return built
+    return built, weights
 
 
 @pytest.mark.parametrize("k", [36, 31, 2])
 def test_structure_report_checks_the_weight_before_any_work(monkeypatch, k):
     # k = p-1 would need M_2 on the mirror side, 31 is odd and 2 is below 4: each is
     # rejected before a basis is built
-    built = spy_builds(monkeypatch)
+    built, _ = spy_builds(monkeypatch)
     with pytest.raises(ValueError):
         structure_report(37, k)
     assert built == []
@@ -291,12 +294,12 @@ def test_cold_structure_report_builds_one_basis_per_weight_and_one_ratio(monkeyp
     from eiscomp import qexp
 
     structure_report(293, 156)
-    built = spy_builds(monkeypatch)
+    built, weights = spy_builds(monkeypatch)
     inverses = []
     real_inv = qexp.inverse_mod
     monkeypatch.setattr(qexp, "inverse_mod", lambda f, m: inverses.append(len(f)) or real_inv(f, m))
     rep = structure_report(293, 156)
-    assert [(s.k, s.prec) for s in built] == [(156, 3395), (138, 3395)] and inverses == [3395]
+    assert [(k, s.shape[1]) for k, s in zip(weights, built)] == [(156, 3395), (138, 3395)] and inverses == [3395]
     assert rep.c_m_prime == 1 and rep.plan.bound == 3395
 
 
@@ -311,7 +314,7 @@ def test_piece_series_after_its_prime_was_evicted(monkeypatch):
     bound = _companion_bound(p, k)
     before = piece.forms[:, :bound].tobytes()
     structure_report(59, 44)
-    built = spy_builds(monkeypatch)
+    built, _ = spy_builds(monkeypatch)
     after = piece.forms[:, :bound]
     assert built == []
     assert after.shape == (piece.dim, bound) and after.tobytes() == before
@@ -345,7 +348,7 @@ def test_a_pair_owns_its_bases(monkeypatch):
     assert len(spaces) == 2 and [ref() for ref in spaces] == [None, None]
     assert [pc.dim for pc in pieces] == [2, 1]
 
-    built, ratios = spy_builds(monkeypatch), []
+    (built, weights), ratios = spy_builds(monkeypatch), []
     real_ratio = companions.ladder_ratio
     monkeypatch.setattr(companions, "ladder_ratio", lambda *args: ratios.append(real_ratio(*args)) or ratios[-1])
     inverses = []
@@ -354,9 +357,10 @@ def test_a_pair_owns_its_bases(monkeypatch):
     kept = []
     for n, (p, k) in enumerate([(157, 62), (157, 110)], start=1):
         structure_report(p, k)
-        assert [s.k for s in built] == [k, p + 1 - k] and [len(r) for r in ratios] == [built[0].prec]
+        assert weights == [k, p + 1 - k] and [len(r) for r in ratios] == [built[0].shape[1]]
         kept += [weakref.ref(x) for x in built + ratios]
         built.clear()
+        weights.clear()
         ratios.clear()
         gc.collect()
         assert [ref() for ref in kept] == [None] * 3 * n
@@ -380,7 +384,7 @@ def hilbert_function(alg):
 
 
 def local_invariants(p, w):
-    piece = eisenstein_localize(miller_basis(p, w, sturm(w) ** 2))
+    piece = localize(miller_basis(p, w, sturm(w) ** 2), w, p)
     alg = restrict_algebra(piece)
     return piece.dim, piece.cuspidal_subpiece().dim, socle_dim(alg), hilbert_function(alg)
 
