@@ -406,14 +406,8 @@ def test_hecke_report_shape():
     assert set(rep) >= {"dim", "eis_local_dim", "ordinary_dim", "duality_rank", "tp_redundant"}
 
 
-def test_each_report_builds_each_hecke_matrix_once(monkeypatch):
-    # hecke_report builds T(2), T(3) and T(37) once each, on its whole basis, and
-    # passes them to the closure, the localization, the redundancy check and the
-    # ordinary rank; a pair reads T(2), T(3) on the sturm(32)^2 = 9 columns they
-    # need of its 24 (weight 6 has no generator); at p <= sturm(k) T(p) is one of
-    # the generators and is not built again
-    from eiscomp.companions import localized_pieces
-
+def spy_on_hecke_action(monkeypatch):
+    """List that collects (n, k, columns) for every hecke.hecke_action call."""
     images = []
     real = hecke.hecke_action
 
@@ -422,12 +416,51 @@ def test_each_report_builds_each_hecke_matrix_once(monkeypatch):
         return real(a, n, k, modulus)
 
     monkeypatch.setattr(hecke, "hecke_action", spy)
+    return images
+
+
+def test_hecke_matrix_built_once_per_space(monkeypatch):
+    # hecke_report builds T(2), T(3) and T(37) once each, on its whole basis, and
+    # passes them to the closure, the localization, the redundancy check and the
+    # ordinary rank; at p <= sturm(k) T(p) is one of the generators and is not
+    # built again
+    images = spy_on_hecke_action(monkeypatch)
     rep = hecke_report(37, 32)
     assert [n for n, _, _ in images] == generator_primes(32) + [37]
     assert {cols for _, _, cols in images} == {rep["precision"]}
     images.clear()
     hecke_report(5, 60)  # T(5) is a generator, and serves as T(p) too
     assert [n for n, _, _ in images] == generator_primes(60) == [2, 3, 5]
+    # the precision check runs before any image is made
+    s = working_space(13, 36)
     images.clear()
-    localized_pieces(37, 32)
-    assert images == [(ell, 32, sturm(32) ** 2) for ell in generator_primes(32)]
+    with pytest.raises(PrecisionError):
+        hecke_matrix(s, 4 * s.shape[1], 36, 13)
+    assert images == []
+
+
+def test_a_shorter_view_shares_the_hecke_matrices_of_the_kept_build(monkeypatch):
+    # T(5) at weight 32 needs 5 * sturm(32) = 15 coefficients: a column view of 14
+    # of the build of 40 raises, and a view of 15 reads the matrix of the whole
+    # build and of a cold build of 15
+    p, k, n = 37, 32, 5
+    full = miller_basis(p, k, 40)
+    t5 = hecke_matrix(full, n, k, p)
+    with pytest.raises(PrecisionError):
+        hecke_matrix(full[:, : n * sturm(k) - 1], n, k, p)
+    assert np.array_equal(hecke_matrix(full[:, : n * sturm(k)], n, k, p).a, t5.a)
+    assert np.array_equal(hecke_matrix(miller_basis(p, k, n * sturm(k)), n, k, p).a, t5.a)
+    # a pair reads T(2), T(3) on the sturm(32)^2 = 9 columns they need of its 24
+    # (weight 6 has no generator), and the localization takes the generators the
+    # algebra was closed from, so it builds none again
+    from eiscomp.companions import localized_pieces
+
+    images = spy_on_hecke_action(monkeypatch)
+    localized_pieces(p, k)
+    assert images == [(ell, k, sturm(k) ** 2) for ell in generator_primes(k)]
+    images.clear()
+    gens = [hecke_matrix(full, ell, k, p) for ell in generator_primes(k)]
+    full_hecke_algebra(gens, p, len(full))
+    piece = eisenstein_localize(full, gens, k, p)
+    assert [n for n, _, _ in images] == generator_primes(k) == [2, 3]
+    assert piece.forms.shape == (piece.dim, full.shape[1])
